@@ -20,7 +20,15 @@ from .problem import (
     strip_inhomogeneous,
     validate,
 )
-from .linalg import PinvResult, is_psd, pinv, range_contained, range_residual
+from .linalg import (
+    PinvResult,
+    SymFactor,
+    is_psd,
+    pinv,
+    range_contained,
+    range_residual,
+    sym_factor,
+)
 from .riccati import (
     ConditionVerdict,
     GreSolution,
@@ -84,6 +92,7 @@ __all__ = [
     "QpOracleResult",
     "RegularityReport",
     "SimulationReport",
+    "SymFactor",
     "TimeGrid",
     "ValidationError",
     "VerificationReport",
@@ -118,6 +127,7 @@ __all__ = [
     "solve_affine",
     "stationarity_residual",
     "strip_inhomogeneous",
+    "sym_factor",
     "synthesize",
     "validate",
     "value",

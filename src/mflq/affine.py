@@ -17,9 +17,9 @@ import numpy as np
 
 from typing import Optional
 
-from . import linalg
 from .errors import FiniteEscapeError
-from .problem import ProblemData, TimeGrid, nodes_and_midpoints
+from .linalg import _mT
+from .problem import ProblemData, TimeGrid, grid_samples
 from .riccati import (
     BLOWUP_NORM,
     DEFAULT_REG_TOL,
@@ -28,6 +28,9 @@ from .riccati import (
     dense_midpoints,
     hermite_midpoints,
 )
+
+# Noise-affine inhomogeneities that drive the pathwise adjoint pair.
+_NOISE_NAMES = ("b", "sigma", "q", "rho")
 
 
 @dataclass(frozen=True)
@@ -69,11 +72,17 @@ def _check_finite(name, v, node, time):
         raise FiniteEscapeError(name, node, time, norm)
 
 
-def _backward_rk4(grid: TimeGrid, rhs_node, rhs_mid, terminal, name):
-    """Integrate dy/ds = f(s, y) backward with fixed-step RK4.
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector products over broadcast stacks: (..., r, c), (..., c) -> (..., r)."""
+    return (M @ v[..., None])[..., 0]
 
-    rhs_node(k, y) and rhs_mid(k, y) evaluate f with coefficients frozen at
-    node k / midpoint k.  Returns y at every node, terminal included.
+
+def _backward_linear(grid: TimeGrid, L_node, g_node, L_mid, g_mid, terminal, name):
+    """Integrate the linear ODE dy/ds = -(L y + g) backward with fixed-step RK4.
+
+    L and g are tabulated at the nodes, (K+1, d, d) and (K+1, d), and at the
+    interval midpoints, (K, d, d) and (K, d).  Returns y at every node,
+    terminal included.
     """
     K = grid.n_steps
     h = grid.h
@@ -82,32 +91,62 @@ def _backward_rk4(grid: TimeGrid, rhs_node, rhs_mid, terminal, name):
     out[K] = terminal
     for k in range(K, 0, -1):
         y = out[k]
-        f1 = rhs_node(k, y)
-        f2 = rhs_mid(k - 1, y - 0.5 * h * f1)
-        f3 = rhs_mid(k - 1, y - 0.5 * h * f2)
-        f4 = rhs_node(k - 1, y - h * f3)
+        Lm, gm = L_mid[k - 1], g_mid[k - 1]
+        f1 = -(L_node[k] @ y + g_node[k])
+        f2 = -(Lm @ (y - 0.5 * h * f1) + gm)
+        f3 = -(Lm @ (y - 0.5 * h * f2) + gm)
+        f4 = -(L_node[k - 1] @ (y - h * f3) + g_node[k - 1])
         out[k - 1] = y - (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
         _check_finite(name, out[k - 1], k - 1, nodes[k - 1])
     return out
 
 
 def _coeff_samples(p: ProblemData, grid: TimeGrid, names):
+    """Node and midpoint samples of coefficient paths, constants unexpanded."""
     node, mid = {}, {}
     for name in names:
-        path = getattr(p, name)
-        node[name], mid[name] = nodes_and_midpoints(path, grid)
+        node[name], mid[name] = grid_samples(getattr(p, name), grid)
     return node, mid
 
 
 def _noise_samples(p: ProblemData, grid: TimeGrid, names):
+    """(const, noise) part samples of noise-affine paths, constants unexpanded."""
     node, mid = {}, {}
     for name in names:
         na = getattr(p, name)
-        c_n, c_m = nodes_and_midpoints(na.const_part, grid)
-        w_n, w_m = nodes_and_midpoints(na.noise_part, grid)
+        c_n, c_m = grid_samples(na.const_part, grid)
+        w_n, w_m = grid_samples(na.noise_part, grid)
         node[name] = (c_n, w_n)
         mid[name] = (c_m, w_m)
     return node, mid
+
+
+def _noise_system(coeff, noise, P, Th):
+    """Closed-loop pieces of the pathwise adjoint pair at a set of grid points.
+
+    Returns (F^T, H^T, g0, g1) with F = A + B Th and H = C + D Th, where
+    d eta1/ds = -(F^T eta1 + g1) and d eta0/ds = -(F^T eta0 + H^T eta1 + g0).
+    """
+    F_t = _mT(coeff["A"] + coeff["B"] @ Th)
+    H_t = _mT(coeff["C"] + coeff["D"] @ Th)
+    Th_t = _mT(Th)
+    g = [
+        _mv(H_t, _mv(P, noise["sigma"][i])) + _mv(Th_t, noise["rho"][i])
+        + _mv(P, noise["b"][i]) + noise["q"][i]
+        for i in (0, 1)
+    ]
+    return F_t, H_t, g[0], g[1]
+
+
+def _noise_pair_ode(coeff, noise, P, Th):
+    """Block form of the adjoint pair: L = [[F^T, H^T], [0, F^T]], g = (g0, g1)."""
+    F_t, H_t, g0, g1 = _noise_system(coeff, noise, P, Th)
+    n = F_t.shape[-1]
+    L = np.zeros(F_t.shape[:-2] + (2 * n, 2 * n))
+    L[..., :n, :n] = F_t
+    L[..., :n, n:] = H_t
+    L[..., n:, n:] = F_t
+    return L, np.concatenate((g0, g1), axis=-1)
 
 
 def solve_adjoint(
@@ -117,63 +156,49 @@ def solve_adjoint(
 
     Returns (adjoint_const, adjoint_noise), each of shape (K+1, n).  The
     noise coefficient's equation is autonomous in the pair; the constant
-    part is driven by it, so both integrate together as one stacked state.
+    part is driven by it, so both integrate together as one stacked linear
+    state of length 2n.
     """
     grid = sol.grid
+    n = p.n
     cn, cm = _coeff_samples(p, grid, ("A", "B", "C", "D"))
-    nn, nm = _noise_samples(p, grid, ("b", "sigma", "q", "rho"))
+    nn, nm = _noise_samples(p, grid, _NOISE_NAMES)
 
     if mids is None:
         mids = dense_midpoints(p, sol)
-    P_n, P_m = sol.P, mids.P
-    Th_n, Th_m = sol.gain_dev, mids.gain_dev
-
-    def make_rhs(coeff, noise, P_arr, Th_arr):
-        def rhs(k, y):
-            eta0, eta1 = y
-            A, B, C, D = coeff["A"][k], coeff["B"][k], coeff["C"][k], coeff["D"][k]
-            P, Th = P_arr[k], Th_arr[k]
-            b0, b1 = noise["b"][0][k], noise["b"][1][k]
-            s0, s1 = noise["sigma"][0][k], noise["sigma"][1][k]
-            q0, q1 = noise["q"][0][k], noise["q"][1][k]
-            r0, r1 = noise["rho"][0][k], noise["rho"][1][k]
-            F = A + B @ Th
-            H = C + D @ Th
-            d1 = -(F.T @ eta1 + H.T @ (P @ s1) + Th.T @ r1 + P @ b1 + q1)
-            d0 = -(
-                F.T @ eta0 + H.T @ eta1 + H.T @ (P @ s0)
-                + Th.T @ r0 + P @ b0 + q0
-            )
-            return np.stack([d0, d1])
-        return rhs
-
-    rhs_node = make_rhs(cn, nn, P_n, Th_n)
-    rhs_mid = make_rhs(cm, nm, P_m, Th_m)
-    terminal = np.stack([p.g0, p.g1])
-    out = _backward_rk4(grid, rhs_node, rhs_mid, terminal, "adjoint offset")
-    return out[:, 0, :], out[:, 1, :]
+    L_n, g_n = _noise_pair_ode(cn, nn, sol.P, sol.gain_dev)
+    L_m, g_m = _noise_pair_ode(cm, nm, mids.P, mids.gain_dev)
+    terminal = np.concatenate((p.g0, p.g1))
+    out = _backward_linear(grid, L_n, g_n, L_m, g_m, terminal, "adjoint offset")
+    return out[:, :n], out[:, n:]
 
 
 def _adjoint_noise_midpoints(
     p: ProblemData, sol: GreSolution, adjoint_noise: np.ndarray
 ) -> np.ndarray:
     """Hermite midpoints of the noise adjoint from its own nodal derivative."""
-    grid = sol.grid
-    K = grid.n_steps
-    cn, _ = _coeff_samples(p, grid, ("A", "B", "C", "D"))
-    nn, _ = _noise_samples(p, grid, ("b", "sigma", "q", "rho"))
-    deriv = np.empty_like(adjoint_noise)
-    for k in range(K + 1):
-        F = cn["A"][k] + cn["B"][k] @ sol.gain_dev[k]
-        H = cn["C"][k] + cn["D"][k] @ sol.gain_dev[k]
-        deriv[k] = -(
-            F.T @ adjoint_noise[k]
-            + H.T @ (sol.P[k] @ nn["sigma"][1][k])
-            + sol.gain_dev[k].T @ nn["rho"][1][k]
-            + sol.P[k] @ nn["b"][1][k]
-            + nn["q"][1][k]
-        )
-    return hermite_midpoints(adjoint_noise, deriv, grid.h)
+    cn, _ = _coeff_samples(p, sol.grid, ("A", "B", "C", "D"))
+    nn, _ = _noise_samples(p, sol.grid, _NOISE_NAMES)
+    F_t, _, _, g1 = _noise_system(cn, nn, sol.P, sol.gain_dev)
+    deriv = -(_mv(F_t, adjoint_noise) + g1)
+    return hermite_midpoints(adjoint_noise, deriv, sol.grid.h)
+
+
+def _mean_ode(coeff, noise, P, Pm, Ga, e1):
+    """L and g of the mean adjoint d eta_bar/ds = -(L eta_bar + g)."""
+    A = coeff["A"] + coeff["A_bar"]
+    B = coeff["B"] + coeff["B_bar"]
+    C = coeff["C"] + coeff["C_bar"]
+    D = coeff["D"] + coeff["D_bar"]
+    carrier = _mv(P, noise["sigma"][0]) + e1
+    Ga_t = _mT(Ga)
+    g = (
+        _mv(Ga_t, _mv(_mT(D), carrier) + noise["rho"][0] + coeff["rho_bar"])
+        + _mv(_mT(C), carrier)
+        + noise["q"][0] + coeff["q_bar"]
+        + _mv(Pm, noise["b"][0])
+    )
+    return _mT(A + B @ Ga), g
 
 
 def solve_adjoint_mean(
@@ -194,43 +219,15 @@ def solve_adjoint_mean(
         ("A", "A_bar", "B", "B_bar", "C", "C_bar", "D", "D_bar",
          "q_bar", "rho_bar"),
     )
-    nn, nm = _noise_samples(p, grid, ("b", "sigma", "q", "rho"))
+    nn, nm = _noise_samples(p, grid, _NOISE_NAMES)
 
     if mids is None:
         mids = dense_midpoints(p, sol)
-    P_n, P_m = sol.P, mids.P
-    Pm_n, Pm_m = sol.P_mean, mids.P_mean
-    Ga_n, Ga_m = sol.gain_mean, mids.gain_mean
-    e1_n = adjoint_noise
     e1_m = _adjoint_noise_midpoints(p, sol, adjoint_noise)
-
-    def make_rhs(coeff, noise, P_arr, Pm_arr, Ga_arr, e1_arr):
-        def rhs(k, eta_bar):
-            A = coeff["A"][k] + coeff["A_bar"][k]
-            B = coeff["B"][k] + coeff["B_bar"][k]
-            C = coeff["C"][k] + coeff["C_bar"][k]
-            D = coeff["D"][k] + coeff["D_bar"][k]
-            P, Pm, Ga, e1 = P_arr[k], Pm_arr[k], Ga_arr[k], e1_arr[k]
-            b0 = noise["b"][0][k]
-            s0 = noise["sigma"][0][k]
-            q0 = noise["q"][0][k]
-            r0 = noise["rho"][0][k]
-            qb = coeff["q_bar"][k]
-            rb = coeff["rho_bar"][k]
-            carrier = P @ s0 + e1
-            return -(
-                (A + B @ Ga).T @ eta_bar
-                + Ga.T @ (D.T @ carrier + r0 + rb)
-                + C.T @ carrier
-                + q0 + qb
-                + Pm @ b0
-            )
-        return rhs
-
-    rhs_node = make_rhs(cn, nn, P_n, Pm_n, Ga_n, e1_n)
-    rhs_mid = make_rhs(cm, nm, P_m, Pm_m, Ga_m, e1_m)
+    L_n, g_n = _mean_ode(cn, nn, sol.P, sol.P_mean, sol.gain_mean, adjoint_noise)
+    L_m, g_m = _mean_ode(cm, nm, mids.P, mids.P_mean, mids.gain_mean, e1_m)
     terminal = p.g0 + p.g_bar
-    return _backward_rk4(grid, rhs_node, rhs_mid, terminal, "mean adjoint offset")
+    return _backward_linear(grid, L_n, g_n, L_m, g_m, terminal, "mean adjoint offset")
 
 
 def compute_corrections(
@@ -243,64 +240,45 @@ def compute_corrections(
 ) -> CorrectionSet:
     """Affine control offsets from the adjoint paths, with attainability.
 
-    Nodewise pseudo-inverse solves; each right-hand-side vector is also
+    Nodewise pseudo-inverse solves through the input-weight factorization
+    kept on the Riccati solution; each right-hand-side vector is also
     range-checked against its input weight, and the worst residual per
-    channel is recorded.  The adjoint_const argument participates only
-    through the solvability contract (the offsets depend on the noise and
-    mean adjoints); it is accepted so the full adjoint triple travels
-    together.
+    channel is recorded (first node on ties).  The adjoint_const argument
+    participates only through the solvability contract (the offsets depend
+    on the noise and mean adjoints); it is accepted so the full adjoint
+    triple travels together.
     """
     del adjoint_const
-    grid = sol.grid
-    K = grid.n_steps
-    m = p.m
-    B_n, _ = nodes_and_midpoints(p.B, grid)
-    Bb_n, _ = nodes_and_midpoints(p.B_bar, grid)
-    D_n, _ = nodes_and_midpoints(p.D, grid)
-    Db_n, _ = nodes_and_midpoints(p.D_bar, grid)
-    s1_n, _ = nodes_and_midpoints(p.sigma.noise_part, grid)
-    s0_n, _ = nodes_and_midpoints(p.sigma.const_part, grid)
-    r1_n, _ = nodes_and_midpoints(p.rho.noise_part, grid)
-    r0_n, _ = nodes_and_midpoints(p.rho.const_part, grid)
-    rb_n, _ = nodes_and_midpoints(p.rho_bar, grid)
+    c, _ = _coeff_samples(p, sol.grid, ("B", "B_bar", "D", "D_bar", "rho_bar"))
+    nz, _ = _noise_samples(p, sol.grid, ("sigma", "rho"))
+    (s0, s1), (r0, r1) = nz["sigma"], nz["rho"]
 
-    corr_noise = np.empty((K + 1, m))
-    corr_mean = np.empty((K + 1, m))
-    worst_dev = (-np.inf, 0)
-    worst_mean = (-np.inf, 0)
-    for k in range(K + 1):
-        W = sol.input_weight[k]
-        target = (
-            B_n[k].T @ adjoint_noise[k]
-            + D_n[k].T @ (sol.P[k] @ s1_n[k])
-            + r1_n[k]
-        )
-        corr_noise[k] = -(linalg.pinv(W).pinv @ target)
-        r = linalg.range_residual(target[:, None], W)
-        if r > worst_dev[0]:
-            worst_dev = (r, k)
-
-        Wm = sol.input_weight_mean[k]
-        Dm = D_n[k] + Db_n[k]
-        carrier = sol.P[k] @ s0_n[k] + adjoint_noise[k]
-        target_m = (
-            (B_n[k] + Bb_n[k]).T @ adjoint_mean[k]
-            + Dm.T @ carrier
-            + r0_n[k] + rb_n[k]
-        )
-        corr_mean[k] = -(linalg.pinv(Wm).pinv @ target_m)
-        rm = linalg.range_residual(target_m[:, None], Wm)
-        if rm > worst_mean[0]:
-            worst_mean = (rm, k)
+    target = (
+        _mv(_mT(c["B"]), adjoint_noise)
+        + _mv(_mT(c["D"]), _mv(sol.P, s1))
+        + r1
+    )
+    carrier = _mv(sol.P, s0) + adjoint_noise
+    target_mean = (
+        _mv(_mT(c["B"] + c["B_bar"]), adjoint_mean)
+        + _mv(_mT(c["D"] + c["D_bar"]), carrier)
+        + r0 + c["rho_bar"]
+    )
+    targets = np.stack((target, target_mean), axis=1)[..., None]
+    corr = -(sol.factor.pinv @ targets)[..., 0]
+    residual = sol.factor.range_residual(targets)
+    worst = np.argmax(residual, axis=0)
+    worst_dev = float(residual[worst[0], 0])
+    worst_mean = float(residual[worst[1], 1])
 
     return CorrectionSet(
-        corr_noise=corr_noise,
-        corr_mean=corr_mean,
-        feasible=(worst_dev[0] <= tol and worst_mean[0] <= tol),
-        worst_dev_node=worst_dev[1],
-        worst_dev_residual=worst_dev[0],
-        worst_mean_node=worst_mean[1],
-        worst_mean_residual=worst_mean[0],
+        corr_noise=np.ascontiguousarray(corr[:, 0]),
+        corr_mean=np.ascontiguousarray(corr[:, 1]),
+        feasible=(worst_dev <= tol and worst_mean <= tol),
+        worst_dev_node=int(worst[0]),
+        worst_dev_residual=worst_dev,
+        worst_mean_node=int(worst[1]),
+        worst_mean_residual=worst_mean,
         tol=tol,
     )
 

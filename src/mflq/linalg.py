@@ -3,7 +3,9 @@
 Pseudo-inverses here are rank-revealing: singular values below a relative
 cutoff are treated as exact zeros, and the retained rank travels with the
 result so callers can flag near-degenerate weighting matrices instead of
-silently inverting noise.
+silently inverting noise.  ``pinv``, ``is_psd`` and ``range_residual`` treat
+one matrix at a time; ``sym_factor`` gives the same answers for a whole
+stack of symmetric matrices from one batched eigendecomposition.
 """
 
 from __future__ import annotations
@@ -52,6 +54,76 @@ def pinv(M, rtol: float = DEFAULT_RTOL) -> PinvResult:
     inv_s[:rank] = 1.0 / s[:rank]
     P = (Vt.T * inv_s) @ U.T
     return PinvResult(pinv=P, rank=rank, singular_values=s, cutoff=cutoff)
+
+
+def _mT(M: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes of a stack of matrices."""
+    return M.swapaxes(-1, -2)
+
+
+@dataclass(frozen=True)
+class SymFactor:
+    """Eigendecomposition of a stack of symmetric matrices, shape (..., m, m).
+
+    One ``eigh`` yields everything the node-wise machinery needs.  The
+    singular values of a symmetric matrix are the moduli of its eigenvalues,
+    so ``keep`` (|lambda| > rtol * m * max|lambda|) reproduces the rank
+    decision of ``pinv`` exactly, and the pseudo-inverse, the PSD verdict
+    and the range projector all follow from the same eigenpairs.
+    """
+
+    eigvals: np.ndarray   # (..., m), ascending
+    eigvecs: np.ndarray   # (..., m, m), eigenvectors as columns
+    keep: np.ndarray      # (..., m), eigenvalues retained above the cutoff
+    cutoff: np.ndarray    # (...)
+    pinv: np.ndarray      # (..., m, m)
+
+    @property
+    def rank(self) -> np.ndarray:
+        return np.count_nonzero(self.keep, axis=-1)
+
+    @property
+    def smallest_retained(self) -> np.ndarray:
+        """Smallest retained |eigenvalue|; 0.0 where the matrix counts as zero."""
+        kept = np.where(self.keep, np.abs(self.eigvals), np.inf).min(axis=-1)
+        return np.where(np.isinf(kept), 0.0, kept)
+
+    @property
+    def min_eig(self) -> np.ndarray:
+        return self.eigvals[..., 0]
+
+    def range_residual(self, N: np.ndarray) -> np.ndarray:
+        """``range_residual(N[i], M[i])`` for every matrix of the stack.
+
+        N has shape (..., m, r); the obstruction (I - V diag(keep) V^T) N is
+        measured in the Frobenius norm and normalised by 1 + ||N||.
+        """
+        V = self.eigvecs
+        out = N - V @ ((_mT(V) @ N) * self.keep[..., None])
+        return np.linalg.norm(out, axis=(-2, -1)) / (
+            1.0 + np.linalg.norm(N, axis=(-2, -1))
+        )
+
+
+def sym_factor(M, rtol: float = DEFAULT_RTOL) -> SymFactor:
+    """Factor a stack of symmetric matrices with one batched ``eigh``.
+
+    M has shape (..., m, m) and must already be symmetric; only its lower
+    triangle is read.
+    """
+    M = np.asarray(M, dtype=float)
+    lam, V = np.linalg.eigh(M)
+    mod = np.abs(lam)
+    cutoff = rtol * M.shape[-1] * mod.max(axis=-1)
+    keep = mod > cutoff[..., None]
+    inv = np.divide(1.0, lam, out=np.zeros(lam.shape), where=keep)
+    return SymFactor(
+        eigvals=lam,
+        eigvecs=V,
+        keep=keep,
+        cutoff=cutoff,
+        pinv=(V * inv[..., None, :]) @ _mT(V),
+    )
 
 
 def is_psd(M, tol: float = 0.0) -> tuple:

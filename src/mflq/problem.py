@@ -572,3 +572,15 @@ def nodes_and_midpoints(path: MatrixPath, grid: TimeGrid):
     else:
         mid_vals = sample_path(path, mids)
     return node_vals, mid_vals
+
+
+def grid_samples(path: MatrixPath, grid: TimeGrid):
+    """Node and midpoint samples like nodes_and_midpoints, constants unexpanded.
+
+    A constant path comes back as its single array (twice), which
+    broadcasts against (K+1, ...) and (K, ...) stacks, so batched node-wise
+    passes never hold K+1 copies of a constant coefficient.
+    """
+    if path.is_constant:
+        return path.values, path.values
+    return nodes_and_midpoints(path, grid)

@@ -2,12 +2,15 @@
 
 The deviation channel matrix P weighs fluctuations of the state around its
 mean; the mean channel matrix weighs the mean itself and is coupled to P
-through the diffusion terms.  Both equations share one algebraic shape, so a
-single right-hand-side helper serves the two channels: the mean channel
-simply receives the summed (coefficient + mean-coefficient) matrices and P
-as the inner diffusion weight.  A consequence worth keeping: when every
-mean-coupling coefficient vanishes the two channels perform identical float
-operations, so their outputs agree bit for bit.
+through the diffusion terms.  Both equations share one algebraic shape, so
+the two channels travel stacked along a leading axis of length two and a
+single right-hand side serves both: the mean channel simply receives the
+summed (coefficient + mean-coefficient) matrices and P as the inner
+diffusion weight, and one batched symmetric eigendecomposition factors both
+input weights.  A consequence worth keeping: when every mean-coupling
+coefficient vanishes the two stacked channels still perform identical float
+operations, each batch element computed on its own, so their outputs agree
+bit for bit (P == P_mean and equal gains).
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
+from .linalg import _mT
 from .errors import FiniteEscapeError
-from .problem import MatrixPath, ProblemData, TimeGrid, nodes_and_midpoints
+from .problem import MatrixPath, ProblemData, TimeGrid, grid_samples
 from .quadrature import trapezoid
 
 # Frobenius-norm threshold beyond which the backward sweep is declared to
@@ -32,10 +36,9 @@ NEAR_CUTOFF_FACTOR = 10.0
 
 DEFAULT_REG_TOL = 1e-8
 
-_COEFF_NAMES = (
-    "A", "A_bar", "B", "B_bar", "C", "C_bar", "D", "D_bar",
-    "Q", "Q_bar", "S", "S_bar", "R", "R_bar",
-)
+# Coefficients that enter the Riccati pair; each has a mean companion
+# ``<name>_bar`` that the mean channel adds to it.
+_CHANNEL_NAMES = ("A", "B", "C", "D", "Q", "S", "R")
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,11 @@ class GreSolution:
         must sit inside the corresponding input weight's range, (K+1, m, n).
     gain_dev / gain_mean: feedback gains, minus pseudo-inverse of the input
         weight applied to the cross term, (K+1, m, n).
+    factor: eigendecomposition of both input weights at every node, stacked
+        (K+1, 2) with the deviation channel first; the regularity report and
+        the affine offsets reuse it.
+    rates: right-hand sides of both channels at every node, (K+1, 2, n, n),
+        for dense output.
     """
 
     grid: TimeGrid
@@ -95,57 +103,88 @@ class GreSolution:
     mean_smallest_retained: np.ndarray
     dev_cutoff: np.ndarray
     mean_cutoff: np.ndarray
+    factor: linalg.SymFactor
+    rates: np.ndarray
     report: Optional[RegularityReport]
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + _mT(M))
 
 
-def _channel_rhs(M, P_inner, A, B, C, D, Q, S, R, rtol):
-    """Time derivative of one Riccati channel at one instant.
+def _channel_pair(coeff, coeff_bar) -> np.ndarray:
+    """Stack (coeff, coeff + coeff_bar) along a channel axis before the matrix axes."""
+    return np.stack(np.broadcast_arrays(coeff, coeff + coeff_bar), axis=-3)
 
-    Solves  dM/ds = cross^T W^+ cross - (M A + A^T M + C^T P_inner C + Q)
-    with W = R + D^T P_inner D and cross = B^T M + D^T P_inner C + S.
+
+def _channel_tables(p: ProblemData, grid: TimeGrid):
+    """Channel-stacked coefficients at the nodes and at the midpoints.
+
+    Each entry is (2, r, c) when the coefficient and its mean companion are
+    both constant, and (K+1, 2, r, c) / (K, 2, r, c) otherwise.
     """
-    PC = P_inner @ C
-    PD = P_inner @ D
-    W = R + D.T @ PD
-    cross = B.T @ M + PD.T @ C + S
-    quad = cross.T @ (linalg.pinv(W, rtol=rtol).pinv @ cross)
-    lin = M @ A + A.T @ M + C.T @ PC + Q
+    nodes, mids = [], []
+    for name in _CHANNEL_NAMES:
+        c_n, c_m = grid_samples(getattr(p, name), grid)
+        b_n, b_m = grid_samples(getattr(p, name + "_bar"), grid)
+        nodes.append(_channel_pair(c_n, b_n))
+        mids.append(_channel_pair(c_m, b_m))
+    return tuple(nodes), tuple(mids)
+
+
+def _at(tables, k):
+    """Coefficients of one grid point; constant tables pass through."""
+    return tuple(t if t.ndim == 3 else t[k] for t in tables)
+
+
+def _weights(Y, co):
+    """Inner matrix P, input weights and cross terms of both channels.
+
+    Y stacks (P, P_mean) along the axis before the matrix axes; the
+    deviation matrix P sits inside both channels' weights.
+    """
+    A, B, C, D, Q, S, R = co
+    P = Y[..., :1, :, :]
+    PD = P @ D
+    W = _sym(R + _mT(D) @ PD)
+    cross = _mT(B) @ Y + _mT(PD) @ C + S
+    return P, W, cross
+
+
+def _rhs(Y, co):
+    """Time derivative of both channels, dY/ds.
+
+    Each channel M solves  dM/ds = cross^T W^+ cross - (M A + A^T M + C^T P C + Q)
+    with W = R + D^T P D and cross = B^T M + D^T P C + S.
+    """
+    A, B, C, D, Q, S, R = co
+    P, W, cross = _weights(Y, co)
+    quad = _mT(cross) @ (linalg.sym_factor(W).pinv @ cross)
+    lin = Y @ A + _mT(A) @ Y + _mT(C) @ (P @ C) + Q
     return _sym(quad - lin)
 
 
-def _rhs_pair(P, P_mean, at, rtol=linalg.DEFAULT_RTOL):
-    """Right-hand sides of both channels given coefficients at one time."""
-    (A, Ab, B, Bb, C, Cb, D, Db, Q, Qb, S, Sb, R, Rb) = at
-    dP = _channel_rhs(P, P, A, B, C, D, Q, S, R, rtol)
-    dPm = _channel_rhs(
-        P_mean, P, A + Ab, B + Bb, C + Cb, D + Db, Q + Qb, S + Sb, R + Rb, rtol
-    )
-    return dP, dPm
+def _gains(Y, co):
+    """Input weights, cross terms, gains and weight factorization."""
+    _, W, cross = _weights(Y, co)
+    factor = linalg.sym_factor(W)
+    return W, cross, -(factor.pinv @ cross), factor
+
+
+def _split(X):
+    """The two channels of a stacked (K+1, 2, ...) array, each contiguous."""
+    return np.ascontiguousarray(X[:, 0]), np.ascontiguousarray(X[:, 1])
 
 
 def gre_rhs(P, P_mean, s: float, p: ProblemData):
     """Coupled Riccati right-hand sides (dP/ds, dP_mean/ds) at time s."""
-    P = np.asarray(P, dtype=float)
-    P_mean = np.asarray(P_mean, dtype=float)
-    at = tuple(getattr(p, name).at(s) for name in _COEFF_NAMES)
-    return _rhs_pair(P, P_mean, at)
-
-
-def _channel_gain(P_inner, M, B, C, D, S, R):
-    """Input weight, cross term, gain and rank data of one channel.
-
-    M is the channel's own Riccati matrix; P_inner is the deviation matrix,
-    which both channels carry inside their quadratic terms.
-    """
-    PD = P_inner @ D
-    weight = _sym(R + D.T @ PD)
-    cross = B.T @ M + PD.T @ C + S
-    res = linalg.pinv(weight)
-    return weight, cross, -(res.pinv @ cross), res
+    Y = np.stack((np.asarray(P, dtype=float), np.asarray(P_mean, dtype=float)))
+    co = tuple(
+        _channel_pair(getattr(p, name).at(s), getattr(p, name + "_bar").at(s))
+        for name in _CHANNEL_NAMES
+    )
+    dY = _rhs(Y, co)
+    return dY[0], dY[1]
 
 
 def _check_finite(name, M, node, time):
@@ -166,88 +205,52 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     K = grid.n_steps
     h = grid.h
     nodes = grid.nodes
-    n, m = p.n, p.m
+    n = p.n
+    co_nodes, co_mids = _channel_tables(p, grid)
 
-    coeff_nodes = {}
-    coeff_mids = {}
-    for name in _COEFF_NAMES:
-        cn, cm = nodes_and_midpoints(getattr(p, name), grid)
-        coeff_nodes[name] = cn
-        coeff_mids[name] = cm
-
-    def at_node(k):
-        return tuple(coeff_nodes[name][k] for name in _COEFF_NAMES)
-
-    def at_mid(k):
-        return tuple(coeff_mids[name][k] for name in _COEFF_NAMES)
-
-    P = np.empty((K + 1, n, n))
-    Pm = np.empty((K + 1, n, n))
-    P[K] = _sym(p.G)
-    Pm[K] = _sym(p.G + p.G_bar)
+    Y = np.empty((K + 1, 2, n, n))
+    rates = np.empty_like(Y)
+    Y[K, 0] = _sym(p.G)
+    Y[K, 1] = _sym(p.G + p.G_bar)
 
     for k in range(K, 0, -1):
-        y1, z1 = P[k], Pm[k]
-        f1 = _rhs_pair(y1, z1, at_node(k))
-        y2 = y1 - 0.5 * h * f1[0]
-        z2 = z1 - 0.5 * h * f1[1]
-        f2 = _rhs_pair(y2, z2, at_mid(k - 1))
-        y3 = y1 - 0.5 * h * f2[0]
-        z3 = z1 - 0.5 * h * f2[1]
-        f3 = _rhs_pair(y3, z3, at_mid(k - 1))
-        y4 = y1 - h * f3[0]
-        z4 = z1 - h * f3[1]
-        f4 = _rhs_pair(y4, z4, at_node(k - 1))
-        P[k - 1] = _sym(y1 - (h / 6.0) * (f1[0] + 2 * f2[0] + 2 * f3[0] + f4[0]))
-        Pm[k - 1] = _sym(z1 - (h / 6.0) * (f1[1] + 2 * f2[1] + 2 * f3[1] + f4[1]))
-        _check_finite("deviation Riccati matrix", P[k - 1], k - 1, nodes[k - 1])
-        _check_finite("mean Riccati matrix", Pm[k - 1], k - 1, nodes[k - 1])
+        y = Y[k]
+        mid = _at(co_mids, k - 1)
+        f1 = rates[k] = _rhs(y, _at(co_nodes, k))
+        f2 = _rhs(y - 0.5 * h * f1, mid)
+        f3 = _rhs(y - 0.5 * h * f2, mid)
+        f4 = _rhs(y - h * f3, _at(co_nodes, k - 1))
+        Y[k - 1] = _sym(y - (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4))
+        _check_finite("deviation Riccati matrix", Y[k - 1, 0], k - 1, nodes[k - 1])
+        _check_finite("mean Riccati matrix", Y[k - 1, 1], k - 1, nodes[k - 1])
+    rates[0] = _rhs(Y[0], _at(co_nodes, 0))
 
-    weight = np.empty((K + 1, m, m))
-    weight_mean = np.empty((K + 1, m, m))
-    cross = np.empty((K + 1, m, n))
-    cross_mean = np.empty((K + 1, m, n))
-    gain_dev = np.empty((K + 1, m, n))
-    gain_mean = np.empty((K + 1, m, n))
-    dev_rank = np.empty(K + 1, dtype=int)
-    mean_rank = np.empty(K + 1, dtype=int)
-    dev_smin = np.empty(K + 1)
-    mean_smin = np.empty(K + 1)
-    dev_cut = np.empty(K + 1)
-    mean_cut = np.empty(K + 1)
-
-    for k in range(K + 1):
-        (A, Ab, B, Bb, C, Cb, D, Db, Q, Qb, S, Sb, R, Rb) = at_node(k)
-        weight[k], cross[k], gain_dev[k], res = _channel_gain(
-            P[k], P[k], B, C, D, S, R
-        )
-        dev_rank[k] = res.rank
-        dev_smin[k] = res.smallest_retained
-        dev_cut[k] = res.cutoff
-
-        weight_mean[k], cross_mean[k], gain_mean[k], res_m = _channel_gain(
-            P[k], Pm[k], B + Bb, C + Cb, D + Db, S + Sb, R + Rb
-        )
-        mean_rank[k] = res_m.rank
-        mean_smin[k] = res_m.smallest_retained
-        mean_cut[k] = res_m.cutoff
+    weight, cross, gain, factor = _gains(Y, co_nodes)
+    P, P_mean = _split(Y)
+    weight_dev, weight_mean = _split(weight)
+    cross_dev, cross_mean = _split(cross)
+    gain_dev, gain_mean = _split(gain)
+    rank = factor.rank
+    smallest = factor.smallest_retained
 
     sol = GreSolution(
         grid=grid,
         P=P,
-        P_mean=Pm,
-        input_weight=weight,
+        P_mean=P_mean,
+        input_weight=weight_dev,
         input_weight_mean=weight_mean,
-        cross_term=cross,
+        cross_term=cross_dev,
         cross_term_mean=cross_mean,
         gain_dev=gain_dev,
         gain_mean=gain_mean,
-        dev_rank=dev_rank,
-        mean_rank=mean_rank,
-        dev_smallest_retained=dev_smin,
-        mean_smallest_retained=mean_smin,
-        dev_cutoff=dev_cut,
-        mean_cutoff=mean_cut,
+        dev_rank=rank[:, 0],
+        mean_rank=rank[:, 1],
+        dev_smallest_retained=smallest[:, 0],
+        mean_smallest_retained=smallest[:, 1],
+        dev_cutoff=factor.cutoff[:, 0],
+        mean_cutoff=factor.cutoff[:, 1],
+        factor=factor,
+        rates=rates,
         report=None,
     )
     return replace(sol, report=assess_regularity(sol, p))
@@ -277,60 +280,29 @@ def hermite_midpoints(values: np.ndarray, deriv: np.ndarray, h: float) -> np.nda
 
 
 def dense_midpoints(p: ProblemData, sol: GreSolution) -> MidpointData:
-    """Fourth-order midpoint samples of P, P_mean and the gains."""
-    grid = sol.grid
-    K = grid.n_steps
-    h = grid.h
-    n, m = p.n, p.m
+    """Fourth-order midpoint samples of P, P_mean and the gains.
 
-    coeff_nodes = {}
-    coeff_mids = {}
-    for name in _COEFF_NAMES:
-        cn, cm = nodes_and_midpoints(getattr(p, name), grid)
-        coeff_nodes[name] = cn
-        coeff_mids[name] = cm
-
-    dP = np.empty_like(sol.P)
-    dPm = np.empty_like(sol.P_mean)
-    for k in range(K + 1):
-        at = tuple(coeff_nodes[name][k] for name in _COEFF_NAMES)
-        dP[k], dPm[k] = _rhs_pair(sol.P[k], sol.P_mean[k], at)
-
-    P_mid = hermite_midpoints(sol.P, dP, h)
-    Pm_mid = hermite_midpoints(sol.P_mean, dPm, h)
-
-    gd = np.empty((K, m, n))
-    gm = np.empty((K, m, n))
-    for k in range(K):
-        (A, Ab, B, Bb, C, Cb, D, Db, Q, Qb, S, Sb, R, Rb) = tuple(
-            coeff_mids[name][k] for name in _COEFF_NAMES
-        )
-        _, _, gd[k], _ = _channel_gain(P_mid[k], P_mid[k], B, C, D, S, R)
-        _, _, gm[k], _ = _channel_gain(
-            P_mid[k], Pm_mid[k], B + Bb, C + Cb, D + Db, S + Sb, R + Rb
-        )
-    return MidpointData(P=P_mid, P_mean=Pm_mid, gain_dev=gd, gain_mean=gm)
+    The nodal derivatives are the right-hand sides recorded by the sweep;
+    the midpoint gains come from one batched factorization.
+    """
+    _, co_mids = _channel_tables(p, sol.grid)
+    Y = np.stack((sol.P, sol.P_mean), axis=1)
+    Y_mid = hermite_midpoints(Y, sol.rates, sol.grid.h)
+    _, _, gain, _ = _gains(Y_mid, co_mids)
+    P_mid, Pm_mid = _split(Y_mid)
+    gain_dev, gain_mean = _split(gain)
+    return MidpointData(P=P_mid, P_mean=Pm_mid, gain_dev=gain_dev, gain_mean=gain_mean)
 
 
-def _psd_verdict(name, stack, tol):
-    worst_node = 0
-    worst = np.inf
-    for k, M in enumerate(stack):
-        _, lam = linalg.is_psd(M, tol=tol)
-        if lam < worst:
-            worst = lam
-            worst_node = k
+def _psd_verdict(name, min_eig, tol):
+    worst_node = int(np.argmin(min_eig))
+    worst = float(min_eig[worst_node])
     return ConditionVerdict(name, worst >= -tol, worst_node, worst, tol)
 
 
-def _range_verdict(name, targets, weights, tol):
-    worst_node = 0
-    worst = -np.inf
-    for k in range(targets.shape[0]):
-        r = linalg.range_residual(targets[k], weights[k])
-        if r > worst:
-            worst = r
-            worst_node = k
+def _range_verdict(name, residual, tol):
+    worst_node = int(np.argmax(residual))
+    worst = float(residual[worst_node])
     return ConditionVerdict(name, worst <= tol, worst_node, worst, tol)
 
 
@@ -345,11 +317,8 @@ def _l2_verdict(name, gains, h, tol):
 
 
 def _near_cutoff_nodes(smin, cutoff):
-    flagged = []
-    for k in range(smin.shape[0]):
-        if smin[k] > 0.0 and smin[k] < NEAR_CUTOFF_FACTOR * cutoff[k]:
-            flagged.append(k)
-    return tuple(flagged)
+    flagged = (smin > 0.0) & (smin < NEAR_CUTOFF_FACTOR * cutoff)
+    return tuple(np.flatnonzero(flagged).tolist())
 
 
 def assess_regularity(
@@ -358,17 +327,22 @@ def assess_regularity(
     """Scan every node for the six closed-loop solvability conditions.
 
     Positive semidefiniteness and range containment are checked on both
-    input weights; square integrability of the gains is certified by finite
-    nodewise gains together with a finite trapezoid integral of their
-    squared Frobenius norms (a surrogate that is the best a fixed grid can
-    assert, hence the report also records the grid resolution).
+    input weights, from the factorization the sweep already made; square
+    integrability of the gains is certified by finite nodewise gains
+    together with a finite trapezoid integral of their squared Frobenius
+    norms (a surrogate that is the best a fixed grid can assert, hence the
+    report also records the grid resolution).
     """
     h = sol.grid.h
+    min_eig = sol.factor.min_eig
+    residual = sol.factor.range_residual(
+        np.stack((sol.cross_term, sol.cross_term_mean), axis=1)
+    )
     conditions = (
-        _psd_verdict("psd_dev", sol.input_weight, tol),
-        _psd_verdict("psd_mean", sol.input_weight_mean, tol),
-        _range_verdict("range_dev", sol.cross_term, sol.input_weight, tol),
-        _range_verdict("range_mean", sol.cross_term_mean, sol.input_weight_mean, tol),
+        _psd_verdict("psd_dev", min_eig[:, 0], tol),
+        _psd_verdict("psd_mean", min_eig[:, 1], tol),
+        _range_verdict("range_dev", residual[:, 0], tol),
+        _range_verdict("range_mean", residual[:, 1], tol),
         _l2_verdict("l2_gain_dev", sol.gain_dev, h, tol),
         _l2_verdict("l2_gain_mean", sol.gain_mean, h, tol),
     )
@@ -392,16 +366,12 @@ def gains(sol: GreSolution):
     The defects ||W gain + cross|| vanish (up to roundoff) exactly when the
     range conditions hold, so they double as a feasibility diagnostic.
     """
-    K = sol.grid.n_steps
-    res_dev = np.empty(K + 1)
-    res_mean = np.empty(K + 1)
-    for k in range(K + 1):
-        res_dev[k] = np.linalg.norm(
-            sol.input_weight[k] @ sol.gain_dev[k] + sol.cross_term[k]
-        )
-        res_mean[k] = np.linalg.norm(
-            sol.input_weight_mean[k] @ sol.gain_mean[k] + sol.cross_term_mean[k]
-        )
+    res_dev = np.linalg.norm(
+        sol.input_weight @ sol.gain_dev + sol.cross_term, axis=(1, 2)
+    )
+    res_mean = np.linalg.norm(
+        sol.input_weight_mean @ sol.gain_mean + sol.cross_term_mean, axis=(1, 2)
+    )
     theta = MatrixPath.sampled(sol.grid, sol.gain_dev)
     gamma = MatrixPath.sampled(sol.grid, sol.gain_mean)
     return theta, gamma, res_dev, res_mean

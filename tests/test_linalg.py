@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from mflq.linalg import is_psd, pinv, projector, range_contained, range_residual
+from mflq.linalg import (
+    DEFAULT_RTOL,
+    is_psd,
+    pinv,
+    projector,
+    range_contained,
+    range_residual,
+    sym_factor,
+)
 
 
 def test_pinv_full_rank_matches_inverse():
@@ -92,3 +100,105 @@ def test_projector_is_idempotent():
     Pi = projector(M)
     np.testing.assert_allclose(Pi @ Pi, Pi, atol=1e-12)
     np.testing.assert_allclose(Pi @ M.T, M.T, atol=1e-12)
+
+
+# -- batched symmetric factorization against the one-matrix functions --------
+
+NEAR_FACTOR = 10.0
+
+
+def _rotation(m, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
+    return q
+
+
+def _weight_stack():
+    """Symmetric 3x3 weights covering every branch of the rank decision.
+
+    The cutoff of a matrix with largest |eigenvalue| 1 is 1e-10 * 3 = 3e-10;
+    the two near-cutoff weights keep an eigenvalue 1% above it and drop one
+    1% below it.  They are diagonal, so both routes see their eigenvalues
+    exactly.
+    """
+    cut = DEFAULT_RTOL * 3 * 1.0
+    q = _rotation(3, 7)
+    spd = _rotation(3, 1) @ np.diag([2.0, 1.0, 0.5]) @ _rotation(3, 1).T
+    return np.stack([
+        0.5 * (spd + spd.T),
+        q @ np.diag([2.0, -1.0, 0.5]) @ q.T,      # indefinite
+        q @ np.diag([3.0, 1.0, 0.0]) @ q.T,       # singular
+        np.zeros((3, 3)),                          # all zero
+        np.diag([1.0, 1.01 * cut, 0.3]),           # just above the cutoff
+        np.diag([0.4, 1.0, 0.99 * cut]),           # just below the cutoff
+    ])
+
+
+def _loop_reference(W, N):
+    """Node-by-node answers from pinv, is_psd and range_residual."""
+    res = [pinv(M) for M in W]
+    return dict(
+        pinv=np.stack([r.pinv for r in res]),
+        rank=np.array([r.rank for r in res]),
+        smallest=np.array([r.smallest_retained for r in res]),
+        cutoff=np.array([r.cutoff for r in res]),
+        min_eig=np.array([is_psd(M)[1] for M in W]),
+        residual=np.array([range_residual(n, M) for n, M in zip(N, W)]),
+    )
+
+
+def _assert_matches_loop(W, N):
+    f = sym_factor(W)
+    ref = _loop_reference(W, N)
+    np.testing.assert_array_equal(f.rank, ref["rank"])
+    for got, want in (
+        (f.pinv, ref["pinv"]),
+        (f.smallest_retained, ref["smallest"]),
+        (f.cutoff, ref["cutoff"]),
+        (f.min_eig, ref["min_eig"]),
+        (f.range_residual(N), ref["residual"]),
+    ):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.argmin(f.min_eig) == np.argmin(ref["min_eig"])
+    assert np.argmax(f.range_residual(N)) == np.argmax(ref["residual"])
+
+    def near(smin, cut):
+        return np.flatnonzero((smin > 0.0) & (smin < NEAR_FACTOR * cut)).tolist()
+
+    assert near(f.smallest_retained, f.cutoff) == near(ref["smallest"], ref["cutoff"])
+    return f
+
+
+def test_sym_factor_matches_loop_over_one_matrix_functions():
+    W = _weight_stack()
+    N = np.random.default_rng(5).standard_normal((W.shape[0], 3, 2))
+    f = _assert_matches_loop(W, N)
+    np.testing.assert_array_equal(f.rank, [3, 3, 2, 0, 3, 2])
+    assert f.min_eig[1] == pytest.approx(-1.0)
+    assert np.all(f.pinv[3] == 0.0)
+    assert f.eigvecs.shape == (6, 3, 3)
+
+
+def test_sym_factor_near_cutoff_decisions():
+    W = _weight_stack()[4:]
+    f = sym_factor(W)
+    cut = DEFAULT_RTOL * 3
+    # kept just above the cutoff, and flagged as a close call
+    assert f.rank[0] == 3
+    assert f.smallest_retained[0] == pytest.approx(1.01 * cut, rel=1e-12)
+    assert f.smallest_retained[0] < NEAR_FACTOR * f.cutoff[0]
+    # dropped just below it: the smallest retained value is the 0.4
+    assert f.rank[1] == 2
+    assert f.smallest_retained[1] == 0.4
+
+
+def test_sym_factor_one_by_one_and_batch_shapes():
+    W = np.array([2.0, -3.0, 0.0, 0.5]).reshape(2, 2, 1, 1)
+    N = np.array([1.0, -2.0, 0.5, 0.0]).reshape(2, 2, 1, 1)
+    f = sym_factor(W)
+    assert f.rank.shape == (2, 2)
+    np.testing.assert_array_equal(f.rank, [[1, 1], [0, 1]])
+    np.testing.assert_array_equal(f.pinv[..., 0, 0], [[0.5, -1.0 / 3.0], [0.0, 2.0]])
+    flat = f.range_residual(N).ravel()
+    # a zero weight contains nothing: 0.5 / (1 + 0.5) of the unit column
+    assert flat[2] == pytest.approx(0.5 / 1.5, abs=1e-15)
+    _assert_matches_loop(W.reshape(4, 1, 1), N.reshape(4, 1, 1))

@@ -10,7 +10,7 @@ mean-field, inhomogeneous case.
 import numpy as np
 import pytest
 
-from mflq.presets import example31, scalar_classic
+from mflq.presets import example31, random_spd, scalar_classic
 from mflq.problem import InitialLaw, TimeGrid, make_problem
 from mflq.synthesis import synthesize, value
 from mflq.verify import qp_oracle
@@ -113,3 +113,33 @@ def test_step_override_changes_grid():
     sol = synthesize(p, n_steps=123)
     assert sol.grid.n_steps == 123
     assert sol.gre.P.shape == (124, 1, 1)
+
+
+def test_synthesis_factorization_counts(monkeypatch):
+    """One batched eigh per RK4 stage plus a few per grid, and nothing else.
+
+    The sweep factors both channels' input weights together once per stage
+    (4K calls); the nodal gain pass, the dense-output gains and the RHS at
+    node 0 add three.  A per-node factorization loop would multiply these
+    counts by the grid size.
+    """
+    K = 200
+    p, _ = random_spd(0, n=2, m=2, n_steps=K)
+    counts = {"svd": 0, "eigvalsh": 0, "eigh": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    sol = synthesize(p)
+    assert sol.solvable
+    assert counts["svd"] == 0
+    assert counts["eigvalsh"] == 0
+    assert 0 < counts["eigh"] <= 4 * K + 8
