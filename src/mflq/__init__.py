@@ -22,12 +22,10 @@ from .problem import (
 )
 from .linalg import (
     PinvResult,
-    SymFactor,
     is_psd,
     pinv,
     range_contained,
     range_residual,
-    sym_factor,
 )
 from .riccati import (
     ConditionVerdict,
@@ -92,7 +90,6 @@ __all__ = [
     "QpOracleResult",
     "RegularityReport",
     "SimulationReport",
-    "SymFactor",
     "TimeGrid",
     "ValidationError",
     "VerificationReport",
@@ -127,7 +124,6 @@ __all__ = [
     "solve_affine",
     "stationarity_residual",
     "strip_inhomogeneous",
-    "sym_factor",
     "synthesize",
     "validate",
     "value",

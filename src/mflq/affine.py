@@ -18,7 +18,6 @@ import numpy as np
 from typing import Optional
 
 from .errors import FiniteEscapeError
-from .linalg import _mT
 from .problem import ProblemData, TimeGrid, grid_samples
 from .riccati import (
     BLOWUP_NORM,
@@ -70,6 +69,11 @@ def _check_finite(name, v, node, time):
     norm = float(np.linalg.norm(v))
     if not np.isfinite(norm) or norm > BLOWUP_NORM:
         raise FiniteEscapeError(name, node, time, norm)
+
+
+def _mT(M: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes of a stack of matrices."""
+    return M.swapaxes(-1, -2)
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -65,18 +65,33 @@ def _mT(M: np.ndarray) -> np.ndarray:
 class SymFactor:
     """Eigendecomposition of a stack of symmetric matrices, shape (..., m, m).
 
-    One ``eigh`` yields everything the node-wise machinery needs.  The
-    singular values of a symmetric matrix are the moduli of its eigenvalues,
-    so ``keep`` (|lambda| > rtol * m * max|lambda|) reproduces the rank
-    decision of ``pinv`` exactly, and the pseudo-inverse, the PSD verdict
-    and the range projector all follow from the same eigenpairs.
+    Only the eigenpairs are stored; everything the node-wise machinery needs
+    is derived from them on access.  The singular values of a symmetric
+    matrix are the moduli of its eigenvalues, so ``keep``
+    (|lambda| > DEFAULT_RTOL * m * max|lambda|) reproduces the rank decision
+    of ``pinv`` at its default tolerance exactly, and the pseudo-inverse,
+    the PSD verdict and the range projector all follow from the same
+    eigenpairs.
     """
 
     eigvals: np.ndarray   # (..., m), ascending
     eigvecs: np.ndarray   # (..., m, m), eigenvectors as columns
-    keep: np.ndarray      # (..., m), eigenvalues retained above the cutoff
-    cutoff: np.ndarray    # (...)
-    pinv: np.ndarray      # (..., m, m)
+
+    @property
+    def cutoff(self) -> np.ndarray:
+        m = self.eigvals.shape[-1]
+        return DEFAULT_RTOL * m * np.abs(self.eigvals).max(axis=-1)
+
+    @property
+    def keep(self) -> np.ndarray:
+        """Eigenvalues retained above the cutoff, (..., m)."""
+        return np.abs(self.eigvals) > self.cutoff[..., None]
+
+    @property
+    def pinv(self) -> np.ndarray:
+        lam, V = self.eigvals, self.eigvecs
+        inv = np.divide(1.0, lam, out=np.zeros(lam.shape), where=self.keep)
+        return (V * inv[..., None, :]) @ _mT(V)
 
     @property
     def rank(self) -> np.ndarray:
@@ -105,25 +120,14 @@ class SymFactor:
         )
 
 
-def sym_factor(M, rtol: float = DEFAULT_RTOL) -> SymFactor:
+def sym_factor(M) -> SymFactor:
     """Factor a stack of symmetric matrices with one batched ``eigh``.
 
     M has shape (..., m, m) and must already be symmetric; only its lower
     triangle is read.
     """
-    M = np.asarray(M, dtype=float)
-    lam, V = np.linalg.eigh(M)
-    mod = np.abs(lam)
-    cutoff = rtol * M.shape[-1] * mod.max(axis=-1)
-    keep = mod > cutoff[..., None]
-    inv = np.divide(1.0, lam, out=np.zeros(lam.shape), where=keep)
-    return SymFactor(
-        eigvals=lam,
-        eigvecs=V,
-        keep=keep,
-        cutoff=cutoff,
-        pinv=(V * inv[..., None, :]) @ _mT(V),
-    )
+    lam, V = np.linalg.eigh(np.asarray(M, dtype=float))
+    return SymFactor(eigvals=lam, eigvecs=V)
 
 
 def is_psd(M, tol: float = 0.0) -> tuple:

@@ -21,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .linalg import _mT
 from .errors import FiniteEscapeError
 from .problem import MatrixPath, ProblemData, TimeGrid, grid_samples
 from .quadrature import trapezoid
@@ -82,10 +81,8 @@ class GreSolution:
     gain_dev / gain_mean: feedback gains, minus pseudo-inverse of the input
         weight applied to the cross term, (K+1, m, n).
     factor: eigendecomposition of both input weights at every node, stacked
-        (K+1, 2) with the deviation channel first; the regularity report and
-        the affine offsets reuse it.
-    rates: right-hand sides of both channels at every node, (K+1, 2, n, n),
-        for dense output.
+        (K+1, 2) with the deviation channel first; the ranks, the regularity
+        report and the affine offsets all come from it.
     """
 
     grid: TimeGrid
@@ -97,15 +94,37 @@ class GreSolution:
     cross_term_mean: np.ndarray
     gain_dev: np.ndarray
     gain_mean: np.ndarray
-    dev_rank: np.ndarray
-    mean_rank: np.ndarray
-    dev_smallest_retained: np.ndarray
-    mean_smallest_retained: np.ndarray
-    dev_cutoff: np.ndarray
-    mean_cutoff: np.ndarray
     factor: linalg.SymFactor
-    rates: np.ndarray
     report: Optional[RegularityReport]
+
+    @property
+    def dev_rank(self) -> np.ndarray:
+        return self.factor.rank[:, 0]
+
+    @property
+    def mean_rank(self) -> np.ndarray:
+        return self.factor.rank[:, 1]
+
+    @property
+    def dev_smallest_retained(self) -> np.ndarray:
+        return self.factor.smallest_retained[:, 0]
+
+    @property
+    def mean_smallest_retained(self) -> np.ndarray:
+        return self.factor.smallest_retained[:, 1]
+
+    @property
+    def dev_cutoff(self) -> np.ndarray:
+        return self.factor.cutoff[:, 0]
+
+    @property
+    def mean_cutoff(self) -> np.ndarray:
+        return self.factor.cutoff[:, 1]
+
+
+def _mT(M: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes of a stack of matrices."""
+    return M.swapaxes(-1, -2)
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -209,29 +228,25 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     co_nodes, co_mids = _channel_tables(p, grid)
 
     Y = np.empty((K + 1, 2, n, n))
-    rates = np.empty_like(Y)
     Y[K, 0] = _sym(p.G)
     Y[K, 1] = _sym(p.G + p.G_bar)
 
     for k in range(K, 0, -1):
         y = Y[k]
         mid = _at(co_mids, k - 1)
-        f1 = rates[k] = _rhs(y, _at(co_nodes, k))
+        f1 = _rhs(y, _at(co_nodes, k))
         f2 = _rhs(y - 0.5 * h * f1, mid)
         f3 = _rhs(y - 0.5 * h * f2, mid)
         f4 = _rhs(y - h * f3, _at(co_nodes, k - 1))
         Y[k - 1] = _sym(y - (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4))
         _check_finite("deviation Riccati matrix", Y[k - 1, 0], k - 1, nodes[k - 1])
         _check_finite("mean Riccati matrix", Y[k - 1, 1], k - 1, nodes[k - 1])
-    rates[0] = _rhs(Y[0], _at(co_nodes, 0))
 
     weight, cross, gain, factor = _gains(Y, co_nodes)
     P, P_mean = _split(Y)
     weight_dev, weight_mean = _split(weight)
     cross_dev, cross_mean = _split(cross)
     gain_dev, gain_mean = _split(gain)
-    rank = factor.rank
-    smallest = factor.smallest_retained
 
     sol = GreSolution(
         grid=grid,
@@ -243,14 +258,7 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
         cross_term_mean=cross_mean,
         gain_dev=gain_dev,
         gain_mean=gain_mean,
-        dev_rank=rank[:, 0],
-        mean_rank=rank[:, 1],
-        dev_smallest_retained=smallest[:, 0],
-        mean_smallest_retained=smallest[:, 1],
-        dev_cutoff=factor.cutoff[:, 0],
-        mean_cutoff=factor.cutoff[:, 1],
         factor=factor,
-        rates=rates,
         report=None,
     )
     return replace(sol, report=assess_regularity(sol, p))
@@ -282,12 +290,12 @@ def hermite_midpoints(values: np.ndarray, deriv: np.ndarray, h: float) -> np.nda
 def dense_midpoints(p: ProblemData, sol: GreSolution) -> MidpointData:
     """Fourth-order midpoint samples of P, P_mean and the gains.
 
-    The nodal derivatives are the right-hand sides recorded by the sweep;
-    the midpoint gains come from one batched factorization.
+    The nodal derivatives come from one batched right-hand-side evaluation
+    over all nodes, the midpoint gains from one batched factorization.
     """
-    _, co_mids = _channel_tables(p, sol.grid)
+    co_nodes, co_mids = _channel_tables(p, sol.grid)
     Y = np.stack((sol.P, sol.P_mean), axis=1)
-    Y_mid = hermite_midpoints(Y, sol.rates, sol.grid.h)
+    Y_mid = hermite_midpoints(Y, _rhs(Y, co_nodes), sol.grid.h)
     _, _, gain, _ = _gains(Y_mid, co_mids)
     P_mid, Pm_mid = _split(Y_mid)
     gain_dev, gain_mean = _split(gain)
