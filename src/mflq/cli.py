@@ -270,7 +270,7 @@ def cmd_regularity(args) -> int:
     rep = (
         gre.report
         if args.tol is None
-        else assess_regularity(gre, p, tol=args.tol)
+        else assess_regularity(gre, tol=args.tol)
     )
     report = {
         "command": "regularity",

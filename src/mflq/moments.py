@@ -20,12 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import FiniteEscapeError
-from .problem import MatrixPath, ProblemData, TimeGrid, nodes_and_midpoints
-from .quadrature import trapezoid_weights
-from .riccati import BLOWUP_NORM
-
-_DYN_NAMES = ("A", "A_bar", "B", "B_bar", "C", "C_bar", "D", "D_bar")
-_COST_NAMES = ("Q", "Q_bar", "S", "S_bar", "R", "R_bar")
+from .problem import MatrixPath, ProblemData, TimeGrid, nodes_and_midpoints, tabulate
+from .quadrature import BLOWUP_NORM, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -87,8 +83,9 @@ def _as_gain_stack(gain, grid: TimeGrid, m: int, n: int):
 def _closed_loop_mats(coeff, fb, mf):
     """Closed-loop matrices at one family of times, batched.
 
-    coeff maps names to (K, n, n)/(K, n, m) arrays; fb/mf are gains of shape
-    (B, K, m, n).  Outputs broadcast to (B, K, n, n).
+    coeff maps names to (K, n, n)/(K, n, m) arrays, or to single constant
+    arrays; fb/mf are gains of shape (B, K, m, n).  Outputs broadcast to
+    (B, K, n, n).
     """
     A, Ab = coeff["A"], coeff["A_bar"]
     B, Bb = coeff["B"], coeff["B_bar"]
@@ -169,11 +166,8 @@ def _propagate_batch(
     Bsz = fb_nodes.shape[0]
     n = p.n
 
-    coeff_nodes, coeff_mids = {}, {}
-    for name in _DYN_NAMES + (_COST_NAMES if with_cost else ()):
-        cn, cm = nodes_and_midpoints(getattr(p, name), grid)
-        coeff_nodes[name] = cn
-        coeff_mids[name] = cm
+    tab = tabulate(p, grid)
+    coeff_nodes, coeff_mids = tab.node, tab.mid
 
     cl_nodes = _closed_loop_mats(coeff_nodes, fb_nodes, mf_nodes)
     cl_mids = _closed_loop_mats(coeff_mids, fb_mids, mf_mids)
@@ -272,10 +266,7 @@ def homogeneous_cost(p: ProblemData, feedback, mean_feedback, mp: MomentPath) ->
     grid = mp.grid
     fb_n, _ = _as_gain_stack(feedback, grid, p.m, p.n)
     mf_n, _ = _as_gain_stack(mean_feedback, grid, p.m, p.n)
-    coeff = {}
-    for name in _COST_NAMES:
-        coeff[name], _ = nodes_and_midpoints(getattr(p, name), grid)
-    M, N = _cost_mats(coeff, fb_n, mf_n)
+    M, N = _cost_mats(tabulate(p, grid).node, fb_n, mf_n)
     w = trapezoid_weights(grid.n_steps + 1, grid.h)
     running = float(
         np.sum(

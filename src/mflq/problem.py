@@ -574,13 +574,48 @@ def nodes_and_midpoints(path: MatrixPath, grid: TimeGrid):
     return node_vals, mid_vals
 
 
-def grid_samples(path: MatrixPath, grid: TimeGrid):
-    """Node and midpoint samples like nodes_and_midpoints, constants unexpanded.
+@dataclass(frozen=True)
+class CoefficientTable:
+    """Node and midpoint samples of every coefficient path of a problem on one grid.
 
-    A constant path comes back as its single array (twice), which
-    broadcasts against (K+1, ...) and (K, ...) stacks, so batched node-wise
-    passes never hold K+1 copies of a constant coefficient.
+    ``node[name]`` has shape (K+1, ...) and ``mid[name]`` (K, ...) for a
+    sampled path.  A constant path enters as its own array in both, which
+    broadcasts against such stacks, so no pass ever holds K+1 copies of a
+    constant coefficient.  A noise-affine path ``f`` enters as its parts
+    ``f0`` (constant) and ``f1`` (noise).  Every array is read-only: one
+    table is shared by all passes over its grid.
     """
-    if path.is_constant:
-        return path.values, path.values
-    return nodes_and_midpoints(path, grid)
+
+    grid: TimeGrid
+    node: dict
+    mid: dict
+    sampled: frozenset
+
+    def stack(self, name: str) -> np.ndarray:
+        """Node samples of one coefficient as a (K+1, ...) stack, for per-step indexing."""
+        values = self.node[name]
+        if name in self.sampled:
+            return values
+        return np.broadcast_to(values, (self.grid.n_steps + 1,) + values.shape)
+
+
+def tabulate(p: ProblemData, grid: TimeGrid) -> CoefficientTable:
+    """Sample every coefficient path of a problem once on a grid."""
+    paths = {}
+    for name, (kind, _shape, _sym) in _coeff_table(p.n, p.m).items():
+        value = getattr(p, name)
+        if kind == "path":
+            paths[name] = value
+        elif kind == "noise":
+            paths[name + "0"] = value.const_part
+            paths[name + "1"] = value.noise_part
+    node, mid, sampled = {}, {}, set()
+    for name, path in paths.items():
+        if path.is_constant:
+            node[name] = mid[name] = path.values
+            continue
+        node[name], mid[name] = nodes_and_midpoints(path, grid)
+        node[name].setflags(write=False)
+        mid[name].setflags(write=False)
+        sampled.add(name)
+    return CoefficientTable(grid, node, mid, frozenset(sampled))

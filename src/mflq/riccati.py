@@ -22,12 +22,8 @@ import numpy as np
 
 from . import linalg
 from .errors import FiniteEscapeError
-from .problem import MatrixPath, ProblemData, TimeGrid, grid_samples
-from .quadrature import trapezoid
-
-# Frobenius-norm threshold beyond which the backward sweep is declared to
-# have escaped in finite time.
-BLOWUP_NORM = 1e12
+from .problem import CoefficientTable, MatrixPath, ProblemData, TimeGrid, tabulate
+from .quadrature import BLOWUP_NORM, trapezoid
 
 # A retained singular value within this factor of the pinv cutoff marks the
 # node as numerically ambiguous for the rank decision.
@@ -83,6 +79,8 @@ class GreSolution:
     factor: eigendecomposition of both input weights at every node, stacked
         (K+1, 2) with the deviation channel first; the ranks, the regularity
         report and the affine offsets all come from it.
+    table: the problem's coefficients tabulated on ``grid``, read by the
+        dense output, the adjoints, the offsets and the value.
     """
 
     grid: TimeGrid
@@ -95,6 +93,7 @@ class GreSolution:
     gain_dev: np.ndarray
     gain_mean: np.ndarray
     factor: linalg.SymFactor
+    table: CoefficientTable
     report: Optional[RegularityReport]
 
     @property
@@ -136,19 +135,19 @@ def _channel_pair(coeff, coeff_bar) -> np.ndarray:
     return np.stack(np.broadcast_arrays(coeff, coeff + coeff_bar), axis=-3)
 
 
-def _channel_tables(p: ProblemData, grid: TimeGrid):
+def _channel_tables(tab: CoefficientTable):
     """Channel-stacked coefficients at the nodes and at the midpoints.
 
     Each entry is (2, r, c) when the coefficient and its mean companion are
     both constant, and (K+1, 2, r, c) / (K, 2, r, c) otherwise.
     """
-    nodes, mids = [], []
-    for name in _CHANNEL_NAMES:
-        c_n, c_m = grid_samples(getattr(p, name), grid)
-        b_n, b_m = grid_samples(getattr(p, name + "_bar"), grid)
-        nodes.append(_channel_pair(c_n, b_n))
-        mids.append(_channel_pair(c_m, b_m))
-    return tuple(nodes), tuple(mids)
+    def stacked(samples):
+        return tuple(
+            _channel_pair(samples[name], samples[name + "_bar"])
+            for name in _CHANNEL_NAMES
+        )
+
+    return stacked(tab.node), stacked(tab.mid)
 
 
 def _at(tables, k):
@@ -225,7 +224,8 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     h = grid.h
     nodes = grid.nodes
     n = p.n
-    co_nodes, co_mids = _channel_tables(p, grid)
+    tab = tabulate(p, grid)
+    co_nodes, co_mids = _channel_tables(tab)
 
     Y = np.empty((K + 1, 2, n, n))
     Y[K, 0] = _sym(p.G)
@@ -259,9 +259,10 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
         gain_dev=gain_dev,
         gain_mean=gain_mean,
         factor=factor,
+        table=tab,
         report=None,
     )
-    return replace(sol, report=assess_regularity(sol, p))
+    return replace(sol, report=assess_regularity(sol))
 
 
 @dataclass(frozen=True)
@@ -287,13 +288,13 @@ def hermite_midpoints(values: np.ndarray, deriv: np.ndarray, h: float) -> np.nda
     return 0.5 * (values[:-1] + values[1:]) + 0.125 * h * (deriv[:-1] - deriv[1:])
 
 
-def dense_midpoints(p: ProblemData, sol: GreSolution) -> MidpointData:
+def dense_midpoints(sol: GreSolution) -> MidpointData:
     """Fourth-order midpoint samples of P, P_mean and the gains.
 
     The nodal derivatives come from one batched right-hand-side evaluation
     over all nodes, the midpoint gains from one batched factorization.
     """
-    co_nodes, co_mids = _channel_tables(p, sol.grid)
+    co_nodes, co_mids = _channel_tables(sol.table)
     Y = np.stack((sol.P, sol.P_mean), axis=1)
     Y_mid = hermite_midpoints(Y, _rhs(Y, co_nodes), sol.grid.h)
     _, _, gain, _ = _gains(Y_mid, co_mids)
@@ -330,7 +331,7 @@ def _near_cutoff_nodes(smin, cutoff):
 
 
 def assess_regularity(
-    sol: GreSolution, p: ProblemData, tol: float = DEFAULT_REG_TOL
+    sol: GreSolution, tol: float = DEFAULT_REG_TOL
 ) -> RegularityReport:
     """Scan every node for the six closed-loop solvability conditions.
 

@@ -18,14 +18,16 @@ import numpy as np
 
 from .errors import ValidationError
 from .problem import (
+    CoefficientTable,
     ControlSpec,
     InitialLaw,
     ProblemData,
     TimeGrid,
     nodes_and_midpoints,
     sample_path,
+    tabulate,
 )
-from .quadrature import trapezoid, trapezoid_weights
+from .quadrature import linear_rk4, trapezoid, trapezoid_weights
 
 # Paths per generator chunk.  Part of the reproducibility contract: the
 # draw for path i depends only on (seed, i // CHUNK) and i's offset.
@@ -74,66 +76,52 @@ def mean_ode(
 
     Solves dEX/ds = (A + A_bar + (B + B_bar)(feedback + mean_feedback)) EX
     + (B + B_bar) offset_mean + drift_const forward by RK4 and returns
-    (EX, EU) sampled at the nodes, shapes (K+1, n) and (K+1, m).
+    (EX, EU) sampled at the nodes, shapes (K+1, n) and (K+1, m).  A mean
+    that leaves every finite bound (a diverging strategy) raises
+    FiniteEscapeError at the first node past the blow-up threshold.
     """
     grid = p.horizon if n_steps is None else p.horizon.with_steps(n_steps)
-    K, h = grid.n_steps, grid.h
     m0 = np.atleast_1d(np.asarray(m0, dtype=float))
     if m0.shape != (p.n,):
         raise ValidationError(f"initial mean: expected shape ({p.n},), got {m0.shape}")
+    return _mean_path(tabulate(p, grid), spec, m0)
 
-    def samples(path):
-        return nodes_and_midpoints(path, grid)
 
-    A_n, A_m = samples(p.A)
-    Ab_n, Ab_m = samples(p.A_bar)
-    B_n, B_m = samples(p.B)
-    Bb_n, Bb_m = samples(p.B_bar)
-    b0_n, b0_m = samples(p.b.const_part)
-    fb_n, fb_m = samples(spec.feedback)
-    mf_n, mf_m = samples(spec.mean_feedback)
-    v0_n, v0_m = samples(spec.offset.const_part)
+def _mean_path(tab: CoefficientTable, spec: ControlSpec, m0: np.ndarray):
+    """The mean ODE of ``mean_ode`` over a tabulated problem."""
+    grid = tab.grid
+    fb_n, fb_m = nodes_and_midpoints(spec.feedback, grid)
+    mf_n, mf_m = nodes_and_midpoints(spec.mean_feedback, grid)
+    v0_n, v0_m = nodes_and_midpoints(spec.offset.const_part, grid)
 
-    def make_rhs(A, Ab, B, Bb, b0, fb, mf, v0):
-        def rhs(k, x):
-            gain = fb[k] + mf[k]
-            return (A[k] + Ab[k]) @ x + (B[k] + Bb[k]) @ (gain @ x + v0[k]) + b0[k]
-        return rhs
+    def ode(c, gain, v0):
+        B = c["B"] + c["B_bar"]
+        return c["A"] + c["A_bar"] + B @ gain, (B @ v0[..., None])[..., 0] + c["b0"]
 
-    rhs_node = make_rhs(A_n, Ab_n, B_n, Bb_n, b0_n, fb_n, mf_n, v0_n)
-    rhs_mid = make_rhs(A_m, Ab_m, B_m, Bb_m, b0_m, fb_m, mf_m, v0_m)
-
-    EX = np.empty((K + 1, p.n))
-    EX[0] = m0
-    for k in range(K):
-        x = EX[k]
-        f1 = rhs_node(k, x)
-        f2 = rhs_mid(k, x + 0.5 * h * f1)
-        f3 = rhs_mid(k, x + 0.5 * h * f2)
-        f4 = rhs_node(k + 1, x + h * f3)
-        EX[k + 1] = x + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
-
-    EU = np.einsum("kij,kj->ki", fb_n + mf_n, EX) + v0_n
+    gain_n = fb_n + mf_n
+    L_n, g_n = ode(tab.node, gain_n, v0_n)
+    L_m, g_m = ode(tab.mid, fb_m + mf_m, v0_m)
+    EX = linear_rk4(grid, L_n, g_n, L_m, g_m, m0, "state mean")
+    EU = np.einsum("kij,kj->ki", gain_n, EX) + v0_n
     return EX, EU
 
 
 class _CostTables:
     """Node samples of every cost coefficient on the working grid."""
 
-    def __init__(self, p: ProblemData, grid: TimeGrid):
-        times = grid.nodes
-        self.Q = sample_path(p.Q, times)
-        self.S = sample_path(p.S, times)
-        self.R = sample_path(p.R, times)
-        self.q0 = sample_path(p.q.const_part, times)
-        self.q1 = sample_path(p.q.noise_part, times)
-        self.r0 = sample_path(p.rho.const_part, times)
-        self.r1 = sample_path(p.rho.noise_part, times)
-        self.Qb = sample_path(p.Q_bar, times)
-        self.Sb = sample_path(p.S_bar, times)
-        self.Rb = sample_path(p.R_bar, times)
-        self.qb = sample_path(p.q_bar, times)
-        self.rb = sample_path(p.rho_bar, times)
+    def __init__(self, tab: CoefficientTable):
+        self.Q = tab.stack("Q")
+        self.S = tab.stack("S")
+        self.R = tab.stack("R")
+        self.q0 = tab.stack("q0")
+        self.q1 = tab.stack("q1")
+        self.r0 = tab.stack("rho0")
+        self.r1 = tab.stack("rho1")
+        self.Qb = tab.stack("Q_bar")
+        self.Sb = tab.stack("S_bar")
+        self.Rb = tab.stack("R_bar")
+        self.qb = tab.stack("q_bar")
+        self.rb = tab.stack("rho_bar")
 
     def node_cost(self, k: int, X, U, W):
         """Per-path running integrand at node k; X (B, n), U (B, m), W (B,)."""
@@ -170,10 +158,11 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _simulate_chunks(
     p: ProblemData,
+    tab: CoefficientTable,
+    tables: _CostTables,
     spec: ControlSpec,
     law: InitialLaw,
     n_paths: int,
-    grid: TimeGrid,
     seed: int,
     EX: np.ndarray,
     EU: np.ndarray,
@@ -185,30 +174,24 @@ def _simulate_chunks(
     ``extras`` are per-node integrands f(k, X, U, W) -> (B,), accumulated
     with the same trapezoid weights as the running cost.
     """
+    grid = tab.grid
     K, h = grid.n_steps, grid.h
     t0 = grid.t0
     times = grid.nodes
     n = p.n
 
-    A_n = sample_path(p.A, times)
-    Ab_n = sample_path(p.A_bar, times)
-    B_n = sample_path(p.B, times)
-    Bb_n = sample_path(p.B_bar, times)
-    C_n = sample_path(p.C, times)
-    Cb_n = sample_path(p.C_bar, times)
-    D_n = sample_path(p.D, times)
-    Db_n = sample_path(p.D_bar, times)
-    b0_n = sample_path(p.b.const_part, times)
-    b1_n = sample_path(p.b.noise_part, times)
-    s0_n = sample_path(p.sigma.const_part, times)
-    s1_n = sample_path(p.sigma.noise_part, times)
+    A_n, Ab_n = tab.stack("A"), tab.stack("A_bar")
+    B_n, Bb_n = tab.stack("B"), tab.stack("B_bar")
+    C_n, Cb_n = tab.stack("C"), tab.stack("C_bar")
+    D_n, Db_n = tab.stack("D"), tab.stack("D_bar")
+    b0_n, b1_n = tab.stack("b0"), tab.stack("b1")
+    s0_n, s1_n = tab.stack("sigma0"), tab.stack("sigma1")
     fb_n = sample_path(spec.feedback, times)
     mf_n = sample_path(spec.mean_feedback, times)
     v0_n = sample_path(spec.offset.const_part, times)
     v1_n = sample_path(spec.offset.noise_part, times)
     frozen = spec.offset.frozen_at_start
 
-    tables = _CostTables(p, grid)
     w = trapezoid_weights(K + 1, h)
     sqrt_h = np.sqrt(h)
     sqrt_t0 = np.sqrt(t0) if t0 > 0.0 else 0.0
@@ -294,12 +277,13 @@ def simulate(
             f"initial law dimension {law.dim} does not match state dimension {p.n}"
         )
     grid = p.horizon.with_steps(n_steps)
-    EX, EU = mean_ode(p, spec, law.mean, n_steps)
-    tables = _CostTables(p, grid)
+    tab = tabulate(p, grid)
+    EX, EU = _mean_path(tab, spec, law.mean)
+    tables = _CostTables(tab)
     det_cost = tables.deterministic_cost(p, grid, EX, EU)
 
     costs, extra_out, sum_X, sum_term, sum_term_outer = _simulate_chunks(
-        p, spec, law, n_paths, grid, seed, EX, EU, extras
+        p, tab, tables, spec, law, n_paths, seed, EX, EU, extras
     )
     costs = costs + det_cost
 
@@ -362,7 +346,7 @@ def estimate_cost(
         mean_control, dtype=float
     )
 
-    tables = _CostTables(p, grid)
+    tables = _CostTables(tabulate(p, grid))
     det_cost = tables.deterministic_cost(p, grid, EX, EU)
     w = trapezoid_weights(n_nodes, h)
     per_path = np.zeros(n_paths)

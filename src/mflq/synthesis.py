@@ -24,7 +24,6 @@ from .problem import (
     NoiseAffinePath,
     ProblemData,
     TimeGrid,
-    nodes_and_midpoints,
 )
 from .quadrature import trapezoid
 from .riccati import DEFAULT_REG_TOL, GreSolution, integrate_gre
@@ -82,9 +81,7 @@ def synthesize(
     )
 
 
-def value(
-    sol: ClosedLoopSolution, law: InitialLaw, p: Optional[ProblemData] = None
-) -> float:
+def value(sol: ClosedLoopSolution, law: InitialLaw) -> float:
     """Cost of the synthesized strategy started from the given initial law.
 
     Closed form in the Riccati/adjoint data; the only numerics is a
@@ -96,7 +93,6 @@ def value(
     When ``sol.solvable`` is false the returned number is the weak-value
     candidate rather than an attained optimum.
     """
-    p = sol.problem if p is None else p
     gre = sol.gre
     aff = sol.affine
     grid = sol.grid
@@ -114,10 +110,9 @@ def value(
         + 2.0 * (aff.adjoint_mean[0] @ mean)
     )
 
-    s0_n, _ = nodes_and_midpoints(p.sigma.const_part, grid)
-    s1_n, _ = nodes_and_midpoints(p.sigma.noise_part, grid)
-    b0_n, _ = nodes_and_midpoints(p.b.const_part, grid)
-    b1_n, _ = nodes_and_midpoints(p.b.noise_part, grid)
+    tab = gre.table
+    s0_n, s1_n = tab.stack("sigma0"), tab.stack("sigma1")
+    b0_n, b1_n = tab.stack("b0"), tab.stack("b1")
 
     e1 = aff.adjoint_noise
     ebar = aff.adjoint_mean

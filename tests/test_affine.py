@@ -2,14 +2,13 @@
 
 The workhorse fixture is the scalar problem dX = u ds, cost u^2 + x(1)^2,
 whose Riccati solution is P(s) = 1/(2-s) and closed-loop drift -P.  For a
-constant drift inhomogeneity b0 the pathwise adjoint constant part solves
+constant drift inhomogeneity b0 the mean adjoint solves
 
-    d eta0 / ds = P eta0 - P b0,   eta0(1) = 0,
+    d eta_bar / ds = P eta_bar - P b0,   eta_bar(1) = 0,
 
-which integrates (via the factor 2-s) to eta0(s) = b0 (1-s)/(2-s).  The same
-equation governs the noise coefficient when the inhomogeneity rides on the
-Brownian value instead, and the mean adjoint when only the constant part is
-present.
+which integrates (via the factor 2-s) to eta_bar(s) = b0 (1-s)/(2-s).  The
+same equation governs the noise coefficient of the pathwise adjoint when the
+inhomogeneity rides on the Brownian value instead.
 """
 
 import numpy as np
@@ -29,7 +28,6 @@ def test_homogeneous_adjoints_vanish():
     p = classic(200)
     sol = integrate_gre(p)
     aff = solve_affine(p, sol)
-    assert np.all(aff.adjoint_const == 0.0)
     assert np.all(aff.adjoint_noise == 0.0)
     assert np.all(aff.adjoint_mean == 0.0)
     assert np.all(aff.corrections.corr_noise == 0.0)
@@ -40,8 +38,7 @@ def test_homogeneous_adjoints_vanish():
 def test_terminal_values_of_adjoints():
     p = classic(100, g0=[0.3], g1=[0.7], g_bar=[0.1])
     sol = integrate_gre(p)
-    eta0, eta1 = solve_adjoint(p, sol)
-    assert eta0[-1, 0] == 0.3
+    eta1 = solve_adjoint(p, sol)
     assert eta1[-1, 0] == 0.7
     eta_bar = solve_adjoint_mean(p, sol, eta1)
     assert eta_bar[-1, 0] == pytest.approx(0.4)
@@ -51,23 +48,20 @@ def test_constant_drift_inhomogeneity_closed_form():
     b0 = 0.8
     p = classic(1000, b=(b0, 0.0))
     sol = integrate_gre(p)
-    eta0, eta1 = solve_adjoint(p, sol)
+    eta1 = solve_adjoint(p, sol)
     s = sol.grid.nodes
-    np.testing.assert_allclose(eta0[:, 0], b0 * (1 - s) / (2 - s), atol=1e-12)
     assert np.all(eta1 == 0.0)
-    # the mean adjoint satisfies the same ODE here
     eta_bar = solve_adjoint_mean(p, sol, eta1)
-    np.testing.assert_allclose(eta_bar[:, 0], eta0[:, 0], atol=1e-12)
+    np.testing.assert_allclose(eta_bar[:, 0], b0 * (1 - s) / (2 - s), atol=1e-12)
 
 
 def test_noise_riding_drift_moves_only_noise_channel():
     b1 = -0.6
     p = classic(1000, b=(0.0, b1))
     sol = integrate_gre(p)
-    eta0, eta1 = solve_adjoint(p, sol)
+    eta1 = solve_adjoint(p, sol)
     s = sol.grid.nodes
     np.testing.assert_allclose(eta1[:, 0], b1 * (1 - s) / (2 - s), atol=1e-12)
-    assert np.all(eta0 == 0.0)
     eta_bar = solve_adjoint_mean(p, sol, eta1)
     # carrier P sigma0 + eta1 enters the mean equation only through C and D,
     # both zero here, so the mean adjoint stays flat
@@ -111,9 +105,9 @@ def test_infeasible_offset_detected():
 def test_compute_corrections_matches_solve_affine():
     p = classic(300, b=(0.2, 0.1), sigma=(0.3, 0.0), q=(0.05, 0.0), rho=(0.1, 0.0))
     sol = integrate_gre(p)
-    eta0, eta1 = solve_adjoint(p, sol)
+    eta1 = solve_adjoint(p, sol)
     eta_bar = solve_adjoint_mean(p, sol, eta1)
-    direct = compute_corrections(p, sol, eta0, eta1, eta_bar)
+    direct = compute_corrections(sol, eta1, eta_bar)
     packed = solve_affine(p, sol)
     np.testing.assert_array_equal(direct.corr_noise, packed.corrections.corr_noise)
     np.testing.assert_array_equal(direct.corr_mean, packed.corrections.corr_mean)

@@ -12,7 +12,7 @@ import pytest
 
 from mflq import docio
 from mflq.cli import main
-from mflq.problem import ControlSpec, TimeGrid, make_problem
+from mflq.problem import ControlSpec, MatrixPath, NoiseAffinePath, TimeGrid, make_problem
 
 
 def run(capsys, argv):
@@ -233,6 +233,25 @@ def test_simulate_strategy_from_file(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["strategy"] == f"file:{spath}"
     assert rep["cost_mean"] == 2.0
+
+
+def test_simulate_diverging_strategy_exits_3(capsys, tmp_path):
+    problem_path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    g = TimeGrid(0.0, 1.0, 200)
+    spec = ControlSpec(
+        feedback=MatrixPath.constant([[900.0]]),
+        mean_feedback=MatrixPath.constant([[0.0]]),
+        offset=NoiseAffinePath.zero((1,)),
+    )
+    spath = tmp_path / "diverging.json"
+    spath.write_text(docio.dumps(docio.emit_strategy(spec, 1, 1, g)))
+    code, out, err = run(capsys, [
+        "simulate", problem_path, "--strategy", str(spath),
+        "--paths", "16", "--steps", "200",
+    ])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: state mean")
 
 
 # ---------------------------------------------------------------------------

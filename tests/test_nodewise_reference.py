@@ -49,12 +49,43 @@ def singular_weight_problem():
     )
 
 
+def time_varying_problem():
+    """Mean-field instance whose A, R and constant part of b are sampled paths.
+
+    They are sampled on a 37-step grid, which does not divide the solve
+    grid, so their node and midpoint values on the solve grid come from
+    interpolation rather than from the samples themselves.
+    """
+    g = TimeGrid(0.0, 1.0, K)
+    s = TimeGrid(0.0, 1.0, 37).nodes
+    A = np.stack([[[0.2 * np.sin(3.0 * t), 0.4], [-0.3, 0.1 * np.cos(2.0 * t)]]
+                  for t in s])
+    R = np.stack([[[1.0 + 0.5 * np.sin(4.0 * t), 0.2 * t], [0.2 * t, 2.0 - t]]
+                  for t in s])
+    b0 = np.stack([[0.3 * np.cos(5.0 * t), -0.2 + 0.1 * t] for t in s])
+    return make_problem(
+        2, 2, g,
+        A=A, A_bar=0.1 * np.eye(2),
+        B=[[1.0, 0.2], [0.0, 0.8]], B_bar=[[0.0, 0.1], [0.1, 0.0]],
+        C=0.2 * np.eye(2), C_bar=[[0.0, 0.1], [0.0, 0.0]],
+        D=[[0.3, 0.0], [0.1, 0.2]], D_bar=0.1 * np.eye(2),
+        Q=np.eye(2), Q_bar=0.2 * np.eye(2), S=[[0.1, 0.0], [0.0, 0.1]],
+        R=R, R_bar=0.3 * np.eye(2),
+        G=np.eye(2), G_bar=0.5 * np.eye(2),
+        b=(b0, [0.1, -0.2]), sigma=([0.1, 0.2], [0.05, 0.1]),
+        q=([0.2, 0.0], [0.0, 0.1]), rho=([0.3, -0.2], [0.1, 0.4]),
+        q_bar=[0.1, 0.1], rho_bar=[0.0, 0.2], g=([0.1, 0.2], [0.3, -0.1]),
+        g_bar=[0.05, 0.0],
+    )
+
+
 CASES = {
     "random_spd_0": lambda: random_spd(0, n_steps=K)[0],
     "random_spd_3": lambda: random_spd(3, n_steps=K)[0],
     "scalar_classic": lambda: scalar_classic(n_steps=K)[0],
     "example31": lambda: example31(n_steps=K)[0],
     "singular_R": singular_weight_problem,
+    "time_varying": time_varying_problem,
 }
 
 

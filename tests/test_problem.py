@@ -13,6 +13,7 @@ from mflq.problem import (
     nodes_and_midpoints,
     sample_path,
     strip_inhomogeneous,
+    tabulate,
     validate,
 )
 
@@ -160,3 +161,53 @@ def test_paths_are_read_only():
     p = MatrixPath.constant(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         p.values[0, 0] = 1.0
+
+
+def test_table_keeps_constant_paths_unexpanded():
+    g = TimeGrid(0.0, 1.0, 8)
+    p = make_problem(2, 1, g, A=[[0.0, 1.0], [-1.0, 0.0]], R=1.0, G=np.eye(2))
+    tab = tabulate(p, g)
+    assert tab.node["A"] is p.A.values
+    assert tab.mid["A"] is p.A.values
+    assert tab.node["A"].shape == (2, 2)
+    stack = tab.stack("A")
+    assert stack.shape == (9, 2, 2)
+    assert not stack.flags.writeable
+    np.testing.assert_array_equal(stack[5], p.A.values)
+
+
+def test_table_averages_midpoints_on_the_sample_grid():
+    g = TimeGrid(0.0, 1.0, 4)
+    p = make_problem(1, 1, g, A=np.linspace(0, 1, 5).reshape(5, 1, 1), R=1.0)
+    tab = tabulate(p, g)
+    np.testing.assert_array_equal(tab.node["A"], p.A.values)
+    np.testing.assert_array_equal(
+        tab.mid["A"][:, 0, 0], [0.125, 0.375, 0.625, 0.875]
+    )
+    assert tab.stack("A") is tab.node["A"]
+    assert not tab.node["A"].flags.writeable
+
+
+def test_table_interpolates_midpoints_off_the_sample_grid():
+    horizon = TimeGrid(0.0, 1.0, 10)
+    samples = np.sin(np.linspace(0.0, 3.0, 4)).reshape(4, 1, 1)
+    p = make_problem(1, 1, horizon, A=samples, R=1.0)
+    assert p.A.grid.n_steps == 3
+    tab = tabulate(p, horizon)
+    times = horizon.nodes
+    mids = 0.5 * (times[:-1] + times[1:])
+    np.testing.assert_array_equal(tab.node["A"], sample_path(p.A, times))
+    np.testing.assert_array_equal(tab.mid["A"], sample_path(p.A, mids))
+
+
+def test_table_splits_noise_affine_paths():
+    g = TimeGrid(0.0, 1.0, 4)
+    b0 = np.arange(5.0).reshape(5, 1)
+    p = make_problem(1, 1, g, R=1.0, b=(b0, [0.7]), sigma=(0.2, 0.0))
+    tab = tabulate(p, g)
+    np.testing.assert_array_equal(tab.node["b0"], b0)
+    assert tab.node["b1"] is p.b.noise_part.values
+    assert tab.node["sigma0"] is p.sigma.const_part.values
+    assert tab.stack("b1").shape == (5, 1)
+    np.testing.assert_array_equal(tab.stack("b1")[:, 0], 0.7)
+    assert "b" not in tab.node and "G" not in tab.node

@@ -108,7 +108,7 @@ def test_example31_riccati_is_exact():
 def test_example31_regularity_fails_only_range_dev():
     p, _ = example31(n_steps=400)
     sol = integrate_gre(p)
-    rep = assess_regularity(sol, p)
+    rep = assess_regularity(sol)
     failing = [c.name for c in rep.conditions if not c.passed]
     assert failing == ["range_dev"]
     cond = {c.name: c for c in rep.conditions}
@@ -121,7 +121,7 @@ def test_example31_regularity_fails_only_range_dev():
 def test_regular_problem_passes_all_conditions():
     p, _ = scalar_classic(n_steps=500)
     sol = integrate_gre(p)
-    rep = assess_regularity(sol, p)
+    rep = assess_regularity(sol)
     assert rep.regular
     assert all(c.passed for c in rep.conditions)
     names = [c.name for c in rep.conditions]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mflq.errors import ValidationError
+from mflq.errors import FiniteEscapeError, ValidationError
 from mflq.presets import example31, example31_null_control, scalar_classic
 from mflq.problem import (
     ControlSpec,
@@ -70,6 +70,30 @@ def test_mean_ode_matches_closed_form():
     s = np.linspace(0.0, 1.0, 1001)
     np.testing.assert_allclose(EX[:, 0], (2.0 - s) / 2.0, atol=1e-7)
     np.testing.assert_allclose(EU[:, 0], -0.5 * np.ones_like(s), atol=1e-7)
+
+
+def test_diverging_strategy_raises_finite_escape():
+    """A feedback of 900 makes the state mean grow like exp(900 s).
+
+    RK4 multiplies it by about 48 per step at h = 0.005, so the mean
+    crosses the blow-up threshold at node 8; the cost must not come back
+    as NaN.
+    """
+    p, law = scalar_classic(n_steps=200)
+    spec = ControlSpec(
+        feedback=MatrixPath.constant([[900.0]]),
+        mean_feedback=MatrixPath.constant([[0.0]]),
+        offset=NoiseAffinePath.zero((1,)),
+    )
+    for run in (
+        lambda: mean_ode(p, spec, law.mean),
+        lambda: simulate(p, spec, law, n_paths=16, n_steps=200, seed=0),
+    ):
+        with pytest.raises(FiniteEscapeError) as info:
+            run()
+        assert info.value.quantity == "state mean"
+        assert info.value.node == 8
+        assert info.value.time == pytest.approx(0.04)
 
 
 def test_sample_mean_tracks_exact_mean():

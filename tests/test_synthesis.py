@@ -7,13 +7,20 @@ discretised controls supplies the independent answer in the genuinely
 mean-field, inhomogeneous case.
 """
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import mflq
+from mflq import problem
 from mflq.presets import example31, random_spd, scalar_classic
 from mflq.problem import InitialLaw, TimeGrid, make_problem
+from mflq.sim import simulate
 from mflq.synthesis import synthesize, value
 from mflq.verify import qp_oracle
+from test_nodewise_reference import time_varying_problem
 
 
 def test_scalar_classic_value():
@@ -143,3 +150,49 @@ def test_synthesis_factorization_counts(monkeypatch):
     assert counts["svd"] == 0
     assert counts["eigvalsh"] == 0
     assert 0 < counts["eigh"] <= 4 * K + 8
+
+
+def test_sampled_coefficients_are_tabulated_once_per_grid(monkeypatch):
+    """Each sampled coefficient path is laid out on a grid exactly once.
+
+    Every module binding of the two sampling functions is wrapped, and a
+    call is counted when its path is one of the problem's sampled
+    coefficients; a ``sample_path`` call made by ``nodes_and_midpoints``
+    belongs to that tabulation and is not counted again.
+    """
+    p = time_varying_problem()
+    sampled = {"A": p.A, "R": p.R, "b0": p.b.const_part}
+    counts = dict.fromkeys(sampled, 0)
+    depth = [0]
+
+    def counting(fn):
+        def wrapper(path, *args, **kwargs):
+            if depth[0] == 0:
+                for name, coeff in sampled.items():
+                    counts[name] += path is coeff
+            depth[0] += 1
+            try:
+                return fn(path, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    modules = [mflq] + [
+        importlib.import_module(f"mflq.{info.name}")
+        for info in pkgutil.iter_modules(mflq.__path__)
+    ]
+    for fn in (problem.nodes_and_midpoints, problem.sample_path):
+        wrapped = counting(fn)
+        for mod in modules:
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapped)
+
+    law = InitialLaw.deterministic([1.0, -0.5])
+    sol = synthesize(p)
+    value(sol, law)
+    assert counts == {"A": 1, "R": 1, "b0": 1}
+
+    counts.update(dict.fromkeys(sampled, 0))
+    simulate(p, sol.strategy, law, n_paths=64, n_steps=50, seed=0)
+    assert counts == {"A": 1, "R": 1, "b0": 1}
