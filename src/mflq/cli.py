@@ -266,7 +266,11 @@ def cmd_solve(args) -> int:
 
 def cmd_regularity(args) -> int:
     p, doc_law = _read_problem(args.file)
-    gre = integrate_gre(p, n_steps=args.steps)
+    if getattr(args, "csv", None):
+        sol = synthesize(p, n_steps=args.steps)
+        gre = sol.gre
+    else:
+        sol, gre = None, integrate_gre(p, n_steps=args.steps)
     rep = (
         gre.report
         if args.tol is None
@@ -287,9 +291,7 @@ def cmd_regularity(args) -> int:
         "near_cutoff_mean": list(rep.near_cutoff_mean),
     }
     _print_report(report)
-    if getattr(args, "csv", None):
-        sol = synthesize(p, n_steps=args.steps)
-        _maybe_csv(args, p, sol, doc_law)
+    _maybe_csv(args, p, sol, doc_law)
     return EXIT_OK
 
 

@@ -4,8 +4,9 @@
 class FiniteEscapeError(RuntimeError):
     """Raised when a matrix ODE solution exceeds the blow-up threshold.
 
-    Carries the index and time of the last node that was still finite so the
-    caller can report how far the integration got.
+    Carries the index and time of the first node past the threshold (the
+    solution at the node before it was still within bounds), so the caller
+    can report how far the integration got.
     """
 
     def __init__(self, quantity: str, node: int, time: float, norm: float):

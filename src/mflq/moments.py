@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FiniteEscapeError
 from .problem import MatrixPath, ProblemData, TimeGrid, nodes_and_midpoints, tabulate
-from .quadrature import BLOWUP_NORM, trapezoid_weights
+from .quadrature import BLOWUP_NORM, rk4_steps, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,9 @@ def _symt(M):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def _rhs_pair(X, Y, F, Fb, H, Hb, FY):
+def _rhs_pair(Z, F, Fb, H, Hb, FY):
+    """Time derivative of the stacked pair Z = (second moment, mean outer)."""
+    X, Y = Z
     FX = F @ X
     HXHT = (H @ X) @ np.swapaxes(H, -1, -2)
     FbY = Fb @ Y
@@ -144,90 +146,37 @@ def _rhs_pair(X, Y, F, Fb, H, Hb, FY):
     )
     FYY = FY @ Y
     dY = FYY + np.swapaxes(FYY, -1, -2)
-    return _symt(dX), _symt(dY)
+    return _symt(np.stack((dX, dY)))
 
 
-def _propagate_batch(
-    p: ProblemData,
-    fb_nodes, fb_mids, mf_nodes, mf_mids,
-    X0: np.ndarray,
-    Y0: np.ndarray,
-    grid: TimeGrid,
-    keep_paths: bool,
-    with_cost: bool,
-):
+def _moment_steps(tab, fb_n, fb_m, mf_n, mf_m, X0, Y0):
     """Forward RK4 of the moment pair for a batch of gain trajectories.
 
-    Returns (paths, costs); either may be None depending on the flags.
-    Costs include the terminal trace terms.
+    Yields (k, Z) for k = 0..K, where Z stacks the second moment and the
+    mean outer product as (2, B, n, n), each channel one contiguous block.
+    Raises FiniteEscapeError at the first node whose largest entry is not
+    finite or exceeds BLOWUP_NORM.
     """
-    K = grid.n_steps
-    h = grid.h
-    Bsz = fb_nodes.shape[0]
-    n = p.n
-
-    tab = tabulate(p, grid)
-    coeff_nodes, coeff_mids = tab.node, tab.mid
-
-    cl_nodes = _closed_loop_mats(coeff_nodes, fb_nodes, mf_nodes)
-    cl_mids = _closed_loop_mats(coeff_mids, fb_mids, mf_mids)
-
-    if with_cost:
-        Mn, Nn = _cost_mats(coeff_nodes, fb_nodes, mf_nodes)
-        w = trapezoid_weights(K + 1, h)
-        costs = np.zeros(Bsz)
-    else:
-        costs = None
-
-    X = np.broadcast_to(_symt(np.asarray(X0, dtype=float)), (Bsz, n, n)).copy()
-    Y = np.broadcast_to(_symt(np.asarray(Y0, dtype=float)), (Bsz, n, n)).copy()
-
-    if keep_paths:
-        Xs = np.empty((Bsz, K + 1, n, n))
-        Ys = np.empty((Bsz, K + 1, n, n))
-        Xs[:, 0] = X
-        Ys[:, 0] = Y
-    else:
-        Xs = Ys = None
-
-    if with_cost:
-        costs += w[0] * (
-            np.einsum("bij,bij->b", Mn[:, 0], X)
-            + np.einsum("bij,bij->b", Nn[:, 0], Y)
-        )
-
-    def stage_nodes(k):
-        return tuple(m[:, k] for m in cl_nodes)
-
-    def stage_mids(k):
-        return tuple(m[:, k] for m in cl_mids)
-
-    for k in range(K):
-        f1 = _rhs_pair(X, Y, *stage_nodes(k))
-        f2 = _rhs_pair(X + 0.5 * h * f1[0], Y + 0.5 * h * f1[1], *stage_mids(k))
-        f3 = _rhs_pair(X + 0.5 * h * f2[0], Y + 0.5 * h * f2[1], *stage_mids(k))
-        f4 = _rhs_pair(X + h * f3[0], Y + h * f3[1], *stage_nodes(k + 1))
-        X = _symt(X + (h / 6.0) * (f1[0] + 2 * f2[0] + 2 * f3[0] + f4[0]))
-        Y = _symt(Y + (h / 6.0) * (f1[1] + 2 * f2[1] + 2 * f3[1] + f4[1]))
-        top = max(float(np.max(np.abs(X))), float(np.max(np.abs(Y))))
+    grid = tab.grid
+    cl_nodes = _closed_loop_mats(tab.node, fb_n, mf_n)
+    cl_mids = _closed_loop_mats(tab.mid, fb_m, mf_m)
+    shape = (fb_n.shape[0], fb_n.shape[-1], fb_n.shape[-1])
+    Z = np.stack([
+        np.broadcast_to(_symt(np.asarray(M, dtype=float)), shape) for M in (X0, Y0)
+    ])
+    yield 0, Z
+    steps = rk4_steps(
+        grid,
+        lambda z, k: _rhs_pair(z, *(c[:, k] for c in cl_nodes)),
+        lambda z, i: _rhs_pair(z, *(c[:, i] for c in cl_mids)),
+        Z,
+        post=_symt,
+    )
+    for k, Z in steps:
+        top = float(np.max(np.abs(Z)))
         if not np.isfinite(top) or top > BLOWUP_NORM:
-            raise FiniteEscapeError(
-                "moment trajectory", k + 1, grid.nodes[k + 1], top
-            )
-        if keep_paths:
-            Xs[:, k + 1] = X
-            Ys[:, k + 1] = Y
-        if with_cost:
-            costs += w[k + 1] * (
-                np.einsum("bij,bij->b", Mn[:, k + 1], X)
-                + np.einsum("bij,bij->b", Nn[:, k + 1], Y)
-            )
-
-    if with_cost:
-        costs += np.einsum("ij,bij->b", p.G, X) + np.einsum(
-            "ij,bij->b", p.G_bar, Y
-        )
-    return (Xs, Ys), costs
+            raise FiniteEscapeError("moment trajectory", k, grid.nodes[k], top)
+        yield k, Z
 
 
 def propagate_moments(
@@ -248,11 +197,12 @@ def propagate_moments(
     grid = p.horizon if n_steps is None else p.horizon.with_steps(n_steps)
     fb_n, fb_m = _as_gain_stack(feedback, grid, p.m, p.n)
     mf_n, mf_m = _as_gain_stack(mean_feedback, grid, p.m, p.n)
-    (Xs, Ys), _ = _propagate_batch(
-        p, fb_n, fb_m, mf_n, mf_m, X0, Y0, grid,
-        keep_paths=True, with_cost=False,
-    )
-    return MomentPath(grid=grid, second=Xs[0], mean_outer=Ys[0])
+    second = np.empty((grid.n_steps + 1, p.n, p.n))
+    mean_outer = np.empty_like(second)
+    for k, Z in _moment_steps(tabulate(p, grid), fb_n, fb_m, mf_n, mf_m, X0, Y0):
+        second[k] = Z[0, 0]
+        mean_outer[k] = Z[1, 0]
+    return MomentPath(grid=grid, second=second, mean_outer=mean_outer)
 
 
 def homogeneous_cost(p: ProblemData, feedback, mean_feedback, mp: MomentPath) -> float:
@@ -301,9 +251,17 @@ def batch_cost(
     mf_n, mf_m = _as_gain_stack(mean_feedbacks, grid, p.m, p.n)
     if fb_n.shape[0] != mf_n.shape[0]:
         raise ValueError("feedback batches must have equal size")
-    _, costs = _propagate_batch(
-        p, fb_n, fb_m, mf_n, mf_m, X0, Y0, grid,
-        keep_paths=False, with_cost=True,
+    tab = tabulate(p, grid)
+    M, N = _cost_mats(tab.node, fb_n, mf_n)
+    w = trapezoid_weights(grid.n_steps + 1, grid.h)
+    costs = np.zeros(fb_n.shape[0])
+    for k, Z in _moment_steps(tab, fb_n, fb_m, mf_n, mf_m, X0, Y0):
+        costs += w[k] * (
+            np.einsum("bij,bij->b", M[:, k], Z[0])
+            + np.einsum("bij,bij->b", N[:, k], Z[1])
+        )
+    costs += np.einsum("ij,bij->b", p.G, Z[0]) + np.einsum(
+        "ij,bij->b", p.G_bar, Z[1]
     )
     return costs
 

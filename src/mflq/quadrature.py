@@ -1,5 +1,6 @@
-"""Fixed-step rules on uniform grids: the composite trapezoid rule and RK4
-for linear ODEs with tabulated coefficients."""
+"""Fixed-step rules on uniform grids: the composite trapezoid rule, the one
+classical RK4 stepper that every ODE sweep runs on, and its wrapper for
+linear ODEs with tabulated coefficients."""
 
 from __future__ import annotations
 
@@ -38,6 +39,32 @@ def _check_finite(name, y, node, time):
         raise FiniteEscapeError(name, node, time, norm)
 
 
+def rk4_steps(grid, f_node, f_mid, start, backward=False, post=None):
+    """Classical fixed-step RK4 over a uniform grid, one step at a time.
+
+    ``f_node(y, k)`` is the derivative at node k and ``f_mid(y, i)`` the one
+    at the midpoint of interval i.  The sweep starts from ``start`` at the
+    first node, or at the last one when ``backward``, and yields ``(j, y_j)``
+    after every step; ``post``, when given, maps each new value before it is
+    yielded and stepped from.  Callers store, accumulate and check for
+    finite escape as they need.
+    """
+    K = grid.n_steps
+    dt = -grid.h if backward else grid.h
+    y = start
+    for k in range(K, 0, -1) if backward else range(K):
+        j = k - 1 if backward else k + 1
+        i = min(k, j)
+        f1 = f_node(y, k)
+        f2 = f_mid(y + 0.5 * dt * f1, i)
+        f3 = f_mid(y + 0.5 * dt * f2, i)
+        f4 = f_node(y + dt * f3, j)
+        y = y + (dt / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
+        if post is not None:
+            y = post(y)
+        yield j, y
+
+
 def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
     """Integrate dy/ds = L y + g with classical fixed-step RK4.
 
@@ -47,21 +74,18 @@ def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
     raises FiniteEscapeError (naming ``name``) at the first node whose
     solution is not finite or exceeds BLOWUP_NORM.  Returns y at every node.
     """
-    K = grid.n_steps
     nodes = grid.nodes
-    dt = -grid.h if backward else grid.h
-    out = np.empty((K + 1,) + np.shape(start))
-    steps = [(k, k - 1) for k in range(K, 0, -1)] if backward else [
-        (k, k + 1) for k in range(K)
-    ]
-    out[steps[0][0]] = start
-    for k, j in steps:
-        y = out[k]
-        Lm, gm = L_mid[min(k, j)], g_mid[min(k, j)]
-        f1 = L_node[k] @ y + g_node[k]
-        f2 = Lm @ (y + 0.5 * dt * f1) + gm
-        f3 = Lm @ (y + 0.5 * dt * f2) + gm
-        f4 = L_node[j] @ (y + dt * f3) + g_node[j]
-        out[j] = y + (dt / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
-        _check_finite(name, out[j], j, nodes[j])
+    out = np.empty((grid.n_steps + 1,) + np.shape(start))
+    first = grid.n_steps if backward else 0
+    out[first] = start
+    steps = rk4_steps(
+        grid,
+        lambda y, k: L_node[k] @ y + g_node[k],
+        lambda y, i: L_mid[i] @ y + g_mid[i],
+        out[first],
+        backward,
+    )
+    for j, y in steps:
+        _check_finite(name, y, j, nodes[j])
+        out[j] = y
     return out

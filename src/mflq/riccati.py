@@ -21,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import FiniteEscapeError
 from .problem import CoefficientTable, MatrixPath, ProblemData, TimeGrid, tabulate
-from .quadrature import BLOWUP_NORM, trapezoid
+from .quadrature import BLOWUP_NORM  # noqa: F401  (one of this module's public names)
+from .quadrature import _check_finite, rk4_steps, trapezoid
 
 # A retained singular value within this factor of the pinv cutoff marks the
 # node as numerically ambiguous for the rank decision.
@@ -169,17 +169,23 @@ def _weights(Y, co):
     return P, W, cross
 
 
-def _rhs(Y, co):
-    """Time derivative of both channels, dY/ds.
+def _rate(Y, co, cross, pinv_cross):
+    """Time derivative of both channels, dY/ds, given W^+ cross.
 
     Each channel M solves  dM/ds = cross^T W^+ cross - (M A + A^T M + C^T P C + Q)
-    with W = R + D^T P D and cross = B^T M + D^T P C + S.
+    with W = R + D^T P D and cross = B^T M + D^T P C + S.  Where the gain
+    -W^+ cross is already known, its negation serves as ``pinv_cross``.
     """
     A, B, C, D, Q, S, R = co
-    P, W, cross = _weights(Y, co)
-    quad = _mT(cross) @ (linalg.sym_factor(W).pinv @ cross)
+    P = Y[..., :1, :, :]
     lin = Y @ A + _mT(A) @ Y + _mT(C) @ (P @ C) + Q
-    return _sym(quad - lin)
+    return _sym(_mT(cross) @ pinv_cross - lin)
+
+
+def _rhs(Y, co):
+    """dY/ds, factoring both channels' input weights in one batch."""
+    _, W, cross = _weights(Y, co)
+    return _rate(Y, co, cross, linalg.sym_factor(W).pinv @ cross)
 
 
 def _gains(Y, co):
@@ -205,12 +211,6 @@ def gre_rhs(P, P_mean, s: float, p: ProblemData):
     return dY[0], dY[1]
 
 
-def _check_finite(name, M, node, time):
-    norm = float(np.linalg.norm(M))
-    if not np.isfinite(norm) or norm > BLOWUP_NORM:
-        raise FiniteEscapeError(name, node, time, norm)
-
-
 def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     """Integrate both Riccati channels backward from the terminal weights.
 
@@ -221,26 +221,26 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     """
     grid = p.horizon if n_steps is None else p.horizon.with_steps(n_steps)
     K = grid.n_steps
-    h = grid.h
     nodes = grid.nodes
-    n = p.n
     tab = tabulate(p, grid)
     co_nodes, co_mids = _channel_tables(tab)
 
-    Y = np.empty((K + 1, 2, n, n))
+    Y = np.empty((K + 1, 2, p.n, p.n))
     Y[K, 0] = _sym(p.G)
     Y[K, 1] = _sym(p.G + p.G_bar)
 
-    for k in range(K, 0, -1):
-        y = Y[k]
-        mid = _at(co_mids, k - 1)
-        f1 = _rhs(y, _at(co_nodes, k))
-        f2 = _rhs(y - 0.5 * h * f1, mid)
-        f3 = _rhs(y - 0.5 * h * f2, mid)
-        f4 = _rhs(y - h * f3, _at(co_nodes, k - 1))
-        Y[k - 1] = _sym(y - (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4))
-        _check_finite("deviation Riccati matrix", Y[k - 1, 0], k - 1, nodes[k - 1])
-        _check_finite("mean Riccati matrix", Y[k - 1, 1], k - 1, nodes[k - 1])
+    steps = rk4_steps(
+        grid,
+        lambda y, k: _rhs(y, _at(co_nodes, k)),
+        lambda y, i: _rhs(y, _at(co_mids, i)),
+        Y[K],
+        backward=True,
+        post=_sym,
+    )
+    for j, y in steps:
+        _check_finite("deviation Riccati matrix", y[0], j, nodes[j])
+        _check_finite("mean Riccati matrix", y[1], j, nodes[j])
+        Y[j] = y
 
     weight, cross, gain, factor = _gains(Y, co_nodes)
     P, P_mean = _split(Y)
@@ -291,12 +291,15 @@ def hermite_midpoints(values: np.ndarray, deriv: np.ndarray, h: float) -> np.nda
 def dense_midpoints(sol: GreSolution) -> MidpointData:
     """Fourth-order midpoint samples of P, P_mean and the gains.
 
-    The nodal derivatives come from one batched right-hand-side evaluation
-    over all nodes, the midpoint gains from one batched factorization.
+    The nodal derivatives come from the stored cross terms and gains (the
+    sweep already factored every nodal weight), the midpoint gains from one
+    batched factorization.
     """
     co_nodes, co_mids = _channel_tables(sol.table)
     Y = np.stack((sol.P, sol.P_mean), axis=1)
-    Y_mid = hermite_midpoints(Y, _rhs(Y, co_nodes), sol.grid.h)
+    cross = np.stack((sol.cross_term, sol.cross_term_mean), axis=1)
+    gain = np.stack((sol.gain_dev, sol.gain_mean), axis=1)
+    Y_mid = hermite_midpoints(Y, _rate(Y, co_nodes, cross, -gain), sol.grid.h)
     _, _, gain, _ = _gains(Y_mid, co_mids)
     P_mid, Pm_mid = _split(Y_mid)
     gain_dev, gain_mean = _split(gain)

@@ -171,8 +171,8 @@ def _simulate_chunks(
     """Core Euler-Maruyama sweep over path chunks.
 
     Returns (costs, extra_accumulators, sum_state_per_node, terminal sums).
-    ``extras`` are per-node integrands f(k, X, U, W) -> (B,), accumulated
-    with the same trapezoid weights as the running cost.
+    ``extras`` are per-node integrands f(k, X - EX[k], U - EU[k], W) -> (B,),
+    accumulated with the same trapezoid weights as the running cost.
     """
     grid = tab.grid
     K, h = grid.n_steps, grid.h
@@ -231,7 +231,7 @@ def _simulate_chunks(
             U = X @ fb_n[k].T + mean_u[k] + v1_n[k] * anchor[:, None]
             running += w[k] * tables.node_cost(k, X, U, W)
             for e_idx, fn in enumerate(extras):
-                running_extra[e_idx] += w[k] * fn(k, X, U, W)
+                running_extra[e_idx] += w[k] * fn(k, X - EX[k], U - EU[k], W)
             sum_X[k] += X.sum(axis=0)
             if k < K:
                 drift = X @ A_n[k].T + U @ B_n[k].T + mean_drift[k] + b1_n[k] * W[:, None]
@@ -264,7 +264,9 @@ def simulate(
     """Simulate the controlled dynamics and estimate the expected cost.
 
     Returns a SimulationReport; with ``extras`` given, returns the report
-    plus one per-path accumulated array per extra integrand.  The standard
+    plus one per-path accumulated array per extra integrand.  An extra is
+    called as f(k, X - EX[k], U - EU[k], W) at node k, where EX and EU are
+    the report's exact ``mean_path`` and ``mean_control``.  The standard
     error is the sample standard deviation of per-path costs divided by
     sqrt(n_paths); deterministic problems report exactly zero.  With
     ``keep_costs`` the report carries the per-path cost vector, for

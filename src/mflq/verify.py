@@ -250,10 +250,8 @@ def completion_check(
     gain = sample_path(MatrixPath.sampled(gre.grid, gre.gain_dev), times)
     gain_mean = sample_path(MatrixPath.sampled(gre.grid, gre.gain_mean), times)
 
-    EX, EU = sim.mean_ode(p, spec, law.mean, n_steps)
-
-    def deviation_term(k, X, U, W):
-        d = (U - EU[k]) - (X - EX[k]) @ gain[k].T
+    def deviation_term(k, dX, dU, W):
+        d = dU - dX @ gain[k].T
         return np.einsum("bi,ij,bj->b", d, weight[k], d)
 
     report, (dev_acc,) = sim.simulate(
@@ -261,6 +259,7 @@ def completion_check(
         extras=(deviation_term,), keep_costs=True,
     )
 
+    EX, EU = report.mean_path, report.mean_control
     dm = EU - np.einsum("kij,kj->ki", gain_mean, EX)
     mean_term = float(
         trapezoid(np.einsum("ki,kij,kj->k", dm, weight_mean, dm), grid.h)

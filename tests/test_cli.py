@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from mflq import docio
+from mflq import cli, docio, riccati, synthesis
 from mflq.cli import main
 from mflq.problem import ControlSpec, MatrixPath, NoiseAffinePath, TimeGrid, make_problem
 
@@ -125,6 +125,33 @@ def test_regularity_flags_range_failure(capsys, tmp_path):
     by_name = {c["name"]: c for c in rep["conditions"]}
     assert abs(by_name["range_dev"]["worst_value"] - 0.5) < 1e-12
     assert rep["rank_dev"] == {"min": 0, "max": 0}
+
+
+def test_regularity_csv_integrates_the_riccati_pair_once(capsys, tmp_path, monkeypatch):
+    """With --csv the report and the time series come from one synthesis.
+
+    Every module binding of ``integrate_gre`` the command can reach is
+    wrapped; the report must match the one printed without --csv and the
+    CSV the one ``solve --csv`` writes.
+    """
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    _, plain, _ = run(capsys, ["regularity", path])
+    run(capsys, ["solve", path, "--csv", str(tmp_path / "solve")])
+
+    sweeps = []
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        return riccati.integrate_gre(*args, **kwargs)
+
+    for mod in (cli, synthesis):
+        monkeypatch.setattr(mod, "integrate_gre", counting)
+    code, out, err = run(capsys, ["regularity", path, "--csv", str(tmp_path / "reg")])
+    assert code == 0
+    assert len(sweeps) == 1
+    assert out == plain
+    written = (tmp_path / "reg" / "timeseries.csv").read_bytes()
+    assert written == (tmp_path / "solve" / "timeseries.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mflq.errors import FiniteEscapeError
 from mflq.moments import (
     batch_cost,
     homogeneous_cost,
@@ -127,6 +128,25 @@ def test_cost_requires_fully_homogeneous():
     mp = propagate_moments(p, 0.0, 0.0, [[1.0]], [[1.0]])
     with pytest.raises(ValueError, match="homogeneous"):
         homogeneous_cost(p, 0.0, 0.0, mp)
+
+
+def test_moment_escape_is_reported_at_the_crossing_node():
+    """Uncontrolled multiplicative noise C = 6 grows E[X^2] like exp(36 s).
+
+    From a unit start the largest moment entry crosses the blow-up
+    threshold between nodes 153 and 154 of a 200-step grid on [0, 1].
+    """
+    p = make_problem(1, 1, TimeGrid(0.0, 1.0, 200), C=6.0, R=1.0, G=1.0)
+    zero = np.zeros((1, 201, 1, 1))
+    for run in (
+        lambda: propagate_moments(p, 0.0, 0.0, [[1.0]], [[1.0]]),
+        lambda: batch_cost(p, zero, zero, [[1.0]], [[1.0]]),
+    ):
+        with pytest.raises(FiniteEscapeError) as info:
+            run()
+        assert info.value.quantity == "moment trajectory"
+        assert info.value.node == 154
+        assert info.value.time == pytest.approx(0.77)
 
 
 def test_gain_shape_is_validated():

@@ -152,6 +152,28 @@ def test_synthesis_factorization_counts(monkeypatch):
     assert 0 < counts["eigh"] <= 4 * K + 8
 
 
+def test_synthesis_factors_each_weight_once_per_node(monkeypatch):
+    """12K + 2 symmetric weights pass through eigh in one synthesis.
+
+    Four RK4 stages per step factor both channels (8K), the nodal gain pass
+    factors the 2(K+1) nodal weights once, and the dense-output gains the
+    2K midpoint weights; the nodal derivatives of the dense output reuse
+    the nodal gains instead of factoring those weights again.
+    """
+    K = 200
+    p, _ = random_spd(0, n=2, m=2, n_steps=K)
+    factored = []
+    original = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        factored.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    synthesize(p)
+    assert sum(factored) == 12 * K + 2
+
+
 def test_sampled_coefficients_are_tabulated_once_per_grid(monkeypatch):
     """Each sampled coefficient path is laid out on a grid exactly once.
 

@@ -10,6 +10,7 @@ both for passing on sound inputs and for failing when fed a wrong value.
 import numpy as np
 import pytest
 
+from mflq import sim
 from mflq.presets import example31, random_spd, scalar_classic
 from mflq.problem import (
     ControlSpec,
@@ -123,6 +124,26 @@ def test_completion_same_seed_is_identical():
     r1 = completion_check(p, gre, spec, n_paths=300, n_steps=200, seed=4)
     r2 = completion_check(p, gre, spec, n_paths=300, n_steps=200, seed=4)
     assert (r1.lhs, r1.rhs, r1.gap_stderr) == (r2.lhs, r2.rhs, r2.gap_stderr)
+
+
+def test_completion_solves_the_mean_ode_once(monkeypatch):
+    """The identity's mean terms reuse the mean path the simulation solved."""
+    integrations = []
+    original = sim.linear_rk4
+
+    def counting(*args, **kwargs):
+        integrations.append(args[6])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "linear_rk4", counting)
+    p, _ = scalar_classic(n_steps=50)
+    spec = ControlSpec(
+        feedback=MatrixPath.constant([[-0.5]]),
+        mean_feedback=MatrixPath.constant([[0.2]]),
+        offset=NoiseAffinePath.of([0.5], [0.25]),
+    )
+    completion_check(p, integrate_gre(p), spec, n_paths=16, n_steps=50, seed=0)
+    assert integrations == ["state mean"]
 
 
 def test_completion_requires_homogeneous_and_regular():
