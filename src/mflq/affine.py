@@ -153,17 +153,14 @@ def solve_adjoint_mean(
 
 
 def compute_corrections(
-    sol: GreSolution,
-    adjoint_noise: np.ndarray,
-    adjoint_mean: np.ndarray,
-    tol: float = DEFAULT_REG_TOL,
+    sol: GreSolution, adjoint_noise: np.ndarray, adjoint_mean: np.ndarray
 ) -> CorrectionSet:
     """Affine control offsets from the adjoint paths, with attainability.
 
     Nodewise pseudo-inverse solves through the input-weight factorization
     kept on the Riccati solution; each right-hand-side vector is also
     range-checked against its input weight, and the worst residual per
-    channel is recorded (first node on ties).
+    channel (first node on ties) is held to DEFAULT_REG_TOL.
     """
     c = sol.table.node
     target = (
@@ -187,23 +184,21 @@ def compute_corrections(
     return CorrectionSet(
         corr_noise=np.ascontiguousarray(corr[:, 0]),
         corr_mean=np.ascontiguousarray(corr[:, 1]),
-        feasible=(worst_dev <= tol and worst_mean <= tol),
+        feasible=(worst_dev <= DEFAULT_REG_TOL and worst_mean <= DEFAULT_REG_TOL),
         worst_dev_node=int(worst[0]),
         worst_dev_residual=worst_dev,
         worst_mean_node=int(worst[1]),
         worst_mean_residual=worst_mean,
-        tol=tol,
+        tol=DEFAULT_REG_TOL,
     )
 
 
-def solve_affine(
-    p: ProblemData, sol: GreSolution, tol: float = DEFAULT_REG_TOL
-) -> AffineSolution:
+def solve_affine(p: ProblemData, sol: GreSolution) -> AffineSolution:
     """Full affine stage: the noise and mean adjoints plus control offsets."""
     mids = dense_midpoints(sol)
     adjoint_noise = solve_adjoint(p, sol, mids=mids)
     adjoint_mean = solve_adjoint_mean(p, sol, adjoint_noise, mids=mids)
-    corrections = compute_corrections(sol, adjoint_noise, adjoint_mean, tol=tol)
+    corrections = compute_corrections(sol, adjoint_noise, adjoint_mean)
     return AffineSolution(
         grid=sol.grid,
         adjoint_noise=adjoint_noise,

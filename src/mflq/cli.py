@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from typing import Optional
@@ -370,7 +371,7 @@ def _check_dict(c) -> dict:
     }
 
 
-def _suite_qp(args, p, doc_law):
+def _suite_qp(args, p, doc_law, solution):
     law = _resolve_law(args, doc_law, p.n, required=False)
     try:
         from .verify import _require_noiseless
@@ -381,8 +382,7 @@ def _suite_qp(args, p, doc_law):
         return None, "no initial law in the document and no --law given"
     if np.any(law.brownian_load != 0.0) or np.any(law.indep_load != 0.0):
         return None, "the oracle needs a deterministic initial state"
-    sol = synthesize(p)
-    v = strategy_value(sol, law)
+    v = strategy_value(solution(), law)
     res = qp_oracle(p, law.mean, K=args.qp_intervals)
     tol = max(args.qp_tol, args.qp_tol * abs(v))
     gap = abs(res.cost - v) if res.cost is not None else float("inf")
@@ -447,11 +447,11 @@ def _suite_completion(args, p):
     }, None
 
 
-def _suite_battery(args, p, doc_law):
+def _suite_battery(args, p, doc_law, solution):
     law = _resolve_law(args, doc_law, p.n, required=False)
     if law is None:
         law = InitialLaw.deterministic(np.zeros(p.n))
-    sol = synthesize(p)
+    sol = solution()
     if not sol.solvable:
         return None, "problem is not closed-loop solvable; the value is " \
                      "not a certified lower bound"
@@ -482,15 +482,18 @@ def cmd_verify(args) -> int:
         if args.suite == "all"
         else [args.suite]
     )
+    # The qp and battery suites share one synthesis, built on first use so
+    # that suites refused on their preconditions never pay for it.
+    solution = functools.cache(lambda: synthesize(p))
     suites = {}
     skipped = {}
     for name in wanted:
         if name == "qp":
-            result, reason = _suite_qp(args, p, doc_law)
+            result, reason = _suite_qp(args, p, doc_law, solution)
         elif name == "completion":
             result, reason = _suite_completion(args, p)
         elif name == "battery":
-            result, reason = _suite_battery(args, p, doc_law)
+            result, reason = _suite_battery(args, p, doc_law, solution)
         else:
             result, reason = _suite_degeneration(args, p)
         if result is None:

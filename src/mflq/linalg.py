@@ -42,13 +42,13 @@ class PinvResult:
         return float(self.singular_values[self.rank - 1])
 
 
-def pinv(M, rtol: float = DEFAULT_RTOL) -> PinvResult:
-    """Pseudo-invert M, zeroing singular values below rtol * max_dim * s_max."""
+def pinv(M) -> PinvResult:
+    """Pseudo-invert M, zeroing singular values <= DEFAULT_RTOL * max_dim * s_max."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"pinv expects a matrix, got shape {M.shape}")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    cutoff = rtol * max(M.shape) * (s[0] if s.size else 0.0)
+    cutoff = DEFAULT_RTOL * max(M.shape) * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     inv_s = np.zeros_like(s)
     inv_s[:rank] = 1.0 / s[:rank]
@@ -69,9 +69,8 @@ class SymFactor:
     is derived from them on access.  The singular values of a symmetric
     matrix are the moduli of its eigenvalues, so ``keep``
     (|lambda| > DEFAULT_RTOL * m * max|lambda|) reproduces the rank decision
-    of ``pinv`` at its default tolerance exactly, and the pseudo-inverse,
-    the PSD verdict and the range projector all follow from the same
-    eigenpairs.
+    of ``pinv`` exactly, and the pseudo-inverse, the PSD verdict and the
+    range projector all follow from the same eigenpairs.
     """
 
     eigvals: np.ndarray   # (..., m), ascending
@@ -150,27 +149,27 @@ def is_psd(M, tol: float = 0.0) -> tuple:
     return lam_min >= -tol, lam_min
 
 
-def range_residual(N, M, rtol: float = DEFAULT_RTOL) -> float:
+def range_residual(N, M) -> float:
     """Normalised obstruction to range(N) being contained in range(M).
 
     Computes ||(I - M M^+) N|| / (1 + ||N||) in the Frobenius norm; exact
     containment gives 0 and the normalisation keeps the residual bounded by
-    1 regardless of scaling.
+    1 regardless of scaling.  M^+ is ``pinv(M)``, with its rank cutoff.
     """
     N = np.asarray(N, dtype=float)
     M = np.asarray(M, dtype=float)
-    res = pinv(M, rtol=rtol)
+    res = pinv(M)
     proj_out = N - M @ (res.pinv @ N)
     return float(np.linalg.norm(proj_out) / (1.0 + np.linalg.norm(N)))
 
 
-def range_contained(N, M, tol: float = 1e-8, rtol: float = DEFAULT_RTOL) -> tuple:
-    """Test range(N) ⊆ range(M); returns (verdict, residual)."""
-    r = range_residual(N, M, rtol=rtol)
-    return r <= tol, r
+def range_contained(N, M) -> tuple:
+    """Test range(N) ⊆ range(M) to a residual of 1e-8; returns (verdict, residual)."""
+    r = range_residual(N, M)
+    return r <= 1e-8, r
 
 
-def projector(M, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Orthogonal projector M^+ M onto the row space of M."""
+def projector(M) -> np.ndarray:
+    """Orthogonal projector M^+ M onto the row space of M, M^+ = ``pinv(M)``."""
     M = np.asarray(M, dtype=float)
-    return pinv(M, rtol=rtol).pinv @ M
+    return pinv(M).pinv @ M

@@ -52,11 +52,11 @@ def _require_homogeneous(p: ProblemData):
 
 
 def _as_gain_stack(gain, grid: TimeGrid, m: int, n: int):
-    """Normalise a gain argument to node and midpoint sample stacks.
+    """Normalise one gain to node and midpoint sample stacks.
 
     Accepts a MatrixPath, a scalar (filled across all entries), a constant
-    (m, n) array, a sampled (K+1, m, n) stack, or a pre-batched array of
-    shape (B, K+1, m, n).  Returns (nodes, mids) with a leading batch axis.
+    (m, n) array or a sampled (K+1, m, n) stack.  Returns (nodes, mids)
+    with a leading batch axis of length one.
     """
     K = grid.n_steps
     if isinstance(gain, MatrixPath):
@@ -70,14 +70,23 @@ def _as_gain_stack(gain, grid: TimeGrid, m: int, n: int):
         mid = np.broadcast_to(arr, (1, K, m, n)).copy()
         return node, mid
     if arr.shape == (K + 1, m, n):
-        arr = arr[None]
-    if arr.ndim == 4 and arr.shape[1] == K + 1 and arr.shape[2:] == (m, n):
-        mid = 0.5 * (arr[:, :-1] + arr[:, 1:])
-        return arr, mid
+        return _as_batch_stack(arr[None], grid, m, n)
     raise ValueError(
         f"cannot interpret gain of shape {arr.shape}; expected ({m}, {n}), "
-        f"({K + 1}, {m}, {n}), a MatrixPath, or (batch, {K + 1}, {m}, {n})"
+        f"({K + 1}, {m}, {n}) or a MatrixPath"
     )
+
+
+def _as_batch_stack(gains, grid: TimeGrid, m: int, n: int):
+    """Node and midpoint stacks of a batch of sampled gains, (B, K+1, m, n)."""
+    K = grid.n_steps
+    arr = np.asarray(gains, dtype=float)
+    if arr.ndim != 4 or arr.shape[1:] != (K + 1, m, n):
+        raise ValueError(
+            f"cannot interpret gain batch of shape {arr.shape}; expected "
+            f"(batch, {K + 1}, {m}, {n})"
+        )
+    return arr, 0.5 * (arr[:, :-1] + arr[:, 1:])
 
 
 def _closed_loop_mats(coeff, fb, mf):
@@ -238,17 +247,16 @@ def batch_cost(
     mean_feedbacks: np.ndarray,
     X0,
     Y0,
-    n_steps: Optional[int] = None,
 ) -> np.ndarray:
     """Costs of a whole batch of gain trajectories in one RK4 sweep.
 
     feedbacks / mean_feedbacks have shape (batch, K+1, m, n) sampled on the
-    working grid.  Returns the (batch,) cost vector.
+    problem's grid.  Returns the (batch,) cost vector.
     """
     _require_homogeneous(p)
-    grid = p.horizon if n_steps is None else p.horizon.with_steps(n_steps)
-    fb_n, fb_m = _as_gain_stack(feedbacks, grid, p.m, p.n)
-    mf_n, mf_m = _as_gain_stack(mean_feedbacks, grid, p.m, p.n)
+    grid = p.horizon
+    fb_n, fb_m = _as_batch_stack(feedbacks, grid, p.m, p.n)
+    mf_n, mf_m = _as_batch_stack(mean_feedbacks, grid, p.m, p.n)
     if fb_n.shape[0] != mf_n.shape[0]:
         raise ValueError("feedback batches must have equal size")
     tab = tabulate(p, grid)
@@ -273,17 +281,16 @@ def stationarity_residual(
     X0,
     Y0,
     fd_step: float = 1e-5,
-    n_steps: Optional[int] = None,
 ) -> float:
     """Max-norm cost gradient under constant-in-time gain bumps.
 
     Central differences: every entry of both gains is bumped by +/- fd_step
-    uniformly in time, all 4*m*n propagations run as one batch, and the
-    largest absolute difference quotient comes back.  Near zero at a true
-    optimum; order-one a fixed distance away.
+    uniformly in time, all 4*m*n propagations run as one batch on the
+    problem's grid, and the largest absolute difference quotient comes
+    back.  Near zero at a true optimum; order-one a fixed distance away.
     """
     _require_homogeneous(p)
-    grid = p.horizon if n_steps is None else p.horizon.with_steps(n_steps)
+    grid = p.horizon
     m, n = p.m, p.n
     fb_n, _ = _as_gain_stack(feedback, grid, m, n)
     mf_n, _ = _as_gain_stack(mean_feedback, grid, m, n)
@@ -302,7 +309,7 @@ def stationarity_residual(
             mfs[row, :, i, j] += sign * fd_step
             row += 1
 
-    costs = batch_cost(p, fbs, mfs, X0, Y0, n_steps=grid.n_steps)
+    costs = batch_cost(p, fbs, mfs, X0, Y0)
     plus = costs[0::2]
     minus = costs[1::2]
     grads = (plus - minus) / (2.0 * fd_step)

@@ -430,13 +430,23 @@ def _normalize_noise(value, shape, horizon: TimeGrid) -> NoiseAffinePath:
     return NoiseAffinePath(const, MatrixPath.constant(np.zeros(shape)))
 
 
+def _normalize_terminal(name: str, value, shape) -> np.ndarray:
+    arr = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+    if arr.ndim == 0 and all(d == 1 for d in shape):
+        arr = arr.reshape(shape)
+    if arr.shape != shape:
+        raise ValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
+    return arr
+
+
 def make_problem(n: int, m: int, horizon: TimeGrid, **coeffs) -> ProblemData:
     """Assemble a ProblemData, filling every unspecified coefficient with zero.
 
-    Scalars are accepted for 1x1 blocks, bare arrays become constant paths,
-    (K+1, ...)-shaped arrays become sampled paths on the horizon, and
-    (const, noise) tuples become noise-affine paths.  ``g`` may be given as
-    a pair (g0, g1) or the fields g0/g1 set individually.
+    Scalars are accepted only for 1x1 blocks and length-1 vectors; bare
+    arrays become constant paths, (K+1, ...)-shaped arrays sampled paths on
+    the horizon, (const, noise) tuples noise-affine paths, and terminal
+    weights must have their exact shape.  ``g`` may be given as a pair
+    (g0, g1) or the fields g0/g1 set individually.
     """
     table = _coeff_table(n, m)
     if "g" in coeffs:
@@ -457,13 +467,7 @@ def make_problem(n: int, m: int, horizon: TimeGrid, **coeffs) -> ProblemData:
         elif kind == "noise":
             built[name] = _normalize_noise(value, shape, horizon)
         else:
-            if value is None:
-                built[name] = np.zeros(shape)
-            else:
-                arr = np.asarray(value, dtype=float)
-                if arr.ndim == 0:
-                    arr = arr.reshape(shape) if all(d == 1 for d in shape) else arr
-                built[name] = arr
+            built[name] = _normalize_terminal(name, value, shape)
     return ProblemData(n=n, m=m, horizon=horizon, **built)
 
 

@@ -23,14 +23,12 @@ def trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
     return w
 
 
-def trapezoid(values, h: float, axis: int = 0) -> np.ndarray:
-    """Integrate sampled values along an axis with the trapezoid rule."""
+def trapezoid(values, h: float) -> np.floating:
+    """Integrate node samples, shape (K+1,), with the trapezoid rule."""
     values = np.asarray(values, dtype=float)
-    n = values.shape[axis]
-    w = trapezoid_weights(n, h)
-    shape = [1] * values.ndim
-    shape[axis] = n
-    return np.sum(values * w.reshape(shape), axis=axis)
+    if values.ndim != 1:
+        raise ValueError(f"trapezoid expects node samples (K+1,), got {values.shape}")
+    return np.sum(values * trapezoid_weights(values.size, h))
 
 
 def _check_finite(name, y, node, time):

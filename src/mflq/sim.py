@@ -314,22 +314,22 @@ def simulate(
     return report
 
 
-def estimate_cost(
-    times: np.ndarray,
-    X: np.ndarray,
-    U: np.ndarray,
-    p: ProblemData,
-    W: Optional[np.ndarray] = None,
-    mean_path: Optional[np.ndarray] = None,
-    mean_control: Optional[np.ndarray] = None,
-):
+def estimate_cost(times: np.ndarray, X: np.ndarray, U: np.ndarray, p: ProblemData):
     """Cost estimate from recorded path ensembles.
 
-    X has shape (paths, K+1, n), U (paths, K+1, m), W (paths, K+1) or None
-    for problems without noise-affine cost terms.  The mean channel uses the
-    exact means when provided and the sample means otherwise.  Returns
-    (mean, stderr).
+    X has shape (paths, K+1, n) and U (paths, K+1, m); the mean channel
+    uses their sample means.  The recorded paths carry no Brownian values,
+    so a problem whose cost rides them (nonzero q.noise, rho.noise or g1)
+    raises ValidationError.  Returns (mean, stderr).
     """
+    riding = {"q.noise": p.q.noise_part.values, "rho.noise": p.rho.noise_part.values,
+              "g1": p.g1}
+    nonzero = [name for name, values in riding.items() if np.any(values != 0.0)]
+    if nonzero:
+        raise ValidationError(
+            "estimate_cost needs a cost free of Brownian-riding terms; "
+            "nonzero: " + ", ".join(nonzero)
+        )
     times = np.asarray(times, dtype=float)
     X = np.asarray(X, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -338,23 +338,18 @@ def estimate_cost(
     n_paths, n_nodes = X.shape[:2]
     if times.shape != (n_nodes,):
         raise ValidationError("times length does not match the path arrays")
-    if W is None:
-        W = np.zeros((n_paths, n_nodes))
     h = float(times[1] - times[0])
     grid = TimeGrid(float(times[0]), float(times[-1]), n_nodes - 1)
-
-    EX = X.mean(axis=0) if mean_path is None else np.asarray(mean_path, dtype=float)
-    EU = U.mean(axis=0) if mean_control is None else np.asarray(
-        mean_control, dtype=float
-    )
+    EX = X.mean(axis=0)
+    EU = U.mean(axis=0)
 
     tables = _CostTables(tabulate(p, grid))
     det_cost = tables.deterministic_cost(p, grid, EX, EU)
     w = trapezoid_weights(n_nodes, h)
     per_path = np.zeros(n_paths)
     for k in range(n_nodes):
-        per_path += w[k] * tables.node_cost(k, X[:, k], U[:, k], W[:, k])
-    per_path += _terminal_cost(p, X[:, -1], W[:, -1])
+        per_path += w[k] * tables.node_cost(k, X[:, k], U[:, k], 0.0)
+    per_path += _terminal_cost(p, X[:, -1], 0.0)
     per_path += det_cost
 
     mean = float(np.mean(per_path))

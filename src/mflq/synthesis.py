@@ -26,7 +26,7 @@ from .problem import (
     TimeGrid,
 )
 from .quadrature import trapezoid
-from .riccati import DEFAULT_REG_TOL, GreSolution, integrate_gre
+from .riccati import GreSolution, integrate_gre
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,7 @@ class ClosedLoopSolution:
     solvable: bool
 
 
-def synthesize(
-    p: ProblemData,
-    n_steps: Optional[int] = None,
-    tol: float = DEFAULT_REG_TOL,
-) -> ClosedLoopSolution:
+def synthesize(p: ProblemData, n_steps: Optional[int] = None) -> ClosedLoopSolution:
     """Run the full pipeline: Riccati pair, adjoints, offsets, strategy.
 
     The strategy applies the deviation gain to the state, the difference
@@ -57,7 +53,7 @@ def synthesize(
     formal candidate only.
     """
     gre = integrate_gre(p, n_steps=n_steps)
-    aff = solve_affine(p, gre, tol=tol)
+    aff = solve_affine(p, gre)
     grid = gre.grid
     strategy = ControlSpec(
         feedback=MatrixPath.sampled(grid, gre.gain_dev),

@@ -115,7 +115,7 @@ def _require_noiseless(p: ProblemData):
         )
 
 
-def qp_oracle(p: ProblemData, x, K: int, psd_tol: float = 1e-9) -> QpOracleResult:
+def qp_oracle(p: ProblemData, x, K: int) -> QpOracleResult:
     """Brute-force optimal cost via a dense quadratic program.
 
     Forward-Euler discretisation with piecewise-constant controls on K
@@ -123,7 +123,8 @@ def qp_oracle(p: ProblemData, x, K: int, psd_tol: float = 1e-9) -> QpOracleResul
     point, state and mean coincide and the coefficient pairs collapse to
     their sums.  The cost is assembled as an explicit quadratic in the
     stacked control vector and minimised by solving the normal equations.
-    A singular or indefinite Hessian is reported, never regularised away.
+    A singular or indefinite Hessian is reported, never regularised away
+    (indefinite: smallest eigenvalue below -1e-9 * max(||H||_F, 1)).
 
     First-order accurate in 1/K by construction (left-endpoint rectangle
     rule), which is exactly what makes it an independent check.
@@ -203,7 +204,7 @@ def qp_oracle(p: ProblemData, x, K: int, psd_tol: float = 1e-9) -> QpOracleResul
         return QpOracleResult("ok", cost, K, u.reshape(K, m))
 
     eigs = np.linalg.eigvalsh(H)
-    if eigs[0] < -psd_tol * max(scale, 1.0):
+    if eigs[0] < -1e-9 * max(scale, 1.0):
         return QpOracleResult("unbounded", None, K, None)
     u, *_ = np.linalg.lstsq(H, -c, rcond=None)
     residual = float(np.linalg.norm(H @ u + c))
@@ -374,9 +375,7 @@ def lower_bound_battery(
     return VerificationReport(checks=checks)
 
 
-def classical_degeneration(
-    p: ProblemData, n_steps: Optional[int] = None
-) -> VerificationReport:
+def classical_degeneration(p: ProblemData) -> VerificationReport:
     """With no mean coupling, both Riccati channels must coincide.
 
     Precondition: every mean-coupling coefficient is zero (error if not).
@@ -388,7 +387,7 @@ def classical_degeneration(
             "classical_degeneration requires all mean-coupling coefficients "
             "to vanish"
         )
-    sol = integrate_gre(p, n_steps=n_steps)
+    sol = integrate_gre(p)
     p_gap = float(np.max(np.abs(sol.P_mean - sol.P)))
     g_gap = float(np.max(np.abs(sol.gain_mean - sol.gain_dev)))
     checks = (

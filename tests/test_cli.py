@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from mflq import cli, docio, riccati, synthesis
+from mflq import cli, docio, riccati, synthesis, verify
 from mflq.cli import main
 from mflq.problem import ControlSpec, MatrixPath, NoiseAffinePath, TimeGrid, make_problem
 
@@ -376,3 +376,39 @@ def test_verify_battery_on_solvable_instance(capsys, tmp_path):
     rep = json.loads(out)
     names = [c["name"] for c in rep["suites"]["battery"]["checks"]]
     assert "lower_bound" in names and "optimal_attains_value" in names
+
+
+def test_verify_synthesizes_at_most_once(capsys, tmp_path, monkeypatch):
+    """The qp and battery suites share one synthesis, and a suite refused on
+    its preconditions pays for none.  Only the degeneration suite and the
+    completion suite's quadratic core integrate the Riccati pair again."""
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    argv = ["verify", path, "--paths", "200", "--steps", "50", "--controls", "2"]
+    _, plain, _ = run(capsys, argv)
+
+    syntheses, sweeps = [], []
+
+    def counting_synthesize(*args, **kwargs):
+        syntheses.append(1)
+        return synthesis.synthesize(*args, **kwargs)
+
+    def counting_sweep(*args, **kwargs):
+        sweeps.append(1)
+        return riccati.integrate_gre(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "synthesize", counting_synthesize)
+    for mod in (cli, synthesis, verify):
+        monkeypatch.setattr(mod, "integrate_gre", counting_sweep)
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    assert out == plain
+    assert set(json.loads(out)["suites"]) == {
+        "qp", "completion", "battery", "degeneration",
+    }
+    assert (len(syntheses), len(sweeps)) == (1, 3)
+
+    syntheses.clear()
+    noisy = write_preset(capsys, tmp_path, "example31", "mf.json")
+    code, out, err = run(capsys, ["verify", noisy, "--suite", "qp"])
+    assert code == 2
+    assert syntheses == []

@@ -153,3 +153,24 @@ def test_gain_shape_is_validated():
     p = classic(50)
     with pytest.raises(ValueError, match="cannot interpret gain"):
         propagate_moments(p, np.zeros((2, 3)), 0.0, [[1.0]], [[1.0]])
+
+
+def test_single_gain_functions_reject_a_batch():
+    """A (B, K+1, m, n) stack is batch_cost's form only; the single-gain
+    functions used to take it and return member 0's path, member 0's cost or
+    a residual mixing every member.  batch_cost takes nothing else."""
+    p = classic(50)
+    batch = -np.ones((5, 51, 1, 1))
+    batch[0] = 0.0
+    zero = np.zeros_like(batch)
+    X0 = [[1.0]]
+    mp = propagate_moments(p, 0.0, 0.0, X0, X0)
+    for run in (
+        lambda: propagate_moments(p, batch, zero, X0, X0),
+        lambda: homogeneous_cost(p, batch, zero, mp),
+        lambda: stationarity_residual(p, batch, zero, X0, X0),
+        lambda: batch_cost(p, batch[0], zero[0], X0, X0),
+        lambda: batch_cost(p, 0.0, 0.0, X0, X0),
+    ):
+        with pytest.raises(ValueError, match="cannot interpret gain"):
+            run()

@@ -1,0 +1,130 @@
+"""Every optional parameter of the public API has a caller.
+
+A parameter with a default that no call ever sets is a configuration no
+one runs: it doubles what a reader must reason about and hides the
+constant the code really uses.  This lint scans the source tree with
+``ast``: for every function and method under ``src/mflq`` whose name has
+no leading underscore, each parameter with a default must be passed, by
+keyword or by position, by at least one call under ``src/``, ``tests/``
+or ``bench/``.  Calls are matched by the called name alone, so a call
+``obj.f(...)`` counts for every function or method named ``f``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mflq"
+CALLER_DIRS = ("src", "tests", "bench")
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _optional_params(tree):
+    """(function name, {parameter: positional index or None}) per public def.
+
+    Methods drop their bound first parameter, so the indices match the
+    positional arguments of a call through an instance or the class.
+    """
+    found = []
+
+    def visit(body, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, True)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_"):
+                    continue
+                args = node.args
+                positional = args.posonlyargs + args.args
+                decorators = {
+                    d.id for d in node.decorator_list if isinstance(d, ast.Name)
+                }
+                if in_class and "staticmethod" not in decorators:
+                    positional = positional[1:]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                params = {a.arg: positional.index(a) for a in defaulted}
+                params.update(
+                    (a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None
+                )
+                if params:
+                    found.append((node.name, params))
+
+    visit(tree.body, False)
+    return found
+
+
+def _called_name(call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _record_calls(tree, passed):
+    """Add the parameters and positions each call in ``tree`` sets to ``passed``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _called_name(node)
+        if name is None:
+            continue
+        seen = passed.setdefault(
+            name, {"keywords": set(), "n_positional": 0, "anything": False}
+        )
+        for kw in node.keywords:
+            if kw.arg is None:
+                seen["anything"] = True
+            else:
+                seen["keywords"].add(kw.arg)
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            seen["anything"] = True
+        seen["n_positional"] = max(seen["n_positional"], len(node.args))
+    return passed
+
+
+def unset_options():
+    """Sorted "module.function(parameter)" entries that no call sets."""
+    passed = {}
+    for top in CALLER_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            _record_calls(_parse(path), passed)
+
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func, params in _optional_params(_parse(path)):
+            seen = passed.get(func)
+            for param, index in params.items():
+                if seen is not None and (
+                    seen["anything"]
+                    or param in seen["keywords"]
+                    or (index is not None and index < seen["n_positional"])
+                ):
+                    continue
+                unset.append(f"{path.stem}.{func}({param})")
+    return sorted(unset)
+
+
+def test_every_optional_parameter_has_a_caller():
+    assert unset_options() == []
+
+
+def test_lint_sees_keyword_and_positional_callers():
+    tree = ast.parse(
+        "class K:\n"
+        "    def m(self, a, b=1, *, c=2):\n"
+        "        pass\n"
+        "def f(x, y=0, z=0):\n"
+        "    pass\n"
+    )
+    assert _optional_params(tree) == [("m", {"b": 1, "c": None}),
+                                      ("f", {"y": 1, "z": 2})]
+    calls = _record_calls(ast.parse("f(1, 2)\nk.m(0, c=3)\ng(**kw)\n"), {})
+    assert calls["f"]["n_positional"] == 2
+    assert calls["m"]["keywords"] == {"c"}
+    assert calls["g"]["anything"]

@@ -111,6 +111,23 @@ def test_make_problem_rejects_unknown_names():
         make_problem(1, 1, g, A=0.0, Z=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("g0", [1.0]),
+    ("G", 2.0),
+    ("G_bar", np.eye(3)),
+    ("g1", np.ones((2, 1))),
+    ("g_bar", 0.5),
+])
+def test_make_problem_rejects_misshapen_terminal_weights(field, value):
+    """Terminal weights follow the path rule: the exact shape, or a scalar
+    for an all-ones shape only.  A (1,) g0 used to broadcast silently and a
+    0-d G to fail deep inside the Riccati sweep."""
+    g = TimeGrid(0.0, 1.0, 10)
+    coeffs = {"B": np.eye(2), "R": np.eye(2), "G": 2.0 * np.eye(2), field: value}
+    with pytest.raises(ValidationError, match=rf"^{field}: expected shape"):
+        make_problem(2, 2, g, **coeffs)
+
+
 def test_validate_flags_asymmetric_weight():
     g = TimeGrid(0.0, 1.0, 10)
     p = make_problem(2, 1, g, Q=np.array([[1.0, 0.5], [0.0, 1.0]]),

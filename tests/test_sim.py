@@ -159,6 +159,19 @@ def test_estimate_cost_validates_shapes():
         estimate_cost(g.nodes, np.zeros((2, 5, 1)), np.zeros((2, 11, 1)), p)
 
 
+@pytest.mark.parametrize("riding", [
+    {"q": (0.0, 0.5)}, {"rho": (0.0, 0.5)}, {"g": (0.0, 0.5)},
+])
+def test_estimate_cost_refuses_brownian_riding_costs(riding):
+    """Recorded paths carry no Brownian values, so the q1, rho1 and g1 terms
+    cannot be priced; they used to be dropped without a word."""
+    g = TimeGrid(0.0, 1.0, 10)
+    p = make_problem(1, 1, g, B=1.0, R=1.0, G=1.0, **riding)
+    X = np.zeros((2, 11, 1))
+    with pytest.raises(ValidationError, match="Brownian"):
+        estimate_cost(g.nodes, X, X, p)
+
+
 def test_simulate_validates_inputs():
     p, law = scalar_classic(n_steps=50)
     sol = synthesize(p)
