@@ -39,7 +39,7 @@ from .riccati import (
     integrate_gre,
 )
 from .affine import AffineSolution, CorrectionSet, solve_affine
-from .synthesis import ClosedLoopSolution, synthesize, value
+from .synthesis import ClosedLoopSolution, closed_loop, synthesize, value
 from .moments import (
     MomentPath,
     batch_cost,
@@ -96,6 +96,7 @@ __all__ = [
     "assess_regularity",
     "batch_cost",
     "classical_degeneration",
+    "closed_loop",
     "completion_check",
     "dense_midpoints",
     "estimate_cost",

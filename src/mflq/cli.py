@@ -36,7 +36,8 @@ from .problem import (
     strip_inhomogeneous,
 )
 from .riccati import DEFAULT_REG_TOL, assess_regularity, integrate_gre
-from .synthesis import ClosedLoopSolution, synthesize, value as strategy_value
+from .synthesis import ClosedLoopSolution, closed_loop, synthesize
+from .synthesis import value as strategy_value
 from .verify import (
     classical_degeneration,
     completion_check,
@@ -267,11 +268,9 @@ def cmd_solve(args) -> int:
 
 def cmd_regularity(args) -> int:
     p, doc_law = _read_problem(args.file)
-    if getattr(args, "csv", None):
-        sol = synthesize(p, n_steps=args.steps)
-        gre = sol.gre
-    else:
-        sol, gre = None, integrate_gre(p, n_steps=args.steps)
+    gre = integrate_gre(p, n_steps=args.steps)
+    # Built before the report, so an escape in the adjoints prints none.
+    sol = closed_loop(p, gre) if getattr(args, "csv", None) else None
     rep = (
         gre.report
         if args.tol is None
@@ -339,7 +338,7 @@ def cmd_simulate(args) -> int:
     p, doc_law = _read_problem(args.file)
     law = _resolve_law(args, doc_law, p.n, required=True)
     spec, label, sol = _load_strategy_arg(args, p)
-    n_steps = args.steps if args.steps else p.horizon.n_steps
+    n_steps = p.horizon.n_steps if args.steps is None else args.steps
     rep = sim.simulate(p, spec, law, args.paths, n_steps, args.seed)
     report = {
         "command": "simulate",
@@ -404,9 +403,9 @@ def _suite_qp(args, p, doc_law, solution):
     }, None
 
 
-def _suite_completion(args, p):
+def _suite_completion(args, p, sweep):
     core = strip_inhomogeneous(p)
-    gre = integrate_gre(core)
+    gre = sweep()  # the Riccati pair never reads the inhomogeneities
     if not gre.report.regular:
         return None, "the quadratic core is not regular"
     m, n = p.m, p.n
@@ -465,10 +464,10 @@ def _suite_battery(args, p, doc_law, solution):
     }, None
 
 
-def _suite_degeneration(args, p):
+def _suite_degeneration(args, p, sweep):
     if p.has_mean_terms:
         return None, "mean-coupling coefficients are nonzero"
-    rep = classical_degeneration(p)
+    rep = classical_degeneration(p, sweep())
     return {
         "passed": rep.passed,
         "checks": [_check_dict(c) for c in rep.checks],
@@ -482,20 +481,21 @@ def cmd_verify(args) -> int:
         if args.suite == "all"
         else [args.suite]
     )
-    # The qp and battery suites share one synthesis, built on first use so
-    # that suites refused on their preconditions never pay for it.
-    solution = functools.cache(lambda: synthesize(p))
+    # One Riccati sweep for every suite and one synthesis on it for qp and
+    # battery, built on first use: refused suites pay for neither.
+    sweep = functools.cache(lambda: integrate_gre(p))
+    solution = functools.cache(lambda: closed_loop(p, sweep()))
     suites = {}
     skipped = {}
     for name in wanted:
         if name == "qp":
             result, reason = _suite_qp(args, p, doc_law, solution)
         elif name == "completion":
-            result, reason = _suite_completion(args, p)
+            result, reason = _suite_completion(args, p, sweep)
         elif name == "battery":
             result, reason = _suite_battery(args, p, doc_law, solution)
         else:
-            result, reason = _suite_degeneration(args, p)
+            result, reason = _suite_degeneration(args, p, sweep)
         if result is None:
             if args.suite != "all":
                 raise ValidationError([f"suite {name}: {reason}"])

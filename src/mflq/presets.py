@@ -180,12 +180,14 @@ def get_preset(
     n_steps: Optional[int] = None,
 ):
     """Look up a preset by its public name; returns (problem, law)."""
+    if n_steps is None:
+        n_steps = 1000
     if name == "example31":
-        return example31(n_steps=n_steps or 1000)
+        return example31(n_steps=n_steps)
     if name == "scalar_classic":
-        return scalar_classic(n_steps=n_steps or 1000)
+        return scalar_classic(n_steps=n_steps)
     if name == "random_spd":
-        return random_spd(seed, n=n, m=m, n_steps=n_steps or 1000)
+        return random_spd(seed, n=n, m=m, n_steps=n_steps)
     raise ValueError(
         f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
     )

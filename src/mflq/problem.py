@@ -448,6 +448,8 @@ def make_problem(n: int, m: int, horizon: TimeGrid, **coeffs) -> ProblemData:
     weights must have their exact shape.  ``g`` may be given as a pair
     (g0, g1) or the fields g0/g1 set individually.
     """
+    if n < 1 or m < 1:
+        raise ValidationError("dimensions n and m must be positive")
     table = _coeff_table(n, m)
     if "g" in coeffs:
         g = coeffs.pop("g")

@@ -44,7 +44,12 @@ class ClosedLoopSolution:
 
 
 def synthesize(p: ProblemData, n_steps: Optional[int] = None) -> ClosedLoopSolution:
-    """Run the full pipeline: Riccati pair, adjoints, offsets, strategy.
+    """Run the full pipeline: Riccati pair, adjoints, offsets, strategy."""
+    return closed_loop(p, integrate_gre(p, n_steps=n_steps))
+
+
+def closed_loop(p: ProblemData, gre: GreSolution) -> ClosedLoopSolution:
+    """Adjoints, offsets and strategy on an integrated Riccati pair of ``p``.
 
     The strategy applies the deviation gain to the state, the difference
     (mean gain - deviation gain) to the state mean, and adds the affine
@@ -52,7 +57,6 @@ def synthesize(p: ProblemData, n_steps: Optional[int] = None) -> ClosedLoopSolut
     assembled even when the problem is not solvable, in which case it is a
     formal candidate only.
     """
-    gre = integrate_gre(p, n_steps=n_steps)
     aff = solve_affine(p, gre)
     grid = gre.grid
     strategy = ControlSpec(

@@ -29,7 +29,7 @@ from .problem import (
     sample_path,
 )
 from .quadrature import trapezoid
-from .riccati import GreSolution, integrate_gre
+from .riccati import GreSolution
 from .synthesis import ClosedLoopSolution, value
 
 DEGENERATION_P_TOL = 1e-10
@@ -309,6 +309,10 @@ def lower_bound_battery(
             "lower_bound_battery needs a solvable problem: the reported "
             "value is only a lower bound in that case"
         )
+    if n_controls < 1:
+        raise ValueError(
+            f"lower_bound_battery needs n_controls >= 1, got {n_controls}"
+        )
     v = value(sol, law) if value_override is None else float(value_override)
     steps = sol.grid.n_steps if n_steps is None else n_steps
     rng = np.random.Generator(
@@ -375,35 +379,35 @@ def lower_bound_battery(
     return VerificationReport(checks=checks)
 
 
-def classical_degeneration(p: ProblemData) -> VerificationReport:
+def classical_degeneration(p: ProblemData, gre: GreSolution) -> VerificationReport:
     """With no mean coupling, both Riccati channels must coincide.
 
-    Precondition: every mean-coupling coefficient is zero (error if not).
-    Then the mean-channel equation is textually the deviation equation, so
-    the integrated matrices and gains must agree to machine accuracy.
+    ``gre`` is the integrated Riccati pair of ``p``.  Precondition: every
+    mean-coupling coefficient is zero (error if not).  Then the mean-channel
+    equation is textually the deviation equation, so the integrated matrices
+    and gains must agree to machine accuracy.
     """
     if p.has_mean_terms:
         raise ValueError(
             "classical_degeneration requires all mean-coupling coefficients "
             "to vanish"
         )
-    sol = integrate_gre(p)
-    p_gap = float(np.max(np.abs(sol.P_mean - sol.P)))
-    g_gap = float(np.max(np.abs(sol.gain_mean - sol.gain_dev)))
+    p_gap = float(np.max(np.abs(gre.P_mean - gre.P)))
+    g_gap = float(np.max(np.abs(gre.gain_mean - gre.gain_dev)))
     checks = (
         CheckResult(
             name="riccati_matrices_coincide",
             passed=p_gap <= DEGENERATION_P_TOL,
             discrepancy=p_gap,
             tolerance=DEGENERATION_P_TOL,
-            metadata={"n_steps": sol.grid.n_steps},
+            metadata={"n_steps": gre.grid.n_steps},
         ),
         CheckResult(
             name="gains_coincide",
             passed=g_gap <= DEGENERATION_GAIN_TOL,
             discrepancy=g_gap,
             tolerance=DEGENERATION_GAIN_TOL,
-            metadata={"n_steps": sol.grid.n_steps},
+            metadata={"n_steps": gre.grid.n_steps},
         ),
     )
     return VerificationReport(checks=checks)

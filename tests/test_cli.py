@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from mflq import cli, docio, riccati, synthesis, verify
+from mflq import cli, docio, riccati, synthesis
 from mflq.cli import main
 from mflq.problem import ControlSpec, MatrixPath, NoiseAffinePath, TimeGrid, make_problem
 
@@ -53,6 +53,21 @@ def test_example_rejects_unknown_name(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["example", "no_such_preset"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags, fragment", [
+    (["--steps", "0"], "n_steps must be at least 1"),
+    (["--n", "0"], "dimensions n and m must be positive"),
+])
+def test_example_refuses_empty_grid_or_dimension(capsys, tmp_path, flags, fragment):
+    """Zero steps is refused, not read as "use the default"; zero state
+    dimension is refused before a document is written."""
+    target = tmp_path / "spd.json"
+    code, out, err = run(capsys, ["example", "random_spd", "--out", str(target)] + flags)
+    assert code == 2
+    assert out == ""
+    assert fragment in err
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +242,16 @@ def test_simulate_zero_strategy_is_exact(capsys, tmp_path):
     assert rep["n_paths"] == 200
 
 
+def test_simulate_refuses_zero_steps(capsys, tmp_path):
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    code, out, err = run(capsys, [
+        "simulate", path, "--steps", "0", "--paths", "100", "--law", "mean=1",
+    ])
+    assert code == 2
+    assert out == ""
+    assert "n_steps must be at least 1" in err
+
+
 def test_simulate_reports_are_byte_identical(capsys, tmp_path):
     g = TimeGrid(0.0, 1.0, 50)
     p = make_problem(1, 1, g, B=1.0, Q=1.0, R=1.0, G=1.0, sigma=(1.0, 0.0))
@@ -378,37 +403,59 @@ def test_verify_battery_on_solvable_instance(capsys, tmp_path):
     assert "lower_bound" in names and "optimal_attains_value" in names
 
 
+def _count_calls(monkeypatch, bindings):
+    """Wrap each (module, name) binding; returns the list each call appends to."""
+    calls = []
+    for mod, name in bindings:
+        original = getattr(mod, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 def test_verify_synthesizes_at_most_once(capsys, tmp_path, monkeypatch):
-    """The qp and battery suites share one synthesis, and a suite refused on
-    its preconditions pays for none.  Only the degeneration suite and the
-    completion suite's quadratic core integrate the Riccati pair again."""
+    """Every suite reads one Riccati sweep, the qp and battery suites share
+    one synthesis on it, and a suite refused on its preconditions pays for
+    neither."""
     path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
     argv = ["verify", path, "--paths", "200", "--steps", "50", "--controls", "2"]
     _, plain, _ = run(capsys, argv)
 
-    syntheses, sweeps = [], []
-
-    def counting_synthesize(*args, **kwargs):
-        syntheses.append(1)
-        return synthesis.synthesize(*args, **kwargs)
-
-    def counting_sweep(*args, **kwargs):
-        sweeps.append(1)
-        return riccati.integrate_gre(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "synthesize", counting_synthesize)
-    for mod in (cli, synthesis, verify):
-        monkeypatch.setattr(mod, "integrate_gre", counting_sweep)
+    calls = _count_calls(monkeypatch, [
+        (cli, "closed_loop"), (cli, "integrate_gre"), (synthesis, "integrate_gre"),
+    ])
     code, out, err = run(capsys, argv)
     assert code == 0
     assert out == plain
     assert set(json.loads(out)["suites"]) == {
         "qp", "completion", "battery", "degeneration",
     }
-    assert (len(syntheses), len(sweeps)) == (1, 3)
+    assert (calls.count("closed_loop"), calls.count("integrate_gre")) == (1, 1)
 
-    syntheses.clear()
+    calls.clear()
     noisy = write_preset(capsys, tmp_path, "example31", "mf.json")
     code, out, err = run(capsys, ["verify", noisy, "--suite", "qp"])
     assert code == 2
-    assert syntheses == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("suite", ["completion", "degeneration"])
+def test_verify_single_sweep_suites_skip_the_affine_stage(capsys, tmp_path,
+                                                          monkeypatch, suite):
+    """Run alone, the completion and degeneration suites read the Riccati
+    sweep only: one sweep and no adjoint or offset stage."""
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    calls = _count_calls(monkeypatch, [
+        (cli, "integrate_gre"), (synthesis, "integrate_gre"),
+        (synthesis, "solve_affine"),
+    ])
+    code, out, err = run(capsys, [
+        "verify", path, "--suite", suite, "--paths", "200", "--steps", "50",
+    ])
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert (calls.count("integrate_gre"), calls.count("solve_affine")) == (1, 0)

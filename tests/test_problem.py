@@ -111,6 +111,13 @@ def test_make_problem_rejects_unknown_names():
         make_problem(1, 1, g, A=0.0, Z=1.0)
 
 
+@pytest.mark.parametrize("n, m", [(0, 1), (1, 0)])
+def test_make_problem_rejects_empty_dimensions(n, m):
+    g = TimeGrid(0.0, 1.0, 10)
+    with pytest.raises(ValidationError, match="dimensions n and m must be positive"):
+        make_problem(n, m, g)
+
+
 @pytest.mark.parametrize("field, value", [
     ("g0", [1.0]),
     ("G", 2.0),

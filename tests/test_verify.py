@@ -185,12 +185,23 @@ def test_battery_requires_solvable():
         lower_bound_battery(p, sol, law, n_controls=2, n_paths=50, seed=0)
 
 
+@pytest.mark.parametrize("n_controls", [0, -3])
+def test_battery_requires_a_control(n_controls):
+    """With no sampled strategy the lower bound would pass with nothing
+    checked."""
+    p, law = scalar_classic(n_steps=50)
+    sol = synthesize(p)
+    with pytest.raises(ValueError, match="n_controls"):
+        lower_bound_battery(p, sol, law, n_controls=n_controls, n_paths=50,
+                            seed=0)
+
+
 def test_degeneration_exact_without_bars():
     """Zero mean coupling routes both channels through the same arithmetic,
     so the discrepancy is exactly zero, not merely small."""
     for seed in (0, 1, 2):
         p, _ = random_spd(seed, n_steps=200, with_bars=False)
-        rep = classical_degeneration(p)
+        rep = classical_degeneration(p, integrate_gre(p))
         assert rep.passed
         assert rep.check("riccati_matrices_coincide").discrepancy == 0.0
         assert rep.check("gains_coincide").discrepancy == 0.0
@@ -199,4 +210,4 @@ def test_degeneration_exact_without_bars():
 def test_degeneration_rejects_mean_coupling():
     p, _ = random_spd(0, n_steps=100, with_bars=True)
     with pytest.raises(ValueError, match="mean-coupling"):
-        classical_degeneration(p)
+        classical_degeneration(p, integrate_gre(p))
