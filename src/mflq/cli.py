@@ -266,7 +266,16 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _check_tolerance(value: Optional[float], flag: str) -> None:
+    """Refuse a tolerance that is negative or not finite; None is the default."""
+    if value is not None and not (np.isfinite(value) and value >= 0.0):
+        raise ValidationError(
+            [f"{flag} must be a finite non-negative number, got {value}"]
+        )
+
+
 def cmd_regularity(args) -> int:
+    _check_tolerance(args.tol, "--tol")
     p, doc_law = _read_problem(args.file)
     gre = integrate_gre(p, n_steps=args.steps)
     # Built before the report, so an escape in the adjoints prints none.
@@ -475,6 +484,7 @@ def _suite_degeneration(args, p, sweep):
 
 
 def cmd_verify(args) -> int:
+    _check_tolerance(args.qp_tol, "--qp-tol")
     p, doc_law = _read_problem(args.file)
     wanted = (
         ["qp", "completion", "battery", "degeneration"]

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ValidationError
 from .problem import (
     ControlSpec,
     InitialLaw,
@@ -102,6 +103,9 @@ def random_spd(
     the driving Brownian motion at the initial instant, which exercises the
     Brownian loading of the initial law.
     """
+    # Checked before the first draw, whose own error would not name the field.
+    if n < 1 or m < 1:
+        raise ValidationError("dimensions n and m must be positive")
     rng = np.random.Generator(
         np.random.Philox(key=np.array([np.uint64(seed), np.uint64(0xA11CE)]))
     )

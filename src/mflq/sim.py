@@ -106,49 +106,52 @@ def _mean_path(tab: CoefficientTable, spec: ControlSpec, m0: np.ndarray):
     return EX, EU
 
 
-class _CostTables:
-    """Node samples of every cost coefficient on the working grid."""
+def _node_maps(tab: CoefficientTable) -> np.ndarray:
+    """One linear map of the stacked state Z = [X; U] per node.
 
-    def __init__(self, tab: CoefficientTable):
-        self.Q = tab.stack("Q")
-        self.S = tab.stack("S")
-        self.R = tab.stack("R")
-        self.q0 = tab.stack("q0")
-        self.q1 = tab.stack("q1")
-        self.r0 = tab.stack("rho0")
-        self.r1 = tab.stack("rho1")
-        self.Qb = tab.stack("Q_bar")
-        self.Sb = tab.stack("S_bar")
-        self.Rb = tab.stack("R_bar")
-        self.qb = tab.stack("q_bar")
-        self.rb = tab.stack("rho_bar")
-
-    def node_cost(self, k: int, X, U, W):
-        """Per-path running integrand at node k; X (B, n), U (B, m), W (B,)."""
-        out = np.einsum("bi,ij,bj->b", X, self.Q[k], X)
-        out += 2.0 * np.einsum("bi,ij,bj->b", U, self.S[k], X)
-        out += np.einsum("bi,ij,bj->b", U, self.R[k], U)
-        out += 2.0 * (X @ self.q0[k] + (X @ self.q1[k]) * W)
-        out += 2.0 * (U @ self.r0[k] + (U @ self.r1[k]) * W)
-        return out
-
-    def deterministic_cost(self, p: ProblemData, grid: TimeGrid, EX, EU) -> float:
-        """Mean-channel running + terminal cost, exact given (EX, EU)."""
-        running = (
-            np.einsum("ki,kij,kj->k", EX, self.Qb, EX)
-            + 2.0 * np.einsum("ki,kij,kj->k", EU, self.Sb, EX)
-            + np.einsum("ki,kij,kj->k", EU, self.Rb, EU)
-            + 2.0 * np.sum(EX * self.qb, axis=1)
-            + 2.0 * np.sum(EU * self.rb, axis=1)
-        )
-        terminal = EX[-1] @ (p.G_bar @ EX[-1]) + 2.0 * (p.g_bar @ EX[-1])
-        return float(trapezoid(running, grid.h) + terminal)
+    Shape (K+1, 3n+m+2, n+m).  Rows, top to bottom: the running-cost weight
+    [[Q, S^T], [S, R]], the drift [A B], the diffusion [C D], then
+    2 [q0 r0] (linear cost) and 2 [q1 r1] (its Brownian-riding part), so a
+    single product T[k] @ Z yields the cost terms and both increments.
+    """
+    S = tab.stack("S")
+    return np.block([
+        [tab.stack("Q"), np.swapaxes(S, 1, 2)],
+        [S, tab.stack("R")],
+        [tab.stack("A"), tab.stack("B")],
+        [tab.stack("C"), tab.stack("D")],
+        [2.0 * tab.stack("q0")[:, None], 2.0 * tab.stack("rho0")[:, None]],
+        [2.0 * tab.stack("q1")[:, None], 2.0 * tab.stack("rho1")[:, None]],
+    ])
 
 
-def _terminal_cost(p: ProblemData, X, W):
-    return np.einsum("bi,ij,bj->b", X, p.G, X) + 2.0 * (
-        X @ p.g0 + (X @ p.g1) * W
+def _terminal_map(p: ProblemData) -> np.ndarray:
+    """The terminal cost as a map of X: rows G, 2 g0 and 2 g1, shape (n+2, n)."""
+    return np.vstack((p.G, 2.0 * p.g0, 2.0 * p.g1))
+
+
+def _quadratic_cost(TZ: np.ndarray, Z: np.ndarray, W) -> np.ndarray:
+    """Per-path cost from a map's image TZ = T @ Z, with paths on the last axis.
+
+    The leading rows of T hold the quadratic weight, its last two rows the
+    linear cost and the part of it that rides the Brownian value W.
+    """
+    return np.einsum("ib,ib->b", TZ[: Z.shape[0]], Z) + TZ[-2] + TZ[-1] * W
+
+
+def _mean_channel_cost(
+    p: ProblemData, tab: CoefficientTable, EX: np.ndarray, EU: np.ndarray
+) -> float:
+    """Mean-channel running + terminal cost, exact given (EX, EU)."""
+    running = (
+        np.einsum("ki,kij,kj->k", EX, tab.stack("Q_bar"), EX)
+        + 2.0 * np.einsum("ki,kij,kj->k", EU, tab.stack("S_bar"), EX)
+        + np.einsum("ki,kij,kj->k", EU, tab.stack("R_bar"), EU)
+        + 2.0 * np.sum(EX * tab.stack("q_bar"), axis=1)
+        + 2.0 * np.sum(EU * tab.stack("rho_bar"), axis=1)
     )
+    terminal = EX[-1] @ (p.G_bar @ EX[-1]) + 2.0 * (p.g_bar @ EX[-1])
+    return float(trapezoid(running, tab.grid.h) + terminal)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -159,7 +162,6 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def _simulate_chunks(
     p: ProblemData,
     tab: CoefficientTable,
-    tables: _CostTables,
     spec: ControlSpec,
     law: InitialLaw,
     n_paths: int,
@@ -173,19 +175,22 @@ def _simulate_chunks(
     Returns (costs, extra_accumulators, sum_state_per_node, terminal sums).
     ``extras`` are per-node integrands f(k, X - EX[k], U - EU[k], W) -> (B,),
     accumulated with the same trapezoid weights as the running cost.
+
+    Paths run along the last axis: the stacked state Z = [X; U] has shape
+    (n+m, B), and each node costs one product with the node map of
+    ``_node_maps``.  Each chunk's draws are taken path-major, as the
+    reproducibility contract fixes them, and written once, scaled, into a
+    step-major increment buffer that every chunk reuses.
     """
     grid = tab.grid
     K, h = grid.n_steps, grid.h
     t0 = grid.t0
     times = grid.nodes
     n = p.n
+    d = n + p.m
 
-    A_n, Ab_n = tab.stack("A"), tab.stack("A_bar")
-    B_n, Bb_n = tab.stack("B"), tab.stack("B_bar")
-    C_n, Cb_n = tab.stack("C"), tab.stack("C_bar")
-    D_n, Db_n = tab.stack("D"), tab.stack("D_bar")
-    b0_n, b1_n = tab.stack("b0"), tab.stack("b1")
-    s0_n, s1_n = tab.stack("sigma0"), tab.stack("sigma1")
+    T = _node_maps(tab)
+    TG = _terminal_map(p)
     fb_n = sample_path(spec.feedback, times)
     mf_n = sample_path(spec.mean_feedback, times)
     v0_n = sample_path(spec.offset.const_part, times)
@@ -196,20 +201,24 @@ def _simulate_chunks(
     sqrt_h = np.sqrt(h)
     sqrt_t0 = np.sqrt(t0) if t0 > 0.0 else 0.0
 
-    # Mean-channel contributions to drift, diffusion, and control at nodes.
+    # Mean-channel contributions to control, drift and diffusion at nodes;
+    # drift and diffusion are stacked as the node map stacks their rows.
     mean_u = np.einsum("kij,kj->ki", mf_n, EX) + v0_n
-    mean_drift = np.einsum("kij,kj->ki", Ab_n, EX) + np.einsum(
-        "kij,kj->ki", Bb_n, EU
-    ) + b0_n
-    mean_diff = np.einsum("kij,kj->ki", Cb_n, EX) + np.einsum(
-        "kij,kj->ki", Db_n, EU
-    ) + s0_n
+    mean_drift = np.einsum("kij,kj->ki", tab.stack("A_bar"), EX) + np.einsum(
+        "kij,kj->ki", tab.stack("B_bar"), EU
+    ) + tab.stack("b0")
+    mean_diff = np.einsum("kij,kj->ki", tab.stack("C_bar"), EX) + np.einsum(
+        "kij,kj->ki", tab.stack("D_bar"), EU
+    ) + tab.stack("sigma0")
+    mean_step = np.concatenate((mean_drift, mean_diff), axis=1)
+    riding_step = np.concatenate((tab.stack("b1"), tab.stack("sigma1")), axis=1)
 
     costs = []
     extra_acc = [[] for _ in extras]
     sum_X = np.zeros((K + 1, n))
     sum_term = np.zeros(n)
     sum_term_outer = np.zeros((n, n))
+    dW_buf = np.empty((K, min(CHUNK, n_paths)))
 
     n_chunks = (n_paths + CHUNK - 1) // CHUNK
     for c in range(n_chunks):
@@ -217,34 +226,47 @@ def _simulate_chunks(
         rng = _chunk_rng(seed, c)
         gauss = rng.standard_normal((bsz, law.indep_load.shape[1]))
         z0 = rng.standard_normal(bsz)
-        dW = sqrt_h * rng.standard_normal((bsz, K))
+        dW = dW_buf[:, :bsz]
+        np.multiply(rng.standard_normal((bsz, K)).T, sqrt_h, out=dW)
 
         W0 = sqrt_t0 * z0
         W = W0.copy()
-        X = law.mean + W0[:, None] * law.brownian_load + gauss @ law.indep_load.T
+        anchor = W0 if frozen else W  # W advances in place
+        Z = np.empty((d, bsz))
+        X, U = Z[:n], Z[n:]
+        X[...] = (
+            law.mean + W0[:, None] * law.brownian_load + gauss @ law.indep_load.T
+        ).T
+        TZ = np.empty((T.shape[1], bsz))
+        step = TZ[d : d + 2 * n]  # drift rows, then diffusion rows
 
         running = np.zeros(bsz)
         running_extra = [np.zeros(bsz) for _ in extras]
 
         for k in range(K + 1):
-            anchor = W0 if frozen else W
-            U = X @ fb_n[k].T + mean_u[k] + v1_n[k] * anchor[:, None]
-            running += w[k] * tables.node_cost(k, X, U, W)
+            np.matmul(fb_n[k], X, out=U)
+            U += mean_u[k][:, None]
+            U += v1_n[k][:, None] * anchor
+            np.matmul(T[k], Z, out=TZ)
+            running += w[k] * _quadratic_cost(TZ, Z, W)
             for e_idx, fn in enumerate(extras):
-                running_extra[e_idx] += w[k] * fn(k, X - EX[k], U - EU[k], W)
-            sum_X[k] += X.sum(axis=0)
+                running_extra[e_idx] += w[k] * fn(
+                    k, (X - EX[k][:, None]).T, (U - EU[k][:, None]).T, W
+                )
+            sum_X[k] += X.sum(axis=1)
             if k < K:
-                drift = X @ A_n[k].T + U @ B_n[k].T + mean_drift[k] + b1_n[k] * W[:, None]
-                diff = X @ C_n[k].T + U @ D_n[k].T + mean_diff[k] + s1_n[k] * W[:, None]
-                X = X + h * drift + dW[:, k : k + 1] * diff
-                W = W + dW[:, k]
+                step += mean_step[k][:, None]
+                step += riding_step[k][:, None] * W
+                X += h * step[:n]
+                X += dW[k] * step[n:]
+                W += dW[k]
 
-        running += _terminal_cost(p, X, W)
+        running += _quadratic_cost(TG @ X, X, W)
         costs.append(running)
         for e_idx in range(len(extras)):
             extra_acc[e_idx].append(running_extra[e_idx])
-        sum_term += X.sum(axis=0)
-        sum_term_outer += X.T @ X
+        sum_term += X.sum(axis=1)
+        sum_term_outer += X @ X.T
 
     costs = np.concatenate(costs)
     extra_out = [np.concatenate(acc) for acc in extra_acc]
@@ -281,11 +303,10 @@ def simulate(
     grid = p.horizon.with_steps(n_steps)
     tab = tabulate(p, grid)
     EX, EU = _mean_path(tab, spec, law.mean)
-    tables = _CostTables(tab)
-    det_cost = tables.deterministic_cost(p, grid, EX, EU)
+    det_cost = _mean_channel_cost(p, tab, EX, EU)
 
     costs, extra_out, sum_X, sum_term, sum_term_outer = _simulate_chunks(
-        p, tab, tables, spec, law, n_paths, seed, EX, EU, extras
+        p, tab, spec, law, n_paths, seed, EX, EU, extras
     )
     costs = costs + det_cost
 
@@ -343,14 +364,16 @@ def estimate_cost(times: np.ndarray, X: np.ndarray, U: np.ndarray, p: ProblemDat
     EX = X.mean(axis=0)
     EU = U.mean(axis=0)
 
-    tables = _CostTables(tabulate(p, grid))
-    det_cost = tables.deterministic_cost(p, grid, EX, EU)
+    tab = tabulate(p, grid)
+    T = _node_maps(tab)
     w = trapezoid_weights(n_nodes, h)
     per_path = np.zeros(n_paths)
     for k in range(n_nodes):
-        per_path += w[k] * tables.node_cost(k, X[:, k], U[:, k], 0.0)
-    per_path += _terminal_cost(p, X[:, -1], 0.0)
-    per_path += det_cost
+        Z = np.concatenate((X[:, k], U[:, k]), axis=1).T
+        per_path += w[k] * _quadratic_cost(T[k] @ Z, Z, 0.0)
+    XT = X[:, -1].T
+    per_path += _quadratic_cost(_terminal_map(p) @ XT, XT, 0.0)
+    per_path += _mean_channel_cost(p, tab, EX, EU)
 
     mean = float(np.mean(per_path))
     return mean, sample_stderr(per_path)

@@ -253,7 +253,7 @@ def completion_check(
 
     def deviation_term(k, dX, dU, W):
         d = dU - dX @ gain[k].T
-        return np.einsum("bi,ij,bj->b", d, weight[k], d)
+        return np.einsum("bi,bi->b", d @ weight[k], d)
 
     report, (dev_acc,) = sim.simulate(
         p, spec, law, n_paths, n_steps, seed,

@@ -70,6 +70,16 @@ def test_example_refuses_empty_grid_or_dimension(capsys, tmp_path, flags, fragme
     assert not target.exists()
 
 
+@pytest.mark.parametrize("flag", ["--n", "--m"])
+def test_example_names_a_negative_dimension(capsys, flag):
+    """random_spd checks its dimensions before drawing, so a negative one
+    gets the dimension message rather than numpy's shape error."""
+    code, out, err = run(capsys, ["example", "random_spd", flag, "-1"])
+    assert code == 2
+    assert out == ""
+    assert "dimensions n and m must be positive" in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -140,6 +150,16 @@ def test_regularity_flags_range_failure(capsys, tmp_path):
     by_name = {c["name"]: c for c in rep["conditions"]}
     assert abs(by_name["range_dev"]["worst_value"] - 0.5) < 1e-12
     assert rep["rank_dev"] == {"min": 0, "max": 0}
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_regularity_refuses_negative_or_nonfinite_tol(capsys, tmp_path, value):
+    """A negative or NaN tolerance would fail conditions that hold."""
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    code, out, err = run(capsys, ["regularity", path, "--tol", value])
+    assert code == 2
+    assert out == ""
+    assert "--tol must be a finite non-negative number" in err
 
 
 def test_regularity_csv_integrates_the_riccati_pair_once(capsys, tmp_path, monkeypatch):
@@ -360,6 +380,16 @@ def test_verify_qp_gap_fails_with_coarse_oracle(capsys, tmp_path):
     ])
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_verify_refuses_negative_or_nonfinite_qp_tol(capsys, tmp_path, value):
+    """With --qp-tol -1 a 1e-15 gap used to fail the oracle check with exit 4."""
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    code, out, err = run(capsys, ["verify", path, "--suite", "qp", "--qp-tol", value])
+    assert code == 2
+    assert out == ""
+    assert "--qp-tol must be a finite non-negative number" in err
 
 
 def test_verify_explicit_suite_must_apply(capsys, tmp_path):

@@ -1,0 +1,197 @@
+"""The Monte Carlo sweep against a row-layout reference loop.
+
+``sim.simulate`` runs paths along the last axis and prices every node with
+one stacked map of Z = [X; U].  The reference below is the plain
+Euler-Maruyama loop with the state laid out as (paths, n): controls, cost
+terms, drift and diffusion are formed one coefficient at a time.  It draws
+through ``sim._chunk_rng`` in the same order (initial Gaussians, initial
+Brownian value, then a path-major (paths, K) block of increments per
+chunk), so both sweeps see the same Brownian paths and may differ only by
+the order of floating-point sums.  Every output must agree to
+1e-12 * (1 + |x|).
+"""
+
+import numpy as np
+import pytest
+
+from mflq import sim
+from mflq.presets import example31, example31_null_control, random_spd
+from mflq.problem import (
+    InitialLaw,
+    TimeGrid,
+    make_problem,
+    sample_path,
+    tabulate,
+)
+from mflq.quadrature import trapezoid, trapezoid_weights
+from mflq.synthesis import synthesize
+from test_nodewise_reference import time_varying_problem
+
+TOL = 1e-12
+
+
+def close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    err = np.max(np.abs(got - want) / (1.0 + np.abs(want)))
+    assert err <= TOL, err
+
+
+def mean_channel_cost(p, tab, EX, EU):
+    st = tab.stack
+    running = (
+        np.einsum("ki,kij,kj->k", EX, st("Q_bar"), EX)
+        + 2.0 * np.einsum("ki,kij,kj->k", EU, st("S_bar"), EX)
+        + np.einsum("ki,kij,kj->k", EU, st("R_bar"), EU)
+        + 2.0 * np.sum(EX * st("q_bar"), axis=1)
+        + 2.0 * np.sum(EU * st("rho_bar"), axis=1)
+    )
+    terminal = EX[-1] @ (p.G_bar @ EX[-1]) + 2.0 * (p.g_bar @ EX[-1])
+    return float(trapezoid(running, tab.grid.h) + terminal)
+
+
+def node_cost(st, k, X, U, W):
+    """Running integrand at node k; X (paths, n), U (paths, m), W (paths,)."""
+    out = np.einsum("bi,ij,bj->b", X, st("Q")[k], X)
+    out += 2.0 * np.einsum("bi,ij,bj->b", U, st("S")[k], X)
+    out += np.einsum("bi,ij,bj->b", U, st("R")[k], U)
+    out += 2.0 * (X @ st("q0")[k] + (X @ st("q1")[k]) * W)
+    out += 2.0 * (U @ st("rho0")[k] + (U @ st("rho1")[k]) * W)
+    return out
+
+
+def terminal_cost(p, X, W):
+    return np.einsum("bi,ij,bj->b", X, p.G, X) + 2.0 * (X @ p.g0 + (X @ p.g1) * W)
+
+
+def reference_simulate(p, spec, law, n_paths, n_steps, seed, extra):
+    """Row-layout Euler-Maruyama: per-path costs, state sums, extra totals."""
+    grid = p.horizon.with_steps(n_steps)
+    K, h, times = grid.n_steps, grid.h, grid.nodes
+    tab = tabulate(p, grid)
+    st = tab.stack
+    EX, EU = sim.mean_ode(p, spec, law.mean, n_steps=n_steps)
+    fb = sample_path(spec.feedback, times)
+    mf = sample_path(spec.mean_feedback, times)
+    v0 = sample_path(spec.offset.const_part, times)
+    v1 = sample_path(spec.offset.noise_part, times)
+    mean_u = np.einsum("kij,kj->ki", mf, EX) + v0
+    mean_drift = (np.einsum("kij,kj->ki", st("A_bar"), EX)
+                  + np.einsum("kij,kj->ki", st("B_bar"), EU) + st("b0"))
+    mean_diff = (np.einsum("kij,kj->ki", st("C_bar"), EX)
+                 + np.einsum("kij,kj->ki", st("D_bar"), EU) + st("sigma0"))
+    w = trapezoid_weights(K + 1, h)
+    sqrt_t0 = np.sqrt(grid.t0)
+
+    costs, extras = [], []
+    sum_X = np.zeros((K + 1, p.n))
+    sum_term = np.zeros(p.n)
+    sum_outer = np.zeros((p.n, p.n))
+    for c in range(-(-n_paths // sim.CHUNK)):
+        bsz = min(sim.CHUNK, n_paths - c * sim.CHUNK)
+        rng = sim._chunk_rng(seed, c)
+        gauss = rng.standard_normal((bsz, law.indep_load.shape[1]))
+        W0 = sqrt_t0 * rng.standard_normal(bsz)
+        dW = np.sqrt(h) * rng.standard_normal((bsz, K))
+        W = W0.copy()
+        X = law.mean + W0[:, None] * law.brownian_load + gauss @ law.indep_load.T
+        running = np.zeros(bsz)
+        acc = np.zeros(bsz)
+        for k in range(K + 1):
+            anchor = W0 if spec.offset.frozen_at_start else W
+            U = X @ fb[k].T + mean_u[k] + v1[k] * anchor[:, None]
+            running += w[k] * node_cost(st, k, X, U, W)
+            acc += w[k] * extra(k, X - EX[k], U - EU[k], W)
+            sum_X[k] += X.sum(axis=0)
+            if k < K:
+                drift = (X @ st("A")[k].T + U @ st("B")[k].T + mean_drift[k]
+                         + st("b1")[k] * W[:, None])
+                diff = (X @ st("C")[k].T + U @ st("D")[k].T + mean_diff[k]
+                        + st("sigma1")[k] * W[:, None])
+                X = X + h * drift + dW[:, k : k + 1] * diff
+                W = W + dW[:, k]
+        costs.append(running + terminal_cost(p, X, W))
+        extras.append(acc)
+        sum_term += X.sum(axis=0)
+        sum_outer += X.T @ X
+    costs = np.concatenate(costs) + mean_channel_cost(p, tab, EX, EU)
+    return costs, np.concatenate(extras), sum_X, sum_term, sum_outer
+
+
+def extra_term(k, dX, dU, W):
+    """An integrand that reads every argument and checks the (paths, dim) contract."""
+    assert dX.shape == (W.shape[0], dX.shape[1]) and dU.shape[0] == W.shape[0]
+    return (dX[:, 0] + 0.1 * k) * dU[:, -1] + W * dX.sum(axis=1) + dU[:, 0] ** 2
+
+
+def assert_agrees(p, spec, law, n_paths, n_steps, seed=5):
+    rep, (acc,) = sim.simulate(p, spec, law, n_paths, n_steps, seed,
+                               extras=(extra_term,), keep_costs=True)
+    costs, ref_acc, sum_X, sum_term, sum_outer = reference_simulate(
+        p, spec, law, n_paths, n_steps, seed, extra_term)
+    close(rep.per_path_costs, costs)
+    close(acc, ref_acc)
+    close(rep.sample_mean_path, sum_X / n_paths)
+    close(rep.terminal_mean, sum_term / n_paths)
+    close(rep.terminal_second_moment, sum_outer / n_paths)
+    assert abs(rep.cost_mean - np.mean(costs)) <= TOL * abs(np.mean(costs))
+    assert abs(rep.cost_stderr - sim.sample_stderr(costs)) <= (
+        TOL * sim.sample_stderr(costs))
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (1, 2)])
+def test_inhomogeneous_random_spd_agrees(n, m):
+    """Brownian-riding b1, sigma1, q1, rho1 and g1, start time 0.5, and an
+    initial law with Brownian and independent loads."""
+    p, law = random_spd(3, n=n, m=m, n_steps=40)
+    assert p.horizon.t0 == 0.5
+    assert np.any(law.brownian_load != 0.0) and np.any(law.indep_load != 0.0)
+    assert_agrees(p, synthesize(p).strategy, law, 3000, 30)
+
+
+def test_frozen_offset_agrees():
+    """example31's null control: an offset anchored at W(t0), not at W(s)."""
+    p, _ = example31(n_steps=40)
+    law = InitialLaw(np.zeros(1), np.ones(1), np.zeros((1, 1)))
+    spec = example31_null_control()
+    assert spec.offset.frozen_at_start
+    assert_agrees(p, spec, law, 2000, 40)
+
+
+def test_time_varying_coefficients_agree():
+    p = time_varying_problem()
+    law = InitialLaw([0.3, -0.4], [0.2, 0.1], [[0.3, 0.0], [0.1, 0.2]])
+    assert_agrees(p, synthesize(p).strategy, law, 2000, 30)
+
+
+def test_short_last_chunk_agrees():
+    """CHUNK + 7 paths: the last chunk fills 7 columns of the shared buffer."""
+    p, law = random_spd(4, n=2, m=2, n_steps=20)
+    assert_agrees(p, synthesize(p).strategy, law, sim.CHUNK + 7, 20)
+
+
+def test_estimate_cost_matches_row_layout_formula():
+    K = 12
+    g = TimeGrid(0.0, 1.0, K)
+    Q = np.stack([[[1.0 + t, 0.2], [0.2, 0.5]] for t in g.nodes])
+    p = make_problem(
+        2, 1, g, A=0.1 * np.eye(2), B=[[1.0], [0.5]],
+        Q=Q, Q_bar=0.3 * np.eye(2),
+        S=[[0.1, -0.2]], S_bar=[[0.05, 0.0]], R=2.0, R_bar=0.5,
+        G=[[1.0, 0.1], [0.1, 2.0]], G_bar=0.2 * np.eye(2),
+        q=([0.3, -0.1], [0.0, 0.0]), rho=([0.4], [0.0]),
+        q_bar=[0.1, 0.2], rho_bar=[-0.3], g0=[0.2, -0.1], g_bar=[0.1, 0.0],
+    )
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(300, K + 1, 2))
+    U = rng.normal(size=(300, K + 1, 1))
+    mean, stderr = sim.estimate_cost(g.nodes, X, U, p)
+
+    tab = tabulate(p, g)
+    w = trapezoid_weights(K + 1, g.h)
+    ref = sum(w[k] * node_cost(tab.stack, k, X[:, k], U[:, k], 0.0)
+              for k in range(K + 1))
+    ref = ref + terminal_cost(p, X[:, -1], 0.0)
+    ref = ref + mean_channel_cost(p, tab, X.mean(axis=0), U.mean(axis=0))
+    assert abs(mean - ref.mean()) <= TOL * (1.0 + abs(ref.mean()))
+    assert abs(stderr - sim.sample_stderr(ref)) <= TOL * sim.sample_stderr(ref)
