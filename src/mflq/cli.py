@@ -33,6 +33,7 @@ from .problem import (
     MatrixPath,
     NoiseAffinePath,
     ProblemData,
+    sample_path,
     strip_inhomogeneous,
 )
 from .riccati import DEFAULT_REG_TOL, assess_regularity, integrate_gre
@@ -223,24 +224,22 @@ def cmd_solve(args) -> int:
         times = _parse_floats(args.at, "--at")
     else:
         times = [grid.t0, 0.5 * (grid.t0 + grid.tT), grid.tT]
-    for t in times:
-        grid.locate(t)  # raises ValueError outside the horizon
-
-    P_path = MatrixPath.sampled(grid, sol.gre.P)
-    Pm_path = MatrixPath.sampled(grid, sol.gre.P_mean)
-    samples = []
-    for t in times:
-        samples.append({
-            "time": t,
-            "P": P_path.at(t),
-            "P_mean": Pm_path.at(t),
-            "gain_dev": sol.strategy.feedback.at(t),
-            "gain_mean": (
-                sol.strategy.feedback.at(t) + sol.strategy.mean_feedback.at(t)
-            ),
-            "offset_const": sol.strategy.offset.const_part.at(t),
-            "offset_noise": sol.strategy.offset.noise_part.at(t),
-        })
+    spec = sol.strategy
+    paths = {
+        "P": MatrixPath.sampled(grid, sol.gre.P),
+        "P_mean": MatrixPath.sampled(grid, sol.gre.P_mean),
+        "gain_dev": spec.feedback,
+        "mean_feedback": spec.mean_feedback,
+        "offset_const": spec.offset.const_part,
+        "offset_noise": spec.offset.noise_part,
+    }
+    # sample_path raises ValueError for a time outside the horizon
+    stacks = {name: sample_path(path, times) for name, path in paths.items()}
+    stacks["gain_mean"] = stacks["gain_dev"] + stacks.pop("mean_feedback")
+    samples = [
+        {"time": t, **{name: values[j] for name, values in stacks.items()}}
+        for j, t in enumerate(times)
+    ]
 
     corr = sol.affine.corrections
     report = {

@@ -126,7 +126,10 @@ class _Reader:
             self.fail(where, f"missing field {key!r}")
             return default
         value = doc[key]
-        if types is not None and not isinstance(value, types):
+        # JSON true/false load as bool, which Python counts as an int.
+        if types is not None and (
+            isinstance(value, bool) or not isinstance(value, types)
+        ):
             self.fail(f"{where}.{key}", f"unexpected type {type(value).__name__}")
             return default
         return value
@@ -137,6 +140,9 @@ class _Reader:
             return None
         if len(value) != count:
             self.fail(where, f"expected {count} entries, got {len(value)}")
+            return None
+        if any(isinstance(v, bool) for v in value):
+            self.fail(where, "entries are not all numeric")
             return None
         try:
             arr = np.asarray(value, dtype=float)

@@ -68,19 +68,21 @@ class TimeGrid:
     def with_steps(self, n_steps: int) -> "TimeGrid":
         return TimeGrid(self.t0, self.tT, n_steps)
 
-    def locate(self, s: float) -> float:
-        """Map a time to grid coordinates (node index plus fraction).
+    def locate(self, s):
+        """Map times to grid coordinates (node index plus fraction).
 
         Times within a small relative slack of the endpoints are clamped;
-        anything further outside raises a ValueError.
+        a time further outside, or not finite, raises a ValueError.
         """
+        s = np.asarray(s, dtype=float)
         slack = _TIME_SLACK * max(self.span, 1.0)
-        if s < self.t0 - slack or s > self.tT + slack:
+        outside = ~((s >= self.t0 - slack) & (s <= self.tT + slack))
+        if np.any(outside):
+            bad = float(s[outside].flat[0])
             raise ValueError(
-                f"time {s!r} lies outside the horizon [{self.t0}, {self.tT}]"
+                f"time {bad!r} lies outside the horizon [{self.t0}, {self.tT}]"
             )
-        x = (s - self.t0) / self.h
-        return min(max(x, 0.0), float(self.n_steps))
+        return np.clip((s - self.t0) / self.h, 0.0, float(self.n_steps))
 
 
 @dataclass(frozen=True)
@@ -125,15 +127,7 @@ class MatrixPath:
         return self.values.shape[1:]
 
     def at(self, s: float) -> np.ndarray:
-        if self.is_constant:
-            return self.values
-        x = self.grid.locate(s)
-        k = int(round(x))
-        if abs(x - k) < 1e-9:
-            return self.values[k]
-        i = int(math.floor(x))
-        w = x - i
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        return sample_path(self, s)
 
     def add_constant(self, bump) -> "MatrixPath":
         """Return the path shifted by a constant array of the same shape."""
@@ -152,17 +146,19 @@ def eval_path(path: MatrixPath, s: float) -> np.ndarray:
     return path.at(s)
 
 
-def sample_path(path: MatrixPath, times: np.ndarray) -> np.ndarray:
-    """Evaluate a path at an array of times, stacked along a new first axis."""
+def sample_path(path: MatrixPath, times) -> np.ndarray:
+    """Evaluate a path at an array of times, stacked along the times' axes."""
     times = np.asarray(times, dtype=float)
     if path.is_constant:
-        return np.broadcast_to(
-            path.values, times.shape + path.values.shape
-        ).copy()
-    out = np.empty(times.shape + path.shape)
-    for idx, s in np.ndenumerate(times):
-        out[idx] = path.at(s)
-    return out
+        return np.broadcast_to(path.values, times.shape + path.shape).copy()
+    x = path.grid.locate(times).ravel()
+    i = np.minimum(np.floor(x), path.grid.n_steps - 1).astype(int)
+    w = (x - i).reshape(x.shape + (1,) * len(path.shape))
+    out = (1.0 - w) * path.values[i] + w * path.values[i + 1]
+    k = np.rint(x).astype(int)
+    snap = np.abs(x - k) < 1e-9
+    out[snap] = path.values[k[snap]]
+    return out.reshape(times.shape + path.shape)
 
 
 @dataclass(frozen=True)
@@ -567,7 +563,6 @@ def nodes_and_midpoints(path: MatrixPath, grid: TimeGrid):
     """
     times = grid.nodes
     node_vals = sample_path(path, times)
-    mids = 0.5 * (times[:-1] + times[1:])
     if path.is_constant or (
         path.grid.n_steps == grid.n_steps
         and abs(path.grid.t0 - grid.t0) < 1e-12
@@ -576,7 +571,7 @@ def nodes_and_midpoints(path: MatrixPath, grid: TimeGrid):
         # Linear interpolation at midpoints of the same grid is the average.
         mid_vals = 0.5 * (node_vals[:-1] + node_vals[1:])
     else:
-        mid_vals = sample_path(path, mids)
+        mid_vals = sample_path(path, 0.5 * (times[:-1] + times[1:]))
     return node_vals, mid_vals
 
 

@@ -24,7 +24,6 @@ from .problem import (
     ProblemData,
     TimeGrid,
     nodes_and_midpoints,
-    sample_path,
     tabulate,
 )
 from .quadrature import linear_rk4, trapezoid, trapezoid_weights
@@ -84,15 +83,20 @@ def mean_ode(
     m0 = np.atleast_1d(np.asarray(m0, dtype=float))
     if m0.shape != (p.n,):
         raise ValidationError(f"initial mean: expected shape ({p.n},), got {m0.shape}")
-    return _mean_path(tabulate(p, grid), spec, m0)
+    return _mean_path(tabulate(p, grid), _control_samples(spec, grid), m0)
 
 
-def _mean_path(tab: CoefficientTable, spec: ControlSpec, m0: np.ndarray):
-    """The mean ODE of ``mean_ode`` over a tabulated problem."""
-    grid = tab.grid
-    fb_n, fb_m = nodes_and_midpoints(spec.feedback, grid)
-    mf_n, mf_m = nodes_and_midpoints(spec.mean_feedback, grid)
-    v0_n, v0_m = nodes_and_midpoints(spec.offset.const_part, grid)
+def _control_samples(spec: ControlSpec, grid: TimeGrid):
+    """(node, mid) samples of the feedback, the mean feedback and the offset's
+    constant and noise parts, in that order."""
+    paths = (spec.feedback, spec.mean_feedback,
+             spec.offset.const_part, spec.offset.noise_part)
+    return tuple(nodes_and_midpoints(path, grid) for path in paths)
+
+
+def _mean_path(tab: CoefficientTable, control, m0: np.ndarray):
+    """The mean ODE of ``mean_ode`` over a tabulated problem and control law."""
+    (fb_n, fb_m), (mf_n, mf_m), (v0_n, v0_m), _ = control
 
     def ode(c, gain, v0):
         B = c["B"] + c["B_bar"]
@@ -101,7 +105,7 @@ def _mean_path(tab: CoefficientTable, spec: ControlSpec, m0: np.ndarray):
     gain_n = fb_n + mf_n
     L_n, g_n = ode(tab.node, gain_n, v0_n)
     L_m, g_m = ode(tab.mid, fb_m + mf_m, v0_m)
-    EX = linear_rk4(grid, L_n, g_n, L_m, g_m, m0, "state mean")
+    EX = linear_rk4(tab.grid, L_n, g_n, L_m, g_m, m0, "state mean")
     EU = np.einsum("kij,kj->ki", gain_n, EX) + v0_n
     return EX, EU
 
@@ -155,14 +159,15 @@ def _mean_channel_cost(
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(chunk_index)])
+    key = np.array([np.uint64(seed), np.uint64(chunk_index)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _simulate_chunks(
     p: ProblemData,
     tab: CoefficientTable,
-    spec: ControlSpec,
+    control,
+    frozen: bool,
     law: InitialLaw,
     n_paths: int,
     seed: int,
@@ -173,6 +178,7 @@ def _simulate_chunks(
     """Core Euler-Maruyama sweep over path chunks.
 
     Returns (costs, extra_accumulators, sum_state_per_node, terminal sums).
+    ``control`` is from ``_control_samples``; ``frozen`` pins the offset's W at W(t0).
     ``extras`` are per-node integrands f(k, X - EX[k], U - EU[k], W) -> (B,),
     accumulated with the same trapezoid weights as the running cost.
 
@@ -185,17 +191,12 @@ def _simulate_chunks(
     grid = tab.grid
     K, h = grid.n_steps, grid.h
     t0 = grid.t0
-    times = grid.nodes
     n = p.n
     d = n + p.m
 
     T = _node_maps(tab)
     TG = _terminal_map(p)
-    fb_n = sample_path(spec.feedback, times)
-    mf_n = sample_path(spec.mean_feedback, times)
-    v0_n = sample_path(spec.offset.const_part, times)
-    v1_n = sample_path(spec.offset.noise_part, times)
-    frozen = spec.offset.frozen_at_start
+    (fb_n, _), (mf_n, _), (v0_n, _), (v1_n, _) = control
 
     w = trapezoid_weights(K + 1, h)
     sqrt_h = np.sqrt(h)
@@ -296,17 +297,21 @@ def simulate(
     """
     if n_paths < 1:
         raise ValidationError("n_paths must be positive")
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
     if law.dim != p.n:
         raise ValidationError(
             f"initial law dimension {law.dim} does not match state dimension {p.n}"
         )
     grid = p.horizon.with_steps(n_steps)
     tab = tabulate(p, grid)
-    EX, EU = _mean_path(tab, spec, law.mean)
+    control = _control_samples(spec, grid)
+    EX, EU = _mean_path(tab, control, law.mean)
     det_cost = _mean_channel_cost(p, tab, EX, EU)
 
     costs, extra_out, sum_X, sum_term, sum_term_outer = _simulate_chunks(
-        p, tab, spec, law, n_paths, seed, EX, EU, extras
+        p, tab, control, spec.offset.frozen_at_start, law, n_paths, seed,
+        EX, EU, extras,
     )
     costs = costs + det_cost
 

@@ -27,6 +27,7 @@ from .problem import (
     NoiseAffinePath,
     ProblemData,
     sample_path,
+    tabulate,
 )
 from .quadrature import trapezoid
 from .riccati import GreSolution
@@ -136,16 +137,16 @@ def qp_oracle(p: ProblemData, x, K: int) -> QpOracleResult:
         raise ValueError(f"initial state must have shape ({n},)")
     grid = p.horizon.with_steps(K)
     h = grid.h
-    times = grid.nodes[:-1]
-
-    Ah = sample_path(p.A, times) + sample_path(p.A_bar, times)
-    Bh = sample_path(p.B, times) + sample_path(p.B_bar, times)
-    Qh = sample_path(p.Q, times) + sample_path(p.Q_bar, times)
-    Sh = sample_path(p.S, times) + sample_path(p.S_bar, times)
-    Rh = sample_path(p.R, times) + sample_path(p.R_bar, times)
-    qh = sample_path(p.q.const_part, times) + sample_path(p.q_bar, times)
-    rh = sample_path(p.rho.const_part, times) + sample_path(p.rho_bar, times)
-    bh = sample_path(p.b.const_part, times)
+    tab = tabulate(p, grid)
+    node = {name: tab.stack(name)[:K] for name in tab.node}  # left interval ends
+    Ah = node["A"] + node["A_bar"]
+    Bh = node["B"] + node["B_bar"]
+    Qh = node["Q"] + node["Q_bar"]
+    Sh = node["S"] + node["S_bar"]
+    Rh = node["R"] + node["R_bar"]
+    qh = node["q0"] + node["q_bar"]
+    rh = node["rho0"] + node["rho_bar"]
+    bh = node["b0"]
     Gh = p.G + p.G_bar
     gh = p.g0 + p.g_bar
 
@@ -312,6 +313,11 @@ def lower_bound_battery(
     if n_controls < 1:
         raise ValueError(
             f"lower_bound_battery needs n_controls >= 1, got {n_controls}"
+        )
+    if not (0 <= seed and seed + n_controls < 2**64):
+        raise ValueError(
+            f"lower_bound_battery needs 0 <= seed and seed + n_controls "
+            f"< 2**64, got seed {seed} with {n_controls} controls"
         )
     v = value(sol, law) if value_override is None else float(value_override)
     steps = sol.grid.n_steps if n_steps is None else n_steps

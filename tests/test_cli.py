@@ -136,6 +136,27 @@ def test_malformed_document_exits_2(capsys, tmp_path):
     assert "invalid:" in err
 
 
+@pytest.mark.parametrize("section, field, value, where", [
+    ("horizon", "steps", True, "horizon.steps"),
+    ("dims", "n", True, "dims.n"),
+    ("horizon", "T", True, "horizon.T"),
+    ("coefficients", "B", [True], "coefficients.B"),
+])
+def test_json_booleans_are_not_numbers(capsys, tmp_path, section, field,
+                                       value, where):
+    """JSON true loads as a Python bool, which is an int; a document that
+    gives one where a number belongs is refused, naming the field."""
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    doc = json.loads(open(path).read())
+    doc[section][field] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, ["solve", path])
+    assert code == 2
+    assert out == ""
+    assert f"invalid: {where}:" in err
+
+
 # ---------------------------------------------------------------------------
 # regularity
 
@@ -431,6 +452,24 @@ def test_verify_battery_on_solvable_instance(capsys, tmp_path):
     rep = json.loads(out)
     names = [c["name"] for c in rep["suites"]["battery"]["checks"]]
     assert "lower_bound" in names and "optimal_attains_value" in names
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1"],
+    ["simulate", "--seed", str(2**64 + 1)],
+    ["verify", "--suite", "battery", "--seed", "-1"],
+    ["verify", "--suite", "battery", "--controls", "2", "--seed", str(2**64 - 2)],
+])
+def test_seeds_outside_the_generator_range_are_refused(capsys, tmp_path, argv):
+    """A seed is one unsigned 64-bit key word: -1 and 2**64 + 1 would alias
+    2**64 - 1 and 1, and the battery keys its strategies with seed + 1 up to
+    seed + controls."""
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    code, out, err = run(capsys, [argv[0], path, "--paths", "20",
+                                  "--steps", "20"] + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
 
 
 def _count_calls(monkeypatch, bindings):

@@ -182,6 +182,18 @@ def test_simulate_validates_inputs():
         simulate(p, sol.strategy, bad_law, n_paths=10, n_steps=50, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_simulate_refuses_seeds_outside_the_key_range(seed):
+    """The seed is one unsigned 64-bit key word; outside [0, 2**64) it would
+    alias another seed's draws."""
+    p, law = scalar_classic(n_steps=20)
+    spec = ControlSpec.zero(1, 1)
+    with pytest.raises(ValidationError, match="seed"):
+        simulate(p, spec, law, n_paths=10, n_steps=20, seed=seed)
+    top = simulate(p, spec, law, n_paths=10, n_steps=20, seed=2**64 - 1)
+    assert top.seed == 2**64 - 1
+
+
 def test_frozen_offset_uses_entry_time_brownian_value():
     """A pure-offset control with the noise part frozen at the entry time
     applies u = W(t0) throughout; started from zero state with dX = u ds the

@@ -196,6 +196,16 @@ def test_battery_requires_a_control(n_controls):
                             seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64 - 3])
+def test_battery_refuses_seeds_outside_the_key_range(seed):
+    """The battery keys strategy i with seed + 1 + i, so seed + n_controls
+    must stay below 2**64 as well."""
+    p, law = scalar_classic(n_steps=50)
+    sol = synthesize(p)
+    with pytest.raises(ValueError, match="seed"):
+        lower_bound_battery(p, sol, law, n_controls=3, n_paths=20, seed=seed)
+
+
 def test_degeneration_exact_without_bars():
     """Zero mean coupling routes both channels through the same arithmetic,
     so the discrepancy is exactly zero, not merely small."""
