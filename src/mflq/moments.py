@@ -20,7 +20,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import FiniteEscapeError
-from .problem import MatrixPath, ProblemData, TimeGrid, nodes_and_midpoints, tabulate
+from .problem import (
+    MatrixPath,
+    ProblemData,
+    TimeGrid,
+    nodes_and_midpoints,
+    sample_path,
+    tabulate,
+)
 from .quadrature import BLOWUP_NORM, rk4_steps, trapezoid_weights
 
 
@@ -51,30 +58,35 @@ def _require_homogeneous(p: ProblemData):
         )
 
 
-def _as_gain_stack(gain, grid: TimeGrid, m: int, n: int):
-    """Normalise one gain to node and midpoint sample stacks.
+def _gain_nodes(gain, grid: TimeGrid, m: int, n: int):
+    """Node samples of one gain, with a leading batch axis of length one.
 
     Accepts a MatrixPath, a scalar (filled across all entries), a constant
-    (m, n) array or a sampled (K+1, m, n) stack.  Returns (nodes, mids)
-    with a leading batch axis of length one.
+    (m, n) array or a sampled (K+1, m, n) stack; returns (1, K+1, m, n).
     """
     K = grid.n_steps
     if isinstance(gain, MatrixPath):
-        node, mid = nodes_and_midpoints(gain, grid)
-        return node[None], mid[None]
+        return sample_path(gain, grid.nodes)[None]
     arr = np.asarray(gain, dtype=float)
     if arr.ndim == 0:
         arr = np.full((m, n), float(arr))
     if arr.shape == (m, n):
-        node = np.broadcast_to(arr, (1, K + 1, m, n)).copy()
-        mid = np.broadcast_to(arr, (1, K, m, n)).copy()
-        return node, mid
+        return np.broadcast_to(arr, (1, K + 1, m, n)).copy()
     if arr.shape == (K + 1, m, n):
-        return _as_batch_stack(arr[None], grid, m, n)
+        return arr[None]
     raise ValueError(
         f"cannot interpret gain of shape {arr.shape}; expected ({m}, {n}), "
         f"({K + 1}, {m}, {n}) or a MatrixPath"
     )
+
+
+def _as_gain_stack(gain, grid: TimeGrid, m: int, n: int):
+    """Node and midpoint sample stacks of one gain in a form ``_gain_nodes``
+    accepts, each with a leading batch axis of length one."""
+    if isinstance(gain, MatrixPath):
+        node, mid = nodes_and_midpoints(gain, grid)
+        return node[None], mid[None]
+    return _as_batch_stack(_gain_nodes(gain, grid, m, n), grid, m, n)
 
 
 def _as_batch_stack(gains, grid: TimeGrid, m: int, n: int):
@@ -223,8 +235,8 @@ def homogeneous_cost(p: ProblemData, feedback, mean_feedback, mp: MomentPath) ->
     """
     _require_homogeneous(p)
     grid = mp.grid
-    fb_n, _ = _as_gain_stack(feedback, grid, p.m, p.n)
-    mf_n, _ = _as_gain_stack(mean_feedback, grid, p.m, p.n)
+    fb_n = _gain_nodes(feedback, grid, p.m, p.n)
+    mf_n = _gain_nodes(mean_feedback, grid, p.m, p.n)
     M, N = _cost_mats(tabulate(p, grid).node, fb_n, mf_n)
     w = trapezoid_weights(grid.n_steps + 1, grid.h)
     running = float(
@@ -292,8 +304,8 @@ def stationarity_residual(
     _require_homogeneous(p)
     grid = p.horizon
     m, n = p.m, p.n
-    fb_n, _ = _as_gain_stack(feedback, grid, m, n)
-    mf_n, _ = _as_gain_stack(mean_feedback, grid, m, n)
+    fb_n = _gain_nodes(feedback, grid, m, n)
+    mf_n = _gain_nodes(mean_feedback, grid, m, n)
 
     n_entries = m * n
     Bsz = 4 * n_entries

@@ -106,6 +106,8 @@ def random_spd(
     # Checked before the first draw, whose own error would not name the field.
     if n < 1 or m < 1:
         raise ValidationError("dimensions n and m must be positive")
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
     rng = np.random.Generator(
         np.random.Philox(key=np.array([np.uint64(seed), np.uint64(0xA11CE)]))
     )

@@ -3,14 +3,28 @@
 The deviation channel matrix P weighs fluctuations of the state around its
 mean; the mean channel matrix weighs the mean itself and is coupled to P
 through the diffusion terms.  Both equations share one algebraic shape, so
-the two channels travel stacked along a leading axis of length two and a
-single right-hand side serves both: the mean channel simply receives the
-summed (coefficient + mean-coefficient) matrices and P as the inner
-diffusion weight, and one batched symmetric eigendecomposition factors both
-input weights.  A consequence worth keeping: when every mean-coupling
-coefficient vanishes the two stacked channels still perform identical float
-operations, each batch element computed on its own, so their outputs agree
-bit for bit (P == P_mean and equal gains).
+the two channels travel stacked along a leading axis of length two and one
+kernel serves both: the mean channel simply receives the summed
+(coefficient + mean-coefficient) matrices and P as the inner diffusion
+weight.
+
+The coefficients enter as three maps of the stacked vector [x; u]: the
+drift F = [A B], the diffusion G = [C D] and the running weight
+H = [[Q S^T], [S R]].  For a channel matrix M the kernel builds one
+(n+m)-square Hamiltonian block from them, whose blocks are the linear part
+M A + A^T M + C^T P C + Q of the rate, the cross term B^T M + D^T P C + S
+and the input weight W = R + D^T P D.  One batched symmetric
+eigendecomposition W = V diag(lambda) V^T factors both channels' weights,
+and the quadratic term cross^T W^+ cross is applied in its eigenbasis as
+U^T diag(1/lambda) U with U = V^T cross, over the retained eigenvalues; no
+pseudo-inverse matrix is formed.  The node and midpoint passes build the
+block in fixed runs of grid points and factor all of a grid's weights in
+one batch.
+
+A consequence worth keeping: when every mean-coupling coefficient vanishes
+the two stacked channels still perform identical float operations, each
+batch element computed on its own, so their outputs agree bit for bit
+(P == P_mean and equal gains).
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .problem import CoefficientTable, MatrixPath, ProblemData, TimeGrid, tabulate
-from .quadrature import BLOWUP_NORM  # noqa: F401  (one of this module's public names)
+from .quadrature import BLOWUP_NORM
 from .quadrature import _check_finite, rk4_steps, trapezoid
 
 # A retained singular value within this factor of the pinv cutoff marks the
@@ -34,6 +48,14 @@ DEFAULT_REG_TOL = 1e-8
 # Coefficients that enter the Riccati pair; each has a mean companion
 # ``<name>_bar`` that the mean channel adds to it.
 _CHANNEL_NAMES = ("A", "B", "C", "D", "Q", "S", "R")
+
+# Grid points per Hamiltonian build in the node and midpoint passes: it
+# bounds the size of the build's temporaries however fine the grid.
+_RUN = 256
+
+# A step whose norm over both channels stays below this cannot have let
+# either channel escape, so the named per-channel checks are skipped.
+_ESCAPE_SCREEN = 0.5 * BLOWUP_NORM
 
 
 @dataclass(frozen=True)
@@ -135,64 +157,106 @@ def _channel_pair(coeff, coeff_bar) -> np.ndarray:
     return np.stack(np.broadcast_arrays(coeff, coeff + coeff_bar), axis=-3)
 
 
-def _channel_tables(tab: CoefficientTable):
-    """Channel-stacked coefficients at the nodes and at the midpoints.
+def _join(blocks, axis: int) -> np.ndarray:
+    """Concatenate matrix blocks along ``axis``, broadcasting their leading axes."""
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    return np.concatenate(
+        [np.broadcast_to(b, lead + b.shape[-2:]) for b in blocks], axis=axis
+    )
 
-    Each entry is (2, r, c) when the coefficient and its mean companion are
-    both constant, and (K+1, 2, r, c) / (K, 2, r, c) otherwise.
+
+def _maps(samples):
+    """Channel-stacked drift F = [A B], diffusion G = [C D] and running
+    weight H = [[Q S^T], [S R]] of the stacked vector [x; u].
+
+    ``samples`` maps every coefficient name to its value at one time or to
+    its samples over a grid.  A map is (2, r, c) when all its blocks are
+    constant and (points, 2, r, c) otherwise.
     """
-    def stacked(samples):
-        return tuple(
-            _channel_pair(samples[name], samples[name + "_bar"])
-            for name in _CHANNEL_NAMES
-        )
-
-    return stacked(tab.node), stacked(tab.mid)
-
-
-def _at(tables, k):
-    """Coefficients of one grid point; constant tables pass through."""
-    return tuple(t if t.ndim == 3 else t[k] for t in tables)
+    A, B, C, D, Q, S, R = (
+        _channel_pair(samples[name], samples[name + "_bar"])
+        for name in _CHANNEL_NAMES
+    )
+    H = _join((_join((Q, _mT(S)), -1), _join((S, R), -1)), -2)
+    return _join((A, B), -1), _join((C, D), -1), H
 
 
-def _weights(Y, co):
-    """Inner matrix P, input weights and cross terms of both channels.
+def _at(maps, k):
+    """The maps at grid point(s) k; constant maps pass through."""
+    return tuple(t if t.ndim == 3 else t[k] for t in maps)
 
-    Y stacks (P, P_mean) along the axis before the matrix axes; the
-    deviation matrix P sits inside both channels' weights.
+
+def _hamiltonian(Y, co):
+    """Hamiltonian block Z of both channels, (..., 2, n+m, n+m).
+
+    Z = G^T P G + H, with M F added to its top rows and (M F)^T to its left
+    columns, where M is each channel's matrix and P the deviation one:
+
+        Z = [[M A + A^T M + C^T P C + Q,  .          ],
+             [B^T M + D^T P C + S,        R + D^T P D]].
+
+    Its top-left block is the linear part of the rate, its bottom-left
+    block the cross term and its bottom-right block the input weight W.
     """
-    A, B, C, D, Q, S, R = co
-    P = Y[..., :1, :, :]
-    PD = P @ D
-    W = _sym(R + _mT(D) @ PD)
-    cross = _mT(B) @ Y + _mT(PD) @ C + S
-    return P, W, cross
+    F, G, H = co
+    n = Y.shape[-1]
+    Z = _mT(G) @ (Y[..., :1, :, :] @ G) + H
+    YF = Y @ F
+    top = Z[..., :n, :]
+    top += YF
+    left = Z[..., :n]
+    left += _mT(YF)
+    return Z
 
 
-def _rate(Y, co, cross, pinv_cross):
-    """Time derivative of both channels, dY/ds, given W^+ cross.
+def _eig_inverse(factor: linalg.SymFactor) -> np.ndarray:
+    """1/lambda on the retained eigenvalues of a factored weight, 0 elsewhere."""
+    lam = factor.eigvals
+    return np.divide(1.0, lam, out=np.zeros(lam.shape), where=factor.keep)
 
-    Each channel M solves  dM/ds = cross^T W^+ cross - (M A + A^T M + C^T P C + Q)
-    with W = R + D^T P D and cross = B^T M + D^T P C + S.  Where the gain
-    -W^+ cross is already known, its negation serves as ``pinv_cross``.
+
+def _rate(lin, cross, factor: linalg.SymFactor):
+    """dM/ds = cross^T W^+ cross - lin, with W^+ applied in W's eigenbasis.
+
+    With W = V diag(lambda) V^T and U = V^T cross, the quadratic term is
+    U^T diag(1/lambda) U over the retained eigenvalues.
     """
-    A, B, C, D, Q, S, R = co
-    P = Y[..., :1, :, :]
-    lin = Y @ A + _mT(A) @ Y + _mT(C) @ (P @ C) + Q
-    return _sym(_mT(cross) @ pinv_cross - lin)
+    U = _mT(factor.eigvecs) @ cross
+    return _mT(U) @ (_eig_inverse(factor)[..., None] * U) - lin
+
+
+def _gain(cross, factor: linalg.SymFactor):
+    """Feedback gain -W^+ cross, applied in W's eigenbasis."""
+    V = factor.eigvecs
+    return -(V @ (_eig_inverse(factor)[..., None] * (_mT(V) @ cross)))
 
 
 def _rhs(Y, co):
-    """dY/ds, factoring both channels' input weights in one batch."""
-    _, W, cross = _weights(Y, co)
-    return _rate(Y, co, cross, linalg.sym_factor(W).pinv @ cross)
+    """dY/ds of both channels, factoring their input weights in one batch."""
+    n = Y.shape[-1]
+    Z = _hamiltonian(Y, co)
+    return _rate(Z[..., :n, :n], Z[..., n:, :n], linalg.sym_factor(Z[..., n:, n:]))
+
+
+def _runs(Y, co):
+    """(run, Z) over the grid points of Y in runs of at most _RUN points."""
+    for start in range(0, len(Y), _RUN):
+        run = slice(start, start + _RUN)
+        yield run, _hamiltonian(Y[run], _at(co, run))
 
 
 def _gains(Y, co):
-    """Input weights, cross terms, gains and weight factorization."""
-    _, W, cross = _weights(Y, co)
-    factor = linalg.sym_factor(W)
-    return W, cross, -(factor.pinv @ cross), factor
+    """Input weights, cross terms, gains and weight factorization at every
+    grid point of Y; the weights of all points are factored in one batch."""
+    n, m = Y.shape[-1], co[2].shape[-1] - Y.shape[-1]
+    weight = np.empty(Y.shape[:-2] + (m, m))
+    cross = np.empty(Y.shape[:-2] + (m, n))
+    for run, Z in _runs(Y, co):
+        weight[run] = Z[..., n:, n:]
+        cross[run] = Z[..., n:, :n]
+    weight = _sym(weight)
+    factor = linalg.sym_factor(weight)
+    return weight, cross, _gain(cross, factor), factor
 
 
 def _split(X):
@@ -203,11 +267,12 @@ def _split(X):
 def gre_rhs(P, P_mean, s: float, p: ProblemData):
     """Coupled Riccati right-hand sides (dP/ds, dP_mean/ds) at time s."""
     Y = np.stack((np.asarray(P, dtype=float), np.asarray(P_mean, dtype=float)))
-    co = tuple(
-        _channel_pair(getattr(p, name).at(s), getattr(p, name + "_bar").at(s))
-        for name in _CHANNEL_NAMES
-    )
-    dY = _rhs(Y, co)
+    samples = {
+        name: getattr(p, name).at(s)
+        for base in _CHANNEL_NAMES
+        for name in (base, base + "_bar")
+    }
+    dY = _sym(_rhs(Y, _maps(samples)))
     return dY[0], dY[1]
 
 
@@ -223,7 +288,7 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     K = grid.n_steps
     nodes = grid.nodes
     tab = tabulate(p, grid)
-    co_nodes, co_mids = _channel_tables(tab)
+    co_nodes, co_mids = _maps(tab.node), _maps(tab.mid)
 
     Y = np.empty((K + 1, 2, p.n, p.n))
     Y[K, 0] = _sym(p.G)
@@ -238,8 +303,9 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
         post=_sym,
     )
     for j, y in steps:
-        _check_finite("deviation Riccati matrix", y[0], j, nodes[j])
-        _check_finite("mean Riccati matrix", y[1], j, nodes[j])
+        if not np.linalg.norm(y) <= _ESCAPE_SCREEN:
+            _check_finite("deviation Riccati matrix", y[0], j, nodes[j])
+            _check_finite("mean Riccati matrix", y[1], j, nodes[j])
         Y[j] = y
 
     weight, cross, gain, factor = _gains(Y, co_nodes)
@@ -291,16 +357,18 @@ def hermite_midpoints(values: np.ndarray, deriv: np.ndarray, h: float) -> np.nda
 def dense_midpoints(sol: GreSolution) -> MidpointData:
     """Fourth-order midpoint samples of P, P_mean and the gains.
 
-    The nodal derivatives come from the stored cross terms and gains (the
-    sweep already factored every nodal weight), the midpoint gains from one
-    batched factorization.
+    The nodal derivatives reuse the sweep's factorization of every nodal
+    weight; the midpoint gains come from one batched factorization.
     """
-    co_nodes, co_mids = _channel_tables(sol.table)
+    n = sol.P.shape[-1]
+    lam, V = sol.factor.eigvals, sol.factor.eigvecs
     Y = np.stack((sol.P, sol.P_mean), axis=1)
-    cross = np.stack((sol.cross_term, sol.cross_term_mean), axis=1)
-    gain = np.stack((sol.gain_dev, sol.gain_mean), axis=1)
-    Y_mid = hermite_midpoints(Y, _rate(Y, co_nodes, cross, -gain), sol.grid.h)
-    _, _, gain, _ = _gains(Y_mid, co_mids)
+    deriv = np.empty_like(Y)
+    for run, Z in _runs(Y, _maps(sol.table.node)):
+        factor = linalg.SymFactor(eigvals=lam[run], eigvecs=V[run])
+        deriv[run] = _sym(_rate(Z[..., :n, :n], Z[..., n:, :n], factor))
+    Y_mid = hermite_midpoints(Y, deriv, sol.grid.h)
+    _, _, gain, _ = _gains(Y_mid, _maps(sol.table.mid))
     P_mid, Pm_mid = _split(Y_mid)
     gain_dev, gain_mean = _split(gain)
     return MidpointData(P=P_mid, P_mean=Pm_mid, gain_dev=gain_dev, gain_mean=gain_mean)

@@ -24,6 +24,7 @@ from .problem import (
     ProblemData,
     TimeGrid,
     nodes_and_midpoints,
+    sample_path,
     tabulate,
 )
 from .quadrature import linear_rk4, trapezoid, trapezoid_weights
@@ -88,15 +89,14 @@ def mean_ode(
 
 def _control_samples(spec: ControlSpec, grid: TimeGrid):
     """(node, mid) samples of the feedback, the mean feedback and the offset's
-    constant and noise parts, in that order."""
-    paths = (spec.feedback, spec.mean_feedback,
-             spec.offset.const_part, spec.offset.noise_part)
+    constant part, in that order: the paths the mean ODE reads."""
+    paths = (spec.feedback, spec.mean_feedback, spec.offset.const_part)
     return tuple(nodes_and_midpoints(path, grid) for path in paths)
 
 
 def _mean_path(tab: CoefficientTable, control, m0: np.ndarray):
     """The mean ODE of ``mean_ode`` over a tabulated problem and control law."""
-    (fb_n, fb_m), (mf_n, mf_m), (v0_n, v0_m), _ = control
+    (fb_n, fb_m), (mf_n, mf_m), (v0_n, v0_m) = control
 
     def ode(c, gain, v0):
         B = c["B"] + c["B_bar"]
@@ -167,6 +167,7 @@ def _simulate_chunks(
     p: ProblemData,
     tab: CoefficientTable,
     control,
+    v1_n: np.ndarray,
     frozen: bool,
     law: InitialLaw,
     n_paths: int,
@@ -178,7 +179,8 @@ def _simulate_chunks(
     """Core Euler-Maruyama sweep over path chunks.
 
     Returns (costs, extra_accumulators, sum_state_per_node, terminal sums).
-    ``control`` is from ``_control_samples``; ``frozen`` pins the offset's W at W(t0).
+    ``control`` is from ``_control_samples`` and ``v1_n`` holds the node
+    samples of the offset's noise part; ``frozen`` pins its W at W(t0).
     ``extras`` are per-node integrands f(k, X - EX[k], U - EU[k], W) -> (B,),
     accumulated with the same trapezoid weights as the running cost.
 
@@ -196,7 +198,7 @@ def _simulate_chunks(
 
     T = _node_maps(tab)
     TG = _terminal_map(p)
-    (fb_n, _), (mf_n, _), (v0_n, _), (v1_n, _) = control
+    (fb_n, _), (mf_n, _), (v0_n, _) = control
 
     w = trapezoid_weights(K + 1, h)
     sqrt_h = np.sqrt(h)
@@ -310,7 +312,8 @@ def simulate(
     det_cost = _mean_channel_cost(p, tab, EX, EU)
 
     costs, extra_out, sum_X, sum_term, sum_term_outer = _simulate_chunks(
-        p, tab, control, spec.offset.frozen_at_start, law, n_paths, seed,
+        p, tab, control, sample_path(spec.offset.noise_part, grid.nodes),
+        spec.offset.frozen_at_start, law, n_paths, seed,
         EX, EU, extras,
     )
     costs = costs + det_cost

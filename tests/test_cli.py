@@ -80,6 +80,16 @@ def test_example_names_a_negative_dimension(capsys, flag):
     assert "dimensions n and m must be positive" in err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_example_names_a_seed_out_of_range(capsys, seed):
+    """random_spd takes the seeds ``simulate`` takes, [0, 2**64), and names
+    any other one instead of failing inside the generator."""
+    code, out, err = run(capsys, ["example", "random_spd", "--seed", str(seed)])
+    assert code == 2
+    assert out == ""
+    assert f"seed must lie in [0, 2**64), got {seed}" in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 

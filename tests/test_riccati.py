@@ -143,6 +143,24 @@ def test_finite_escape_raises():
     assert 0.0 < err.time < 1.0
 
 
+@pytest.mark.parametrize("coeffs, quantity", [
+    (dict(B=1.0, Q=1.0, R=-1.0, G=10.0), "deviation Riccati matrix"),
+    # R + R_bar = -1 and G + G_bar = 10: only the mean channel escapes
+    (dict(B=1.0, Q=1.0, R=1.0, R_bar=-2.0, G=1.0, G_bar=9.0), "mean Riccati matrix"),
+])
+def test_finite_escape_report_is_pinned(coeffs, quantity):
+    """The escaping channel is named, with the first node past the
+    threshold, its time and the norm reached there."""
+    p = make_problem(1, 1, TimeGrid(0.0, 1.0, 400), **coeffs)
+    with pytest.raises(FiniteEscapeError) as exc:
+        integrate_gre(p)
+    err = exc.value
+    assert err.quantity == quantity
+    assert err.node == 359
+    assert err.time == pytest.approx(0.8975, abs=1e-12)
+    assert err.norm == pytest.approx(2.8536e18, rel=1e-4)
+
+
 def test_report_attached_by_default():
     p, _ = scalar_classic(n_steps=100)
     sol = integrate_gre(p)

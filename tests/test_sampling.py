@@ -26,7 +26,9 @@ from mflq.problem import (
     make_problem,
     sample_path,
 )
-from mflq.sim import simulate
+from mflq.moments import homogeneous_cost, propagate_moments, stationarity_residual
+from mflq.presets import random_spd
+from mflq.sim import mean_ode, simulate
 from mflq.synthesis import synthesize
 from mflq.verify import qp_oracle
 from test_nodewise_reference import time_varying_problem
@@ -194,6 +196,38 @@ def test_simulate_samples_each_control_path_once(monkeypatch):
         for label in counts["sample_path"]
     }
     assert per_path == dict.fromkeys(per_path, 1)
+
+
+def test_paths_are_sampled_only_where_they_are_read():
+    """Only the path sweep of ``simulate`` reads the offset's noise part, and
+    only at the nodes; the moment cost and the stationarity residual read
+    their gains only at the nodes.  None of these takes a midpoint sample."""
+    p = time_varying_problem()
+    spec = synthesize(p).strategy
+    law = InitialLaw.deterministic([1.0, -0.5])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counts = count_top_level_samples(
+            monkeypatch, {"offset_noise": spec.offset.noise_part}
+        )
+        mean_ode(p, spec, law.mean, n_steps=50)
+        assert counts["nodes_and_midpoints"] == counts["sample_path"] == {
+            "offset_noise": 0
+        }
+        simulate(p, spec, law, n_paths=64, n_steps=50, seed=0)
+    assert counts["nodes_and_midpoints"] == {"offset_noise": 0}
+    assert counts["sample_path"] == {"offset_noise": 1}
+
+    q, _ = random_spd(0, n=2, m=1, n_steps=40, inhomogeneous=False)
+    control = synthesize(q).strategy
+    fb, mf = control.feedback, control.mean_feedback
+    X0 = np.eye(2)
+    mp = propagate_moments(q, fb, mf, X0, X0)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counts = count_top_level_samples(monkeypatch, {"fb": fb, "mf": mf})
+        homogeneous_cost(q, fb, mf, mp)
+        stationarity_residual(q, fb, mf, X0, X0)
+    assert counts["nodes_and_midpoints"] == {"fb": 0, "mf": 0}
+    assert counts["sample_path"] == {"fb": 2, "mf": 2}
 
 
 def test_qp_oracle_samples_coefficients_only_through_the_table():
