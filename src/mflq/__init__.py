@@ -14,7 +14,6 @@ from .problem import (
     NoiseAffinePath,
     ProblemData,
     TimeGrid,
-    eval_path,
     make_problem,
     sample_path,
     strip_inhomogeneous,
@@ -35,7 +34,6 @@ from .riccati import (
     assess_regularity,
     dense_midpoints,
     gains,
-    gre_rhs,
     integrate_gre,
 )
 from .affine import AffineSolution, CorrectionSet, solve_affine
@@ -100,12 +98,10 @@ __all__ = [
     "completion_check",
     "dense_midpoints",
     "estimate_cost",
-    "eval_path",
     "example31",
     "example31_null_control",
     "gains",
     "get_preset",
-    "gre_rhs",
     "homogeneous_cost",
     "integrate_gre",
     "is_psd",

@@ -8,7 +8,9 @@ enters the offsets and the value, so eta0 is never integrated: the noise
 coefficient solves an n-vector ODE of its own.  A separate mean adjoint
 handles the expectation channel.  The control offset that these induce
 splits the same way: a mean part and a coefficient multiplying the running
-Brownian value.  Coefficients come from the table on the Riccati solution.
+Brownian value.  Coefficients come from the table on the Riccati solution,
+the quadratic ones only through its channel maps F = [A B] and G = [C D]:
+each adjoint runs on its channel's closed-loop maps A + B K and C + D K.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import ProblemData, TimeGrid
+from .problem import ProblemData, TimeGrid, _closed_loop, _mT
 from .quadrature import linear_rk4
 from .riccati import (
     DEFAULT_REG_TOL,
     GreSolution,
     MidpointData,
+    _gain,
     dense_midpoints,
     hermite_midpoints,
 )
@@ -61,29 +64,35 @@ class AffineSolution:
         return self.corrections.feasible
 
 
-def _mT(M: np.ndarray) -> np.ndarray:
-    """Transpose the last two axes of a stack of matrices."""
-    return M.swapaxes(-1, -2)
-
-
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector products over broadcast stacks: (..., r, c), (..., c) -> (..., r)."""
     return (M @ v[..., None])[..., 0]
 
 
-def _noise_ode(c, P, Th):
-    """L and g of the noise adjoint d eta1/ds = L eta1 + g at a set of grid points.
+def _adjoint_ode(maps, channel, gain, Y, v, r, b, q):
+    """L and g of one channel's adjoint d eta/ds = L eta + g.
 
-    L = -F^T and g = -(H^T P sigma1 + Th^T rho1 + P b1 + q1), with the
-    closed-loop F = A + B Th and H = C + D Th; ``c`` maps coefficient names
-    to their samples at those points.
+    L = -F^T and g = -(G^T v + K^T r + Y b + q), with F = A + B K and
+    G = C + D K the channel's closed-loop maps under its gain K, Y its
+    Riccati matrix and (v, r) its diffusion and control loads.
     """
-    H_t = _mT(c["C"] + c["D"] @ Th)
-    g = (
-        _mv(H_t, _mv(P, c["sigma1"])) + _mv(_mT(Th), c["rho1"])
-        + _mv(P, c["b1"]) + c["q1"]
-    )
-    return -_mT(c["A"] + c["B"] @ Th), -g
+    F, G = (_closed_loop(t[..., channel, :, :], gain) for t in maps[:2])
+    return -_mT(F), -(_mv(_mT(G), v) + _mv(_mT(gain), r) + _mv(Y, b) + q)
+
+
+def _noise_loads(c, P):
+    """Loads P sigma1 and rho1 of the noise channel."""
+    return _mv(P, c["sigma1"]), c["rho1"]
+
+
+def _mean_loads(c, P, e1):
+    """Loads P sigma0 + eta1 and rho0 + rho_bar of the mean channel."""
+    return _mv(P, c["sigma0"]) + e1, c["rho0"] + c["rho_bar"]
+
+
+def _noise_ode(c, maps, P, Th):
+    """L and g of the noise adjoint at a set of grid points."""
+    return _adjoint_ode(maps, 0, Th, P, *_noise_loads(c, P), c["b1"], c["q1"])
 
 
 def solve_adjoint(
@@ -97,8 +106,8 @@ def solve_adjoint(
     tab = sol.table
     if mids is None:
         mids = dense_midpoints(sol)
-    L_n, g_n = _noise_ode(tab.node, sol.P, sol.gain_dev)
-    L_m, g_m = _noise_ode(tab.mid, mids.P, mids.gain_dev)
+    L_n, g_n = _noise_ode(tab.node, tab.node_maps, sol.P, sol.gain_dev)
+    L_m, g_m = _noise_ode(tab.mid, tab.mid_maps, mids.P, mids.gain_dev)
     return linear_rk4(
         sol.grid, L_n, g_n, L_m, g_m, p.g1, "adjoint offset", backward=True
     )
@@ -106,26 +115,16 @@ def solve_adjoint(
 
 def _adjoint_noise_midpoints(sol: GreSolution, adjoint_noise: np.ndarray) -> np.ndarray:
     """Hermite midpoints of the noise adjoint from its own nodal derivative."""
-    L, g = _noise_ode(sol.table.node, sol.P, sol.gain_dev)
+    tab = sol.table
+    L, g = _noise_ode(tab.node, tab.node_maps, sol.P, sol.gain_dev)
     deriv = _mv(L, adjoint_noise) + g
     return hermite_midpoints(adjoint_noise, deriv, sol.grid.h)
 
 
-def _mean_ode(c, P, Pm, Ga, e1):
-    """L and g of the mean adjoint d eta_bar/ds = L eta_bar + g."""
-    A = c["A"] + c["A_bar"]
-    B = c["B"] + c["B_bar"]
-    C = c["C"] + c["C_bar"]
-    D = c["D"] + c["D_bar"]
-    carrier = _mv(P, c["sigma0"]) + e1
-    Ga_t = _mT(Ga)
-    g = (
-        _mv(Ga_t, _mv(_mT(D), carrier) + c["rho0"] + c["rho_bar"])
-        + _mv(_mT(C), carrier)
-        + c["q0"] + c["q_bar"]
-        + _mv(Pm, c["b0"])
-    )
-    return -_mT(A + B @ Ga), -g
+def _mean_ode(c, maps, P, Pm, Ga, e1):
+    """L and g of the mean adjoint at a set of grid points."""
+    loads = _mean_loads(c, P, e1)
+    return _adjoint_ode(maps, 1, Ga, Pm, *loads, c["b0"], c["q0"] + c["q_bar"])
 
 
 def solve_adjoint_mean(
@@ -144,8 +143,12 @@ def solve_adjoint_mean(
     if mids is None:
         mids = dense_midpoints(sol)
     e1_m = _adjoint_noise_midpoints(sol, adjoint_noise)
-    L_n, g_n = _mean_ode(tab.node, sol.P, sol.P_mean, sol.gain_mean, adjoint_noise)
-    L_m, g_m = _mean_ode(tab.mid, mids.P, mids.P_mean, mids.gain_mean, e1_m)
+    L_n, g_n = _mean_ode(
+        tab.node, tab.node_maps, sol.P, sol.P_mean, sol.gain_mean, adjoint_noise
+    )
+    L_m, g_m = _mean_ode(
+        tab.mid, tab.mid_maps, mids.P, mids.P_mean, mids.gain_mean, e1_m
+    )
     return linear_rk4(
         sol.grid, L_n, g_n, L_m, g_m, p.g0 + p.g_bar, "mean adjoint offset",
         backward=True,
@@ -157,25 +160,20 @@ def compute_corrections(
 ) -> CorrectionSet:
     """Affine control offsets from the adjoint paths, with attainability.
 
-    Nodewise pseudo-inverse solves through the input-weight factorization
-    kept on the Riccati solution; each right-hand-side vector is also
-    range-checked against its input weight, and the worst residual per
-    channel (first node on ties) is held to DEFAULT_REG_TOL.
+    Both channels' targets B^T eta + D^T v + r come from the nodal maps in
+    one stacked expression, and -W^+ applies to them in the eigenbasis of
+    the input-weight factorization kept on the Riccati solution, as for the
+    gains.  Each target is also range-checked against its input weight, and
+    the worst residual per channel (first node on ties) is held to
+    DEFAULT_REG_TOL.
     """
-    c = sol.table.node
-    target = (
-        _mv(_mT(c["B"]), adjoint_noise)
-        + _mv(_mT(c["D"]), _mv(sol.P, c["sigma1"]))
-        + c["rho1"]
-    )
-    carrier = _mv(sol.P, c["sigma0"]) + adjoint_noise
-    target_mean = (
-        _mv(_mT(c["B"] + c["B_bar"]), adjoint_mean)
-        + _mv(_mT(c["D"] + c["D_bar"]), carrier)
-        + c["rho0"] + c["rho_bar"]
-    )
-    targets = np.stack((target, target_mean), axis=1)[..., None]
-    corr = -(sol.factor.pinv @ targets)[..., 0]
+    c, (F, G, _) = sol.table.node, sol.table.node_maps
+    n = sol.P.shape[-1]
+    loads = zip(_noise_loads(c, sol.P), _mean_loads(c, sol.P, adjoint_noise))
+    v, r = (np.stack(np.broadcast_arrays(*pair), axis=-2) for pair in loads)
+    eta = np.stack((adjoint_noise, adjoint_mean), axis=1)
+    targets = (_mv(_mT(F[..., n:]), eta) + _mv(_mT(G[..., n:]), v) + r)[..., None]
+    corr = _gain(targets, sol.factor)[..., 0]
     residual = sol.factor.range_residual(targets)
     worst = np.argmax(residual, axis=0)
     worst_dev = float(residual[worst[0], 0])

@@ -88,6 +88,8 @@ class SymFactor:
 
     @property
     def pinv(self) -> np.ndarray:
+        """Pseudo-inverse matrices, kept as a test reference; the solver
+        applies W^+ in the eigenbasis instead."""
         lam, V = self.eigvals, self.eigvecs
         inv = np.divide(1.0, lam, out=np.zeros(lam.shape), where=self.keep)
         return (V * inv[..., None, :]) @ _mT(V)

@@ -8,6 +8,11 @@ pair, independent of both the Riccati machinery and Monte Carlo; the
 stationarity probe built on top of it is what certifies a synthesized gain
 as a critical point.
 
+The coefficients enter through the coefficient table's channel maps only:
+under the gains (fb, fb + mf) the deviation channel moves the covariance
+and the mean channel the mean outer product, so the rate is written in
+covariance form.
+
 Everything here runs over a leading batch axis so that finite-difference
 sweeps evaluate all bumped gains in one pass.
 """
@@ -24,6 +29,8 @@ from .problem import (
     MatrixPath,
     ProblemData,
     TimeGrid,
+    _closed_loop,
+    _mT,
     nodes_and_midpoints,
     sample_path,
     tabulate,
@@ -101,73 +108,54 @@ def _as_batch_stack(gains, grid: TimeGrid, m: int, n: int):
     return arr, 0.5 * (arr[:, :-1] + arr[:, 1:])
 
 
-def _closed_loop_mats(coeff, fb, mf):
-    """Closed-loop matrices at one family of times, batched.
+def _channel_gains(fb, mf):
+    """The channel gains (fb, fb + mf) of (B, K, m, n) gains, (B, K, 2, m, n)."""
+    return np.stack((fb, fb + mf), axis=-3)
 
-    coeff maps names to (K, n, n)/(K, n, m) arrays, or to single constant
-    arrays; fb/mf are gains of shape (B, K, m, n).  Outputs broadcast to
-    (B, K, n, n).
+
+def _closed_loop_mats(maps, fb, mf):
+    """Closed-loop drift and diffusion of both channels, each (2, B, K, n, n).
+
+    ``maps`` are the table's (F, G, H) at one family of times and fb/mf
+    gains of shape (B, K, m, n); channel 0 is A + B fb, channel 1
+    A + A_bar + (B + B_bar)(fb + mf), and G likewise.
     """
-    A, Ab = coeff["A"], coeff["A_bar"]
-    B, Bb = coeff["B"], coeff["B_bar"]
-    C, Cb = coeff["C"], coeff["C_bar"]
-    D, Db = coeff["D"], coeff["D_bar"]
-    total = fb + mf
-    F = A + B @ fb
-    Fb = Ab + Bb @ fb + (B + Bb) @ mf
-    H = C + D @ fb
-    Hb = Cb + Db @ fb + (D + Db) @ mf
-    FY = (A + Ab) + (B + Bb) @ total
-    return F, Fb, H, Hb, FY
+    gains = _channel_gains(fb, mf)
+    return tuple(np.moveaxis(_closed_loop(t, gains), -3, 0) for t in maps[:2])
 
 
-def _cost_mats(coeff, fb, mf):
+def _cost_mats(H, fb, mf):
     """Running cost weights against the second moment and the mean outer.
 
-    M weighs E[X X^T]; N weighs E[X] E[X]^T and absorbs every term in which
-    the mean channel differs from the deviation channel.
+    Each channel weighs its closed-loop state with [I; K]^T H [I; K] =
+    Q + K^T S + S^T K + K^T R K.  M, the deviation weight, weighs
+    E[X X^T]; N = mean weight - M weighs E[X] E[X]^T.
     """
-    Q, Qb = coeff["Q"], coeff["Q_bar"]
-    S, Sb = coeff["S"], coeff["S_bar"]
-    R, Rb = coeff["R"], coeff["R_bar"]
-    fbT = np.swapaxes(fb, -1, -2)
-    mfT = np.swapaxes(mf, -1, -2)
-    total = fb + mf
-    totalT = np.swapaxes(total, -1, -2)
-    M = Q + fbT @ S + np.swapaxes(S, -1, -2) @ fb + fbT @ (R @ fb)
-    N = (
-        Qb
-        + totalT @ Sb + np.swapaxes(Sb, -1, -2) @ total
-        + totalT @ (Rb @ total)
-        + mfT @ (R @ mf)
-        + mfT @ S + np.swapaxes(S, -1, -2) @ mf
-        + mfT @ (R @ fb) + fbT @ (R @ mf)
-    )
-    return M, N
+    gains = _channel_gains(fb, mf)
+    HK = _closed_loop(H, gains)
+    n = gains.shape[-1]
+    W = HK[..., :n, :] + _mT(gains) @ HK[..., n:, :]
+    M = W[..., 0, :, :]
+    return M, W[..., 1, :, :] - M
 
 
 def _symt(M):
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    return 0.5 * (M + _mT(M))
 
 
-def _rhs_pair(Z, F, Fb, H, Hb, FY):
-    """Time derivative of the stacked pair Z = (second moment, mean outer)."""
-    X, Y = Z
-    FX = F @ X
-    HXHT = (H @ X) @ np.swapaxes(H, -1, -2)
-    FbY = Fb @ Y
-    crs = (H @ Y) @ np.swapaxes(Hb, -1, -2)
-    HbYHbT = (Hb @ Y) @ np.swapaxes(Hb, -1, -2)
-    dX = (
-        FX + np.swapaxes(FX, -1, -2)
-        + HXHT
-        + FbY + np.swapaxes(FbY, -1, -2)
-        + crs + np.swapaxes(crs, -1, -2)
-        + HbYHbT
-    )
-    FYY = FY @ Y
-    dY = FYY + np.swapaxes(FYY, -1, -2)
-    return _symt(np.stack((dX, dY)))
+def _rhs_pair(Z, F, G):
+    """Time derivative of the stacked pair Z = (second moment X, mean outer Y).
+
+    Each channel of S = (X - Y, Y) moves by F S + S F^T under its own
+    closed-loop drift, the noise adds G0 (X - Y) G0^T + G1 Y G1^T to the
+    covariance X - Y, and dX is the covariance's rate plus dY.
+    """
+    S = np.stack((Z[0] - Z[1], Z[1]))
+    FS = F @ S
+    GSG = (G @ S) @ _mT(G)
+    dS = FS + _mT(FS)
+    dY = dS[1]
+    return _symt(np.stack((dS[0] + GSG[0] + GSG[1] + dY, dY)))
 
 
 def _moment_steps(tab, fb_n, fb_m, mf_n, mf_m, X0, Y0):
@@ -179,8 +167,8 @@ def _moment_steps(tab, fb_n, fb_m, mf_n, mf_m, X0, Y0):
     finite or exceeds BLOWUP_NORM.
     """
     grid = tab.grid
-    cl_nodes = _closed_loop_mats(tab.node, fb_n, mf_n)
-    cl_mids = _closed_loop_mats(tab.mid, fb_m, mf_m)
+    cl_nodes = _closed_loop_mats(tab.node_maps, fb_n, mf_n)
+    cl_mids = _closed_loop_mats(tab.mid_maps, fb_m, mf_m)
     shape = (fb_n.shape[0], fb_n.shape[-1], fb_n.shape[-1])
     Z = np.stack([
         np.broadcast_to(_symt(np.asarray(M, dtype=float)), shape) for M in (X0, Y0)
@@ -188,8 +176,8 @@ def _moment_steps(tab, fb_n, fb_m, mf_n, mf_m, X0, Y0):
     yield 0, Z
     steps = rk4_steps(
         grid,
-        lambda z, k: _rhs_pair(z, *(c[:, k] for c in cl_nodes)),
-        lambda z, i: _rhs_pair(z, *(c[:, i] for c in cl_mids)),
+        lambda z, k: _rhs_pair(z, *(c[:, :, k] for c in cl_nodes)),
+        lambda z, i: _rhs_pair(z, *(c[:, :, i] for c in cl_mids)),
         Z,
         post=_symt,
     )
@@ -237,7 +225,7 @@ def homogeneous_cost(p: ProblemData, feedback, mean_feedback, mp: MomentPath) ->
     grid = mp.grid
     fb_n = _gain_nodes(feedback, grid, p.m, p.n)
     mf_n = _gain_nodes(mean_feedback, grid, p.m, p.n)
-    M, N = _cost_mats(tabulate(p, grid).node, fb_n, mf_n)
+    M, N = _cost_mats(tabulate(p, grid).node_maps[2], fb_n, mf_n)
     w = trapezoid_weights(grid.n_steps + 1, grid.h)
     running = float(
         np.sum(
@@ -272,7 +260,7 @@ def batch_cost(
     if fb_n.shape[0] != mf_n.shape[0]:
         raise ValueError("feedback batches must have equal size")
     tab = tabulate(p, grid)
-    M, N = _cost_mats(tab.node, fb_n, mf_n)
+    M, N = _cost_mats(tab.node_maps[2], fb_n, mf_n)
     w = trapezoid_weights(grid.n_steps + 1, grid.h)
     costs = np.zeros(fb_n.shape[0])
     for k, Z in _moment_steps(tab, fb_n, fb_m, mf_n, mf_m, X0, Y0):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -135,15 +136,6 @@ class MatrixPath:
         if self.is_constant:
             return MatrixPath.constant(self.values + bump)
         return MatrixPath.sampled(self.grid, self.values + bump)
-
-
-def eval_path(path: MatrixPath, s: float) -> np.ndarray:
-    """Evaluate a path at time s.
-
-    Sampled paths raise ValueError outside their grid's horizon; constant
-    paths accept any finite time.
-    """
-    return path.at(s)
 
 
 def sample_path(path: MatrixPath, times) -> np.ndarray:
@@ -575,6 +567,55 @@ def nodes_and_midpoints(path: MatrixPath, grid: TimeGrid):
     return node_vals, mid_vals
 
 
+# Coefficients that enter the channel maps; each has a mean companion
+# ``<name>_bar`` that the mean channel adds to it.
+_CHANNEL_NAMES = ("A", "B", "C", "D", "Q", "S", "R")
+
+
+def _mT(M: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes of a stack of matrices."""
+    return M.swapaxes(-1, -2)
+
+
+def _channel_pair(coeff, coeff_bar) -> np.ndarray:
+    """Stack (coeff, coeff + coeff_bar) along a channel axis before the matrix axes."""
+    return np.stack(np.broadcast_arrays(coeff, coeff + coeff_bar), axis=-3)
+
+
+def _join(blocks, axis: int) -> np.ndarray:
+    """Concatenate matrix blocks along ``axis``, broadcasting their leading axes."""
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    return np.concatenate(
+        [np.broadcast_to(b, lead + b.shape[-2:]) for b in blocks], axis=axis
+    )
+
+
+def _channel_maps(samples):
+    """Channel-stacked drift F = [A B], diffusion G = [C D] and running
+    weight H = [[Q S^T], [S R]] of the stacked vector [x; u].
+
+    ``samples`` maps every coefficient name to its value at one time or to
+    its samples over a grid.  Channel 0 holds the coefficients, channel 1
+    the sums coefficient + bar.  A map is (2, r, c) when all its blocks are
+    constant and (points, 2, r, c) otherwise; every map is read-only.
+    """
+    A, B, C, D, Q, S, R = (
+        _channel_pair(samples[name], samples[name + "_bar"])
+        for name in _CHANNEL_NAMES
+    )
+    H = _join((_join((Q, _mT(S)), -1), _join((S, R), -1)), -2)
+    maps = (_join((A, B), -1), _join((C, D), -1), H)
+    for t in maps:
+        t.setflags(write=False)
+    return maps
+
+
+def _closed_loop(XY: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """The closed-loop map X + Y K of a map [X Y] under a gain K, (..., r, n)."""
+    n = K.shape[-1]
+    return XY[..., :n] + XY[..., n:] @ K
+
+
 @dataclass(frozen=True)
 class CoefficientTable:
     """Node and midpoint samples of every coefficient path of a problem on one grid.
@@ -585,6 +626,11 @@ class CoefficientTable:
     constant coefficient.  A noise-affine path ``f`` enters as its parts
     ``f0`` (constant) and ``f1`` (noise).  Every array is read-only: one
     table is shared by all passes over its grid.
+
+    ``node_maps`` and ``mid_maps`` are the channel maps (F, G, H) of
+    ``_channel_maps`` at the nodes and at the midpoints, each built on first
+    read and kept with the table; they are the only place the coefficients
+    combine into the deviation and mean channels.
     """
 
     grid: TimeGrid
@@ -598,6 +644,14 @@ class CoefficientTable:
         if name in self.sampled:
             return values
         return np.broadcast_to(values, (self.grid.n_steps + 1,) + values.shape)
+
+    @cached_property
+    def node_maps(self) -> tuple:
+        return _channel_maps(self.node)
+
+    @cached_property
+    def mid_maps(self) -> tuple:
+        return _channel_maps(self.mid)
 
 
 def tabulate(p: ProblemData, grid: TimeGrid) -> CoefficientTable:

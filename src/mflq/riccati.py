@@ -8,14 +8,14 @@ kernel serves both: the mean channel simply receives the summed
 (coefficient + mean-coefficient) matrices and P as the inner diffusion
 weight.
 
-The coefficients enter as three maps of the stacked vector [x; u]: the
-drift F = [A B], the diffusion G = [C D] and the running weight
-H = [[Q S^T], [S R]].  For a channel matrix M the kernel builds one
-(n+m)-square Hamiltonian block from them, whose blocks are the linear part
-M A + A^T M + C^T P C + Q of the rate, the cross term B^T M + D^T P C + S
-and the input weight W = R + D^T P D.  One batched symmetric
-eigendecomposition W = V diag(lambda) V^T factors both channels' weights,
-and the quadratic term cross^T W^+ cross is applied in its eigenbasis as
+The coefficients enter as the coefficient table's three channel maps of the
+stacked vector [x; u]: the drift F = [A B], the diffusion G = [C D] and the
+running weight H = [[Q S^T], [S R]].  For a channel matrix M the kernel
+builds one (n+m)-square Hamiltonian block from them, whose blocks are the
+linear part M A + A^T M + C^T P C + Q of the rate, the cross term
+B^T M + D^T P C + S and the input weight W = R + D^T P D.  One batched
+symmetric eigendecomposition W = V diag(lambda) V^T factors both channels'
+weights, and the quadratic term cross^T W^+ cross is applied in its eigenbasis as
 U^T diag(1/lambda) U with U = V^T cross, over the retained eigenvalues; no
 pseudo-inverse matrix is formed.  The node and midpoint passes build the
 block in fixed runs of grid points and factor all of a grid's weights in
@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .problem import CoefficientTable, MatrixPath, ProblemData, TimeGrid, tabulate
+from .problem import CoefficientTable, MatrixPath, ProblemData, TimeGrid, _mT, tabulate
 from .quadrature import BLOWUP_NORM
 from .quadrature import _check_finite, rk4_steps, trapezoid
 
@@ -44,10 +44,6 @@ from .quadrature import _check_finite, rk4_steps, trapezoid
 NEAR_CUTOFF_FACTOR = 10.0
 
 DEFAULT_REG_TOL = 1e-8
-
-# Coefficients that enter the Riccati pair; each has a mean companion
-# ``<name>_bar`` that the mean channel adds to it.
-_CHANNEL_NAMES = ("A", "B", "C", "D", "Q", "S", "R")
 
 # Grid points per Hamiltonian build in the node and midpoint passes: it
 # bounds the size of the build's temporaries however fine the grid.
@@ -143,42 +139,8 @@ class GreSolution:
         return self.factor.cutoff[:, 1]
 
 
-def _mT(M: np.ndarray) -> np.ndarray:
-    """Transpose the last two axes of a stack of matrices."""
-    return M.swapaxes(-1, -2)
-
-
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + _mT(M))
-
-
-def _channel_pair(coeff, coeff_bar) -> np.ndarray:
-    """Stack (coeff, coeff + coeff_bar) along a channel axis before the matrix axes."""
-    return np.stack(np.broadcast_arrays(coeff, coeff + coeff_bar), axis=-3)
-
-
-def _join(blocks, axis: int) -> np.ndarray:
-    """Concatenate matrix blocks along ``axis``, broadcasting their leading axes."""
-    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
-    return np.concatenate(
-        [np.broadcast_to(b, lead + b.shape[-2:]) for b in blocks], axis=axis
-    )
-
-
-def _maps(samples):
-    """Channel-stacked drift F = [A B], diffusion G = [C D] and running
-    weight H = [[Q S^T], [S R]] of the stacked vector [x; u].
-
-    ``samples`` maps every coefficient name to its value at one time or to
-    its samples over a grid.  A map is (2, r, c) when all its blocks are
-    constant and (points, 2, r, c) otherwise.
-    """
-    A, B, C, D, Q, S, R = (
-        _channel_pair(samples[name], samples[name + "_bar"])
-        for name in _CHANNEL_NAMES
-    )
-    H = _join((_join((Q, _mT(S)), -1), _join((S, R), -1)), -2)
-    return _join((A, B), -1), _join((C, D), -1), H
 
 
 def _at(maps, k):
@@ -264,18 +226,6 @@ def _split(X):
     return np.ascontiguousarray(X[:, 0]), np.ascontiguousarray(X[:, 1])
 
 
-def gre_rhs(P, P_mean, s: float, p: ProblemData):
-    """Coupled Riccati right-hand sides (dP/ds, dP_mean/ds) at time s."""
-    Y = np.stack((np.asarray(P, dtype=float), np.asarray(P_mean, dtype=float)))
-    samples = {
-        name: getattr(p, name).at(s)
-        for base in _CHANNEL_NAMES
-        for name in (base, base + "_bar")
-    }
-    dY = _sym(_rhs(Y, _maps(samples)))
-    return dY[0], dY[1]
-
-
 def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     """Integrate both Riccati channels backward from the terminal weights.
 
@@ -288,7 +238,7 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     K = grid.n_steps
     nodes = grid.nodes
     tab = tabulate(p, grid)
-    co_nodes, co_mids = _maps(tab.node), _maps(tab.mid)
+    co_nodes, co_mids = tab.node_maps, tab.mid_maps
 
     Y = np.empty((K + 1, 2, p.n, p.n))
     Y[K, 0] = _sym(p.G)
@@ -358,17 +308,18 @@ def dense_midpoints(sol: GreSolution) -> MidpointData:
     """Fourth-order midpoint samples of P, P_mean and the gains.
 
     The nodal derivatives reuse the sweep's factorization of every nodal
-    weight; the midpoint gains come from one batched factorization.
+    weight and the sweep's channel maps; the midpoint gains come from one
+    batched factorization.
     """
     n = sol.P.shape[-1]
     lam, V = sol.factor.eigvals, sol.factor.eigvecs
     Y = np.stack((sol.P, sol.P_mean), axis=1)
     deriv = np.empty_like(Y)
-    for run, Z in _runs(Y, _maps(sol.table.node)):
+    for run, Z in _runs(Y, sol.table.node_maps):
         factor = linalg.SymFactor(eigvals=lam[run], eigvecs=V[run])
         deriv[run] = _sym(_rate(Z[..., :n, :n], Z[..., n:, :n], factor))
     Y_mid = hermite_midpoints(Y, deriv, sol.grid.h)
-    _, _, gain, _ = _gains(Y_mid, _maps(sol.table.mid))
+    _, _, gain, _ = _gains(Y_mid, sol.table.mid_maps)
     P_mid, Pm_mid = _split(Y_mid)
     gain_dev, gain_mean = _split(gain)
     return MidpointData(P=P_mid, P_mean=Pm_mid, gain_dev=gain_dev, gain_mean=gain_mean)

@@ -23,6 +23,8 @@ from .problem import (
     InitialLaw,
     ProblemData,
     TimeGrid,
+    _closed_loop,
+    _join,
     nodes_and_midpoints,
     sample_path,
     tabulate,
@@ -95,16 +97,18 @@ def _control_samples(spec: ControlSpec, grid: TimeGrid):
 
 
 def _mean_path(tab: CoefficientTable, control, m0: np.ndarray):
-    """The mean ODE of ``mean_ode`` over a tabulated problem and control law."""
+    """The mean ODE of ``mean_ode`` over a tabulated problem and control law;
+    its drift is the closed-loop map of the mean channel's F = [A B]."""
     (fb_n, fb_m), (mf_n, mf_m), (v0_n, v0_m) = control
+    n = m0.shape[0]
 
-    def ode(c, gain, v0):
-        B = c["B"] + c["B_bar"]
-        return c["A"] + c["A_bar"] + B @ gain, (B @ v0[..., None])[..., 0] + c["b0"]
+    def ode(c, maps, gain, v0):
+        F = maps[0][..., 1, :, :]
+        return _closed_loop(F, gain), (F[..., n:] @ v0[..., None])[..., 0] + c["b0"]
 
     gain_n = fb_n + mf_n
-    L_n, g_n = ode(tab.node, gain_n, v0_n)
-    L_m, g_m = ode(tab.mid, fb_m + mf_m, v0_m)
+    L_n, g_n = ode(tab.node, tab.node_maps, gain_n, v0_n)
+    L_m, g_m = ode(tab.mid, tab.mid_maps, fb_m + mf_m, v0_m)
     EX = linear_rk4(tab.grid, L_n, g_n, L_m, g_m, m0, "state mean")
     EU = np.einsum("kij,kj->ki", gain_n, EX) + v0_n
     return EX, EU
@@ -116,17 +120,15 @@ def _node_maps(tab: CoefficientTable) -> np.ndarray:
     Shape (K+1, 3n+m+2, n+m).  Rows, top to bottom: the running-cost weight
     [[Q, S^T], [S, R]], the drift [A B], the diffusion [C D], then
     2 [q0 r0] (linear cost) and 2 [q1 r1] (its Brownian-riding part), so a
-    single product T[k] @ Z yields the cost terms and both increments.
+    single product T[k] @ Z yields the cost terms and both increments.  The
+    first three are the deviation channel of the table's node maps.
     """
-    S = tab.stack("S")
-    return np.block([
-        [tab.stack("Q"), np.swapaxes(S, 1, 2)],
-        [S, tab.stack("R")],
-        [tab.stack("A"), tab.stack("B")],
-        [tab.stack("C"), tab.stack("D")],
-        [2.0 * tab.stack("q0")[:, None], 2.0 * tab.stack("rho0")[:, None]],
-        [2.0 * tab.stack("q1")[:, None], 2.0 * tab.stack("rho1")[:, None]],
+    F, G, H = (t[..., 0, :, :] for t in tab.node_maps)
+    linear = np.block([
+        [tab.stack("q0")[:, None], tab.stack("rho0")[:, None]],
+        [tab.stack("q1")[:, None], tab.stack("rho1")[:, None]],
     ])
+    return _join((H, F, G, 2.0 * linear), -2)
 
 
 def _terminal_map(p: ProblemData) -> np.ndarray:

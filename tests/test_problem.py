@@ -8,14 +8,24 @@ from mflq.problem import (
     MatrixPath,
     NoiseAffinePath,
     TimeGrid,
-    eval_path,
     make_problem,
     nodes_and_midpoints,
     sample_path,
     strip_inhomogeneous,
     tabulate,
     validate,
+    _closed_loop,
 )
+from test_nodewise_reference import time_varying_problem
+
+
+def eval_path(path, s):
+    """Evaluate a path at time s.
+
+    Sampled paths raise ValueError outside their grid's horizon; constant
+    paths accept any finite time.
+    """
+    return path.at(s)
 
 
 def test_grid_basics():
@@ -235,3 +245,66 @@ def test_table_splits_noise_affine_paths():
     assert tab.stack("b1").shape == (5, 1)
     np.testing.assert_array_equal(tab.stack("b1")[:, 0], 0.7)
     assert "b" not in tab.node and "G" not in tab.node
+
+
+def block(rows):
+    """np.block of matrix blocks after broadcasting their leading axes."""
+    lead = np.broadcast_shapes(*(b.shape[:-2] for row in rows for b in row))
+    return np.block([[np.broadcast_to(b, lead + b.shape[-2:]) for b in row]
+                     for row in rows])
+
+
+def hand_maps(samples):
+    """F = [A B], G = [C D] and H = [[Q S^T], [S R]] of both channels,
+    channel 0 from the plain coefficients and channel 1 from plain + bar."""
+    channels = []
+    for bar in (False, True):
+        def c(name):
+            return samples[name] + samples[name + "_bar"] if bar else samples[name]
+        channels.append((
+            block([[c("A"), c("B")]]),
+            block([[c("C"), c("D")]]),
+            block([[c("Q"), c("S").swapaxes(-1, -2)], [c("S"), c("R")]]),
+        ))
+    return tuple(np.stack(pair, axis=-3) for pair in zip(*channels))
+
+
+def assert_maps(maps, samples, shapes):
+    assert [t.shape for t in maps] == shapes
+    for got, want in zip(maps, hand_maps(samples)):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+def test_table_maps_stack_both_channels_of_the_named_coefficients():
+    """A and R are sampled, so F and H are stacked over the points; G = [C D]
+    has only constant blocks and stays (2, n, n+m)."""
+    p = time_varying_problem()
+    tab = tabulate(p, p.horizon)
+    K = p.horizon.n_steps
+    assert_maps(tab.node_maps, tab.node,
+                [(K + 1, 2, 2, 4), (2, 2, 4), (K + 1, 2, 4, 4)])
+    assert_maps(tab.mid_maps, tab.mid, [(K, 2, 2, 4), (2, 2, 4), (K, 2, 4, 4)])
+    assert tab.node_maps is tab.node_maps
+
+
+def test_constant_maps_stay_unstacked():
+    g = TimeGrid(0.0, 1.0, 20)
+    p = make_problem(
+        2, 1, g, A=[[0.1, 0.2], [0.0, -0.3]], A_bar=0.1 * np.eye(2),
+        B=[[1.0], [0.5]], D_bar=[[0.2], [0.0]], C=0.3 * np.eye(2),
+        Q=np.eye(2), S=[[0.1, 0.2]], S_bar=[[0.0, 0.1]], R=2.0, R_bar=0.5,
+    )
+    tab = tabulate(p, g)
+    shapes = [(2, 2, 3), (2, 2, 3), (2, 3, 3)]
+    assert_maps(tab.node_maps, tab.node, shapes)
+    assert_maps(tab.mid_maps, tab.mid, shapes)
+
+
+def test_closed_loop_map_is_x_plus_y_k():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((5, 2, 3, 3))
+    Y = rng.standard_normal((5, 2, 3, 2))
+    K = rng.standard_normal((2, 2, 3))
+    got = _closed_loop(np.concatenate((X, Y), axis=-1), K)
+    np.testing.assert_allclose(got, X + Y @ K, rtol=1e-14, atol=1e-15)

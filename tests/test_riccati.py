@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 
 from mflq.errors import FiniteEscapeError
-from mflq.problem import TimeGrid, make_problem
-from mflq.riccati import assess_regularity, gains, gre_rhs, integrate_gre
+from mflq.problem import _CHANNEL_NAMES, TimeGrid, _channel_maps, make_problem
+from mflq.riccati import _rhs, _sym, assess_regularity, gains, integrate_gre
 from mflq.presets import example31, scalar_classic
+
+
+def gre_rhs(P, P_mean, s, p):
+    """Coupled Riccati right-hand sides (dP/ds, dP_mean/ds) at time s."""
+    Y = np.stack((np.asarray(P, dtype=float), np.asarray(P_mean, dtype=float)))
+    samples = {
+        name: getattr(p, name).at(s)
+        for base in _CHANNEL_NAMES
+        for name in (base, base + "_bar")
+    }
+    dY = _sym(_rhs(Y, _channel_maps(samples)))
+    return dY[0], dY[1]
 
 
 def classic_problem(n_steps=1000):

@@ -158,7 +158,7 @@ def test_synthesis_factors_each_weight_once_per_node(monkeypatch):
     Four RK4 stages per step factor both channels (8K), the nodal gain pass
     factors the 2(K+1) nodal weights once, and the dense-output gains the
     2K midpoint weights; the nodal derivatives of the dense output reuse
-    the nodal gains instead of factoring those weights again.
+    the nodal eigenpairs instead of factoring those weights again.
     """
     K = 200
     p, _ = random_spd(0, n=2, m=2, n_steps=K)
@@ -172,6 +172,26 @@ def test_synthesis_factors_each_weight_once_per_node(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     synthesize(p)
     assert sum(factored) == 12 * K + 2
+
+
+def test_synthesis_builds_channel_maps_once_per_point_set(monkeypatch):
+    """The coefficient table builds its node maps and its midpoint maps once.
+
+    The sweep, the dense output, both adjoints and the offsets all read the
+    maps the table keeps, so a synthesis makes two builds: one for the
+    nodes and one for the midpoints.
+    """
+    builds = []
+    original = problem._channel_maps
+
+    def counting(samples):
+        builds.append(samples)
+        return original(samples)
+
+    monkeypatch.setattr(problem, "_channel_maps", counting)
+    sol = synthesize(time_varying_problem())
+    assert len(builds) == 2
+    assert builds[0] is sol.gre.table.node and builds[1] is sol.gre.table.mid
 
 
 def test_sampled_coefficients_are_tabulated_once_per_grid(monkeypatch):
