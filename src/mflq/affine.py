@@ -11,6 +11,8 @@ splits the same way: a mean part and a coefficient multiplying the running
 Brownian value.  Coefficients come from the table on the Riccati solution,
 the quadratic ones only through its channel maps F = [A B] and G = [C D]:
 each adjoint runs on its channel's closed-loop maps A + B K and C + D K.
+Both adjoints are linear ODEs and go through ``quadrature.linear_rk4``,
+which steps them through batched runs of RK4 propagators.
 """
 
 from __future__ import annotations
@@ -161,18 +163,26 @@ def compute_corrections(
     """Affine control offsets from the adjoint paths, with attainability.
 
     Both channels' targets B^T eta + D^T v + r come from the nodal maps in
-    one stacked expression, and -W^+ applies to them in the eigenbasis of
-    the input-weight factorization kept on the Riccati solution, as for the
-    gains.  Each target is also range-checked against its input weight, and
-    the worst residual per channel (first node on ties) is held to
-    DEFAULT_REG_TOL.
+    one stacked expression, where the mean channel's r adds rho0 and then
+    rho_bar (the noise channel's rho_bar is zero).  -W^+ applies to them in
+    the eigenbasis of the input-weight factorization kept on the Riccati
+    solution, as for the gains.  Each target is also range-checked against
+    its input weight, and the worst residual per channel (first node on
+    ties) is held to DEFAULT_REG_TOL.
     """
     c, (F, G, _) = sol.table.node, sol.table.node_maps
     n = sol.P.shape[-1]
-    loads = zip(_noise_loads(c, sol.P), _mean_loads(c, sol.P, adjoint_noise))
-    v, r = (np.stack(np.broadcast_arrays(*pair), axis=-2) for pair in loads)
+    v_noise, r_noise = _noise_loads(c, sol.P)
+    v_mean, _ = _mean_loads(c, sol.P, adjoint_noise)
+    pairs = (
+        (v_noise, v_mean),
+        (r_noise, c["rho0"]),
+        (np.zeros_like(c["rho_bar"]), c["rho_bar"]),
+    )
+    v, r, r_bar = (np.stack(np.broadcast_arrays(*pair), axis=-2) for pair in pairs)
     eta = np.stack((adjoint_noise, adjoint_mean), axis=1)
-    targets = (_mv(_mT(F[..., n:]), eta) + _mv(_mT(G[..., n:]), v) + r)[..., None]
+    targets = _mv(_mT(F[..., n:]), eta) + _mv(_mT(G[..., n:]), v) + r + r_bar
+    targets = targets[..., None]
     corr = _gain(targets, sol.factor)[..., 0]
     residual = sol.factor.range_residual(targets)
     worst = np.argmax(residual, axis=0)

@@ -17,7 +17,11 @@ B^T M + D^T P C + S and the input weight W = R + D^T P D.  One batched
 symmetric eigendecomposition W = V diag(lambda) V^T factors both channels'
 weights, and the quadratic term cross^T W^+ cross is applied in its eigenbasis as
 U^T diag(1/lambda) U with U = V^T cross, over the retained eigenvalues; no
-pseudo-inverse matrix is formed.  The node and midpoint passes build the
+pseudo-inverse matrix is formed; 1/lambda comes from the eigenvalues alone,
+under the rank rule of ``SymFactor.keep``, in one helper that the stages,
+the gains and the affine offsets share.  The sweep steps one node at a time
+through ``quadrature.rk4_steps`` and screens each step for finite escape
+with the quadrature's one screen.  The node and midpoint passes build the
 block in fixed runs of grid points and factor all of a grid's weights in
 one batch.
 
@@ -36,22 +40,13 @@ import numpy as np
 
 from . import linalg
 from .problem import CoefficientTable, MatrixPath, ProblemData, TimeGrid, _mT, tabulate
-from .quadrature import BLOWUP_NORM
-from .quadrature import _check_finite, rk4_steps, trapezoid
+from .quadrature import _RUN, _check_finite, _screen_passes, rk4_steps, trapezoid
 
 # A retained singular value within this factor of the pinv cutoff marks the
 # node as numerically ambiguous for the rank decision.
 NEAR_CUTOFF_FACTOR = 10.0
 
 DEFAULT_REG_TOL = 1e-8
-
-# Grid points per Hamiltonian build in the node and midpoint passes: it
-# bounds the size of the build's temporaries however fine the grid.
-_RUN = 256
-
-# A step whose norm over both channels stays below this cannot have let
-# either channel escape, so the named per-channel checks are skipped.
-_ESCAPE_SCREEN = 0.5 * BLOWUP_NORM
 
 
 @dataclass(frozen=True)
@@ -171,33 +166,41 @@ def _hamiltonian(Y, co):
     return Z
 
 
-def _eig_inverse(factor: linalg.SymFactor) -> np.ndarray:
-    """1/lambda on the retained eigenvalues of a factored weight, 0 elsewhere."""
-    lam = factor.eigvals
-    return np.divide(1.0, lam, out=np.zeros(lam.shape), where=factor.keep)
+def _eig_inverse(lam: np.ndarray) -> np.ndarray:
+    """1/lambda on the retained eigenvalues of a factored weight, 0 elsewhere.
+
+    The rank rule of ``SymFactor.keep``, |lambda| > (1e-10 m) max|lambda|,
+    evaluated in the same order, so the ranks agree bit for bit; it reads
+    the eigenvalues alone because it runs in every RK4 stage.
+    """
+    mod = np.abs(lam)
+    cut = (linalg.DEFAULT_RTOL * lam.shape[-1]) * np.maximum.reduce(
+        mod, axis=-1, keepdims=True
+    )
+    return np.divide(1.0, lam, out=np.zeros(lam.shape), where=mod > cut)
 
 
-def _rate(lin, cross, factor: linalg.SymFactor):
+def _rate(lin, cross, lam, V):
     """dM/ds = cross^T W^+ cross - lin, with W^+ applied in W's eigenbasis.
 
     With W = V diag(lambda) V^T and U = V^T cross, the quadratic term is
     U^T diag(1/lambda) U over the retained eigenvalues.
     """
-    U = _mT(factor.eigvecs) @ cross
-    return _mT(U) @ (_eig_inverse(factor)[..., None] * U) - lin
+    U = _mT(V) @ cross
+    return _mT(U) @ (_eig_inverse(lam)[..., None] * U) - lin
 
 
 def _gain(cross, factor: linalg.SymFactor):
     """Feedback gain -W^+ cross, applied in W's eigenbasis."""
     V = factor.eigvecs
-    return -(V @ (_eig_inverse(factor)[..., None] * (_mT(V) @ cross)))
+    return -(V @ (_eig_inverse(factor.eigvals)[..., None] * (_mT(V) @ cross)))
 
 
 def _rhs(Y, co):
     """dY/ds of both channels, factoring their input weights in one batch."""
     n = Y.shape[-1]
     Z = _hamiltonian(Y, co)
-    return _rate(Z[..., :n, :n], Z[..., n:, :n], linalg.sym_factor(Z[..., n:, n:]))
+    return _rate(Z[..., :n, :n], Z[..., n:, :n], *np.linalg.eigh(Z[..., n:, n:]))
 
 
 def _runs(Y, co):
@@ -253,7 +256,7 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
         post=_sym,
     )
     for j, y in steps:
-        if not np.linalg.norm(y) <= _ESCAPE_SCREEN:
+        if not _screen_passes(y):
             _check_finite("deviation Riccati matrix", y[0], j, nodes[j])
             _check_finite("mean Riccati matrix", y[1], j, nodes[j])
         Y[j] = y
@@ -316,8 +319,7 @@ def dense_midpoints(sol: GreSolution) -> MidpointData:
     Y = np.stack((sol.P, sol.P_mean), axis=1)
     deriv = np.empty_like(Y)
     for run, Z in _runs(Y, sol.table.node_maps):
-        factor = linalg.SymFactor(eigvals=lam[run], eigvecs=V[run])
-        deriv[run] = _sym(_rate(Z[..., :n, :n], Z[..., n:, :n], factor))
+        deriv[run] = _sym(_rate(Z[..., :n, :n], Z[..., n:, :n], lam[run], V[run]))
     Y_mid = hermite_midpoints(Y, deriv, sol.grid.h)
     _, _, gain, _ = _gains(Y_mid, sol.table.mid_maps)
     P_mid, Pm_mid = _split(Y_mid)

@@ -1,0 +1,176 @@
+"""Propagator runs of ``linear_rk4`` against the stepwise sweep they replaced.
+
+``linear_rk4`` builds the affine map y -> Phi y + psi of every RK4 step of a
+run in one batched pass and then walks the run.  The reference below keeps
+the earlier formulation as test-only code: the same tableau driven one step
+at a time through ``rk4_steps``, with the named finite-escape check at every
+node.  Both routes are compared directly, on constant and sampled
+coefficients in both directions at grid sizes around the run length, and
+through the public adjoint, offset, value, mean-ODE and simulation layers,
+with ``linear_rk4`` swapped for the reference.
+
+Values must agree to 1e-13 (1 + |x|); escape reports must name the same
+quantity, node and time.
+"""
+
+import numpy as np
+import pytest
+
+from mflq import affine, quadrature, sim
+from mflq.errors import FiniteEscapeError
+from mflq.presets import random_spd
+from mflq.problem import InitialLaw, TimeGrid
+from mflq.quadrature import _check_finite, linear_rk4, rk4_steps
+from mflq.synthesis import closed_loop, synthesize, value
+from test_nodewise_reference import time_varying_problem
+
+TOL = 1e-13
+
+
+def reference_linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name,
+                         backward=False):
+    """dy/ds = L y + g stepped one node at a time, checked at every node."""
+    nodes = grid.nodes
+    out = np.empty((grid.n_steps + 1,) + np.shape(start))
+    first = grid.n_steps if backward else 0
+    out[first] = start
+    steps = rk4_steps(
+        grid,
+        lambda y, k: L_node[k] @ y + g_node[k],
+        lambda y, i: L_mid[i] @ y + g_mid[i],
+        out[first],
+        backward,
+    )
+    for j, y in steps:
+        _check_finite(name, y, j, nodes[j])
+        out[j] = y
+    return out
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_less(np.abs(got - want), TOL * (1.0 + np.abs(want)))
+
+
+def linear_tables(grid, sampled, d=3, seed=0):
+    """L and g at the nodes and midpoints: constant (broadcast, read-only)
+    or sampled from smooth paths."""
+    rng = np.random.default_rng(seed)
+    L0, L1 = rng.normal(size=(2, d, d))
+    g0, g1 = rng.normal(size=(2, d))
+    nodes = grid.nodes
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    if not sampled:
+        return tuple(
+            np.broadcast_to(c, (t.size,) + c.shape)
+            for t in (nodes, mids) for c in (L0, g0)
+        )
+
+    def L(t):
+        return L0 + np.sin(3.0 * t)[:, None, None] * L1
+
+    def g(t):
+        return g0 + np.cos(2.0 * t)[:, None] * g1
+
+    return L(nodes), g(nodes), L(mids), g(mids)
+
+
+@pytest.mark.parametrize("K", [1, 255, 256, 257, 1000])
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("sampled", [False, True])
+def test_linear_rk4_matches_stepwise_sweep(K, backward, sampled):
+    grid = TimeGrid(0.25, 1.25, K)
+    tables = linear_tables(grid, sampled)
+    start = np.array([0.5, -1.0, 2.0])
+    got = linear_rk4(grid, *tables, start, "y", backward=backward)
+    want = reference_linear_rk4(grid, *tables, start, "y", backward=backward)
+    assert_close(got, want)
+    first = K if backward else 0
+    assert np.array_equal(got[first], start)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_escape_report_matches_stepwise_sweep(backward):
+    """L = 900 I: the backward case is the escape of an exploding adjoint."""
+    grid = TimeGrid(0.0, 1.0, 200)
+    d = 2
+    L_n = np.broadcast_to(900.0 * np.eye(d), (201, d, d))
+    L_m = np.broadcast_to(900.0 * np.eye(d), (200, d, d))
+    g_n, g_m = np.zeros((201, d)), np.zeros((200, d))
+    reports = []
+    for solve in (linear_rk4, reference_linear_rk4):
+        with pytest.raises(FiniteEscapeError) as info:
+            solve(grid, L_n, g_n, L_m, g_m, np.ones(d), "adjoint offset",
+                  backward=backward)
+        reports.append(info.value)
+    got, want = reports
+    assert (got.quantity, got.node, got.time) == (want.quantity, want.node, want.time)
+    assert got.norm == pytest.approx(want.norm, rel=1e-12)
+    assert got.norm > quadrature.BLOWUP_NORM
+
+
+INSTANCES = {
+    "time_varying": (time_varying_problem(), InitialLaw.deterministic([1.0, -0.5])),
+    **{
+        f"random_spd_{n}x{m}": random_spd(0, n=n, m=m, n_steps=300)
+        for n, m in ((1, 1), (6, 3), (10, 5))
+    },
+}
+
+
+def _layer_outputs(p, law, gre):
+    """Adjoints, offsets, value, mean ODE and a short simulation."""
+    sol = closed_loop(p, gre)
+    aff = sol.affine
+    out = {
+        "adjoint_noise": aff.adjoint_noise,
+        "adjoint_mean": aff.adjoint_mean,
+        "corr_noise": aff.corrections.corr_noise,
+        "corr_mean": aff.corrections.corr_mean,
+    }
+    out["value"] = value(sol, law)
+    out["EX"], out["EU"] = sim.mean_ode(p, sol.strategy, law.mean)
+    rep = sim.simulate(p, sol.strategy, law, n_paths=64, n_steps=120, seed=5)
+    out["cost_mean"] = rep.cost_mean
+    out["mean_path"] = rep.mean_path
+    out["terminal_second_moment"] = rep.terminal_second_moment
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(INSTANCES))
+def test_layers_match_stepwise_sweep(case, monkeypatch):
+    p, law = INSTANCES[case]
+    sol = synthesize(p)
+    got = _layer_outputs(p, law, sol.gre)
+    monkeypatch.setattr(affine, "linear_rk4", reference_linear_rk4)
+    monkeypatch.setattr(sim, "linear_rk4", reference_linear_rk4)
+    want = _layer_outputs(p, law, sol.gre)
+    assert got.keys() == want.keys()
+    for key in got:
+        assert_close(got[key], want[key])
+
+
+def test_synthesis_counts(monkeypatch):
+    """Two adjoints at K = 1000 make 2 ceil(1000/256) = 8 batched RK4 steps,
+    and the symmetric factorizations stay at 4K + 2 calls on 12K + 2 weights."""
+    K = 1000
+    batched = []
+    factored = []
+    step, eigh = quadrature._rk4_step, np.linalg.eigh
+
+    def counting_step(y, dt, k, *args):
+        if np.ndim(k):
+            batched.append(np.size(k))
+        return step(y, dt, k, *args)
+
+    def counting_eigh(a, *args, **kwargs):
+        factored.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_rk4_step", counting_step)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    synthesize(time_varying_problem(), n_steps=K)
+    assert batched == [256, 256, 256, 232] * 2
+    assert len(factored) == 4 * K + 2
+    assert sum(factored) == 12 * K + 2

@@ -19,6 +19,7 @@ nodes.
 import numpy as np
 import pytest
 
+from mflq import affine
 from mflq.affine import solve_affine
 from mflq.linalg import is_psd, pinv, range_residual
 from mflq.presets import example31, random_spd, scalar_classic
@@ -246,3 +247,37 @@ def test_singular_weight_case_fails_where_expected():
     failing = [c.name for c in gre.report.conditions if not c.passed]
     assert failing == ["range_dev", "range_mean"]
     assert not solve_affine(p, gre).feasible
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_offset_targets_match_node_by_node_bitwise(case, monkeypatch):
+    """Both channels' offset targets equal the node-by-node sums exactly.
+
+    The mean target adds rho0 and then rho_bar, as the reference does, so
+    the worst-residual values compared exactly above are the same floats.
+    """
+    p = CASES[case]()
+    gre = integrate_gre(p)
+    seen = []
+    gain = affine._gain
+
+    def capture(targets, factor):
+        seen.append(targets[..., 0])
+        return gain(targets, factor)
+
+    monkeypatch.setattr(affine, "_gain", capture)
+    aff = solve_affine(p, gre)
+    (targets,) = seen
+    e1, ebar = aff.adjoint_noise, aff.adjoint_mean
+    for k, t in enumerate(gre.grid.nodes):
+        c, cb = _coeffs(p, t, False), _coeffs(p, t, True)
+        P = gre.P[k]
+        s0, s1 = p.sigma.const_part.at(t), p.sigma.noise_part.at(t)
+        r0, r1 = p.rho.const_part.at(t), p.rho.noise_part.at(t)
+        target = c["B"].T @ e1[k] + c["D"].T @ (P @ s1) + r1
+        target_m = (
+            cb["B"].T @ ebar[k] + cb["D"].T @ (P @ s0 + e1[k])
+            + r0 + p.rho_bar.at(t)
+        )
+        assert np.array_equal(targets[k, 0], target), k
+        assert np.array_equal(targets[k, 1], target_m), k
