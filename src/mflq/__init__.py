@@ -19,13 +19,6 @@ from .problem import (
     strip_inhomogeneous,
     validate,
 )
-from .linalg import (
-    PinvResult,
-    is_psd,
-    pinv,
-    range_contained,
-    range_residual,
-)
 from .riccati import (
     ConditionVerdict,
     GreSolution,
@@ -83,7 +76,6 @@ __all__ = [
     "MomentPath",
     "NoiseAffinePath",
     "PRESET_NAMES",
-    "PinvResult",
     "ProblemData",
     "QpOracleResult",
     "RegularityReport",
@@ -104,16 +96,12 @@ __all__ = [
     "get_preset",
     "homogeneous_cost",
     "integrate_gre",
-    "is_psd",
     "lower_bound_battery",
     "make_problem",
     "mean_ode",
-    "pinv",
     "propagate_moments",
     "qp_oracle",
     "random_spd",
-    "range_contained",
-    "range_residual",
     "sample_path",
     "sample_stderr",
     "scalar_classic",

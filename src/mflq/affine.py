@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import ProblemData, TimeGrid, _closed_loop, _mT
+from .linalg import _mT
+from .problem import ProblemData, TimeGrid, _closed_loop
 from .quadrature import linear_rk4
 from .riccati import (
     DEFAULT_REG_TOL,

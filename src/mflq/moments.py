@@ -25,12 +25,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import FiniteEscapeError
+from .linalg import _mT, _sym
 from .problem import (
     MatrixPath,
     ProblemData,
     TimeGrid,
     _closed_loop,
-    _mT,
     nodes_and_midpoints,
     sample_path,
     tabulate,
@@ -139,10 +139,6 @@ def _cost_mats(H, fb, mf):
     return M, W[..., 1, :, :] - M
 
 
-def _symt(M):
-    return 0.5 * (M + _mT(M))
-
-
 def _rhs_pair(Z, F, G):
     """Time derivative of the stacked pair Z = (second moment X, mean outer Y).
 
@@ -155,7 +151,7 @@ def _rhs_pair(Z, F, G):
     GSG = (G @ S) @ _mT(G)
     dS = FS + _mT(FS)
     dY = dS[1]
-    return _symt(np.stack((dS[0] + GSG[0] + GSG[1] + dY, dY)))
+    return _sym(np.stack((dS[0] + GSG[0] + GSG[1] + dY, dY)))
 
 
 def _moment_steps(tab, fb_n, fb_m, mf_n, mf_m, X0, Y0):
@@ -171,7 +167,7 @@ def _moment_steps(tab, fb_n, fb_m, mf_n, mf_m, X0, Y0):
     cl_mids = _closed_loop_mats(tab.mid_maps, fb_m, mf_m)
     shape = (fb_n.shape[0], fb_n.shape[-1], fb_n.shape[-1])
     Z = np.stack([
-        np.broadcast_to(_symt(np.asarray(M, dtype=float)), shape) for M in (X0, Y0)
+        np.broadcast_to(_sym(np.asarray(M, dtype=float)), shape) for M in (X0, Y0)
     ])
     yield 0, Z
     steps = rk4_steps(
@@ -179,7 +175,7 @@ def _moment_steps(tab, fb_n, fb_m, mf_n, mf_m, X0, Y0):
         lambda z, k: _rhs_pair(z, *(c[:, :, k] for c in cl_nodes)),
         lambda z, i: _rhs_pair(z, *(c[:, :, i] for c in cl_mids)),
         Z,
-        post=_symt,
+        post=_sym,
     )
     for k, Z in steps:
         top = float(np.max(np.abs(Z)))

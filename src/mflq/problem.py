@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import _mT
 
 # Relative tolerance for declaring a stored matrix symmetric.
 SYMMETRY_RTOL = 1e-12
@@ -570,11 +571,6 @@ def nodes_and_midpoints(path: MatrixPath, grid: TimeGrid):
 # Coefficients that enter the channel maps; each has a mean companion
 # ``<name>_bar`` that the mean channel adds to it.
 _CHANNEL_NAMES = ("A", "B", "C", "D", "Q", "S", "R")
-
-
-def _mT(M: np.ndarray) -> np.ndarray:
-    """Transpose the last two axes of a stack of matrices."""
-    return M.swapaxes(-1, -2)
 
 
 def _channel_pair(coeff, coeff_bar) -> np.ndarray:

@@ -18,8 +18,8 @@ symmetric eigendecomposition W = V diag(lambda) V^T factors both channels'
 weights, and the quadratic term cross^T W^+ cross is applied in its eigenbasis as
 U^T diag(1/lambda) U with U = V^T cross, over the retained eigenvalues; no
 pseudo-inverse matrix is formed; 1/lambda comes from the eigenvalues alone,
-under the rank rule of ``SymFactor.keep``, in one helper that the stages,
-the gains and the affine offsets share.  The sweep steps one node at a time
+through ``linalg._eig_inverse``, which the stages, the gains and the affine
+offsets share and which reads the one rank rule of ``linalg``.  The sweep steps one node at a time
 through ``quadrature.rk4_steps`` and screens each step for finite escape
 with the quadrature's one screen.  The node and midpoint passes build the
 block in fixed runs of grid points and factor all of a grid's weights in
@@ -39,10 +39,11 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .problem import CoefficientTable, MatrixPath, ProblemData, TimeGrid, _mT, tabulate
+from .linalg import _eig_inverse, _mT, _sym
+from .problem import CoefficientTable, MatrixPath, ProblemData, TimeGrid, tabulate
 from .quadrature import _RUN, _check_finite, _screen_passes, rk4_steps, trapezoid
 
-# A retained singular value within this factor of the pinv cutoff marks the
+# A retained eigenvalue within this factor of the rank cutoff marks the
 # node as numerically ambiguous for the rank decision.
 NEAR_CUTOFF_FACTOR = 10.0
 
@@ -134,10 +135,6 @@ class GreSolution:
         return self.factor.cutoff[:, 1]
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + _mT(M))
-
-
 def _at(maps, k):
     """The maps at grid point(s) k; constant maps pass through."""
     return tuple(t if t.ndim == 3 else t[k] for t in maps)
@@ -164,20 +161,6 @@ def _hamiltonian(Y, co):
     left = Z[..., :n]
     left += _mT(YF)
     return Z
-
-
-def _eig_inverse(lam: np.ndarray) -> np.ndarray:
-    """1/lambda on the retained eigenvalues of a factored weight, 0 elsewhere.
-
-    The rank rule of ``SymFactor.keep``, |lambda| > (1e-10 m) max|lambda|,
-    evaluated in the same order, so the ranks agree bit for bit; it reads
-    the eigenvalues alone because it runs in every RK4 stage.
-    """
-    mod = np.abs(lam)
-    cut = (linalg.DEFAULT_RTOL * lam.shape[-1]) * np.maximum.reduce(
-        mod, axis=-1, keepdims=True
-    )
-    return np.divide(1.0, lam, out=np.zeros(lam.shape), where=mod > cut)
 
 
 def _rate(lin, cross, lam, V):

@@ -23,6 +23,7 @@ from .problem import (
     InitialLaw,
     ProblemData,
     TimeGrid,
+    _TIME_SLACK,
     _closed_loop,
     _join,
     nodes_and_midpoints,
@@ -349,7 +350,9 @@ def estimate_cost(times: np.ndarray, X: np.ndarray, U: np.ndarray, p: ProblemDat
     """Cost estimate from recorded path ensembles.
 
     X has shape (paths, K+1, n) and U (paths, K+1, m); the mean channel
-    uses their sample means.  The recorded paths carry no Brownian values,
+    uses their sample means.  ``times`` must be the uniform nodes of the
+    problem's horizon, within the horizon's time slack; any other grid
+    raises ValidationError.  The recorded paths carry no Brownian values,
     so a problem whose cost rides them (nonzero q.noise, rho.noise or g1)
     raises ValidationError.  Returns (mean, stderr).
     """
@@ -369,14 +372,19 @@ def estimate_cost(times: np.ndarray, X: np.ndarray, U: np.ndarray, p: ProblemDat
     n_paths, n_nodes = X.shape[:2]
     if times.shape != (n_nodes,):
         raise ValidationError("times length does not match the path arrays")
-    h = float(times[1] - times[0])
-    grid = TimeGrid(float(times[0]), float(times[-1]), n_nodes - 1)
+    grid = p.horizon.with_steps(n_nodes - 1)
+    slack = _TIME_SLACK * max(grid.span, 1.0)
+    if not np.all(np.abs(times - grid.nodes) <= slack):
+        raise ValidationError(
+            f"times must be the {n_nodes} uniform nodes of the horizon "
+            f"[{grid.t0}, {grid.tT}]"
+        )
     EX = X.mean(axis=0)
     EU = U.mean(axis=0)
 
     tab = tabulate(p, grid)
     T = _node_maps(tab)
-    w = trapezoid_weights(n_nodes, h)
+    w = trapezoid_weights(n_nodes, grid.h)
     per_path = np.zeros(n_paths)
     for k in range(n_nodes):
         Z = np.concatenate((X[:, k], U[:, k]), axis=1).T

@@ -12,7 +12,6 @@ import json
 import numpy as np
 
 from mflq.cli import main
-from mflq.linalg import range_residual
 from mflq.moments import (
     homogeneous_cost,
     propagate_moments,
@@ -34,6 +33,7 @@ from mflq.riccati import integrate_gre
 from mflq.synthesis import synthesize, value
 from mflq import sim
 from mflq.verify import completion_check, lower_bound_battery, qp_oracle
+from test_linalg import range_residual
 
 
 def test_criterion_01_mean_field_example_not_closed_loop_solvable():

@@ -1,17 +1,111 @@
-"""Hand-checkable cases for the rank-aware linear algebra helpers."""
+"""Hand-checkable cases for the rank-aware linear algebra helpers.
+
+The one-matrix functions below (``pinv``, ``is_psd``, ``range_residual``,
+``range_contained``, ``projector``) are the test-only reference for the
+batched ``mflq.linalg.sym_factor``: an SVD pseudo-inverse with the same
+relative cutoff, applied to one matrix at a time.  Other test modules import
+them from here.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from mflq.linalg import (
-    DEFAULT_RTOL,
-    is_psd,
-    pinv,
-    projector,
-    range_contained,
-    range_residual,
-    sym_factor,
-)
+from mflq.linalg import DEFAULT_RTOL, _eig_inverse, _mT, sym_factor
+
+# Relative symmetry slack for matrices that are symmetric by construction but
+# assembled through non-associative float products.
+_SYM_RTOL = 1e-9
+
+
+@dataclass(frozen=True)
+class PinvResult:
+    """Moore-Penrose pseudo-inverse together with its rank decision.
+
+    ``smallest_retained`` is the smallest singular value kept above the
+    cutoff (0.0 when the matrix is treated as zero), so callers can tell how
+    close the rank decision was.
+    """
+
+    pinv: np.ndarray
+    rank: int
+    singular_values: np.ndarray
+    cutoff: float
+
+    @property
+    def smallest_retained(self) -> float:
+        if self.rank == 0:
+            return 0.0
+        return float(self.singular_values[self.rank - 1])
+
+
+def pinv(M) -> PinvResult:
+    """Pseudo-invert M, zeroing singular values <= DEFAULT_RTOL * max_dim * s_max."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"pinv expects a matrix, got shape {M.shape}")
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    cutoff = DEFAULT_RTOL * max(M.shape) * (s[0] if s.size else 0.0)
+    rank = int(np.sum(s > cutoff))
+    inv_s = np.zeros_like(s)
+    inv_s[:rank] = 1.0 / s[:rank]
+    P = (Vt.T * inv_s) @ U.T
+    return PinvResult(pinv=P, rank=rank, singular_values=s, cutoff=cutoff)
+
+
+def factor_pinv(factor) -> np.ndarray:
+    """Pseudo-inverse matrices of a ``SymFactor`` stack, formed from its
+    eigenpairs; the solver applies W^+ in the eigenbasis instead."""
+    lam, V = factor.eigvals, factor.eigvecs
+    inv = np.divide(1.0, lam, out=np.zeros(lam.shape), where=factor.keep)
+    return (V * inv[..., None, :]) @ _mT(V)
+
+
+def is_psd(M, tol: float = 0.0) -> tuple:
+    """Decide positive semidefiniteness of a symmetric matrix.
+
+    Returns (verdict, min_eigenvalue).  The verdict is True when the smallest
+    eigenvalue is >= -tol.  Raises ValueError if M is visibly non-symmetric;
+    the eigenvalues are taken from the symmetrized matrix.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"is_psd expects a square matrix, got shape {M.shape}")
+    gap = np.linalg.norm(M - M.T)
+    if gap > _SYM_RTOL * (1.0 + np.linalg.norm(M)):
+        raise ValueError(
+            f"is_psd expects a symmetric matrix (|M - M^T| = {gap:.3e})"
+        )
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+    lam_min = float(eigs[0])
+    return lam_min >= -tol, lam_min
+
+
+def range_residual(N, M) -> float:
+    """Normalised obstruction to range(N) being contained in range(M).
+
+    Computes ||(I - M M^+) N|| / (1 + ||N||) in the Frobenius norm; exact
+    containment gives 0 and the normalisation keeps the residual bounded by
+    1 regardless of scaling.  M^+ is ``pinv(M)``, with its rank cutoff.
+    """
+    N = np.asarray(N, dtype=float)
+    M = np.asarray(M, dtype=float)
+    res = pinv(M)
+    proj_out = N - M @ (res.pinv @ N)
+    return float(np.linalg.norm(proj_out) / (1.0 + np.linalg.norm(N)))
+
+
+def range_contained(N, M) -> tuple:
+    """Test range(N) ⊆ range(M) to a residual of 1e-8; returns (verdict, residual)."""
+    r = range_residual(N, M)
+    return r <= 1e-8, r
+
+
+def projector(M) -> np.ndarray:
+    """Orthogonal projector M^+ M onto the row space of M, M^+ = ``pinv(M)``."""
+    M = np.asarray(M, dtype=float)
+    return pinv(M).pinv @ M
 
 
 def test_pinv_full_rank_matches_inverse():
@@ -151,7 +245,7 @@ def _assert_matches_loop(W, N):
     ref = _loop_reference(W, N)
     np.testing.assert_array_equal(f.rank, ref["rank"])
     for got, want in (
-        (f.pinv, ref["pinv"]),
+        (factor_pinv(f), ref["pinv"]),
         (f.smallest_retained, ref["smallest"]),
         (f.cutoff, ref["cutoff"]),
         (f.min_eig, ref["min_eig"]),
@@ -174,7 +268,7 @@ def test_sym_factor_matches_loop_over_one_matrix_functions():
     f = _assert_matches_loop(W, N)
     np.testing.assert_array_equal(f.rank, [3, 3, 2, 0, 3, 2])
     assert f.min_eig[1] == pytest.approx(-1.0)
-    assert np.all(f.pinv[3] == 0.0)
+    assert np.all(factor_pinv(f)[3] == 0.0)
     assert f.eigvecs.shape == (6, 3, 3)
 
 
@@ -197,8 +291,19 @@ def test_sym_factor_one_by_one_and_batch_shapes():
     f = sym_factor(W)
     assert f.rank.shape == (2, 2)
     np.testing.assert_array_equal(f.rank, [[1, 1], [0, 1]])
-    np.testing.assert_array_equal(f.pinv[..., 0, 0], [[0.5, -1.0 / 3.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(factor_pinv(f)[..., 0, 0], [[0.5, -1.0 / 3.0], [0.0, 2.0]])
     flat = f.range_residual(N).ravel()
     # a zero weight contains nothing: 0.5 / (1 + 0.5) of the unit column
     assert flat[2] == pytest.approx(0.5 / 1.5, abs=1e-15)
     _assert_matches_loop(W.reshape(4, 1, 1), N.reshape(4, 1, 1))
+
+
+def test_stage_inverse_and_factor_share_the_rank_rule():
+    """The RK4 stage's 1/lambda is nonzero exactly where ``SymFactor.keep``
+    retains an eigenvalue, and equals 1/lambda there, bit for bit, on every
+    branch of the rank decision including 0.99x and 1.01x the cutoff."""
+    f = sym_factor(_weight_stack())
+    inv = _eig_inverse(f.eigvals)
+    np.testing.assert_array_equal(inv != 0.0, f.keep)
+    np.testing.assert_array_equal(inv[f.keep], 1.0 / f.eigvals[f.keep])
+    np.testing.assert_array_equal(f.keep.sum(axis=-1), [3, 3, 2, 0, 3, 2])

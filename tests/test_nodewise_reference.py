@@ -2,11 +2,11 @@
 
 The Riccati and offset layers factor every input weight of a grid in one
 batched symmetric eigendecomposition.  Here each array those passes produce
-is rebuilt one node at a time from the public one-matrix functions
-(``pinv``, ``is_psd``, ``range_residual``) and coefficients evaluated with
-``MatrixPath.at``: weights, cross terms, gains, ranks, rank margins, the six
-regularity verdicts, the gain defects, and the affine offsets with their
-attainability residuals.
+is rebuilt one node at a time from the test-only one-matrix functions of
+``test_linalg`` (``pinv``, ``is_psd``, ``range_residual``) and coefficients
+evaluated with ``MatrixPath.at``: weights, cross terms, gains, ranks, rank
+margins, the six regularity verdicts, the gain defects, and the affine
+offsets with their attainability residuals.
 
 Ranks, verdicts and near-cutoff lists must agree exactly and values to
 1e-12.  A worst node is the first occurrence of the worst batched per-node
@@ -21,11 +21,11 @@ import pytest
 
 from mflq import affine
 from mflq.affine import solve_affine
-from mflq.linalg import is_psd, pinv, range_residual
 from mflq.presets import example31, random_spd, scalar_classic
 from mflq.problem import TimeGrid, make_problem
 from mflq.quadrature import trapezoid
 from mflq.riccati import NEAR_CUTOFF_FACTOR, gains, integrate_gre
+from test_linalg import is_psd, pinv, range_residual
 
 TOL = 1e-12
 K = 200

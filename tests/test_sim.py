@@ -159,6 +159,23 @@ def test_estimate_cost_validates_shapes():
         estimate_cost(g.nodes, np.zeros((2, 5, 1)), np.zeros((2, 11, 1)), p)
 
 
+@pytest.mark.parametrize("times, match", [
+    ([0.0, 0.1, 1.0], "uniform nodes"),      # not uniform
+    ([0.0, 1.0, 2.0], "uniform nodes"),      # runs past the horizon [0, 1]
+    ([0.0], "n_steps"),                      # a single node is no grid
+])
+def test_estimate_cost_refuses_times_off_the_horizon_grid(times, match):
+    """The step and the tabulation grid come from the problem's horizon, so
+    times that are not its uniform nodes used to be priced silently (1.048
+    on [0, 0.1, 1] against 2.002 on [0, 0.5, 1], and 3.19 on [0, 1, 2])."""
+    p, _ = scalar_classic(2)
+    rng = np.random.default_rng(3)
+    X = 1.0 + 0.1 * rng.standard_normal((50, len(times), 1))
+    U = rng.standard_normal((50, len(times), 1))
+    with pytest.raises(ValidationError, match=match):
+        estimate_cost(np.array(times), X, U, p)
+
+
 @pytest.mark.parametrize("riding", [
     {"q": (0.0, 0.5)}, {"rho": (0.0, 0.5)}, {"g": (0.0, 0.5)},
 ])
