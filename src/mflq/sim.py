@@ -7,6 +7,18 @@ dynamics rather than an interacting particle system.  Paths are advanced in
 fixed-size chunks, each chunk drawing from its own counter-based generator
 keyed by (seed, chunk index); results are therefore reproducible bit for
 bit for a given seed, path count, and step count.
+
+The closed-loop control u = Theta X + (Theta_bar - Theta) E[X] + phi_bar +
+phi_1 W is affine in the path state, and so are the drift, the diffusion
+and the cost's linear terms.  A chunk therefore holds its paths along the
+last axis of Z = [U; X; 1; W; W0] (the W0 row, the Brownian value at the
+entry time, only when the offset is frozen there), and every node makes
+two products: U = gain[k] @ [X; 1; W; W0], then T[k] @ Z, whose rows are
+the weighted running-cost form, the drift scaled by h and the diffusion.
+Both maps are built once per call by ``_sweep_maps``; ``estimate_cost``
+prices recorded paths with the same cost rows.  Each chunk draws its
+increments path-major in blocks of DRAW_BLOCK paths, written scaled and
+transposed into one step-major buffer.
 """
 
 from __future__ import annotations
@@ -35,6 +47,9 @@ from .quadrature import linear_rk4, trapezoid, trapezoid_weights
 # Paths per generator chunk.  Part of the reproducibility contract: the
 # draw for path i depends only on (seed, i // CHUNK) and i's offset.
 CHUNK = 16384
+# Paths per increment draw within a chunk.  Philox draws are sequential, so
+# the blocks concatenate to the chunk's single (paths, K) draw bit for bit.
+DRAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -115,35 +130,59 @@ def _mean_path(tab: CoefficientTable, control, m0: np.ndarray):
     return EX, EU
 
 
-def _node_maps(tab: CoefficientTable) -> np.ndarray:
-    """One linear map of the stacked state Z = [X; U] per node.
+def _sweep_maps(p: ProblemData, tab: CoefficientTable, EX, EU, control=None):
+    """The affine maps of one path sweep over Z = [U; X; 1; W; W0].
 
-    Shape (K+1, 3n+m+2, n+m).  Rows, top to bottom: the running-cost weight
-    [[Q, S^T], [S, R]], the drift [A B], the diffusion [C D], then
-    2 [q0 r0] (linear cost) and 2 [q1 r1] (its Brownian-riding part), so a
-    single product T[k] @ Z yields the cost terms and both increments.  The
-    first three are the deviation channel of the table's node maps.
+    Built once per call from the coefficient table and the mean (EX, EU).
+    ``control`` is (``_control_samples`` output, node samples v1 of the
+    offset's noise part, frozen flag); Z has the W0 row only when the
+    offset is frozen.  Returns (gain, T, terminal):
+
+    - gain (K+1, m, n+2 or n+3), so that U = gain[k] @ Z[m:]: the feedback,
+      the mean-channel control mean_feedback EX + v0 in the 1 column, and v1
+      in the W column, or in the W0 column when frozen.  Without
+      ``control`` (recorded paths) it is None.
+    - T (K+1, n+m+2n, rows of Z), three row blocks: the running cost
+      w_k [[R S 2rho0 2rho1], [S^T Q 2q0 2q1]] with trapezoid weight w_k, so
+      that the sum over its n+m rows of (T[k] Z)_i Z_i is the weighted cost
+      of node k; the drift h [B A | mean drift | b1]; the diffusion
+      [D C | mean diffusion | sigma1].
+    - terminal (n, n+2): [G 2g0 2g1], the terminal cost on [X; 1; W].
     """
-    F, G, H = (t[..., 0, :, :] for t in tab.node_maps)
-    linear = np.block([
-        [tab.stack("q0")[:, None], tab.stack("rho0")[:, None]],
-        [tab.stack("q1")[:, None], tab.stack("rho1")[:, None]],
-    ])
-    return _join((H, F, G, 2.0 * linear), -2)
+    grid = tab.grid
+    K, h = grid.n_steps, grid.h
+    n, d = p.n, p.n + p.m
+    st = tab.stack
+    samples, v1, frozen = (None, None, False) if control is None else control
+    ux = np.r_[n:d, :n]  # the [x; u] columns of a channel map, as [u; x]
 
+    def rows(linear, const, riding):
+        cols = (linear, const[..., None], riding[..., None])
+        return _join(cols + (np.zeros_like(cols[2]),) * frozen, -1)
 
-def _terminal_map(p: ProblemData) -> np.ndarray:
-    """The terminal cost as a map of X: rows G, 2 g0 and 2 g1, shape (n+2, n)."""
-    return np.vstack((p.G, 2.0 * p.g0, 2.0 * p.g1))
+    def mean_step(a, b, c):
+        return (np.einsum("kij,kj->ki", st(a), EX)
+                + np.einsum("kij,kj->ki", st(b), EU) + st(c))
 
-
-def _quadratic_cost(TZ: np.ndarray, Z: np.ndarray, W) -> np.ndarray:
-    """Per-path cost from a map's image TZ = T @ Z, with paths on the last axis.
-
-    The leading rows of T hold the quadratic weight, its last two rows the
-    linear cost and the part of it that rides the Brownian value W.
-    """
-    return np.einsum("ib,ib->b", TZ[: Z.shape[0]], Z) + TZ[-2] + TZ[-1] * W
+    F, G, H = (
+        np.broadcast_to(t[..., 0, :, :], (K + 1,) + t.shape[-2:])[..., ux]
+        for t in tab.node_maps
+    )
+    w = trapezoid_weights(K + 1, h)[:, None, None]
+    T = _join((
+        w * rows(H[:, ux], 2.0 * np.concatenate((st("rho0"), st("q0")), 1),
+                 2.0 * np.concatenate((st("rho1"), st("q1")), 1)),
+        h * rows(F, mean_step("A_bar", "B_bar", "b0"), st("b1")),
+        rows(G, mean_step("C_bar", "D_bar", "sigma0"), st("sigma1")),
+    ), -2)
+    terminal = np.column_stack((p.G, 2.0 * p.g0, 2.0 * p.g1))
+    if samples is None:
+        return None, T, terminal
+    (fb, _), (mf, _), (v0, _) = samples
+    mean_u = np.einsum("kij,kj->ki", mf, EX) + v0
+    v1 = v1[..., None]
+    noise = (np.zeros_like(v1), v1) if frozen else (v1,)
+    return _join((fb, mean_u[..., None]) + noise, -1), T, terminal
 
 
 def _mean_channel_cost(
@@ -167,11 +206,8 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _simulate_chunks(
-    p: ProblemData,
-    tab: CoefficientTable,
-    control,
-    v1_n: np.ndarray,
-    frozen: bool,
+    grid: TimeGrid,
+    maps,
     law: InitialLaw,
     n_paths: int,
     seed: int,
@@ -182,42 +218,26 @@ def _simulate_chunks(
     """Core Euler-Maruyama sweep over path chunks.
 
     Returns (costs, extra_accumulators, sum_state_per_node, terminal sums).
-    ``control`` is from ``_control_samples`` and ``v1_n`` holds the node
-    samples of the offset's noise part; ``frozen`` pins its W at W(t0).
-    ``extras`` are per-node integrands f(k, X - EX[k], U - EU[k], W) -> (B,),
-    accumulated with the same trapezoid weights as the running cost.
+    ``maps`` is (gain, T, terminal) from ``_sweep_maps``; the columns of T
+    are the rows of Z.  ``extras`` are per-node integrands
+    f(k, X - EX[k], U - EU[k], W) -> (B,), accumulated with the same
+    trapezoid weights as the running cost.
 
-    Paths run along the last axis: the stacked state Z = [X; U] has shape
-    (n+m, B), and each node costs one product with the node map of
-    ``_node_maps``.  Each chunk's draws are taken path-major, as the
-    reproducibility contract fixes them, and written once, scaled, into a
+    Paths run along the last axis of Z = [U; X; 1; W; W0], shape
+    (rows, B).  Each node makes two products, U = gain[k] @ Z[m:] and
+    T[k] @ Z, then adds the cost rows' form to the running cost and the
+    drift and the diffusion times dW_k to X.  Each chunk draws its
+    increments path-major, as the reproducibility contract fixes them, in
+    blocks of DRAW_BLOCK paths, each written scaled and transposed into a
     step-major increment buffer that every chunk reuses.
     """
-    grid = tab.grid
-    K, h = grid.n_steps, grid.h
-    t0 = grid.t0
-    n = p.n
-    d = n + p.m
-
-    T = _node_maps(tab)
-    TG = _terminal_map(p)
-    (fb_n, _), (mf_n, _), (v0_n, _) = control
-
-    w = trapezoid_weights(K + 1, h)
-    sqrt_h = np.sqrt(h)
-    sqrt_t0 = np.sqrt(t0) if t0 > 0.0 else 0.0
-
-    # Mean-channel contributions to control, drift and diffusion at nodes;
-    # drift and diffusion are stacked as the node map stacks their rows.
-    mean_u = np.einsum("kij,kj->ki", mf_n, EX) + v0_n
-    mean_drift = np.einsum("kij,kj->ki", tab.stack("A_bar"), EX) + np.einsum(
-        "kij,kj->ki", tab.stack("B_bar"), EU
-    ) + tab.stack("b0")
-    mean_diff = np.einsum("kij,kj->ki", tab.stack("C_bar"), EX) + np.einsum(
-        "kij,kj->ki", tab.stack("D_bar"), EU
-    ) + tab.stack("sigma0")
-    mean_step = np.concatenate((mean_drift, mean_diff), axis=1)
-    riding_step = np.concatenate((tab.stack("b1"), tab.stack("sigma1")), axis=1)
+    gain, T, terminal = maps
+    K = grid.n_steps
+    n, m = EX.shape[1], EU.shape[1]
+    d = n + m
+    w = trapezoid_weights(K + 1, grid.h)
+    sqrt_h = np.sqrt(grid.h)
+    sqrt_t0 = np.sqrt(grid.t0) if grid.t0 > 0.0 else 0.0
 
     costs = []
     extra_acc = [[] for _ in extras]
@@ -233,41 +253,40 @@ def _simulate_chunks(
         gauss = rng.standard_normal((bsz, law.indep_load.shape[1]))
         z0 = rng.standard_normal(bsz)
         dW = dW_buf[:, :bsz]
-        np.multiply(rng.standard_normal((bsz, K)).T, sqrt_h, out=dW)
+        for i in range(0, bsz, DRAW_BLOCK):
+            block = rng.standard_normal((min(DRAW_BLOCK, bsz - i), K))
+            np.multiply(block.T, sqrt_h, out=dW[:, i : i + block.shape[0]])
 
-        W0 = sqrt_t0 * z0
-        W = W0.copy()
-        anchor = W0 if frozen else W  # W advances in place
-        Z = np.empty((d, bsz))
-        X, U = Z[:n], Z[n:]
+        Z = np.empty((T.shape[2], bsz))
+        U, X, W = Z[:m], Z[m:d], Z[d + 1]
+        W[...] = sqrt_t0 * z0
         X[...] = (
-            law.mean + W0[:, None] * law.brownian_load + gauss @ law.indep_load.T
+            law.mean + W[:, None] * law.brownian_load + gauss @ law.indep_load.T
         ).T
+        Z[d] = 1.0
+        Z[d + 2 :] = W  # the frozen anchor W0, when Z has its row
         TZ = np.empty((T.shape[1], bsz))
-        step = TZ[d : d + 2 * n]  # drift rows, then diffusion rows
+        cost, drift, diff = TZ[:d], TZ[d : d + n], TZ[d + n :]
 
         running = np.zeros(bsz)
         running_extra = [np.zeros(bsz) for _ in extras]
 
         for k in range(K + 1):
-            np.matmul(fb_n[k], X, out=U)
-            U += mean_u[k][:, None]
-            U += v1_n[k][:, None] * anchor
+            np.matmul(gain[k], Z[m:], out=U)
             np.matmul(T[k], Z, out=TZ)
-            running += w[k] * _quadratic_cost(TZ, Z, W)
+            running += np.einsum("ib,ib->b", cost, Z[:d])
             for e_idx, fn in enumerate(extras):
                 running_extra[e_idx] += w[k] * fn(
                     k, (X - EX[k][:, None]).T, (U - EU[k][:, None]).T, W
                 )
             sum_X[k] += X.sum(axis=1)
             if k < K:
-                step += mean_step[k][:, None]
-                step += riding_step[k][:, None] * W
-                X += h * step[:n]
-                X += dW[k] * step[n:]
+                X += drift
+                diff *= dW[k]
+                X += diff
                 W += dW[k]
 
-        running += _quadratic_cost(TG @ X, X, W)
+        running += np.einsum("ib,ib->b", terminal @ Z[m : d + 2], X)
         costs.append(running)
         for e_idx in range(len(extras)):
             extra_acc[e_idx].append(running_extra[e_idx])
@@ -314,10 +333,12 @@ def simulate(
     EX, EU = _mean_path(tab, control, law.mean)
     det_cost = _mean_channel_cost(p, tab, EX, EU)
 
+    offset = spec.offset
+    maps = _sweep_maps(p, tab, EX, EU, (
+        control, sample_path(offset.noise_part, grid.nodes), offset.frozen_at_start
+    ))
     costs, extra_out, sum_X, sum_term, sum_term_outer = _simulate_chunks(
-        p, tab, control, sample_path(spec.offset.noise_part, grid.nodes),
-        spec.offset.frozen_at_start, law, n_paths, seed,
-        EX, EU, extras,
+        grid, maps, law, n_paths, seed, EX, EU, extras
     )
     costs = costs + det_cost
 
@@ -349,9 +370,10 @@ def simulate(
 def estimate_cost(times: np.ndarray, X: np.ndarray, U: np.ndarray, p: ProblemData):
     """Cost estimate from recorded path ensembles.
 
-    X has shape (paths, K+1, n) and U (paths, K+1, m); the mean channel
-    uses their sample means.  ``times`` must be the uniform nodes of the
-    problem's horizon, within the horizon's time slack; any other grid
+    X has shape (paths, K+1, n) and U (paths, K+1, m) with finite entries;
+    the mean channel uses their sample means.  Other shapes and non-finite
+    entries raise ValidationError.  ``times`` must be the uniform nodes of
+    the problem's horizon, within the horizon's time slack; any other grid
     raises ValidationError.  The recorded paths carry no Brownian values,
     so a problem whose cost rides them (nonzero q.noise, rho.noise or g1)
     raises ValidationError.  Returns (mean, stderr).
@@ -369,6 +391,15 @@ def estimate_cost(times: np.ndarray, X: np.ndarray, U: np.ndarray, p: ProblemDat
     U = np.asarray(U, dtype=float)
     if X.ndim != 3 or U.ndim != 3 or X.shape[:2] != U.shape[:2]:
         raise ValidationError("X and U must be (paths, nodes, dim) with equal fronts")
+    n, m = p.n, p.m
+    if (X.shape[2], U.shape[2]) != (n, m):
+        raise ValidationError(
+            f"X and U must end in the state and control dimensions ({n}, {m}), "
+            f"got ({X.shape[2]}, {U.shape[2]})"
+        )
+    for name, values in (("X", X), ("U", U)):
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"{name} has non-finite entries")
     n_paths, n_nodes = X.shape[:2]
     if times.shape != (n_nodes,):
         raise ValidationError("times length does not match the path arrays")
@@ -382,15 +413,18 @@ def estimate_cost(times: np.ndarray, X: np.ndarray, U: np.ndarray, p: ProblemDat
     EX = X.mean(axis=0)
     EU = U.mean(axis=0)
 
+    # Z = [U; X; 1]: the W column of the maps is zero without riding costs.
+    d = n + m
     tab = tabulate(p, grid)
-    T = _node_maps(tab)
-    w = trapezoid_weights(n_nodes, grid.h)
+    _, T, terminal = _sweep_maps(p, tab, EX, EU)
     per_path = np.zeros(n_paths)
+    Z = np.empty((d + 1, n_paths))
+    Z[d] = 1.0
     for k in range(n_nodes):
-        Z = np.concatenate((X[:, k], U[:, k]), axis=1).T
-        per_path += w[k] * _quadratic_cost(T[k] @ Z, Z, 0.0)
-    XT = X[:, -1].T
-    per_path += _quadratic_cost(_terminal_map(p) @ XT, XT, 0.0)
+        Z[:m] = U[:, k].T
+        Z[m:d] = X[:, k].T
+        per_path += np.einsum("ib,ib->b", T[k, :d, : d + 1] @ Z, Z[:d])
+    per_path += np.einsum("ib,ib->b", terminal[:, : n + 1] @ Z[m:], Z[m:d])
     per_path += _mean_channel_cost(p, tab, EX, EU)
 
     mean = float(np.mean(per_path))

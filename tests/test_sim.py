@@ -1,5 +1,7 @@
 """Monte Carlo engine: reproducibility, chunking, and exact scenarios."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,23 @@ def test_path_draws_do_not_depend_on_batch_size():
     np.testing.assert_array_equal(
         big.per_path_costs[:CHUNK], small.per_path_costs
     )
+
+
+def test_chunk_holds_one_increment_buffer():
+    """Increments are drawn in row blocks straight into the step-major
+    buffer, so a full chunk holds no second (paths, K) array: its traced
+    peak stays below 1.5 times the buffer."""
+    n_steps = 150
+    p = noisy_classic(n_steps)
+    law = InitialLaw.deterministic([1.0])
+    sol = synthesize(p)
+    tracemalloc.start()
+    try:
+        simulate(p, sol.strategy, law, n_paths=CHUNK, n_steps=n_steps, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * CHUNK * n_steps * 8
 
 
 def test_deterministic_problem_has_zero_stderr():
@@ -157,6 +176,27 @@ def test_estimate_cost_validates_shapes():
     p = make_problem(1, 1, g, B=1.0, R=1.0, G=1.0)
     with pytest.raises(ValidationError):
         estimate_cost(g.nodes, np.zeros((2, 5, 1)), np.zeros((2, 11, 1)), p)
+
+
+@pytest.mark.parametrize("x_dim, u_dim", [(2, 1), (1, 2)])
+def test_estimate_cost_refuses_wrong_state_or_control_dimension(x_dim, u_dim):
+    """A wrong last axis used to end in numpy's matmul core-dimension error."""
+    g = TimeGrid(0.0, 1.0, 10)
+    p = make_problem(1, 1, g, B=1.0, R=1.0, G=1.0)
+    X, U = np.zeros((3, 11, x_dim)), np.zeros((3, 11, u_dim))
+    with pytest.raises(ValidationError, match=r"dimensions \(1, 1\)"):
+        estimate_cost(g.nodes, X, U, p)
+
+
+@pytest.mark.parametrize("name, bad", [("X", np.nan), ("U", np.inf)])
+def test_estimate_cost_refuses_non_finite_paths(name, bad):
+    """NaN paths used to come back silently as (nan, nan)."""
+    g = TimeGrid(0.0, 1.0, 10)
+    p = make_problem(1, 1, g, B=1.0, R=1.0, G=1.0)
+    arrays = {"X": np.zeros((3, 11, 1)), "U": np.zeros((3, 11, 1))}
+    arrays[name][1, 4, 0] = bad
+    with pytest.raises(ValidationError, match=f"{name} has non-finite"):
+        estimate_cost(g.nodes, arrays["X"], arrays["U"], p)
 
 
 @pytest.mark.parametrize("times, match", [

@@ -1,15 +1,19 @@
 """The Monte Carlo sweep against a row-layout reference loop.
 
-``sim.simulate`` runs paths along the last axis and prices every node with
-one stacked map of Z = [X; U].  The reference below is the plain
+``sim.simulate`` runs paths along the last axis of Z = [U; X; 1; W; W0]
+and steps every node with two affine maps of Z, one for the control and one
+for the cost, the drift and the diffusion.  The reference below is the plain
 Euler-Maruyama loop with the state laid out as (paths, n): controls, cost
 terms, drift and diffusion are formed one coefficient at a time.  It draws
 through ``sim._chunk_rng`` in the same order (initial Gaussians, initial
 Brownian value, then a path-major (paths, K) block of increments per
 chunk), so both sweeps see the same Brownian paths and may differ only by
 the order of floating-point sums.  Every output must agree to
-1e-12 * (1 + |x|).
+1e-12 * (1 + |x|), and at one node the maps themselves must equal the
+row-layout formulas to 1e-13 * (1 + |x|).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from mflq import sim
 from mflq.presets import example31, example31_null_control, random_spd
 from mflq.problem import (
     InitialLaw,
+    NoiseAffinePath,
     TimeGrid,
     make_problem,
     sample_path,
@@ -64,6 +69,27 @@ def terminal_cost(p, X, W):
     return np.einsum("bi,ij,bj->b", X, p.G, X) + 2.0 * (X @ p.g0 + (X @ p.g1) * W)
 
 
+def mean_terms(st, spec, times, EX, EU):
+    """Node samples of the mean-channel control, drift and diffusion."""
+    mf = sample_path(spec.mean_feedback, times)
+    v0 = sample_path(spec.offset.const_part, times)
+    mean_u = np.einsum("kij,kj->ki", mf, EX) + v0
+    mean_drift = (np.einsum("kij,kj->ki", st("A_bar"), EX)
+                  + np.einsum("kij,kj->ki", st("B_bar"), EU) + st("b0"))
+    mean_diff = (np.einsum("kij,kj->ki", st("C_bar"), EX)
+                 + np.einsum("kij,kj->ki", st("D_bar"), EU) + st("sigma0"))
+    return mean_u, mean_drift, mean_diff
+
+
+def increments(st, k, X, U, W, mean_drift, mean_diff):
+    """Euler drift and diffusion at node k, each (paths, n)."""
+    drift = (X @ st("A")[k].T + U @ st("B")[k].T + mean_drift[k]
+             + st("b1")[k] * W[:, None])
+    diff = (X @ st("C")[k].T + U @ st("D")[k].T + mean_diff[k]
+            + st("sigma1")[k] * W[:, None])
+    return drift, diff
+
+
 def reference_simulate(p, spec, law, n_paths, n_steps, seed, extra):
     """Row-layout Euler-Maruyama: per-path costs, state sums, extra totals."""
     grid = p.horizon.with_steps(n_steps)
@@ -72,14 +98,8 @@ def reference_simulate(p, spec, law, n_paths, n_steps, seed, extra):
     st = tab.stack
     EX, EU = sim.mean_ode(p, spec, law.mean, n_steps=n_steps)
     fb = sample_path(spec.feedback, times)
-    mf = sample_path(spec.mean_feedback, times)
-    v0 = sample_path(spec.offset.const_part, times)
     v1 = sample_path(spec.offset.noise_part, times)
-    mean_u = np.einsum("kij,kj->ki", mf, EX) + v0
-    mean_drift = (np.einsum("kij,kj->ki", st("A_bar"), EX)
-                  + np.einsum("kij,kj->ki", st("B_bar"), EU) + st("b0"))
-    mean_diff = (np.einsum("kij,kj->ki", st("C_bar"), EX)
-                 + np.einsum("kij,kj->ki", st("D_bar"), EU) + st("sigma0"))
+    mean_u, mean_drift, mean_diff = mean_terms(st, spec, times, EX, EU)
     w = trapezoid_weights(K + 1, h)
     sqrt_t0 = np.sqrt(grid.t0)
 
@@ -104,10 +124,7 @@ def reference_simulate(p, spec, law, n_paths, n_steps, seed, extra):
             acc += w[k] * extra(k, X - EX[k], U - EU[k], W)
             sum_X[k] += X.sum(axis=0)
             if k < K:
-                drift = (X @ st("A")[k].T + U @ st("B")[k].T + mean_drift[k]
-                         + st("b1")[k] * W[:, None])
-                diff = (X @ st("C")[k].T + U @ st("D")[k].T + mean_diff[k]
-                        + st("sigma1")[k] * W[:, None])
+                drift, diff = increments(st, k, X, U, W, mean_drift, mean_diff)
                 X = X + h * drift + dW[:, k : k + 1] * diff
                 W = W + dW[:, k]
         costs.append(running + terminal_cost(p, X, W))
@@ -195,3 +212,66 @@ def test_estimate_cost_matches_row_layout_formula():
     ref = ref + mean_channel_cost(p, tab, X.mean(axis=0), U.mean(axis=0))
     assert abs(mean - ref.mean()) <= TOL * (1.0 + abs(ref.mean()))
     assert abs(stderr - sim.sample_stderr(ref)) <= TOL * sim.sample_stderr(ref)
+
+
+def test_node_maps_match_row_layout_formulas():
+    """At one node, from a random Z with a frozen anchor and every riding
+    term nonzero, the control product, the cost rows' form, both increments
+    and the terminal form equal the row-layout formulas to 1e-13 (1 + |x|)."""
+    p, law = random_spd(3, n=3, m=2, n_steps=40)
+    spec = synthesize(p).strategy
+    offset = spec.offset
+    spec = dataclasses.replace(spec, offset=NoiseAffinePath(
+        offset.const_part, offset.noise_part, frozen_at_start=True))
+    for name in ("b", "sigma", "q", "rho"):
+        assert np.any(getattr(p, name).noise_part.values != 0.0), name
+    assert np.any(p.g1 != 0.0) and np.any(offset.noise_part.values != 0.0)
+
+    grid = p.horizon.with_steps(30)
+    tab = tabulate(p, grid)
+    st, times = tab.stack, grid.nodes
+    control = sim._control_samples(spec, grid)
+    EX, EU = sim._mean_path(tab, control, law.mean)
+    v1 = sample_path(offset.noise_part, times)
+    gain, T, terminal = sim._sweep_maps(p, tab, EX, EU, (control, v1, True))
+    mean_u, mean_drift, mean_diff = mean_terms(st, spec, times, EX, EU)
+    w = trapezoid_weights(grid.n_steps + 1, grid.h)
+
+    def near(got, want):
+        err = np.max(np.abs(got - want) / (1.0 + np.abs(want)))
+        assert err <= 1e-13, err
+
+    n, m = p.n, p.m
+    d = n + m
+    rng = np.random.default_rng(2)
+    X, W, W0 = rng.normal(size=(40, n)), rng.normal(size=40), rng.normal(size=40)
+    Z = np.vstack((np.zeros((m, 40)), X.T, np.ones(40), W, W0))
+    assert T.shape[1:] == (d + 2 * n, Z.shape[0])
+    for k in (0, 17, grid.n_steps):
+        np.matmul(gain[k], Z[m:], out=Z[:m])
+        U = Z[:m].T
+        near(U, X @ sample_path(spec.feedback, times)[k].T + mean_u[k]
+             + v1[k] * W0[:, None])
+        TZ = T[k] @ Z
+        near(np.einsum("ib,ib->b", TZ[:d], Z[:d]), w[k] * node_cost(st, k, X, U, W))
+        drift, diff = increments(st, k, X, U, W, mean_drift, mean_diff)
+        near(TZ[d : d + n].T, grid.h * drift)
+        near(TZ[d + n :].T, diff)
+    near(np.einsum("ib,ib->b", terminal @ Z[m : d + 2], X.T), terminal_cost(p, X, W))
+
+
+def test_each_call_builds_the_sweep_maps_once(monkeypatch):
+    calls = []
+    build = sim._sweep_maps
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].grid.n_steps)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_sweep_maps", counted)
+    p, law = random_spd(4, n=2, m=1, n_steps=20, inhomogeneous=False)
+    sim.simulate(p, synthesize(p).strategy, law, 500, 25, seed=1)
+    assert calls == [25]
+    X = np.ones((30, 13, 2))
+    sim.estimate_cost(p.horizon.with_steps(12).nodes, X, X[..., :1], p)
+    assert calls == [25, 12]
