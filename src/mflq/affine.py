@@ -98,6 +98,24 @@ def _noise_ode(c, maps, P, Th):
     return _adjoint_ode(maps, 0, Th, P, *_noise_loads(c, P), c["b1"], c["q1"])
 
 
+def _noise_adjoint(p: ProblemData, sol: GreSolution, mids: MidpointData):
+    """The noise adjoint and the Hermite midpoints of it that the mean
+    adjoint reads, from one build of its nodal ODE for both."""
+    tab = sol.table
+    L_n, g_n = _noise_ode(tab.node, tab.node_maps, sol.P, sol.gain_dev)
+    L_m, g_m = _noise_ode(tab.mid, tab.mid_maps, mids.P, mids.gain_dev)
+    eta = linear_rk4(
+        sol.grid, L_n, g_n, L_m, g_m, p.g1, "adjoint offset", backward=True
+    )
+    return eta, _noise_midpoints(sol, eta, L_n, g_n)
+
+
+def _noise_midpoints(sol: GreSolution, eta: np.ndarray, L, g) -> np.ndarray:
+    """Hermite midpoints of the noise adjoint from its nodal derivative
+    L eta + g."""
+    return hermite_midpoints(eta, _mv(L, eta) + g, sol.grid.h)
+
+
 def solve_adjoint(
     p: ProblemData, sol: GreSolution, mids: Optional[MidpointData] = None
 ) -> np.ndarray:
@@ -106,28 +124,28 @@ def solve_adjoint(
     The equation is autonomous: it sees neither the constant part of the
     adjoint nor the mean channel, and its terminal value is g1.
     """
-    tab = sol.table
-    if mids is None:
-        mids = dense_midpoints(sol)
-    L_n, g_n = _noise_ode(tab.node, tab.node_maps, sol.P, sol.gain_dev)
-    L_m, g_m = _noise_ode(tab.mid, tab.mid_maps, mids.P, mids.gain_dev)
-    return linear_rk4(
-        sol.grid, L_n, g_n, L_m, g_m, p.g1, "adjoint offset", backward=True
-    )
-
-
-def _adjoint_noise_midpoints(sol: GreSolution, adjoint_noise: np.ndarray) -> np.ndarray:
-    """Hermite midpoints of the noise adjoint from its own nodal derivative."""
-    tab = sol.table
-    L, g = _noise_ode(tab.node, tab.node_maps, sol.P, sol.gain_dev)
-    deriv = _mv(L, adjoint_noise) + g
-    return hermite_midpoints(adjoint_noise, deriv, sol.grid.h)
+    return _noise_adjoint(p, sol, dense_midpoints(sol) if mids is None else mids)[0]
 
 
 def _mean_ode(c, maps, P, Pm, Ga, e1):
     """L and g of the mean adjoint at a set of grid points."""
     loads = _mean_loads(c, P, e1)
     return _adjoint_ode(maps, 1, Ga, Pm, *loads, c["b0"], c["q0"] + c["q_bar"])
+
+
+def _mean_adjoint(p, sol, adjoint_noise, noise_mid, mids: MidpointData):
+    """The mean adjoint from the noise adjoint at the nodes and midpoints."""
+    tab = sol.table
+    L_n, g_n = _mean_ode(
+        tab.node, tab.node_maps, sol.P, sol.P_mean, sol.gain_mean, adjoint_noise
+    )
+    L_m, g_m = _mean_ode(
+        tab.mid, tab.mid_maps, mids.P, mids.P_mean, mids.gain_mean, noise_mid
+    )
+    return linear_rk4(
+        sol.grid, L_n, g_n, L_m, g_m, p.g0 + p.g_bar, "mean adjoint offset",
+        backward=True,
+    )
 
 
 def solve_adjoint_mean(
@@ -140,21 +158,14 @@ def solve_adjoint_mean(
 
     The drift couples to the already-solved noise coefficient of the
     pathwise adjoint (its expectation against the running Brownian value is
-    what survives in the mean dynamics).
+    what survives in the mean dynamics); its midpoints are Hermite
+    midpoints from its own nodal derivative.
     """
     tab = sol.table
-    if mids is None:
-        mids = dense_midpoints(sol)
-    e1_m = _adjoint_noise_midpoints(sol, adjoint_noise)
-    L_n, g_n = _mean_ode(
-        tab.node, tab.node_maps, sol.P, sol.P_mean, sol.gain_mean, adjoint_noise
-    )
-    L_m, g_m = _mean_ode(
-        tab.mid, tab.mid_maps, mids.P, mids.P_mean, mids.gain_mean, e1_m
-    )
-    return linear_rk4(
-        sol.grid, L_n, g_n, L_m, g_m, p.g0 + p.g_bar, "mean adjoint offset",
-        backward=True,
+    noise_ode = _noise_ode(tab.node, tab.node_maps, sol.P, sol.gain_dev)
+    noise_mid = _noise_midpoints(sol, adjoint_noise, *noise_ode)
+    return _mean_adjoint(
+        p, sol, adjoint_noise, noise_mid, dense_midpoints(sol) if mids is None else mids
     )
 
 
@@ -205,8 +216,8 @@ def compute_corrections(
 def solve_affine(p: ProblemData, sol: GreSolution) -> AffineSolution:
     """Full affine stage: the noise and mean adjoints plus control offsets."""
     mids = dense_midpoints(sol)
-    adjoint_noise = solve_adjoint(p, sol, mids=mids)
-    adjoint_mean = solve_adjoint_mean(p, sol, adjoint_noise, mids=mids)
+    adjoint_noise, noise_mid = _noise_adjoint(p, sol, mids)
+    adjoint_mean = _mean_adjoint(p, sol, adjoint_noise, noise_mid, mids)
     corrections = compute_corrections(sol, adjoint_noise, adjoint_mean)
     return AffineSolution(
         grid=sol.grid,

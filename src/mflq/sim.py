@@ -16,9 +16,21 @@ entry time, only when the offset is frozen there), and every node makes
 two products: U = gain[k] @ [X; 1; W; W0], then T[k] @ Z, whose rows are
 the weighted running-cost form, the drift scaled by h and the diffusion.
 Both maps are built once per call by ``_sweep_maps``; ``estimate_cost``
-prices recorded paths with the same cost rows.  Each chunk draws its
-increments path-major in blocks of DRAW_BLOCK paths, written scaled and
-transposed into one step-major buffer.
+prices recorded paths with the same cost rows.
+
+A chunk is swept in segments of SEGMENT = CHUNK // 2 paths.  While the
+caller's thread sweeps segment s, one background thread draws segment s+1
+into the other of two step-major (K, SEGMENT) increment buffers, which
+together hold what one (K, CHUNK) buffer would (a merged remainder, see
+_MIN_TAIL, widens one by at most 15 columns); numpy's generators release
+the interpreter lock while they fill an array, so the draws overlap the
+sweep.  Each chunk's stream is still drawn in path order, its initial
+draws first and then its increments path-major in blocks of DRAW_BLOCK
+paths, one block at a time, so every path sees the draws of an
+unsegmented sweep; with _MIN_TAIL, its cost is the same bit for bit.
+Segment 0 is drawn inline: a run of one segment starts no thread.  The
+path sums behind the sample mean and the terminal moments are taken per
+segment.
 """
 
 from __future__ import annotations
@@ -50,6 +62,14 @@ CHUNK = 16384
 # Paths per increment draw within a chunk.  Philox draws are sequential, so
 # the blocks concatenate to the chunk's single (paths, K) draw bit for bit.
 DRAW_BLOCK = 1024
+# Paths per segment of a chunk: the sweep's unit and the background draw's.
+SEGMENT = CHUNK // 2
+# A chunk's remainder of fewer paths than this stays in the segment before
+# it.  A product only a few columns wide takes other BLAS kernels (numpy
+# sends one column to gemv; OpenBLAS's transposed gemv treats fewer than
+# four columns apart), which round unlike the same columns of a wider
+# product; so every path meets the kernels of a whole-chunk product.
+_MIN_TAIL = 16
 
 
 @dataclass(frozen=True)
@@ -140,14 +160,16 @@ def _sweep_maps(p: ProblemData, tab: CoefficientTable, EX, EU, control=None):
 
     - gain (K+1, m, n+2 or n+3), so that U = gain[k] @ Z[m:]: the feedback,
       the mean-channel control mean_feedback EX + v0 in the 1 column, and v1
-      in the W column, or in the W0 column when frozen.  Without
-      ``control`` (recorded paths) it is None.
+      in the W column, or in the W0 column when frozen.
     - T (K+1, n+m+2n, rows of Z), three row blocks: the running cost
       w_k [[R S 2rho0 2rho1], [S^T Q 2q0 2q1]] with trapezoid weight w_k, so
       that the sum over its n+m rows of (T[k] Z)_i Z_i is the weighted cost
       of node k; the drift h [B A | mean drift | b1]; the diffusion
       [D C | mean diffusion | sigma1].
     - terminal (n, n+2): [G 2g0 2g1], the terminal cost on [X; 1; W].
+
+    Without ``control`` (recorded paths, Z = [U; X; 1; W]) gain is None and
+    T holds the cost rows alone, (K+1, n+m, n+m+2).
     """
     grid = tab.grid
     K, h = grid.n_steps, grid.h
@@ -155,6 +177,9 @@ def _sweep_maps(p: ProblemData, tab: CoefficientTable, EX, EU, control=None):
     st = tab.stack
     samples, v1, frozen = (None, None, False) if control is None else control
     ux = np.r_[n:d, :n]  # the [x; u] columns of a channel map, as [u; x]
+
+    def channel(t):
+        return np.broadcast_to(t[..., 0, :, :], (K + 1,) + t.shape[-2:])[..., ux]
 
     def rows(linear, const, riding):
         cols = (linear, const[..., None], riding[..., None])
@@ -164,20 +189,19 @@ def _sweep_maps(p: ProblemData, tab: CoefficientTable, EX, EU, control=None):
         return (np.einsum("kij,kj->ki", st(a), EX)
                 + np.einsum("kij,kj->ki", st(b), EU) + st(c))
 
-    F, G, H = (
-        np.broadcast_to(t[..., 0, :, :], (K + 1,) + t.shape[-2:])[..., ux]
-        for t in tab.node_maps
-    )
+    F, G, H = tab.node_maps
     w = trapezoid_weights(K + 1, h)[:, None, None]
-    T = _join((
-        w * rows(H[:, ux], 2.0 * np.concatenate((st("rho0"), st("q0")), 1),
-                 2.0 * np.concatenate((st("rho1"), st("q1")), 1)),
-        h * rows(F, mean_step("A_bar", "B_bar", "b0"), st("b1")),
-        rows(G, mean_step("C_bar", "D_bar", "sigma0"), st("sigma1")),
-    ), -2)
+    cost = w * rows(channel(H)[:, ux],
+                    2.0 * np.concatenate((st("rho0"), st("q0")), 1),
+                    2.0 * np.concatenate((st("rho1"), st("q1")), 1))
     terminal = np.column_stack((p.G, 2.0 * p.g0, 2.0 * p.g1))
     if samples is None:
-        return None, T, terminal
+        return None, cost, terminal
+    T = _join((
+        cost,
+        h * rows(channel(F), mean_step("A_bar", "B_bar", "b0"), st("b1")),
+        rows(channel(G), mean_step("C_bar", "D_bar", "sigma0"), st("sigma1")),
+    ), -2)
     (fb, _), (mf, _), (v0, _) = samples
     mean_u = np.einsum("kij,kj->ki", mf, EX) + v0
     v1 = v1[..., None]
@@ -205,6 +229,43 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _segments(n_paths: int):
+    """(chunk, first path within the chunk, paths) of every segment, in path
+    order: SEGMENT paths at a time, the rest of a chunk whole once fewer
+    than SEGMENT + _MIN_TAIL of its paths are left."""
+    out = []
+    for c in range((n_paths + CHUNK - 1) // CHUNK):
+        bsz = min(CHUNK, n_paths - c * CHUNK)
+        start = 0
+        while start < bsz:
+            size = bsz - start if bsz - start < SEGMENT + _MIN_TAIL else SEGMENT
+            out.append((c, start, size))
+            start += size
+    return out
+
+
+def _draws(segments, n_paths: int, seed: int, n_gauss: int, K: int, sqrt_h, buffers):
+    """Yield (gauss, z0, dW) of each segment in path order.
+
+    A chunk's first segment opens the chunk's stream and draws the initial
+    Gaussians and Brownian values of all its paths; then every segment
+    draws its increments path-major in blocks of DRAW_BLOCK paths, each
+    written scaled and transposed into buffers[s % 2].  Segments are drawn
+    one after the other, so each chunk's stream runs in path order.
+    """
+    for s, (c, start, size) in enumerate(segments):
+        if start == 0:
+            rng = _chunk_rng(seed, c)
+            bsz = min(CHUNK, n_paths - c * CHUNK)
+            gauss = rng.standard_normal((bsz, n_gauss))
+            z0 = rng.standard_normal(bsz)
+        dW = buffers[s % 2][:, :size]
+        for i in range(0, size, DRAW_BLOCK):
+            block = rng.standard_normal((min(DRAW_BLOCK, size - i), K))
+            np.multiply(block.T, sqrt_h, out=dW[:, i : i + block.shape[0]])
+        yield gauss[start : start + size], z0[start : start + size], dW
+
+
 def _simulate_chunks(
     grid: TimeGrid,
     maps,
@@ -215,7 +276,7 @@ def _simulate_chunks(
     EU: np.ndarray,
     extras: Sequence[Callable] = (),
 ):
-    """Core Euler-Maruyama sweep over path chunks.
+    """Core Euler-Maruyama sweep over path segments.
 
     Returns (costs, extra_accumulators, sum_state_per_node, terminal sums).
     ``maps`` is (gain, T, terminal) from ``_sweep_maps``; the columns of T
@@ -226,17 +287,16 @@ def _simulate_chunks(
     Paths run along the last axis of Z = [U; X; 1; W; W0], shape
     (rows, B).  Each node makes two products, U = gain[k] @ Z[m:] and
     T[k] @ Z, then adds the cost rows' form to the running cost and the
-    drift and the diffusion times dW_k to X.  Each chunk draws its
-    increments path-major, as the reproducibility contract fixes them, in
-    blocks of DRAW_BLOCK paths, each written scaled and transposed into a
-    step-major increment buffer that every chunk reuses.
+    drift and the diffusion times dW_k to X.  Segment 0's draws are made
+    inline; while a segment is swept, one worker thread draws the next
+    (``_draws``) into the other increment buffer.  A failed draw raises
+    here, and the worker is joined before this returns or raises.
     """
     gain, T, terminal = maps
     K = grid.n_steps
     n, m = EX.shape[1], EU.shape[1]
     d = n + m
     w = trapezoid_weights(K + 1, grid.h)
-    sqrt_h = np.sqrt(grid.h)
     sqrt_t0 = np.sqrt(grid.t0) if grid.t0 > 0.0 else 0.0
 
     costs = []
@@ -244,54 +304,58 @@ def _simulate_chunks(
     sum_X = np.zeros((K + 1, n))
     sum_term = np.zeros(n)
     sum_term_outer = np.zeros((n, n))
-    dW_buf = np.empty((K, min(CHUNK, n_paths)))
+    segments = _segments(n_paths)
+    sizes = [size for _, _, size in segments]
+    buffers = [np.empty((K, max(sizes[b::2]))) for b in range(min(2, len(sizes)))]
+    draws = _draws(segments, n_paths, seed, law.indep_load.shape[1], K,
+                   np.sqrt(grid.h), buffers)
+    # Imported here, so that importing mflq loads neither concurrent.futures
+    # nor the logging it imports for the callers that never simulate.
+    from concurrent.futures import ThreadPoolExecutor
 
-    n_chunks = (n_paths + CHUNK - 1) // CHUNK
-    for c in range(n_chunks):
-        bsz = min(CHUNK, n_paths - c * CHUNK)
-        rng = _chunk_rng(seed, c)
-        gauss = rng.standard_normal((bsz, law.indep_load.shape[1]))
-        z0 = rng.standard_normal(bsz)
-        dW = dW_buf[:, :bsz]
-        for i in range(0, bsz, DRAW_BLOCK):
-            block = rng.standard_normal((min(DRAW_BLOCK, bsz - i), K))
-            np.multiply(block.T, sqrt_h, out=dW[:, i : i + block.shape[0]])
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="mflq-draws") as pool:
+        drawn = next(draws)
+        for s in range(len(segments)):
+            ahead = pool.submit(next, draws) if s + 1 < len(segments) else None
+            gauss, z0, dW = drawn
+            bsz = z0.shape[0]
+            Z = np.empty((T.shape[2], bsz))
+            U, X, W = Z[:m], Z[m:d], Z[d + 1]
+            W[...] = sqrt_t0 * z0
+            X[...] = (
+                law.mean + W[:, None] * law.brownian_load + gauss @ law.indep_load.T
+            ).T
+            Z[d] = 1.0
+            Z[d + 2 :] = W  # the frozen anchor W0, when Z has its row
+            TZ = np.empty((T.shape[1], bsz))
+            cost, drift, diff = TZ[:d], TZ[d : d + n], TZ[d + n :]
 
-        Z = np.empty((T.shape[2], bsz))
-        U, X, W = Z[:m], Z[m:d], Z[d + 1]
-        W[...] = sqrt_t0 * z0
-        X[...] = (
-            law.mean + W[:, None] * law.brownian_load + gauss @ law.indep_load.T
-        ).T
-        Z[d] = 1.0
-        Z[d + 2 :] = W  # the frozen anchor W0, when Z has its row
-        TZ = np.empty((T.shape[1], bsz))
-        cost, drift, diff = TZ[:d], TZ[d : d + n], TZ[d + n :]
+            running = np.zeros(bsz)
+            running_extra = [np.zeros(bsz) for _ in extras]
 
-        running = np.zeros(bsz)
-        running_extra = [np.zeros(bsz) for _ in extras]
+            for k in range(K + 1):
+                np.matmul(gain[k], Z[m:], out=U)
+                np.matmul(T[k], Z, out=TZ)
+                running += np.einsum("ib,ib->b", cost, Z[:d])
+                for e_idx, fn in enumerate(extras):
+                    running_extra[e_idx] += w[k] * fn(
+                        k, (X - EX[k][:, None]).T, (U - EU[k][:, None]).T, W
+                    )
+                sum_X[k] += X.sum(axis=1)
+                if k < K:
+                    X += drift
+                    diff *= dW[k]
+                    X += diff
+                    W += dW[k]
 
-        for k in range(K + 1):
-            np.matmul(gain[k], Z[m:], out=U)
-            np.matmul(T[k], Z, out=TZ)
-            running += np.einsum("ib,ib->b", cost, Z[:d])
-            for e_idx, fn in enumerate(extras):
-                running_extra[e_idx] += w[k] * fn(
-                    k, (X - EX[k][:, None]).T, (U - EU[k][:, None]).T, W
-                )
-            sum_X[k] += X.sum(axis=1)
-            if k < K:
-                X += drift
-                diff *= dW[k]
-                X += diff
-                W += dW[k]
-
-        running += np.einsum("ib,ib->b", terminal @ Z[m : d + 2], X)
-        costs.append(running)
-        for e_idx in range(len(extras)):
-            extra_acc[e_idx].append(running_extra[e_idx])
-        sum_term += X.sum(axis=1)
-        sum_term_outer += X @ X.T
+            running += np.einsum("ib,ib->b", terminal @ Z[m : d + 2], X)
+            costs.append(running)
+            for e_idx in range(len(extras)):
+                extra_acc[e_idx].append(running_extra[e_idx])
+            sum_term += X.sum(axis=1)
+            sum_term_outer += X @ X.T
+            if ahead is not None:
+                drawn = ahead.result()
 
     costs = np.concatenate(costs)
     extra_out = [np.concatenate(acc) for acc in extra_acc]
@@ -416,14 +480,14 @@ def estimate_cost(times: np.ndarray, X: np.ndarray, U: np.ndarray, p: ProblemDat
     # Z = [U; X; 1]: the W column of the maps is zero without riding costs.
     d = n + m
     tab = tabulate(p, grid)
-    _, T, terminal = _sweep_maps(p, tab, EX, EU)
+    _, cost, terminal = _sweep_maps(p, tab, EX, EU)
     per_path = np.zeros(n_paths)
     Z = np.empty((d + 1, n_paths))
     Z[d] = 1.0
     for k in range(n_nodes):
         Z[:m] = U[:, k].T
         Z[m:d] = X[:, k].T
-        per_path += np.einsum("ib,ib->b", T[k, :d, : d + 1] @ Z, Z[:d])
+        per_path += np.einsum("ib,ib->b", cost[k, :, : d + 1] @ Z, Z[:d])
     per_path += np.einsum("ib,ib->b", terminal[:, : n + 1] @ Z[m:], Z[m:d])
     per_path += _mean_channel_cost(p, tab, EX, EU)
 

@@ -14,9 +14,12 @@ inhomogeneity rides on the Brownian value instead.
 import numpy as np
 import pytest
 
+from mflq import affine
 from mflq.affine import compute_corrections, solve_adjoint, solve_adjoint_mean, solve_affine
+from mflq.presets import random_spd
 from mflq.problem import TimeGrid, make_problem
 from mflq.riccati import integrate_gre
+from mflq.synthesis import synthesize
 
 
 def classic(n_steps=1000, **extra):
@@ -111,3 +114,29 @@ def test_compute_corrections_matches_solve_affine():
     packed = solve_affine(p, sol)
     np.testing.assert_array_equal(direct.corr_noise, packed.corrections.corr_noise)
     np.testing.assert_array_equal(direct.corr_mean, packed.corrections.corr_mean)
+
+
+def test_synthesis_builds_the_noise_adjoint_ode_twice(monkeypatch):
+    """One build at the nodes and one at the midpoints serve the noise
+    adjoint and the mean adjoint's midpoints; the adjoints and offsets are
+    bitwise those of the public solvers, which build the nodal ODE again."""
+    p, _ = random_spd(2, n=3, m=2, n_steps=120)
+    sol = integrate_gre(p)
+    builds = []
+    build = affine._noise_ode
+
+    def counted(*args):
+        builds.append(len(args[2]))  # P at the nodes or at the midpoints
+        return build(*args)
+
+    monkeypatch.setattr(affine, "_noise_ode", counted)
+    synthesize(p)
+    assert builds == [121, 120]
+    aff = solve_affine(p, sol)
+    eta1 = solve_adjoint(p, sol)
+    eta_bar = solve_adjoint_mean(p, sol, eta1)
+    direct = compute_corrections(sol, eta1, eta_bar)
+    np.testing.assert_array_equal(aff.adjoint_noise, eta1)
+    np.testing.assert_array_equal(aff.adjoint_mean, eta_bar)
+    np.testing.assert_array_equal(aff.corrections.corr_noise, direct.corr_noise)
+    np.testing.assert_array_equal(aff.corrections.corr_mean, direct.corr_mean)

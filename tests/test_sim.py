@@ -1,10 +1,14 @@
-"""Monte Carlo engine: reproducibility, chunking, and exact scenarios."""
+"""Monte Carlo engine: reproducibility, chunking, the background draw thread,
+and exact scenarios."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from mflq import sim
 from mflq.errors import FiniteEscapeError, ValidationError
 from mflq.presets import example31, example31_null_control, scalar_classic
 from mflq.problem import (
@@ -276,3 +280,96 @@ def test_frozen_offset_uses_entry_time_brownian_value():
     rep_run = simulate(p, spec_run, law, n_paths=200000, n_steps=100, seed=21)
     # E[(int_t0^T W ds)^2] > E[(W(t0) span)^2] for this horizon
     assert rep_run.cost_mean > rep.cost_mean
+
+
+class Planted(Exception):
+    """A failure a test plants in the sweep or in a draw."""
+
+
+def _simulate_noisy(p, n_paths=CHUNK + 100, **kwargs):
+    """Simulate p's optimal strategy at 20 steps; by default three segments."""
+    law = InitialLaw.deterministic([1.0])
+    return simulate(p, synthesize(p).strategy, law, n_paths=n_paths, n_steps=20,
+                    seed=4, **kwargs)
+
+
+def test_background_draws_leave_no_thread(monkeypatch):
+    """One worker thread per multi-segment call, joined before simulate
+    returns, and joined as well when the sweep raises."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    p = noisy_classic(20)
+    before = threading.enumerate()
+    _simulate_noisy(p)
+    assert len(started) == 1
+    assert threading.enumerate() == before
+
+    def failing(k, dX, dU, W):
+        if k == 10:
+            raise Planted("in the sweep")
+        return W
+
+    with pytest.raises(Planted, match="in the sweep"):
+        _simulate_noisy(p, extras=(failing,))
+    assert threading.enumerate() == before
+
+
+def test_failed_background_draw_surfaces(monkeypatch):
+    """A draw that fails in the worker raises the same exception from
+    simulate, and no thread is left behind."""
+    failure = Planted("chunk 1")
+    chunk_rng = sim._chunk_rng
+
+    def failing(seed, chunk_index):
+        if chunk_index == 1:
+            raise failure
+        return chunk_rng(seed, chunk_index)
+
+    monkeypatch.setattr(sim, "_chunk_rng", failing)
+    before = threading.enumerate()
+    with pytest.raises(Planted) as info:
+        _simulate_noisy(noisy_classic(20), n_paths=CHUNK + 1)
+    assert info.value is failure
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("n_paths", [1, sim.SEGMENT, sim.SEGMENT + sim._MIN_TAIL - 1])
+def test_single_segment_run_starts_no_thread(n_paths, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a single-segment run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    rep = _simulate_noisy(noisy_classic(20), n_paths=n_paths)
+    assert rep.n_paths == n_paths
+
+
+def test_concurrent_calls_under_fast_thread_switching():
+    """Three multi-segment calls at once, each with its own draw worker (six
+    threads on fewer cores), with the interpreter switching threads every
+    microsecond: every call returns the costs of a call made alone."""
+    p = noisy_classic(20)
+    alone = _simulate_noisy(p, keep_costs=True).per_path_costs
+    results = [None] * 3
+
+    def call(i):
+        results[i] = _simulate_noisy(p, keep_costs=True).per_path_costs
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for costs in results:
+        np.testing.assert_array_equal(costs, alone)

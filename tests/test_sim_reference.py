@@ -11,14 +11,20 @@ chunk), so both sweeps see the same Brownian paths and may differ only by
 the order of floating-point sums.  Every output must agree to
 1e-12 * (1 + |x|), and at one node the maps themselves must equal the
 row-layout formulas to 1e-13 * (1 + |x|).
+
+A second reference, ``sequential_simulate_chunks``, is the sweep as it was
+before chunks were split into segments drawn in a background thread: it
+must give the same per-path costs bit for bit.
 """
 
 import dataclasses
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 
 from mflq import sim
+from mflq.sim import CHUNK, DRAW_BLOCK, _chunk_rng
 from mflq.presets import example31, example31_null_control, random_spd
 from mflq.problem import (
     InitialLaw,
@@ -275,3 +281,154 @@ def test_each_call_builds_the_sweep_maps_once(monkeypatch):
     X = np.ones((30, 13, 2))
     sim.estimate_cost(p.horizon.with_steps(12).nodes, X, X[..., :1], p)
     assert calls == [25, 12]
+
+
+# The sweep before it was split into segments, kept verbatim as the
+# sequential reference: one (K, CHUNK) increment buffer, every draw made by
+# the calling thread, the path sums taken per chunk.
+def sequential_simulate_chunks(
+    grid: TimeGrid,
+    maps,
+    law: InitialLaw,
+    n_paths: int,
+    seed: int,
+    EX: np.ndarray,
+    EU: np.ndarray,
+    extras: Sequence[Callable] = (),
+):
+    """Core Euler-Maruyama sweep over path chunks.
+
+    Returns (costs, extra_accumulators, sum_state_per_node, terminal sums).
+    ``maps`` is (gain, T, terminal) from ``_sweep_maps``; the columns of T
+    are the rows of Z.  ``extras`` are per-node integrands
+    f(k, X - EX[k], U - EU[k], W) -> (B,), accumulated with the same
+    trapezoid weights as the running cost.
+
+    Paths run along the last axis of Z = [U; X; 1; W; W0], shape
+    (rows, B).  Each node makes two products, U = gain[k] @ Z[m:] and
+    T[k] @ Z, then adds the cost rows' form to the running cost and the
+    drift and the diffusion times dW_k to X.  Each chunk draws its
+    increments path-major, as the reproducibility contract fixes them, in
+    blocks of DRAW_BLOCK paths, each written scaled and transposed into a
+    step-major increment buffer that every chunk reuses.
+    """
+    gain, T, terminal = maps
+    K = grid.n_steps
+    n, m = EX.shape[1], EU.shape[1]
+    d = n + m
+    w = trapezoid_weights(K + 1, grid.h)
+    sqrt_h = np.sqrt(grid.h)
+    sqrt_t0 = np.sqrt(grid.t0) if grid.t0 > 0.0 else 0.0
+
+    costs = []
+    extra_acc = [[] for _ in extras]
+    sum_X = np.zeros((K + 1, n))
+    sum_term = np.zeros(n)
+    sum_term_outer = np.zeros((n, n))
+    dW_buf = np.empty((K, min(CHUNK, n_paths)))
+
+    n_chunks = (n_paths + CHUNK - 1) // CHUNK
+    for c in range(n_chunks):
+        bsz = min(CHUNK, n_paths - c * CHUNK)
+        rng = _chunk_rng(seed, c)
+        gauss = rng.standard_normal((bsz, law.indep_load.shape[1]))
+        z0 = rng.standard_normal(bsz)
+        dW = dW_buf[:, :bsz]
+        for i in range(0, bsz, DRAW_BLOCK):
+            block = rng.standard_normal((min(DRAW_BLOCK, bsz - i), K))
+            np.multiply(block.T, sqrt_h, out=dW[:, i : i + block.shape[0]])
+
+        Z = np.empty((T.shape[2], bsz))
+        U, X, W = Z[:m], Z[m:d], Z[d + 1]
+        W[...] = sqrt_t0 * z0
+        X[...] = (
+            law.mean + W[:, None] * law.brownian_load + gauss @ law.indep_load.T
+        ).T
+        Z[d] = 1.0
+        Z[d + 2 :] = W  # the frozen anchor W0, when Z has its row
+        TZ = np.empty((T.shape[1], bsz))
+        cost, drift, diff = TZ[:d], TZ[d : d + n], TZ[d + n :]
+
+        running = np.zeros(bsz)
+        running_extra = [np.zeros(bsz) for _ in extras]
+
+        for k in range(K + 1):
+            np.matmul(gain[k], Z[m:], out=U)
+            np.matmul(T[k], Z, out=TZ)
+            running += np.einsum("ib,ib->b", cost, Z[:d])
+            for e_idx, fn in enumerate(extras):
+                running_extra[e_idx] += w[k] * fn(
+                    k, (X - EX[k][:, None]).T, (U - EU[k][:, None]).T, W
+                )
+            sum_X[k] += X.sum(axis=1)
+            if k < K:
+                X += drift
+                diff *= dW[k]
+                X += diff
+                W += dW[k]
+
+        running += np.einsum("ib,ib->b", terminal @ Z[m : d + 2], X)
+        costs.append(running)
+        for e_idx in range(len(extras)):
+            extra_acc[e_idx].append(running_extra[e_idx])
+        sum_term += X.sum(axis=1)
+        sum_term_outer += X @ X.T
+
+    costs = np.concatenate(costs)
+    extra_out = [np.concatenate(acc) for acc in extra_acc]
+    return costs, extra_out, sum_X, sum_term, sum_term_outer
+
+
+def frozen_riding_case(n, m):
+    """A random_spd problem with every riding term nonzero, and its optimal
+    strategy with the offset frozen at the entry time."""
+    p, law = random_spd(6, n=n, m=m, n_steps=40)
+    spec = synthesize(p).strategy
+    offset = spec.offset
+    spec = dataclasses.replace(spec, offset=NoiseAffinePath(
+        offset.const_part, offset.noise_part, frozen_at_start=True))
+    for name in ("b", "sigma", "q", "rho"):
+        assert np.any(getattr(p, name).noise_part.values != 0.0), name
+    assert np.any(p.g1 != 0.0) and np.any(offset.noise_part.values != 0.0)
+    return p, spec, law
+
+
+SEGMENT_CASES = (1, 1023, sim.SEGMENT - 1, sim.SEGMENT, sim.SEGMENT + 1,
+                 sim.SEGMENT + 3, sim.SEGMENT + sim._MIN_TAIL, sim.CHUNK,
+                 sim.CHUNK + 7, 2 * sim.CHUNK + 3)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (2, 2)])
+def test_segmented_sweep_matches_sequential_sweep(n, m, monkeypatch):
+    """Per-path costs, the extra accumulators, cost_mean and cost_stderr are
+    bitwise those of the sequential sweep at every path count; the path
+    sums, now taken per segment, agree to 1e-14 (1 + |x|)."""
+    p, spec, law = frozen_riding_case(n, m)
+
+    def run(n_paths):
+        return sim.simulate(p, spec, law, n_paths, 20, seed=9,
+                            extras=(extra_term,), keep_costs=True)
+
+    got = [run(n_paths) for n_paths in SEGMENT_CASES]
+    monkeypatch.setattr(sim, "_simulate_chunks", sequential_simulate_chunks)
+    for n_paths, (rep, (acc,)) in zip(SEGMENT_CASES, got):
+        ref, (ref_acc,) = run(n_paths)
+        np.testing.assert_array_equal(rep.per_path_costs, ref.per_path_costs)
+        np.testing.assert_array_equal(acc, ref_acc)
+        assert (rep.cost_mean, rep.cost_stderr) == (ref.cost_mean, ref.cost_stderr)
+        for name in ("sample_mean_path", "mean_gap", "terminal_mean",
+                     "terminal_second_moment"):
+            a, b = getattr(rep, name), getattr(ref, name)
+            assert np.all(np.abs(a - b) <= 1e-14 * (1.0 + np.abs(b))), (n_paths, name)
+
+
+def test_segments_cover_each_chunk_in_path_order():
+    """Segments run through the paths in order, SEGMENT at a time, and only
+    the last one is wider, by fewer than _MIN_TAIL paths."""
+    for n_paths in SEGMENT_CASES + (3 * sim.CHUNK,):
+        segments = sim._segments(n_paths)
+        paths = [c * sim.CHUNK + start + np.arange(size) for c, start, size in segments]
+        np.testing.assert_array_equal(np.concatenate(paths), np.arange(n_paths))
+        sizes = [size for _, _, size in segments]
+        assert set(sizes[:-1]) <= {sim.SEGMENT}
+        assert sizes[-1] < sim.SEGMENT + sim._MIN_TAIL
