@@ -1,20 +1,24 @@
 """Deterministic moment propagation for homogeneous feedback systems.
 
 For a homogeneous problem under a feedback pair (state gain, mean gain) the
-second moment E[X X^T] and squared mean E[X] E[X]^T close into a pair of
-linear matrix ODEs, and the expected cost becomes a trace integral against
-them.  This gives an exact (up to quadrature) route to the cost of any gain
-pair, independent of both the Riccati machinery and Monte Carlo; the
-stationarity probe built on top of it is what certifies a synthesized gain
-as a critical point.
+second moments of the Riccati pair's two channels, the deviation X - E[X]
+and the mean E[X], close into a pair of linear matrix ODEs for S =
+(covariance, mean outer product E[X] E[X]^T), and the expected cost becomes
+a trace integral against it.  This gives an exact (up to quadrature) route
+to the cost of any gain pair, independent of both the Riccati machinery and
+Monte Carlo; the stationarity probe built on top of it is what certifies a
+synthesized gain as a critical point.
 
 The coefficients enter through the coefficient table's channel maps only:
-under the gains (fb, fb + mf) the deviation channel moves the covariance
-and the mean channel the mean outer product, so the rate is written in
-covariance form.
+under the channel gains (fb, fb + mf) each channel moves by F S + S F^T,
+the noise of both feeds the covariance, and each is priced by its running
+weight [I; K]^T H [I; K] and the Riccati's terminal pair (G, G + G_bar).
+E[X X^T] = S_0 + S_1 is formed only at the API boundary.  The pair is
+linear but steps node by node, since its per-step propagator would be
+(2n^2)^2 per gain; each step passes the quadrature's finite-escape screen.
 
-Everything here runs over a leading batch axis so that finite-difference
-sweeps evaluate all bumped gains in one pass.
+Everything here runs over a batch axis so that finite-difference sweeps
+evaluate all bumped gains in one pass.
 """
 
 from __future__ import annotations
@@ -24,18 +28,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FiniteEscapeError
 from .linalg import _mT, _sym
 from .problem import (
     MatrixPath,
     ProblemData,
     TimeGrid,
     _closed_loop,
+    _nonzero_terms,
     nodes_and_midpoints,
     sample_path,
     tabulate,
 )
-from .quadrature import BLOWUP_NORM, rk4_steps, trapezoid_weights
+from .quadrature import _check_finite, _screen_passes, rk4_steps, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -48,13 +52,12 @@ class MomentPath:
 
 
 def _require_centered_dynamics(p: ProblemData):
-    for name in ("b", "sigma"):
-        na = getattr(p, name)
-        if np.any(na.const_part.values != 0.0) or np.any(na.noise_part.values != 0.0):
-            raise ValueError(
-                f"moment propagation requires zero drift/diffusion "
-                f"inhomogeneities; {name} is nonzero"
-            )
+    nonzero = _nonzero_terms(p, ("b", "sigma"))
+    if nonzero:
+        raise ValueError(
+            f"moment propagation requires zero drift/diffusion "
+            f"inhomogeneities; {nonzero[0]} is nonzero"
+        )
 
 
 def _require_homogeneous(p: ProblemData):
@@ -113,75 +116,79 @@ def _channel_gains(fb, mf):
     return np.stack((fb, fb + mf), axis=-3)
 
 
-def _closed_loop_mats(maps, fb, mf):
+def _closed_loop_mats(maps, gains):
     """Closed-loop drift and diffusion of both channels, each (2, B, K, n, n).
 
-    ``maps`` are the table's (F, G, H) at one family of times and fb/mf
-    gains of shape (B, K, m, n); channel 0 is A + B fb, channel 1
-    A + A_bar + (B + B_bar)(fb + mf), and G likewise.
+    ``maps`` are the table's (F, G, H) at one family of times and ``gains``
+    the channel gains of ``_channel_gains``; channel 0 is A + B fb, channel
+    1 A + A_bar + (B + B_bar)(fb + mf), and G likewise.
     """
-    gains = _channel_gains(fb, mf)
     return tuple(np.moveaxis(_closed_loop(t, gains), -3, 0) for t in maps[:2])
 
 
-def _cost_mats(H, fb, mf):
-    """Running cost weights against the second moment and the mean outer.
+def _cost_mats(H, gains):
+    """Running cost weight of each channel, (2, B, K, n, n).
 
     Each channel weighs its closed-loop state with [I; K]^T H [I; K] =
-    Q + K^T S + S^T K + K^T R K.  M, the deviation weight, weighs
-    E[X X^T]; N = mean weight - M weighs E[X] E[X]^T.
+    Q + K^T S + S^T K + K^T R K: channel 0 the covariance, channel 1 the
+    mean outer product.
     """
-    gains = _channel_gains(fb, mf)
     HK = _closed_loop(H, gains)
     n = gains.shape[-1]
-    W = HK[..., :n, :] + _mT(gains) @ HK[..., n:, :]
-    M = W[..., 0, :, :]
-    return M, W[..., 1, :, :] - M
+    return np.moveaxis(HK[..., :n, :] + _mT(gains) @ HK[..., n:, :], -3, 0)
 
 
-def _rhs_pair(Z, F, G):
-    """Time derivative of the stacked pair Z = (second moment X, mean outer Y).
+def _terminal_pair(p: ProblemData):
+    """The terminal weight of each channel, (G, G + G_bar), (2, n, n)."""
+    return np.stack((p.G, p.G + p.G_bar))
 
-    Each channel of S = (X - Y, Y) moves by F S + S F^T under its own
-    closed-loop drift, the noise adds G0 (X - Y) G0^T + G1 Y G1^T to the
-    covariance X - Y, and dX is the covariance's rate plus dY.
+
+def _price(W, S):
+    """Sum of tr(W_c S_c) over the leading channel axis, batched over the rest."""
+    return np.einsum("c...ij,c...ij->...", W, S)
+
+
+def _rhs_pair(S, F, G):
+    """Time derivative of the channel pair S = (covariance, mean outer).
+
+    Each channel moves by F S + S F^T under its own closed-loop drift, and
+    the noise adds G0 S0 G0^T + G1 S1 G1^T to the covariance.
     """
-    S = np.stack((Z[0] - Z[1], Z[1]))
     FS = F @ S
     GSG = (G @ S) @ _mT(G)
     dS = FS + _mT(FS)
-    dY = dS[1]
-    return _sym(np.stack((dS[0] + GSG[0] + GSG[1] + dY, dY)))
+    dS[0] += _sym(GSG[0] + GSG[1])
+    return dS
 
 
-def _moment_steps(tab, fb_n, fb_m, mf_n, mf_m, X0, Y0):
-    """Forward RK4 of the moment pair for a batch of gain trajectories.
+def _moment_steps(tab, gains_n, gains_m, X0, Y0):
+    """Forward RK4 of the channel pair for a batch of gain trajectories.
 
-    Yields (k, Z) for k = 0..K, where Z stacks the second moment and the
-    mean outer product as (2, B, n, n), each channel one contiguous block.
-    Raises FiniteEscapeError at the first node whose largest entry is not
-    finite or exceeds BLOWUP_NORM.
+    Takes the channel gains at the nodes and the midpoints and yields
+    (k, S) for k = 0..K, S the (2, B, n, n) channel pair.  Each step passes
+    the quadrature's escape screen; the first node past the blow-up norm
+    raises FiniteEscapeError.
     """
     grid = tab.grid
-    cl_nodes = _closed_loop_mats(tab.node_maps, fb_n, mf_n)
-    cl_mids = _closed_loop_mats(tab.mid_maps, fb_m, mf_m)
-    shape = (fb_n.shape[0], fb_n.shape[-1], fb_n.shape[-1])
-    Z = np.stack([
+    cl_nodes = _closed_loop_mats(tab.node_maps, gains_n)
+    cl_mids = _closed_loop_mats(tab.mid_maps, gains_m)
+    shape = (gains_n.shape[0], gains_n.shape[-1], gains_n.shape[-1])
+    S = np.stack([
         np.broadcast_to(_sym(np.asarray(M, dtype=float)), shape) for M in (X0, Y0)
     ])
-    yield 0, Z
+    S[0] -= S[1]
+    yield 0, S
     steps = rk4_steps(
         grid,
-        lambda z, k: _rhs_pair(z, *(c[:, :, k] for c in cl_nodes)),
-        lambda z, i: _rhs_pair(z, *(c[:, :, i] for c in cl_mids)),
-        Z,
+        lambda s, k: _rhs_pair(s, *(c[:, :, k] for c in cl_nodes)),
+        lambda s, i: _rhs_pair(s, *(c[:, :, i] for c in cl_mids)),
+        S,
         post=_sym,
     )
-    for k, Z in steps:
-        top = float(np.max(np.abs(Z)))
-        if not np.isfinite(top) or top > BLOWUP_NORM:
-            raise FiniteEscapeError("moment trajectory", k, grid.nodes[k], top)
-        yield k, Z
+    for k, S in steps:
+        if not _screen_passes(S):
+            _check_finite("moment trajectory", S, k, grid.nodes[k])
+        yield k, S
 
 
 def propagate_moments(
@@ -195,8 +202,8 @@ def propagate_moments(
     """Propagate (E[X X^T], E[X] E[X]^T) forward under a feedback pair.
 
     Requires zero drift/diffusion inhomogeneities, initial data X0 = E[xi
-    xi^T] and Y0 = E[xi] E[xi]^T.  Fixed-step RK4; outputs re-symmetrized
-    every step.
+    xi^T] and Y0 = E[xi] E[xi]^T.  Fixed-step RK4 of the channel pair;
+    outputs re-symmetrized every step.
     """
     _require_centered_dynamics(p)
     grid = p.horizon if n_steps is None else p.horizon.with_steps(n_steps)
@@ -204,9 +211,11 @@ def propagate_moments(
     mf_n, mf_m = _as_gain_stack(mean_feedback, grid, p.m, p.n)
     second = np.empty((grid.n_steps + 1, p.n, p.n))
     mean_outer = np.empty_like(second)
-    for k, Z in _moment_steps(tabulate(p, grid), fb_n, fb_m, mf_n, mf_m, X0, Y0):
-        second[k] = Z[0, 0]
-        mean_outer[k] = Z[1, 0]
+    steps = _moment_steps(tabulate(p, grid), _channel_gains(fb_n, mf_n),
+                          _channel_gains(fb_m, mf_m), X0, Y0)
+    for k, S in steps:
+        second[k] = S[0, 0] + S[1, 0]
+        mean_outer[k] = S[1, 0]
     return MomentPath(grid=grid, second=second, mean_outer=mean_outer)
 
 
@@ -219,22 +228,15 @@ def homogeneous_cost(p: ProblemData, feedback, mean_feedback, mp: MomentPath) ->
     """
     _require_homogeneous(p)
     grid = mp.grid
-    fb_n = _gain_nodes(feedback, grid, p.m, p.n)
-    mf_n = _gain_nodes(mean_feedback, grid, p.m, p.n)
-    M, N = _cost_mats(tabulate(p, grid).node_maps[2], fb_n, mf_n)
+    gains = _channel_gains(
+        _gain_nodes(feedback, grid, p.m, p.n),
+        _gain_nodes(mean_feedback, grid, p.m, p.n),
+    )
+    W = _cost_mats(tabulate(p, grid).node_maps[2], gains)[:, 0]
+    S = np.stack((mp.second - mp.mean_outer, mp.mean_outer))
     w = trapezoid_weights(grid.n_steps + 1, grid.h)
-    running = float(
-        np.sum(
-            w * (
-                np.einsum("kij,kij->k", M[0], mp.second)
-                + np.einsum("kij,kij->k", N[0], mp.mean_outer)
-            )
-        )
-    )
-    terminal = float(
-        np.trace(p.G @ mp.second[-1]) + np.trace(p.G_bar @ mp.mean_outer[-1])
-    )
-    return running + terminal
+    running = float(np.sum(w * _price(W, S)))
+    return running + float(_price(_terminal_pair(p), S[:, -1]))
 
 
 def batch_cost(
@@ -256,18 +258,14 @@ def batch_cost(
     if fb_n.shape[0] != mf_n.shape[0]:
         raise ValueError("feedback batches must have equal size")
     tab = tabulate(p, grid)
-    M, N = _cost_mats(tab.node_maps[2], fb_n, mf_n)
+    gains = _channel_gains(fb_n, mf_n)
+    W = _cost_mats(tab.node_maps[2], gains)
     w = trapezoid_weights(grid.n_steps + 1, grid.h)
     costs = np.zeros(fb_n.shape[0])
-    for k, Z in _moment_steps(tab, fb_n, fb_m, mf_n, mf_m, X0, Y0):
-        costs += w[k] * (
-            np.einsum("bij,bij->b", M[:, k], Z[0])
-            + np.einsum("bij,bij->b", N[:, k], Z[1])
-        )
-    costs += np.einsum("ij,bij->b", p.G, Z[0]) + np.einsum(
-        "ij,bij->b", p.G_bar, Z[1]
-    )
-    return costs
+    steps = _moment_steps(tab, gains, _channel_gains(fb_m, mf_m), X0, Y0)
+    for k, S in steps:
+        costs += w[k] * _price(W[:, :, k], S)
+    return costs + _price(_terminal_pair(p)[:, None], S)
 
 
 def stationarity_residual(

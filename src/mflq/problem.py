@@ -355,31 +355,37 @@ class ProblemData:
 
     @property
     def is_homogeneous(self) -> bool:
-        zero_paths = (self.q_bar, self.rho_bar)
-        zero_noise = (self.b, self.sigma, self.q, self.rho)
-        if any(np.any(p.values != 0.0) for p in zero_paths):
-            return False
-        for na in zero_noise:
-            if np.any(na.const_part.values != 0.0):
-                return False
-            if np.any(na.noise_part.values != 0.0):
-                return False
-        return not (
-            np.any(self.g0 != 0.0)
-            or np.any(self.g1 != 0.0)
-            or np.any(self.g_bar != 0.0)
-        )
+        return not _nonzero_terms(self, _INHOMOGENEOUS)
 
     @property
     def has_mean_terms(self) -> bool:
         """True if any mean-coupling coefficient is nonzero."""
-        bars = (
-            self.A_bar, self.B_bar, self.C_bar, self.D_bar,
-            self.Q_bar, self.S_bar, self.R_bar,
-        )
-        if any(np.any(p.values != 0.0) for p in bars):
-            return True
-        return bool(np.any(self.G_bar != 0.0))
+        return bool(_nonzero_terms(self, _MEAN_COUPLING))
+
+
+# The inhomogeneities and linear cost terms, as names ``_nonzero_terms`` reads.
+_INHOMOGENEOUS = ("b", "sigma", "q", "rho", "q_bar", "rho_bar", "g0", "g1", "g_bar")
+
+
+def _nonzero_terms(p: ProblemData, names) -> list:
+    """The names, in order, whose coefficient has a nonzero entry.  A name is
+    a field, both parts of a noise-affine one, or ``field.const`` or
+    ``field.noise`` for one part."""
+    found = []
+    for name in names:
+        field, _, part = name.partition(".")
+        value = getattr(p, field)
+        if isinstance(value, NoiseAffinePath):
+            parts = {"const": value.const_part, "noise": value.noise_part}
+            paths = [parts[part]] if part else list(parts.values())
+            arrays = [path.values for path in paths]
+        elif isinstance(value, MatrixPath):
+            arrays = [value.values]
+        else:
+            arrays = [value]
+        if any(np.any(a != 0.0) for a in arrays):
+            found.append(name)
+    return found
 
 
 def _normalize_path(value, shape, horizon: TimeGrid) -> MatrixPath:
@@ -532,19 +538,12 @@ def strip_inhomogeneous(p: ProblemData) -> ProblemData:
 
     Idempotent; used to reduce a problem to its purely quadratic core.
     """
-    n, m = p.n, p.m
-    return replace(
-        p,
-        b=NoiseAffinePath.zero((n,)),
-        sigma=NoiseAffinePath.zero((n,)),
-        q=NoiseAffinePath.zero((n,)),
-        rho=NoiseAffinePath.zero((m,)),
-        q_bar=MatrixPath.constant(np.zeros(n)),
-        rho_bar=MatrixPath.constant(np.zeros(m)),
-        g0=np.zeros(n),
-        g1=np.zeros(n),
-        g_bar=np.zeros(n),
-    )
+    zero = {"noise": NoiseAffinePath.zero, "vector": np.zeros,
+            "path": lambda shape: MatrixPath.constant(np.zeros(shape))}
+    table = _coeff_table(p.n, p.m)
+    return replace(p, **{
+        name: zero[table[name][0]](table[name][1]) for name in _INHOMOGENEOUS
+    })
 
 
 def nodes_and_midpoints(path: MatrixPath, grid: TimeGrid):
@@ -571,6 +570,9 @@ def nodes_and_midpoints(path: MatrixPath, grid: TimeGrid):
 # Coefficients that enter the channel maps; each has a mean companion
 # ``<name>_bar`` that the mean channel adds to it.
 _CHANNEL_NAMES = ("A", "B", "C", "D", "Q", "S", "R")
+
+# The mean-coupling coefficients: the channel names' companions and G_bar.
+_MEAN_COUPLING = tuple(name + "_bar" for name in _CHANNEL_NAMES + ("G",))
 
 
 def _channel_pair(coeff, coeff_bar) -> np.ndarray:

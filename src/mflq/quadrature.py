@@ -5,8 +5,8 @@ Riccati pair and the moment pair.  ``linear_rk4`` serves linear ODEs with
 tabulated coefficients: each RK4 step of dy/ds = L y + g is an affine map
 y -> Phi y + psi, so it builds those maps for a run of steps in one batched
 pass of the same tableau and then walks the run with one product per step.
-Both the Riccati sweep and the linear walk screen each step for finite
-escape with one dot product."""
+The Riccati sweep, the moment sweep and the linear walk screen each step
+for finite escape with one dot product."""
 
 from __future__ import annotations
 

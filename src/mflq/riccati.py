@@ -38,7 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
+from . import linalg, problem
+from .errors import ValidationError
 from .linalg import _eig_inverse, _mT, _sym
 from .problem import CoefficientTable, MatrixPath, ProblemData, TimeGrid, tabulate
 from .quadrature import _RUN, _check_finite, _screen_passes, rk4_steps, trapezoid
@@ -218,8 +219,12 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     Classical fixed-step fourth-order Runge-Kutta on a uniform grid, with
     the matrices re-symmetrized after every step.  Gains and feasibility
     data are evaluated at every node afterwards, and a regularity report at
-    the default tolerance is attached.
+    the default tolerance is attached.  A problem ``validate`` faults raises
+    ValidationError: the stages read one triangle of each weight only.
     """
+    violations = problem.validate(p)
+    if violations:
+        raise ValidationError(violations)
     grid = p.horizon if n_steps is None else p.horizon.with_steps(n_steps)
     K = grid.n_steps
     nodes = grid.nodes

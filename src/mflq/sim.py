@@ -50,6 +50,7 @@ from .problem import (
     _TIME_SLACK,
     _closed_loop,
     _join,
+    _nonzero_terms,
     nodes_and_midpoints,
     sample_path,
     tabulate,
@@ -442,9 +443,7 @@ def estimate_cost(times: np.ndarray, X: np.ndarray, U: np.ndarray, p: ProblemDat
     so a problem whose cost rides them (nonzero q.noise, rho.noise or g1)
     raises ValidationError.  Returns (mean, stderr).
     """
-    riding = {"q.noise": p.q.noise_part.values, "rho.noise": p.rho.noise_part.values,
-              "g1": p.g1}
-    nonzero = [name for name, values in riding.items() if np.any(values != 0.0)]
+    nonzero = _nonzero_terms(p, ("q.noise", "rho.noise", "g1"))
     if nonzero:
         raise ValidationError(
             "estimate_cost needs a cost free of Brownian-riding terms; "

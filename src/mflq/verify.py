@@ -26,6 +26,7 @@ from .problem import (
     MatrixPath,
     NoiseAffinePath,
     ProblemData,
+    _nonzero_terms,
     sample_path,
     tabulate,
 )
@@ -97,18 +98,10 @@ class CompletionResult:
 
 
 def _require_noiseless(p: ProblemData):
-    noisy = []
-    for name in ("C", "C_bar", "D", "D_bar"):
-        if np.any(getattr(p, name).values != 0.0):
-            noisy.append(name)
-    for name in ("b", "sigma", "q", "rho"):
-        na = getattr(p, name)
-        if np.any(na.noise_part.values != 0.0):
-            noisy.append(f"{name}.noise")
-    if np.any(p.sigma.const_part.values != 0.0):
-        noisy.append("sigma.const")
-    if np.any(p.g1 != 0.0):
-        noisy.append("g1")
+    noisy = _nonzero_terms(p, (
+        "C", "C_bar", "D", "D_bar", "b.noise", "sigma.noise", "q.noise",
+        "rho.noise", "sigma.const", "g1",
+    ))
     if noisy:
         raise ValueError(
             "qp_oracle handles noiseless problems only; nonzero: "

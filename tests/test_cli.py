@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from mflq import cli, docio, riccati, synthesis
+from mflq import cli, docio, riccati, sim, synthesis
 from mflq.cli import main
 from mflq.problem import ControlSpec, MatrixPath, NoiseAffinePath, TimeGrid, make_problem
 
@@ -317,6 +317,25 @@ def test_simulate_reports_are_byte_identical(capsys, tmp_path):
     code3, out3, _ = run(capsys, argv[:-1] + ["12"])
     assert code3 == 0
     assert json.loads(out3)["cost_mean"] != json.loads(out1)["cost_mean"]
+
+
+def test_simulate_solver_steps_sets_the_synthesis_grid(capsys, tmp_path):
+    """--solver-steps is the grid the optimal strategy is synthesized on: the
+    report is the simulation of synthesize(p, n_steps=40)'s strategy."""
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    p, law = docio.load_problem(json.loads((tmp_path / "classic.json").read_text()))
+    argv = ["simulate", path, "--paths", "200", "--steps", "50", "--seed", "3"]
+    code, out, err = run(capsys, argv + ["--solver-steps", "40"])
+    assert code == 0
+    rep = json.loads(out)
+    want = sim.simulate(p, synthesis.synthesize(p, n_steps=40).strategy, law,
+                        200, 50, 3)
+    assert rep["cost_mean"] == want.cost_mean
+    assert rep["cost_stderr"] == want.cost_stderr
+    assert rep["terminal_mean"] == want.terminal_mean.tolist()
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["cost_mean"] != want.cost_mean
 
 
 def test_simulate_strategy_from_file(capsys, tmp_path):

@@ -8,6 +8,10 @@ no leading underscore, each parameter with a default must be passed, by
 keyword or by position, by at least one call under ``src/``, ``tests/``
 or ``bench/``.  Calls are matched by the called name alone, so a call
 ``obj.f(...)`` counts for every function or method named ``f``.
+
+The command line gets the same lint: every ``--flag`` that ``mflq.cli``
+adds to its parser must appear in some test or bench as a string of its
+own, ``"--flag"`` or ``"--flag=value"``.
 """
 
 import ast
@@ -128,3 +132,59 @@ def test_lint_sees_keyword_and_positional_callers():
     assert calls["f"]["n_positional"] == 2
     assert calls["m"]["keywords"] == {"c"}
     assert calls["g"]["anything"]
+
+
+def cli_flags(tree):
+    """Sorted ``--flag`` names of every ``add_argument`` call in ``tree``."""
+    flags = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called_name(node) == "add_argument":
+            flags.update(
+                a.value for a in node.args
+                if isinstance(a, ast.Constant) and isinstance(a.value, str)
+                and a.value.startswith("--")
+            )
+    return sorted(flags)
+
+
+def unpassed_flags(flags, trees):
+    """The flags that no string constant in ``trees`` passes."""
+    strings = {
+        node.value
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    return [
+        flag for flag in flags
+        if not any(s == flag or s.startswith(flag + "=") for s in strings)
+    ]
+
+
+def test_every_cli_flag_has_a_caller():
+    """This file names flags itself, so it is not scanned for callers."""
+    trees = [
+        _parse(path)
+        for top in ("tests", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path != Path(__file__).resolve()
+    ]
+    flags = cli_flags(_parse(PACKAGE / "cli.py"))
+    assert "--solver-steps" in flags
+    assert unpassed_flags(flags, trees) == []
+
+
+def test_flag_lint_sees_add_argument_and_passed_strings():
+    parser = ast.parse(
+        'sp.add_argument("file")\n'
+        'sp.add_argument("--alpha", type=int)\n'
+        'sp.add_argument("--beta-gamma")\n'
+        'sp.add_argument("--delta", default="--epsilon")\n'
+    )
+    flags = cli_flags(parser)
+    assert flags == ["--alpha", "--beta-gamma", "--delta"]
+    callers = ast.parse(
+        'main(["run", "--alpha", "1", "--beta-gamma=2"])\n'
+        'msg = "--delta must be positive"\n'
+    )
+    assert unpassed_flags(flags, [callers]) == ["--delta"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mflq.errors import FiniteEscapeError
+from mflq.errors import FiniteEscapeError, ValidationError
 from mflq.problem import _CHANNEL_NAMES, TimeGrid, _channel_maps, make_problem
 from mflq.riccati import _rhs, _sym, assess_regularity, gains, integrate_gre
 from mflq.presets import example31, scalar_classic
@@ -178,3 +178,16 @@ def test_report_attached_by_default():
     sol = integrate_gre(p)
     assert sol.report is not None
     assert sol.report.n_steps == 100
+
+
+@pytest.mark.parametrize("R", [[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
+def test_asymmetric_weight_is_refused(R):
+    """The stages factor each input weight from one triangle, so an
+    asymmetric R would give a regular solution whose value from
+    x0 = (1, 0.5), 1.3628 or 1.9194, hangs on the triangle holding the entry."""
+    eye = np.eye(2)
+    p = make_problem(2, 2, TimeGrid(0.0, 1.0, 200), A=0.1 * eye, B=eye, Q=eye,
+                     R=R, G=eye)
+    with pytest.raises(ValidationError) as info:
+        integrate_gre(p)
+    assert [v.split(":")[0] for v in info.value.violations] == ["R"]
