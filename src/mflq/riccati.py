@@ -96,6 +96,10 @@ class GreSolution:
         report and the affine offsets all come from it.
     table: the problem's coefficients tabulated on ``grid``, read by the
         dense output, the adjoints, the offsets and the value.
+    rate: dY/ds of the stacked pair Y = (P, P_mean) at every node,
+        symmetrized, (K+1, 2, n, n), from the node pass's factorization;
+        the dense output's nodal derivatives.  None on a solution that
+        ``integrate_gre`` did not build, which ``dense_midpoints`` refuses.
     """
 
     grid: TimeGrid
@@ -110,6 +114,7 @@ class GreSolution:
     factor: linalg.SymFactor
     table: CoefficientTable
     report: Optional[RegularityReport]
+    rate: Optional[np.ndarray] = None
 
     @property
     def dev_rank(self) -> np.ndarray:
@@ -194,17 +199,26 @@ def _runs(Y, co):
         yield run, _hamiltonian(Y[run], _at(co, run))
 
 
-def _gains(Y, co):
+def _gains(Y, co, rate=None):
     """Input weights, cross terms, gains and weight factorization at every
-    grid point of Y; the weights of all points are factored in one batch."""
+    grid point of Y; the weights of all points are factored in one batch.
+    Given ``rate``, an array shaped like Y, it receives dY/ds at every
+    point, symmetrized, formed run by run from that factorization."""
     n, m = Y.shape[-1], co[2].shape[-1] - Y.shape[-1]
     weight = np.empty(Y.shape[:-2] + (m, m))
     cross = np.empty(Y.shape[:-2] + (m, n))
     for run, Z in _runs(Y, co):
         weight[run] = Z[..., n:, n:]
         cross[run] = Z[..., n:, :n]
+        if rate is not None:
+            rate[run] = Z[..., :n, :n]
     weight = _sym(weight)
     factor = linalg.sym_factor(weight)
+    if rate is not None:
+        lam, V = factor.eigvals, factor.eigvecs
+        for start in range(0, len(Y), _RUN):
+            run = slice(start, start + _RUN)
+            rate[run] = _sym(_rate(rate[run], cross[run], lam[run], V[run]))
     return weight, cross, _gain(cross, factor), factor
 
 
@@ -249,7 +263,8 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
             _check_finite("mean Riccati matrix", y[1], j, nodes[j])
         Y[j] = y
 
-    weight, cross, gain, factor = _gains(Y, co_nodes)
+    rate = np.empty_like(Y)
+    weight, cross, gain, factor = _gains(Y, co_nodes, rate)
     P, P_mean = _split(Y)
     weight_dev, weight_mean = _split(weight)
     cross_dev, cross_mean = _split(cross)
@@ -268,6 +283,7 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
         factor=factor,
         table=tab,
         report=None,
+        rate=rate,
     )
     return replace(sol, report=assess_regularity(sol))
 
@@ -298,17 +314,14 @@ def hermite_midpoints(values: np.ndarray, deriv: np.ndarray, h: float) -> np.nda
 def dense_midpoints(sol: GreSolution) -> MidpointData:
     """Fourth-order midpoint samples of P, P_mean and the gains.
 
-    The nodal derivatives reuse the sweep's factorization of every nodal
-    weight and the sweep's channel maps; the midpoint gains come from one
-    batched factorization.
+    The nodal derivatives are the rate that ``integrate_gre``'s node pass
+    kept; the midpoint gains come from one batched factorization.  A
+    solution without that rate raises ValueError.
     """
-    n = sol.P.shape[-1]
-    lam, V = sol.factor.eigvals, sol.factor.eigvecs
+    if sol.rate is None:
+        raise ValueError("dense_midpoints needs the nodal rate integrate_gre keeps")
     Y = np.stack((sol.P, sol.P_mean), axis=1)
-    deriv = np.empty_like(Y)
-    for run, Z in _runs(Y, sol.table.node_maps):
-        deriv[run] = _sym(_rate(Z[..., :n, :n], Z[..., n:, :n], lam[run], V[run]))
-    Y_mid = hermite_midpoints(Y, deriv, sol.grid.h)
+    Y_mid = hermite_midpoints(Y, sol.rate, sol.grid.h)
     _, _, gain, _ = _gains(Y_mid, sol.table.mid_maps)
     P_mid, Pm_mid = _split(Y_mid)
     gain_dev, gain_mean = _split(gain)

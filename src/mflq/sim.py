@@ -18,23 +18,28 @@ the weighted running-cost form, the drift scaled by h and the diffusion.
 Both maps are built once per call by ``_sweep_maps``; ``estimate_cost``
 prices recorded paths with the same cost rows.
 
-A chunk is swept in segments of SEGMENT = CHUNK // 2 paths.  While the
-caller's thread sweeps segment s, one background thread draws segment s+1
-into the other of two step-major (K, SEGMENT) increment buffers, which
-together hold what one (K, CHUNK) buffer would (a merged remainder, see
-_MIN_TAIL, widens one by at most 15 columns); numpy's generators release
-the interpreter lock while they fill an array, so the draws overlap the
-sweep.  Each chunk's stream is still drawn in path order, its initial
-draws first and then its increments path-major in blocks of DRAW_BLOCK
-paths, one block at a time, so every path sees the draws of an
-unsegmented sweep; with _MIN_TAIL, its cost is the same bit for bit.
-Segment 0 is drawn inline: a run of one segment starts no thread.  The
-path sums behind the sample mean and the terminal moments are taken per
-segment.
+A chunk is swept in segments of SEGMENT = CHUNK // 2 paths, by two
+workers: the calling thread and one helper thread.  Each worker claims
+whole segments, every chunk's first segment before any chunk's second, so
+both start at once on streams of their own; it draws and sweeps what it
+claims, in a step-major (K, widest segment) increment buffer of its own
+(the two together hold what one (K, CHUNK) buffer would; a merged
+remainder, see _MIN_TAIL, widens them by at most 15 columns).  numpy's
+generators and products release the interpreter lock, so the two workers
+run on two cores.  Each chunk's stream is still drawn in path order, its
+initial draws first and then its increments path-major in blocks of
+DRAW_BLOCK paths, one block at a time: a segment that is not its chunk's
+first waits until its predecessor is drawn.  So every path sees the draws
+of an unsegmented sweep; with _MIN_TAIL, its cost is the same bit for
+bit.  The path sums behind the sample mean and the terminal moments are
+taken per segment and added in segment order as soon as the segments
+before are in, so they do not depend on which worker finishes first.  A
+run of one segment is swept inline and starts no thread.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -63,8 +68,10 @@ CHUNK = 16384
 # Paths per increment draw within a chunk.  Philox draws are sequential, so
 # the blocks concatenate to the chunk's single (paths, K) draw bit for bit.
 DRAW_BLOCK = 1024
-# Paths per segment of a chunk: the sweep's unit and the background draw's.
+# Paths per segment of a chunk: the unit a worker claims, draws and sweeps.
 SEGMENT = CHUNK // 2
+# Workers per multi-segment call: the calling thread and one helper thread.
+_WORKERS = 2
 # A chunk's remainder of fewer paths than this stays in the segment before
 # it.  A product only a few columns wide takes other BLAS kernels (numpy
 # sends one column to gemv; OpenBLAS's transposed gemv treats fewer than
@@ -245,28 +252,6 @@ def _segments(n_paths: int):
     return out
 
 
-def _draws(segments, n_paths: int, seed: int, n_gauss: int, K: int, sqrt_h, buffers):
-    """Yield (gauss, z0, dW) of each segment in path order.
-
-    A chunk's first segment opens the chunk's stream and draws the initial
-    Gaussians and Brownian values of all its paths; then every segment
-    draws its increments path-major in blocks of DRAW_BLOCK paths, each
-    written scaled and transposed into buffers[s % 2].  Segments are drawn
-    one after the other, so each chunk's stream runs in path order.
-    """
-    for s, (c, start, size) in enumerate(segments):
-        if start == 0:
-            rng = _chunk_rng(seed, c)
-            bsz = min(CHUNK, n_paths - c * CHUNK)
-            gauss = rng.standard_normal((bsz, n_gauss))
-            z0 = rng.standard_normal(bsz)
-        dW = buffers[s % 2][:, :size]
-        for i in range(0, size, DRAW_BLOCK):
-            block = rng.standard_normal((min(DRAW_BLOCK, size - i), K))
-            np.multiply(block.T, sqrt_h, out=dW[:, i : i + block.shape[0]])
-        yield gauss[start : start + size], z0[start : start + size], dW
-
-
 def _simulate_chunks(
     grid: TimeGrid,
     maps,
@@ -288,79 +273,138 @@ def _simulate_chunks(
     Paths run along the last axis of Z = [U; X; 1; W; W0], shape
     (rows, B).  Each node makes two products, U = gain[k] @ Z[m:] and
     T[k] @ Z, then adds the cost rows' form to the running cost and the
-    drift and the diffusion times dW_k to X.  Segment 0's draws are made
-    inline; while a segment is swept, one worker thread draws the next
-    (``_draws``) into the other increment buffer.  A failed draw raises
-    here, and the worker is joined before this returns or raises.
+    drift and the diffusion times dW_k to X.  _WORKERS workers, the caller
+    and helper threads, claim segments (every chunk's first, then every
+    chunk's second) and each draws and sweeps what it claims in an
+    increment buffer of its own.  The first failure stops both workers and
+    raises here; the helper is joined before this returns or raises.
     """
     gain, T, terminal = maps
     K = grid.n_steps
     n, m = EX.shape[1], EU.shape[1]
     d = n + m
     w = trapezoid_weights(K + 1, grid.h)
+    sqrt_h = np.sqrt(grid.h)
     sqrt_t0 = np.sqrt(grid.t0) if grid.t0 > 0.0 else 0.0
+    n_gauss = law.indep_load.shape[1]
 
-    costs = []
-    extra_acc = [[] for _ in extras]
-    sum_X = np.zeros((K + 1, n))
-    sum_term = np.zeros(n)
-    sum_term_outer = np.zeros((n, n))
+    def sweep(gauss, z0, dW):
+        """Costs, extras and path sums of one segment's paths."""
+        bsz = z0.shape[0]
+        Z = np.empty((T.shape[2], bsz))
+        U, X, W = Z[:m], Z[m:d], Z[d + 1]
+        W[...] = sqrt_t0 * z0
+        X[...] = (
+            law.mean + W[:, None] * law.brownian_load + gauss @ law.indep_load.T
+        ).T
+        Z[d] = 1.0
+        Z[d + 2 :] = W  # the frozen anchor W0, when Z has its row
+        TZ = np.empty((T.shape[1], bsz))
+        cost, drift, diff = TZ[:d], TZ[d : d + n], TZ[d + n :]
+
+        running = np.zeros(bsz)
+        running_extra = [np.zeros(bsz) for _ in extras]
+        sum_X = np.empty((K + 1, n))
+
+        for k in range(K + 1):
+            np.matmul(gain[k], Z[m:], out=U)
+            np.matmul(T[k], Z, out=TZ)
+            running += np.einsum("ib,ib->b", cost, Z[:d])
+            for e_idx, fn in enumerate(extras):
+                running_extra[e_idx] += w[k] * fn(
+                    k, (X - EX[k][:, None]).T, (U - EU[k][:, None]).T, W
+                )
+            X.sum(axis=1, out=sum_X[k])
+            if k < K:
+                X += drift
+                diff *= dW[k]
+                X += diff
+                W += dW[k]
+
+        running += np.einsum("ib,ib->b", terminal @ Z[m : d + 2], X)
+        return running, running_extra, (sum_X, X.sum(axis=1), X @ X.T)
+
     segments = _segments(n_paths)
-    sizes = [size for _, _, size in segments]
-    buffers = [np.empty((K, max(sizes[b::2]))) for b in range(min(2, len(sizes)))]
-    draws = _draws(segments, n_paths, seed, law.indep_load.shape[1], K,
-                   np.sqrt(grid.h), buffers)
-    # Imported here, so that importing mflq loads neither concurrent.futures
-    # nor the logging it imports for the callers that never simulate.
-    from concurrent.futures import ThreadPoolExecutor
+    width = max(size for _, _, size in segments)
+    # Every chunk's first segment before any second one, so that the
+    # workers start at once, on streams of their own.
+    claims = iter(sorted(range(len(segments)), key=lambda s: (segments[s][1], s)))
+    drawn = [threading.Event() for _ in segments]
+    streams = {}
+    results = [None] * len(segments)
+    sums = [np.zeros((K + 1, n)), np.zeros(n), np.zeros((n, n))]
+    summed = 0
+    failure = []
+    lock = threading.Lock()
 
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="mflq-draws") as pool:
-        drawn = next(draws)
-        for s in range(len(segments)):
-            ahead = pool.submit(next, draws) if s + 1 < len(segments) else None
-            gauss, z0, dW = drawn
-            bsz = z0.shape[0]
-            Z = np.empty((T.shape[2], bsz))
-            U, X, W = Z[:m], Z[m:d], Z[d + 1]
-            W[...] = sqrt_t0 * z0
-            X[...] = (
-                law.mean + W[:, None] * law.brownian_load + gauss @ law.indep_load.T
-            ).T
-            Z[d] = 1.0
-            Z[d + 2 :] = W  # the frozen anchor W0, when Z has its row
-            TZ = np.empty((T.shape[1], bsz))
-            cost, drift, diff = TZ[:d], TZ[d : d + n], TZ[d + n :]
+    def draw(s, buffer):
+        """(gauss, z0, dW) of segment s, its increments drawn into buffer.
 
-            running = np.zeros(bsz)
-            running_extra = [np.zeros(bsz) for _ in extras]
+        A chunk's first segment opens the chunk's stream and draws the
+        initial Gaussians and Brownian values of all its paths; a later
+        segment continues the stream once its predecessor is drawn.  The
+        increments are drawn path-major in blocks of DRAW_BLOCK paths, each
+        written scaled and transposed.  None when another worker failed.
+        """
+        c, start, size = segments[s]
+        if start == 0:
+            rng = _chunk_rng(seed, c)
+            bsz = min(CHUNK, n_paths - c * CHUNK)
+            streams[c] = (rng, rng.standard_normal((bsz, n_gauss)),
+                          rng.standard_normal(bsz))
+        else:
+            drawn[s - 1].wait()
+            if failure:
+                return None
+        rng, gauss, z0 = streams[c]
+        if start + size == len(z0):   # the chunk's last segment
+            del streams[c]
+        dW = buffer[:, :size]
+        for i in range(0, size, DRAW_BLOCK):
+            block = rng.standard_normal((min(DRAW_BLOCK, size - i), K))
+            np.multiply(block.T, sqrt_h, out=dW[:, i : i + block.shape[0]])
+        drawn[s].set()
+        return gauss[start : start + size], z0[start : start + size], dW
 
-            for k in range(K + 1):
-                np.matmul(gain[k], Z[m:], out=U)
-                np.matmul(T[k], Z, out=TZ)
-                running += np.einsum("ib,ib->b", cost, Z[:d])
-                for e_idx, fn in enumerate(extras):
-                    running_extra[e_idx] += w[k] * fn(
-                        k, (X - EX[k][:, None]).T, (U - EU[k][:, None]).T, W
-                    )
-                sum_X[k] += X.sum(axis=1)
-                if k < K:
-                    X += drift
-                    diff *= dW[k]
-                    X += diff
-                    W += dW[k]
+    def work():
+        """Claim, draw and sweep segments until none is left or a worker
+        failed; add the path sums of the completed prefix in segment order."""
+        nonlocal summed
+        try:
+            buffer = np.empty((K, width))
+            while True:
+                with lock:
+                    s = None if failure else next(claims, None)
+                segment = None if s is None else draw(s, buffer)
+                if segment is None:
+                    return
+                result = sweep(*segment)
+                with lock:
+                    results[s] = result
+                    while summed < len(results) and results[summed] is not None:
+                        for total, part in zip(sums, results[summed][2]):
+                            total += part
+                        summed += 1
+        except BaseException as exc:  # re-raised by the caller below
+            with lock:
+                failure.append(exc)
+            for event in drawn:
+                event.set()
 
-            running += np.einsum("ib,ib->b", terminal @ Z[m : d + 2], X)
-            costs.append(running)
-            for e_idx in range(len(extras)):
-                extra_acc[e_idx].append(running_extra[e_idx])
-            sum_term += X.sum(axis=1)
-            sum_term_outer += X @ X.T
-            if ahead is not None:
-                drawn = ahead.result()
-
-    costs = np.concatenate(costs)
-    extra_out = [np.concatenate(acc) for acc in extra_acc]
-    return costs, extra_out, sum_X, sum_term, sum_term_outer
+    helpers = [threading.Thread(target=work, name="mflq-sweep")
+               for _ in range(min(_WORKERS, len(segments)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failure:
+        raise failure[0]
+    costs = np.concatenate([r[0] for r in results])
+    extra_out = [np.concatenate([r[1][e] for r in results]) for e in range(len(extras))]
+    return (costs, extra_out) + tuple(sums)
 
 
 def simulate(
@@ -378,7 +422,9 @@ def simulate(
     Returns a SimulationReport; with ``extras`` given, returns the report
     plus one per-path accumulated array per extra integrand.  An extra is
     called as f(k, X - EX[k], U - EU[k], W) at node k, where EX and EU are
-    the report's exact ``mean_path`` and ``mean_control``.  The standard
+    the report's exact ``mean_path`` and ``mean_control``.  Two workers
+    sweep different segments at once, so an extra may be called from two
+    threads at the same time and must not share mutable state.  The standard
     error is the sample standard deviation of per-path costs divided by
     sqrt(n_paths); deterministic problems report exactly zero.  With
     ``keep_costs`` the report carries the per-path cost vector, for

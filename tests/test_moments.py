@@ -133,8 +133,9 @@ def test_cost_requires_fully_homogeneous():
 def test_moment_escape_is_reported_at_the_crossing_node():
     """Uncontrolled multiplicative noise C = 6 grows E[X^2] like exp(36 s).
 
-    From a unit start the largest moment entry crosses the blow-up
-    threshold between nodes 153 and 154 of a 200-step grid on [0, 1].
+    From a unit start the Frobenius norm of the channel pair (covariance,
+    mean outer product) crosses the blow-up threshold between nodes 153
+    and 154 of a 200-step grid on [0, 1].
     """
     p = make_problem(1, 1, TimeGrid(0.0, 1.0, 200), C=6.0, R=1.0, G=1.0)
     zero = np.zeros((1, 201, 1, 1))

@@ -1,6 +1,9 @@
-"""Monte Carlo engine: reproducibility, chunking, the background draw thread,
-and exact scenarios."""
+"""Monte Carlo engine: reproducibility, chunking, the two sweep workers, and
+exact scenarios."""
 
+import importlib
+import inspect
+import pkgutil
 import sys
 import threading
 import tracemalloc
@@ -8,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mflq
 from mflq import sim
 from mflq.errors import FiniteEscapeError, ValidationError
 from mflq.presets import example31, example31_null_control, scalar_classic
@@ -339,6 +343,173 @@ def test_failed_background_draw_surfaces(monkeypatch):
     assert threading.enumerate() == before
 
 
+def _raised_in_time(call):
+    """Run call in a thread of its own, joined within a minute, and return
+    the Planted it raised; no thread may outlive it."""
+    before = threading.enumerate()
+    raised = []
+
+    def run():
+        try:
+            call()
+        except Planted as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run)
+    runner.start()
+    runner.join(timeout=60.0)
+    assert not runner.is_alive(), "simulate deadlocked"
+    assert threading.enumerate() == before
+    assert len(raised) == 1
+    return raised[0]
+
+
+class _SimEvent(threading.Event):
+    """An Event that reports when a wait begins on one that sim made."""
+
+    waited = None   # set to a plain Event by the test that installs this
+
+    def __init__(self):
+        super().__init__()
+        self.from_sim = sys._getframe(1).f_code.co_filename == sim.__file__
+
+    def wait(self, timeout=None):
+        if self.from_sim:
+            _SimEvent.waited.set()
+        return super().wait(timeout)
+
+
+def test_failed_first_segment_draw_wakes_the_waiting_worker(monkeypatch):
+    """Chunk 0's first-segment draw fails while the other worker waits to
+    continue the stream: that worker wakes and stops, and simulate raises
+    the same exception."""
+    failure = Planted("chunk 0")
+    waited = threading.Event()
+    chunk_rng = sim._chunk_rng
+
+    class FailingStream:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def standard_normal(self, shape):
+            self.calls += 1
+            if self.calls == 3:   # the first increment block, after the
+                assert waited.wait(timeout=30.0)   # initial draws
+                raise failure
+            return self.rng.standard_normal(shape)
+
+    def failing(seed, chunk_index):
+        rng = chunk_rng(seed, chunk_index)
+        return FailingStream(rng) if chunk_index == 0 else rng
+
+    monkeypatch.setattr(sim, "_chunk_rng", failing)
+    monkeypatch.setattr(_SimEvent, "waited", waited)
+    monkeypatch.setattr(threading, "Event", _SimEvent)
+    p = noisy_classic(20)
+    assert _raised_in_time(lambda: _simulate_noisy(p, n_paths=CHUNK)) is failure
+    assert waited.is_set()
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_failed_later_chunk_draw_surfaces(chunk, monkeypatch):
+    """A chunk past the first fails to open its stream, on whichever worker
+    claimed it: simulate raises the same exception, in time."""
+    failure = Planted(f"chunk {chunk}")
+    chunk_rng = sim._chunk_rng
+
+    def failing(seed, chunk_index):
+        if chunk_index == chunk:
+            raise failure
+        return chunk_rng(seed, chunk_index)
+
+    monkeypatch.setattr(sim, "_chunk_rng", failing)
+    p = noisy_classic(20)
+    assert _raised_in_time(lambda: _simulate_noisy(p, n_paths=3 * CHUNK)) is failure
+
+
+def _rendezvous(caller, on_helper):
+    """An extra integrand whose first call on the calling thread waits until
+    the helper thread has called it, so that both workers sweep; every
+    helper call returns on_helper(W)."""
+    helper_called = threading.Event()
+    first = [True]
+
+    def extra(k, dX, dU, W):
+        if threading.get_ident() != caller[0]:
+            helper_called.set()
+            return on_helper(W)
+        if first[0]:
+            first[0] = False
+            assert helper_called.wait(timeout=30.0), "the helper swept nothing"
+        return W
+
+    return extra
+
+
+def test_failed_extra_on_the_helper_surfaces():
+    """An extra integrand that fails on the helper's segment raises the same
+    exception from simulate; the calling worker stops after its segment."""
+    failure = Planted("on the helper")
+    caller = [None]
+
+    def fail(W):
+        raise failure
+
+    extra = _rendezvous(caller, fail)
+    p = noisy_classic(20)
+
+    def call():
+        caller[0] = threading.get_ident()
+        _simulate_noisy(p, extras=(extra,))
+
+    assert _raised_in_time(call) is failure
+
+
+def test_workers_make_no_public_call_off_the_calling_thread(monkeypatch):
+    """Every public mflq function, each module binding of it wrapped, runs
+    on the calling thread during a three-segment simulate whose helper
+    thread sweeps too: a tracer that keeps one span stack sees every call."""
+    modules = [mflq] + [importlib.import_module(f"mflq.{info.name}")
+                        for info in pkgutil.iter_modules(mflq.__path__)]
+    public = {
+        id(obj): obj
+        for mod in modules[1:]
+        for name, obj in vars(mod).items()
+        if inspect.isfunction(obj) and obj.__module__ == mod.__name__
+        and not name.startswith("_")
+    }
+    exported = [getattr(mflq, name) for name in mflq.__all__]
+    assert all(id(fn) in public for fn in exported if inspect.isfunction(fn))
+    threads = []
+
+    def wrap(fn):
+        def wrapper(*args, **kwargs):
+            threads.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {key: wrap(fn) for key, fn in public.items()}
+    p = noisy_classic(20)
+    strategy = synthesize(p).strategy
+    for mod in modules:
+        for attr, val in list(vars(mod).items()):
+            if inspect.isfunction(val) and id(val) in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[id(val)])
+    caller = [threading.get_ident()]
+    helper_swept = []
+
+    def on_helper(W):
+        helper_swept.append(True)
+        return W
+
+    rep, _ = mflq.simulate(p, strategy, InitialLaw.deterministic([1.0]),
+                           CHUNK + 100, 20, seed=4,
+                           extras=(_rendezvous(caller, on_helper),))
+    assert rep.n_paths == CHUNK + 100 and helper_swept
+    assert ("simulate", caller[0]) in threads
+    assert {ident for _, ident in threads} == {caller[0]}
+
+
 @pytest.mark.parametrize("n_paths", [1, sim.SEGMENT, sim.SEGMENT + sim._MIN_TAIL - 1])
 def test_single_segment_run_starts_no_thread(n_paths, monkeypatch):
     def refuse(self):
@@ -373,3 +544,31 @@ def test_concurrent_calls_under_fast_thread_switching():
     assert not any(t.is_alive() for t in threads)
     for costs in results:
         np.testing.assert_array_equal(costs, alone)
+
+
+def test_path_sums_hold_under_fast_thread_switching():
+    """Three calls at once, each with two workers sharing its path sums,
+    under microsecond thread switching: every call's sample mean path and
+    terminal moments are bitwise those of a call made alone."""
+    p = noisy_classic(20)
+    names = ("sample_mean_path", "terminal_mean", "terminal_second_moment")
+    alone = _simulate_noisy(p, n_paths=3 * CHUNK)
+    results = [None] * 3
+
+    def call(i):
+        results[i] = _simulate_noisy(p, n_paths=3 * CHUNK)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for rep in results:
+        for name in names:
+            np.testing.assert_array_equal(getattr(rep, name), getattr(alone, name))

@@ -422,6 +422,36 @@ def test_segmented_sweep_matches_sequential_sweep(n, m, monkeypatch):
             assert np.all(np.abs(a - b) <= 1e-14 * (1.0 + np.abs(b))), (n_paths, name)
 
 
+@pytest.mark.parametrize("n, m", [(3, 1), (2, 2)])
+def test_two_workers_match_one_worker_bitwise(n, m, monkeypatch):
+    """Two workers give bitwise the outputs of one at every path count:
+    per-path costs, the extra accumulators, cost_mean, cost_stderr and the
+    path sums, which are added in segment order whichever worker finishes
+    first."""
+    p, spec, law = frozen_riding_case(n, m)
+    counts = SEGMENT_CASES + (3 * sim.CHUNK,)
+
+    def run(n_paths):
+        return sim.simulate(p, spec, law, n_paths, 20, seed=9,
+                            extras=(extra_term,), keep_costs=True)
+
+    got = [run(n_paths) for n_paths in counts]
+
+    def refuse(self):
+        raise AssertionError("one worker started a thread")
+
+    monkeypatch.setattr(sim, "_WORKERS", 1)
+    monkeypatch.setattr(sim.threading.Thread, "start", refuse)
+    for n_paths, (rep, (acc,)) in zip(counts, got):
+        ref, (ref_acc,) = run(n_paths)
+        np.testing.assert_array_equal(acc, ref_acc)
+        for name in ("per_path_costs", "cost_mean", "cost_stderr",
+                     "sample_mean_path", "mean_gap", "terminal_mean",
+                     "terminal_second_moment"):
+            np.testing.assert_array_equal(getattr(rep, name), getattr(ref, name),
+                                          err_msg=f"{name} at {n_paths} paths")
+
+
 def test_segments_cover_each_chunk_in_path_order():
     """Segments run through the paths in order, SEGMENT at a time, and only
     the last one is wider, by fewer than _MIN_TAIL paths."""

@@ -7,6 +7,7 @@ discretised controls supplies the independent answer in the genuinely
 mean-field, inhomogeneous case.
 """
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 import mflq
-from mflq import problem
+from mflq import affine, problem, riccati
+from mflq.linalg import _sym
 from mflq.presets import example31, random_spd, scalar_classic
 from mflq.problem import InitialLaw, TimeGrid, make_problem
+from mflq.riccati import dense_midpoints, integrate_gre
 from mflq.sim import simulate
 from mflq.synthesis import synthesize, value
 from mflq.verify import qp_oracle
@@ -172,6 +175,71 @@ def test_synthesis_factors_each_weight_once_per_node(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     synthesize(p)
     assert sum(factored) == 12 * K + 2
+
+
+def rebuilt_dense_midpoints(sol):
+    """The dense output with nodal derivatives from a fresh build of the
+    nodal Hamiltonian blocks, factored by the node pass's eigenpairs."""
+    n = sol.P.shape[-1]
+    lam, V = sol.factor.eigvals, sol.factor.eigvecs
+    Y = np.stack((sol.P, sol.P_mean), axis=1)
+    deriv = np.empty_like(Y)
+    for run, Z in riccati._runs(Y, sol.table.node_maps):
+        deriv[run] = _sym(riccati._rate(Z[..., :n, :n], Z[..., n:, :n],
+                                        lam[run], V[run]))
+    Y_mid = riccati.hermite_midpoints(Y, deriv, sol.grid.h)
+    _, _, gain, _ = riccati._gains(Y_mid, sol.table.mid_maps)
+    return riccati.MidpointData(P=Y_mid[:, 0], P_mean=Y_mid[:, 1],
+                                gain_dev=gain[:, 0], gain_mean=gain[:, 1])
+
+
+def test_dense_output_reads_the_nodal_rate_of_the_node_pass(monkeypatch):
+    """The dense output's nodal derivatives are the rate the node pass kept.
+
+    At K = 1000 a synthesis builds the Hamiltonian blocks in 8 batched runs
+    of at most 256 points (4 over the nodes, 4 over the midpoints), not 12,
+    and the midpoint data and every synthesis output are bitwise those of a
+    dense output that builds the nodal blocks again.
+    """
+    p, law = random_spd(0, n=6, m=3)
+    assert p.horizon.n_steps == 1000
+    batched = []
+    hamiltonian = riccati._hamiltonian
+
+    def counting(Y, co):
+        batched.append(Y.ndim == 4)
+        return hamiltonian(Y, co)
+
+    monkeypatch.setattr(riccati, "_hamiltonian", counting)
+    sol = synthesize(p)
+    assert sum(batched) == 8
+    monkeypatch.undo()
+
+    mids, ref_mids = dense_midpoints(sol.gre), rebuilt_dense_midpoints(sol.gre)
+    for field in ("P", "P_mean", "gain_dev", "gain_mean"):
+        np.testing.assert_array_equal(getattr(mids, field), getattr(ref_mids, field))
+    monkeypatch.setattr(affine, "dense_midpoints", rebuilt_dense_midpoints)
+    ref = synthesize(p)
+    for name in ("adjoint_noise", "adjoint_mean"):
+        np.testing.assert_array_equal(getattr(sol.affine, name),
+                                      getattr(ref.affine, name))
+    for name in ("corr_noise", "corr_mean"):
+        np.testing.assert_array_equal(getattr(sol.affine.corrections, name),
+                                      getattr(ref.affine.corrections, name))
+    for path in ("feedback", "mean_feedback"):
+        np.testing.assert_array_equal(getattr(sol.strategy, path).values,
+                                      getattr(ref.strategy, path).values)
+    for part in ("const_part", "noise_part"):
+        np.testing.assert_array_equal(getattr(sol.strategy.offset, part).values,
+                                      getattr(ref.strategy.offset, part).values)
+    assert (sol.solvable, value(sol, law)) == (ref.solvable, value(ref, law))
+
+
+def test_dense_output_refuses_a_solution_without_the_nodal_rate():
+    p, _ = scalar_classic(n_steps=20)
+    sol = dataclasses.replace(integrate_gre(p), rate=None)
+    with pytest.raises(ValueError, match="nodal rate"):
+        dense_midpoints(sol)
 
 
 def test_synthesis_builds_channel_maps_once_per_point_set(monkeypatch):
