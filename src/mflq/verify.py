@@ -3,7 +3,8 @@
 Four families, deliberately built on different machinery than the solver:
 
 * a brute-force quadratic program on the Euler-discretised noiseless
-  problem, minimised through its stacked normal equations;
+  problem in the stacked controls, its Hessian assembled interval by
+  interval and minimised through one in-place Cholesky factorization;
 * a completion-of-squares residual identity that re-expresses a simulated
   cost through the Riccati data, evaluated with common random numbers;
 * a lower-bound battery that samples random strategies and checks none
@@ -20,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import sim
+from .linalg import _sym
 from .problem import (
     ControlSpec,
     InitialLaw,
@@ -109,16 +111,98 @@ def _require_noiseless(p: ProblemData):
         )
 
 
+# Block width of the oracle's Cholesky: no temporary of the factorization
+# or of the substitutions holds more than (Km) x _BLOCK numbers.
+_BLOCK = 256
+
+
+def _chol_inplace(a: np.ndarray) -> None:
+    """Overwrite the lower triangle of ``a`` with its Cholesky factor.
+
+    Right-looking and blocked: each diagonal block is factored by
+    ``np.linalg.cholesky``, the panel below it is solved against that
+    factor, and the trailing lower triangle is updated one column panel at
+    a time.  Only the lower triangle is read; the diagonal blocks end with
+    zeros above the diagonal, the rest of the upper triangle is untouched.
+    Raises ``np.linalg.LinAlgError`` when ``a`` is not positive definite,
+    with ``a`` partly overwritten.
+    """
+    N = a.shape[0]
+    for k0 in range(0, N, _BLOCK):
+        k1 = min(k0 + _BLOCK, N)
+        a[k0:k1, k0:k1] = np.linalg.cholesky(a[k0:k1, k0:k1])
+        panel = a[k1:, k0:k1]
+        panel[...] = np.linalg.solve(a[k0:k1, k0:k1], panel.T).T
+        for c0 in range(k1, N, _BLOCK):
+            c1 = min(c0 + _BLOCK, N)
+            a[c0:, c0:c1] -= panel[c0 - k1:] @ panel[c0 - k1 : c1 - k1].T
+
+
+def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L y = b, block by block, for the factor left by ``_chol_inplace``."""
+    y = np.array(b, dtype=float)
+    N = l.shape[0]
+    for k0 in range(0, N, _BLOCK):
+        k1 = min(k0 + _BLOCK, N)
+        y[k0:k1] = np.linalg.solve(
+            l[k0:k1, k0:k1], y[k0:k1] - l[k0:k1, :k0] @ y[:k0]
+        )
+    return y
+
+
+def _solve_lower_t(l: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve L^T x = y, block by block from the last, for the same factor."""
+    x = np.array(y, dtype=float)
+    N = l.shape[0]
+    for k0 in reversed(range(0, N, _BLOCK)):
+        k1 = min(k0 + _BLOCK, N)
+        x[k0:k1] = np.linalg.solve(
+            l[k0:k1, k0:k1].T, x[k0:k1] - l[k1:, k0:k1].T @ x[k1:]
+        )
+    return x
+
+
+def _hessian_lower(T, hB, WB, Sh, Rh, h):
+    """Row blocks of the QP Hessian's lower triangle, one interval at a time.
+
+    Keeps only the current control sensitivity Psi_j of the state
+    (X_j = Phi_j + Psi_j u).  Row block j, columns up to its diagonal block,
+    is the state cost (W_{j+1} h B_j)^T Psi_{j+1}, the cross term
+    h S_j Psi_j, and h R_j on the diagonal.  The strict upper triangle
+    beyond the diagonal blocks stays zero.
+    """
+    K, n, m = hB.shape
+    dim = K * m
+    H = np.zeros((dim, dim))
+    psi = np.zeros((n, dim))
+    for j in range(K):
+        r0, r1 = j * m, (j + 1) * m
+        row = H[r0:r1, :r1]
+        row[:, :r0] = h * (Sh[j] @ psi[:, :r0])
+        psi[:, :r0] = T[j] @ psi[:, :r0]
+        psi[:, r0:r1] = hB[j]
+        row += WB[j].T @ psi[:, :r1]
+        row[:, r0:r1] += h * Rh[j]
+    return H
+
+
 def qp_oracle(p: ProblemData, x, K: int) -> QpOracleResult:
     """Brute-force optimal cost via a dense quadratic program.
 
     Forward-Euler discretisation with piecewise-constant controls on K
     intervals; since the problem is noiseless and the initial state is a
     point, state and mean coincide and the coefficient pairs collapse to
-    their sums.  The cost is assembled as an explicit quadratic in the
-    stacked control vector and minimised by solving the normal equations.
-    A singular or indefinite Hessian is reported, never regularised away
-    (indefinite: smallest eigenvalue below -1e-9 * max(||H||_F, 1)).
+    their sums.  The cost is assembled as an explicit quadratic
+    u^T H u + 2 c^T u + const in the stacked control vector.  A backward
+    weight recursion, W_K = G and W_j = h Q_j + T_j^T W_{j+1} T_j with
+    T_j = I + h A_j, carries each later state cost back to step j; it is
+    linear (no weight is inverted, no feedback is formed).  A forward pass
+    over the intervals then fills H's lower triangle row block by row
+    block, so the only (Km)^2 array is H itself.  H is factored once, in
+    place, by a blocked Cholesky, and the minimiser follows from two
+    triangular substitutions.  A singular or indefinite Hessian is
+    reported, never regularised away (indefinite: smallest eigenvalue
+    below -1e-9 * max(||H||_F, 1)); that check re-assembles the full H.
 
     First-order accurate in 1/K by construction (left-endpoint rectangle
     rule), which is exactly what makes it an independent check.
@@ -132,71 +216,61 @@ def qp_oracle(p: ProblemData, x, K: int) -> QpOracleResult:
     h = grid.h
     tab = tabulate(p, grid)
     node = {name: tab.stack(name)[:K] for name in tab.node}  # left interval ends
-    Ah = node["A"] + node["A_bar"]
-    Bh = node["B"] + node["B_bar"]
-    Qh = node["Q"] + node["Q_bar"]
+
+    # Only a weight's symmetric part enters the quadratic; the factorization
+    # reads H's lower triangle alone, so the weights are symmetrized here.
+    T = np.eye(n) + h * (node["A"] + node["A_bar"])
+    hB = h * (node["B"] + node["B_bar"])
+    Qh = _sym(node["Q"] + node["Q_bar"])
     Sh = node["S"] + node["S_bar"]
-    Rh = node["R"] + node["R_bar"]
+    Rh = _sym(node["R"] + node["R_bar"])
     qh = node["q0"] + node["q_bar"]
     rh = node["rho0"] + node["rho_bar"]
     bh = node["b0"]
-    Gh = p.G + p.G_bar
+    Gh = _sym(p.G + p.G_bar)
     gh = p.g0 + p.g_bar
 
-    # State as an affine function of the stacked control: X_j = Phi_j + Psi_j u.
-    dim = K * m
+    # Uncontrolled states Phi_j, then the weights W_j and the linear
+    # weights v_j (v_K = G Phi_K + g, v_j = h (Q_j Phi_j + q_j) + T_j^T
+    # v_{j+1}) of the costs after step j, for j = 1..K.
     Phi = np.empty((K + 1, n))
-    Psi = np.zeros((K + 1, n, dim))
     Phi[0] = x
     for j in range(K):
-        step = np.eye(n) + h * Ah[j]
-        Phi[j + 1] = step @ Phi[j] + h * bh[j]
-        Psi[j + 1] = step @ Psi[j]
-        Psi[j + 1][:, j * m : (j + 1) * m] += h * Bh[j]
+        Phi[j + 1] = T[j] @ Phi[j] + h * bh[j]
+    W = np.empty((K + 1, n, n))
+    v = np.empty((K + 1, n))
+    W[K] = Gh
+    v[K] = Gh @ Phi[K] + gh
+    for j in range(K - 1, 0, -1):
+        W[j] = h * Qh[j] + T[j].T @ W[j + 1] @ T[j]
+        v[j] = h * (Qh[j] @ Phi[j] + qh[j]) + T[j].T @ v[j + 1]
+    WB = W[1:] @ hB
 
-    PsiR = Psi[:K]  # states entering the running cost
-    flatR = PsiR.reshape(K * n, dim)
-    # Quadratic J(u) = u^T H u + 2 c^T u + const.  Identically-zero weights
-    # are skipped: the terms vanish and the matmuls dominate the runtime.
-    H = np.zeros((dim, dim))
-    c = np.zeros(dim)
-    if np.any(Qh):
-        QPsi = (Qh @ PsiR).reshape(K * n, dim)
-        H += h * (flatR.T @ QPsi)
-        c += h * (QPsi.T @ Phi[:K].reshape(K * n))
-    if np.any(Sh):
-        cross = h * (Sh @ PsiR).reshape(dim, dim)
-        H += cross + cross.T
-        c += h * (Sh @ Phi[:K, :, None]).reshape(dim)
-    for j in range(K):
-        H[j * m : (j + 1) * m, j * m : (j + 1) * m] += h * Rh[j]
-    GPsiK = Gh @ Psi[K]
-    H += Psi[K].T @ GPsiK
-    H = 0.5 * (H + H.T)
-
-    c += h * rh.reshape(dim)
-    if np.any(qh):
-        c += h * (flatR.T @ qh.reshape(K * n))
-    c += GPsiK.T @ Phi[K] + Psi[K].T @ gh
-
+    c = (
+        np.einsum("jam,ja->jm", hB, v[1:])
+        + h * np.einsum("jma,ja->jm", Sh, Phi[:K])
+        + h * rh
+    ).reshape(K * m)
     const = h * float(
         np.einsum("ja,jab,jb->", Phi[:K], Qh, Phi[:K])
         + 2.0 * np.einsum("ja,ja->", qh, Phi[:K])
     )
     const += float(Phi[K] @ (Gh @ Phi[K]) + 2.0 * gh @ Phi[K])
 
-    scale = float(np.linalg.norm(H, ord="fro"))
+    H = _hessian_lower(T, hB, WB, Sh, Rh, h)
     try:
-        np.linalg.cholesky(H)
-        definite = True
+        _chol_inplace(H)
     except np.linalg.LinAlgError:
-        definite = False
-
-    if definite:
-        u = np.linalg.solve(H, -c)
+        # The refused factorization overwrote part of H: build it again,
+        # in full, for the eigenvalue and least-squares verdicts.
+        H = _hessian_lower(T, hB, WB, Sh, Rh, h)
+        H += np.tril(H, -1).T
+    else:
+        u = _solve_lower_t(H, _solve_lower(H, -c))
         cost = const + float(c @ u)
         return QpOracleResult("ok", cost, K, u.reshape(K, m))
 
+    scale = float(np.linalg.norm(H, ord="fro"))
     eigs = np.linalg.eigvalsh(H)
     if eigs[0] < -1e-9 * max(scale, 1.0):
         return QpOracleResult("unbounded", None, K, None)
