@@ -8,6 +8,14 @@ factors a whole stack of symmetric matrices with one batched
 eigendecomposition.  The rank rule, |lambda| > DEFAULT_RTOL * m *
 max|lambda|, is stated once, in ``_rank_rule``; ``SymFactor`` and
 ``_eig_inverse`` both read it.
+
+Every symmetric factorization in the package, the 4K per-stage calls of
+the Riccati sweep included, goes through one seam, ``_eigh``.  It calls
+LAPACK's symmetric eigensolver through numpy's gufunc directly, under
+the floating-point error state of numpy's public ``eigh`` wrapper but
+without that wrapper's argument checks, which cost about 4 us a call, a
+sixth of the sweep's time.  Callers reach it as ``linalg._eigh``, so one
+patch of that attribute sees every factorization.
 """
 
 from __future__ import annotations
@@ -15,8 +23,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 DEFAULT_RTOL = 1e-10
+
+# LAPACK's symmetric eigensolver on the lower triangle of a float64 stack.
+_eigh_lo = _umath_linalg.eigh_lo
+
+
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _eigh(M: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of a float64 symmetric stack.
+
+    M has shape (..., m, m); only its lower triangle is read.  The result
+    is bitwise that of ``np.linalg.eigh(M)``, under that wrapper's error
+    state: a LAPACK failure sets the invalid flag, which raises LinAlgError,
+    and overflow, division and underflow inside the solver are ignored, so
+    a NaN input gives the wrapper's NaN eigenpairs (or its LinAlgError,
+    where LAPACK fails on it) and no warning.  The wrapper's shape and
+    dtype checks are left out: every caller passes a float64 stack of
+    square matrices.  The error state is applied as a decorator, which
+    sets it per call slightly faster than a ``with`` block (5.9 against
+    6.7 us on a (2, 3, 3) stack).
+    """
+    return _eigh_lo(M, signature="d->dd")
 
 
 def _mT(M: np.ndarray) -> np.ndarray:
@@ -101,10 +136,10 @@ class SymFactor:
 
 
 def sym_factor(M) -> SymFactor:
-    """Factor a stack of symmetric matrices with one batched ``eigh``.
+    """Factor a stack of symmetric matrices with one batched ``_eigh``.
 
     M has shape (..., m, m) and must already be symmetric; only its lower
     triangle is read.
     """
-    lam, V = np.linalg.eigh(np.asarray(M, dtype=float))
+    lam, V = _eigh(np.asarray(M, dtype=float))
     return SymFactor(eigvals=lam, eigvecs=V)

@@ -15,15 +15,17 @@ builds one (n+m)-square Hamiltonian block from them, whose blocks are the
 linear part M A + A^T M + C^T P C + Q of the rate, the cross term
 B^T M + D^T P C + S and the input weight W = R + D^T P D.  One batched
 symmetric eigendecomposition W = V diag(lambda) V^T factors both channels'
-weights, and the quadratic term cross^T W^+ cross is applied in its eigenbasis as
+weights through ``linalg._eigh``, the package's one factorization seam,
+which the stages, the node pass and the midpoint pass all call.  The
+quadratic term cross^T W^+ cross is applied in its eigenbasis as
 U^T diag(1/lambda) U with U = V^T cross, over the retained eigenvalues; no
 pseudo-inverse matrix is formed; 1/lambda comes from the eigenvalues alone,
 through ``linalg._eig_inverse``, which the stages, the gains and the affine
-offsets share and which reads the one rank rule of ``linalg``.  The sweep steps one node at a time
-through ``quadrature.rk4_steps`` and screens each step for finite escape
-with the quadrature's one screen.  The node and midpoint passes build the
-block in fixed runs of grid points and factor all of a grid's weights in
-one batch.
+offsets share and which reads the one rank rule of ``linalg``.  The sweep
+steps one node at a time through ``quadrature.rk4_steps`` and screens each
+step for finite escape with the quadrature's one screen.  The node and
+midpoint passes build the block in fixed runs of grid points and factor all
+of a grid's weights in one batch.
 
 A consequence worth keeping: when every mean-coupling coefficient vanishes
 the two stacked channels still perform identical float operations, each
@@ -189,7 +191,7 @@ def _rhs(Y, co):
     """dY/ds of both channels, factoring their input weights in one batch."""
     n = Y.shape[-1]
     Z = _hamiltonian(Y, co)
-    return _rate(Z[..., :n, :n], Z[..., n:, :n], *np.linalg.eigh(Z[..., n:, n:]))
+    return _rate(Z[..., :n, :n], Z[..., n:, :n], *linalg._eigh(Z[..., n:, n:]))
 
 
 def _runs(Y, co):

@@ -1,0 +1,234 @@
+"""The one symmetric factorization seam, ``mflq.linalg._eigh``.
+
+Every eigendecomposition in ``src/`` goes through ``_eigh``, which calls
+LAPACK's eigh gufunc directly under the error state of numpy's public
+wrapper.  These tests pin three things: no solver path reaches numpy's
+public eigh, eigvalsh or svd; the seam's eigenpairs are bitwise those of
+the wrapper, NaN inputs included; and a LAPACK failure raises LinAlgError
+while overflow, division and underflow inside the solver stay silent.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from mflq import linalg
+from mflq.cli import main
+from mflq.linalg import DEFAULT_RTOL, _eigh, _sym
+from mflq.presets import example31, random_spd, scalar_classic
+from mflq.riccati import dense_midpoints, integrate_gre
+from mflq.synthesis import synthesize, value
+
+PRESETS = {
+    "scalar_classic": (scalar_classic, ["scalar_classic"]),
+    "example31": (example31, ["example31"]),
+    "random_spd_1": (lambda: random_spd(1), ["random_spd", "--seed", "1"]),
+}
+
+
+# ---------------------------------------------------------------------------
+# the seam is the only route
+
+
+@pytest.fixture
+def public_factorizations_refused(monkeypatch):
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called")
+
+        return refused
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse(name))
+
+
+@pytest.mark.parametrize("case", sorted(PRESETS))
+def test_solver_never_calls_public_factorizations(case, public_factorizations_refused):
+    build, _ = PRESETS[case]
+    p, law = build()
+    sol = synthesize(p)
+    mids = dense_midpoints(sol.gre)
+    assert np.all(np.isfinite(mids.gain_dev))
+    assert np.isfinite(value(sol, law))
+
+
+@pytest.mark.parametrize("case", sorted(PRESETS))
+def test_cli_never_calls_public_factorizations(case, tmp_path, capsys,
+                                               public_factorizations_refused):
+    _, argv = PRESETS[case]
+    doc = str(tmp_path / "problem.json")
+    assert main(["example", *argv, "--out", doc]) == 0
+    assert main(["solve", doc]) == 0
+    assert main(["value", doc]) == 0
+    assert main(["regularity", doc, "--csv", str(tmp_path / "csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# bitwise equal to numpy's wrapper
+
+
+def _orthogonal(rng, m):
+    q, r = np.linalg.qr(rng.standard_normal((m, m)))
+    return q * np.sign(np.diag(r))
+
+
+def _from_spectrum(rng, lam):
+    Q = _orthogonal(rng, len(lam))
+    return _sym((Q * lam) @ Q.T)
+
+
+def _weights(m, rng):
+    """Symmetric m x m weights of every kind the stages meet."""
+    out = {
+        "spd": _from_spectrum(rng, rng.uniform(0.5, 2.0, m)),
+        "indefinite": _from_spectrum(rng, rng.uniform(-2.0, 2.0, m)),
+        "zero": np.zeros((m, m)),
+    }
+    if m > 1:
+        out["psd_singular"] = _from_spectrum(
+            rng, np.r_[np.zeros(m // 2), rng.uniform(0.5, 2.0, m - m // 2)])
+        cutoff = DEFAULT_RTOL * m
+        for factor in (0.99, 1.01):
+            lam = np.r_[factor * cutoff, np.linspace(0.5, 1.0, m - 1)]
+            out[f"cutoff_{factor}"] = _from_spectrum(rng, lam)
+    return out
+
+
+def _assert_bitwise(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def _stacks(m, rng):
+    weights = list(_weights(m, rng).values())
+    yield from weights
+    for a, b in zip(weights, weights[1:] + weights[:1]):
+        yield np.stack((a, b))
+    K = 20
+    picks = rng.integers(len(weights), size=(K + 1, 2))
+    yield np.array([[weights[i] for i in row] for row in picks])
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_seam_matches_wrapper_bitwise(m):
+    rng = np.random.default_rng(m)
+    for M in _stacks(m, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _eigh(M)
+        _assert_bitwise(got, np.linalg.eigh(M))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_seam_matches_wrapper_on_strided_blocks(m):
+    """The stages factor the bottom-right block of a Hamiltonian stack, a
+    strided view, without copying it first."""
+    rng = np.random.default_rng(10 + m)
+    n = 3
+    Z = _sym(rng.standard_normal((5, 2, n + m, n + m)))
+    W = Z[..., n:, n:]
+    _assert_bitwise(_eigh(W), np.linalg.eigh(W))
+
+
+def test_near_cutoff_weights_keep_their_rank_decision():
+    rng = np.random.default_rng(7)
+    weights = _weights(4, rng)
+    below = linalg.sym_factor(weights["cutoff_0.99"])
+    above = linalg.sym_factor(weights["cutoff_1.01"])
+    assert below.rank == 3
+    assert above.rank == 4
+
+
+def _outcome(eigh, M):
+    """eigh's eigenpairs, or the LinAlgError it raised; no warning allowed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return eigh(M)
+        except np.linalg.LinAlgError as exc:
+            return exc
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_nan_input_gives_the_wrappers_outcome_and_no_warning(m):
+    """A NaN weight gives the wrapper's NaN pattern where LAPACK returns
+    (always at m <= 2) and the wrapper's LinAlgError where it fails."""
+    rng = np.random.default_rng(20 + m)
+    spd = _from_spectrum(rng, rng.uniform(0.5, 2.0, m))
+    for i, j in {(0, 0), (m - 1, 0), (m - 1, m - 1)}:
+        M = np.stack((spd, spd, spd))
+        M[1, i, j] = M[1, j, i] = np.nan
+        got, want = _outcome(_eigh, M), _outcome(np.linalg.eigh, M)
+        if isinstance(want, Exception):
+            assert isinstance(got, np.linalg.LinAlgError) and str(got) == str(want)
+            assert m > 2
+            continue
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(np.isnan(g), np.isnan(w))
+        nans = [np.isnan(a).reshape(3, -1).any(axis=1) for a in got]
+        assert list(nans[0] | nans[1]) == [False, True, False]
+        _assert_bitwise(got, want)
+
+
+# ---------------------------------------------------------------------------
+# error semantics
+
+
+def _flagging(op):
+    """A gufunc stand-in that runs ``op`` first, then factors for real."""
+    real = linalg._eigh_lo
+
+    def stub(M, signature):
+        op()
+        return real(M, signature=signature)
+
+    return stub
+
+
+def test_invalid_flag_raises_linalgerror(monkeypatch):
+    monkeypatch.setattr(linalg, "_eigh_lo", _flagging(lambda: np.sqrt(np.array(-1.0))))
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        _eigh(np.eye(2))
+
+
+@pytest.mark.parametrize("op", [
+    lambda: np.array(1e308) * 10.0,
+    lambda: np.array(1.0) / 0.0,
+    lambda: np.array(1e-308) * 1e-308,
+], ids=["over", "divide", "under"])
+def test_other_flags_stay_silent(op, monkeypatch):
+    monkeypatch.setattr(linalg, "_eigh_lo", _flagging(op))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, V = _eigh(np.diag([1.0, 2.0]))
+    np.testing.assert_array_equal(lam, [1.0, 2.0])
+
+
+def test_sweep_nonconvergence_is_not_a_finite_escape(monkeypatch):
+    """A stage whose factorization fails raises LinAlgError, not the NaN
+    the escape screen would report as a finite escape."""
+    p, _ = scalar_classic(n_steps=50)
+    monkeypatch.setattr(linalg, "_eigh_lo", _flagging(lambda: np.sqrt(np.array(-1.0))))
+    with pytest.raises(np.linalg.LinAlgError):
+        integrate_gre(p)
+
+
+# ---------------------------------------------------------------------------
+# end to end
+
+
+@pytest.mark.parametrize("case", sorted(PRESETS))
+def test_solution_equals_the_wrappers_bitwise(case, monkeypatch):
+    build, _ = PRESETS[case]
+    p, _ = build()
+    got = integrate_gre(p)
+    monkeypatch.setattr(linalg, "_eigh", lambda M: tuple(np.linalg.eigh(M)))
+    want = integrate_gre(p)
+    for name in ("P", "P_mean", "gain_dev", "gain_mean", "rate", "dev_rank",
+                 "mean_rank"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("regular", "conditions", "near_cutoff_dev", "near_cutoff_mean"):
+        assert getattr(got.report, name) == getattr(want.report, name), name

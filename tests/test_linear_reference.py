@@ -16,7 +16,7 @@ quantity, node and time.
 import numpy as np
 import pytest
 
-from mflq import affine, quadrature, sim
+from mflq import affine, linalg, quadrature, sim
 from mflq.errors import FiniteEscapeError
 from mflq.presets import random_spd
 from mflq.problem import InitialLaw, TimeGrid
@@ -157,7 +157,7 @@ def test_synthesis_counts(monkeypatch):
     K = 1000
     batched = []
     factored = []
-    step, eigh = quadrature._rk4_step, np.linalg.eigh
+    step, eigh = quadrature._rk4_step, linalg._eigh
 
     def counting_step(y, dt, k, *args):
         if np.ndim(k):
@@ -169,7 +169,7 @@ def test_synthesis_counts(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_rk4_step", counting_step)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(linalg, "_eigh", counting_eigh)
     synthesize(time_varying_problem(), n_steps=K)
     assert batched == [256, 256, 256, 232] * 2
     assert len(factored) == 4 * K + 2

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mflq
-from mflq import affine, problem, riccati
+from mflq import affine, linalg, problem, riccati
 from mflq.linalg import _sym
 from mflq.presets import example31, random_spd, scalar_classic
 from mflq.problem import InitialLaw, TimeGrid, make_problem
@@ -128,26 +128,25 @@ def test_step_override_changes_grid():
 def test_synthesis_factorization_counts(monkeypatch):
     """One batched eigh per RK4 stage plus a few per grid, and nothing else.
 
-    The sweep factors both channels' input weights together once per stage
-    (4K calls); the nodal gain pass, the dense-output gains and the RHS at
-    node 0 add three.  A per-node factorization loop would multiply these
+    Eigh calls are counted at the seam ``linalg._eigh``.  The sweep factors
+    both channels' input weights together once per stage (4K calls); the
+    nodal gain pass, the dense-output gains and the RHS at node 0 add three.  A per-node factorization loop would multiply these
     counts by the grid size.
     """
     K = 200
     p, _ = random_spd(0, n=2, m=2, n_steps=K)
     counts = {"svd": 0, "eigvalsh": 0, "eigh": 0}
 
-    def counting(name):
-        original = getattr(np.linalg, name)
-
+    def counting(name, original):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return original(*args, **kwargs)
 
         return wrapper
 
-    for name in counts:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(linalg, "_eigh", counting("eigh", linalg._eigh))
     sol = synthesize(p)
     assert sol.solvable
     assert counts["svd"] == 0
@@ -156,7 +155,7 @@ def test_synthesis_factorization_counts(monkeypatch):
 
 
 def test_synthesis_factors_each_weight_once_per_node(monkeypatch):
-    """12K + 2 symmetric weights pass through eigh in one synthesis.
+    """12K + 2 symmetric weights pass through the eigh seam in one synthesis.
 
     Four RK4 stages per step factor both channels (8K), the nodal gain pass
     factors the 2(K+1) nodal weights once, and the dense-output gains the
@@ -166,13 +165,13 @@ def test_synthesis_factors_each_weight_once_per_node(monkeypatch):
     K = 200
     p, _ = random_spd(0, n=2, m=2, n_steps=K)
     factored = []
-    original = np.linalg.eigh
+    original = linalg._eigh
 
     def counting(a, *args, **kwargs):
         factored.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(linalg, "_eigh", counting)
     synthesize(p)
     assert sum(factored) == 12 * K + 2
 
