@@ -15,20 +15,39 @@ LAPACK's symmetric eigensolver through numpy's gufunc directly, under
 the floating-point error state of numpy's public ``eigh`` wrapper but
 without that wrapper's argument checks, which cost about 4 us a call, a
 sixth of the sweep's time.  Callers reach it as ``linalg._eigh``, so one
-patch of that attribute sees every factorization.
+patch of that attribute sees every factorization.  The gufunc lives in a
+private numpy module; importing this module fails with an ImportError
+that names the gufunc and the installed numpy when it is missing.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 DEFAULT_RTOL = 1e-10
 
+
+def _require_gufunc(module: str, name: str) -> np.ufunc:
+    """The gufunc ``module.name``, or ImportError naming it and the
+    installed numpy: the seam calls a private numpy module, which a numpy
+    release may move or drop, and there is no fallback."""
+    try:
+        found = getattr(importlib.import_module(module), name, None)
+    except ImportError:
+        found = None
+    if not isinstance(found, np.ufunc):
+        raise ImportError(
+            f"mflq needs the gufunc {module}.{name}, which numpy "
+            f"{np.__version__} does not provide"
+        )
+    return found
+
+
 # LAPACK's symmetric eigensolver on the lower triangle of a float64 stack.
-_eigh_lo = _umath_linalg.eigh_lo
+_eigh_lo = _require_gufunc("numpy.linalg._umath_linalg", "eigh_lo")
 
 
 def _raise_nonconvergence(err, flag):

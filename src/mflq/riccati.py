@@ -23,9 +23,15 @@ pseudo-inverse matrix is formed; 1/lambda comes from the eigenvalues alone,
 through ``linalg._eig_inverse``, which the stages, the gains and the affine
 offsets share and which reads the one rank rule of ``linalg``.  The sweep
 steps one node at a time through ``quadrature.rk4_steps`` and screens each
-step for finite escape with the quadrature's one screen.  The node and
-midpoint passes build the block in fixed runs of grid points and factor all
-of a grid's weights in one batch.
+step for finite escape with the quadrature's one screen.  The block is
+built in place by one builder, ``_block_builder``, on a workspace it
+allocates: each sweep makes one workspace, with its views sliced and its
+constant maps resolved once, and every RK4 stage refills it, so a stage
+allocates only its eigenpairs and its fresh rate.  The workspace belongs
+to the call, never to the module, so sweeps in different threads do not
+share it.  The node and midpoint passes build the block, each in a
+workspace of its own, in fixed runs of grid points and factor all of a
+grid's weights in one batch.
 
 A consequence worth keeping: when every mean-coupling coefficient vanishes
 the two stacked channels still perform identical float operations, each
@@ -148,11 +154,16 @@ def _at(maps, k):
     return tuple(t if t.ndim == 3 else t[k] for t in maps)
 
 
-def _hamiltonian(Y, co):
-    """Hamiltonian block Z of both channels, (..., 2, n+m, n+m).
+def _block_builder(shape, n):
+    """(Z, fill): an in-place builder of Hamiltonian blocks Z of the given
+    shape, (..., n+m, n+m), on one workspace allocated here, Z and the
+    scratch products P G and Y F, with Z's top rows, Z's left columns and
+    (Y F)^T sliced once.  ``fill(Y, F, G, GT, H)``, with GT the transpose
+    of G, overwrites Z with Y's block and returns it:
 
-    Z = G^T P G + H, with M F added to its top rows and (M F)^T to its left
-    columns, where M is each channel's matrix and P the deviation one:
+        Z = G^T P G + H, with M F added to its top rows and (M F)^T to its
+        left columns, where M is each channel's matrix and P the deviation
+        one:
 
         Z = [[M A + A^T M + C^T P C + Q,  .          ],
              [B^T M + D^T P C + S,        R + D^T P D]].
@@ -160,15 +171,30 @@ def _hamiltonian(Y, co):
     Its top-left block is the linear part of the rate, its bottom-left
     block the cross term and its bottom-right block the input weight W.
     """
+    Z = np.empty(shape)
+    PG = np.empty(shape[:-2] + (n, shape[-1]))
+    YF = np.empty_like(PG)
+    top, left, YFT = Z[..., :n, :], Z[..., :n], _mT(YF)
+
+    def fill(Y, F, G, GT, H):
+        np.matmul(Y[..., :1, :, :], G, out=PG)
+        np.matmul(GT, PG, out=Z)
+        np.add(Z, H, out=Z)
+        np.matmul(Y, F, out=YF)
+        np.add(top, YF, out=top)
+        np.add(left, YFT, out=left)
+        return Z
+
+    return Z, fill
+
+
+def _hamiltonian(Y, co):
+    """Hamiltonian block Z of both channels, (..., 2, n+m, n+m), built in a
+    workspace of its own by ``_block_builder``."""
     F, G, H = co
-    n = Y.shape[-1]
-    Z = _mT(G) @ (Y[..., :1, :, :] @ G) + H
-    YF = Y @ F
-    top = Z[..., :n, :]
-    top += YF
-    left = Z[..., :n]
-    left += _mT(YF)
-    return Z
+    lead = np.broadcast_shapes(Y.shape[:-2], F.shape[:-2], G.shape[:-2], H.shape[:-2])
+    _, fill = _block_builder(lead + H.shape[-2:], Y.shape[-1])
+    return fill(Y, F, G, _mT(G), H)
 
 
 def _rate(lin, cross, lam, V):
@@ -192,6 +218,33 @@ def _rhs(Y, co):
     n = Y.shape[-1]
     Z = _hamiltonian(Y, co)
     return _rate(Z[..., :n, :n], Z[..., n:, :n], *linalg._eigh(Z[..., n:, n:]))
+
+
+def _stage_rate(co, Z, fill):
+    """The sweep's f(Y, k): dY/ds of one (2, n, n) value at grid point k of
+    the maps co, its block built by ``fill`` into the workspace Z.  Constant
+    maps are resolved here, once per sweep, sampled ones at every stage;
+    the seam is read from ``linalg`` here too, so a patched one sees every
+    stage of the sweep."""
+    n = co[0].shape[-2]
+    lin, cross, W = Z[:, :n, :n], Z[:, n:, :n], Z[:, n:, n:]
+    eigh = linalg._eigh
+    if all(t.ndim == 3 for t in co):
+        F, G, H = co
+        GT = _mT(G)
+
+        def rate(Y, k):
+            fill(Y, F, G, GT, H)
+            return _rate(lin, cross, *eigh(W))
+
+    else:
+
+        def rate(Y, k):
+            F, G, H = _at(co, k)
+            fill(Y, F, G, _mT(G), H)
+            return _rate(lin, cross, *eigh(W))
+
+    return rate
 
 
 def _runs(Y, co):
@@ -251,10 +304,13 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     Y[K, 0] = _sym(p.G)
     Y[K, 1] = _sym(p.G + p.G_bar)
 
+    # One workspace per sweep, shared by its node and midpoint stages.
+    N = p.n + p.m
+    Z, fill = _block_builder((2, N, N), p.n)
     steps = rk4_steps(
         grid,
-        lambda y, k: _rhs(y, _at(co_nodes, k)),
-        lambda y, i: _rhs(y, _at(co_mids, i)),
+        _stage_rate(co_nodes, Z, fill),
+        _stage_rate(co_mids, Z, fill),
         Y[K],
         backward=True,
         post=_sym,

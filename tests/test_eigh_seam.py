@@ -6,8 +6,14 @@ wrapper.  These tests pin three things: no solver path reaches numpy's
 public eigh, eigvalsh or svd; the seam's eigenpairs are bitwise those of
 the wrapper, NaN inputs included; and a LAPACK failure raises LinAlgError
 while overflow, division and underflow inside the solver stay silent.
+The seam's gufunc lives in a private numpy module, so importing ``mflq``
+without it fails with an ImportError that names it and the numpy found.
 """
 
+import os
+import subprocess
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -232,3 +238,46 @@ def test_solution_equals_the_wrappers_bitwise(case, monkeypatch):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     for name in ("regular", "conditions", "near_cutoff_dev", "near_cutoff_mean"):
         assert getattr(got.report, name) == getattr(want.report, name), name
+
+
+# ---------------------------------------------------------------------------
+# the private gufunc is checked at import
+
+
+GUFUNC_MODULE = "numpy.linalg._umath_linalg"
+
+
+@pytest.mark.parametrize("stub", [
+    None,
+    types.ModuleType(GUFUNC_MODULE),
+    types.SimpleNamespace(eigh_lo=lambda M, signature: None),
+], ids=["no_module", "no_gufunc", "not_a_gufunc"])
+def test_missing_gufunc_raises_importerror_naming_numpy(stub, monkeypatch):
+    """A None entry in sys.modules makes the module itself unimportable."""
+    monkeypatch.setitem(sys.modules, GUFUNC_MODULE, stub)
+    with pytest.raises(ImportError) as info:
+        linalg._require_gufunc(GUFUNC_MODULE, "eigh_lo")
+    assert f"{GUFUNC_MODULE}.eigh_lo" in str(info.value)
+    assert f"numpy {np.__version__}" in str(info.value)
+
+
+def test_installed_numpy_provides_the_gufunc():
+    assert linalg._require_gufunc(GUFUNC_MODULE, "eigh_lo") is linalg._eigh_lo
+
+
+def test_importing_mflq_without_the_gufunc_fails_loudly():
+    """A numpy without the gufunc fails ``import mflq`` with that message,
+    not a later AttributeError inside a sweep."""
+    code = (
+        "import sys, types, numpy\n"
+        f"sys.modules[{GUFUNC_MODULE!r}] = types.ModuleType({GUFUNC_MODULE!r})\n"
+        "import mflq\n"
+    )
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode != 0
+    last = run.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: mflq needs the gufunc "
+                           f"{GUFUNC_MODULE}.eigh_lo, which numpy")

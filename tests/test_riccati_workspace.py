@@ -1,0 +1,167 @@
+"""The Riccati sweep's stage workspace against the allocating stage it replaced.
+
+``integrate_gre`` gives every sweep one workspace: the Hamiltonian block
+and its scratch products are allocated once and every RK4 stage refills
+them in place.  The reference below keeps the earlier stage as test-only
+code: a Hamiltonian block allocated afresh at every stage, factored by the
+``linalg._eigh`` seam and turned into a rate by ``riccati._rate``, with the
+maps resolved per stage by ``riccati._at``.  It is driven by the same
+``rk4_steps`` from the same ``integrate_gre``, so every difference comes
+from the stage, and every output must agree bit for bit.
+"""
+
+import sys
+import threading
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from mflq import linalg, riccati
+from mflq.linalg import _mT
+from mflq.presets import example31, random_spd, scalar_classic
+from mflq.problem import tabulate
+from mflq.quadrature import rk4_steps
+from mflq.riccati import integrate_gre
+from test_nodewise_reference import time_varying_problem
+
+CASES = {
+    "random_spd_1_1": lambda: random_spd(0, n=1, m=1)[0],
+    "random_spd_2_2": lambda: random_spd(0, n=2, m=2)[0],
+    "random_spd_6_3": lambda: random_spd(0, n=6, m=3)[0],
+    "random_spd_10_5": lambda: random_spd(0, n=10, m=5)[0],
+    "example31": lambda: example31()[0],
+    "scalar_classic": lambda: scalar_classic()[0],
+    "no_bars_3_2": lambda: random_spd(0, n=3, m=2, with_bars=False)[0],
+    "time_varying": time_varying_problem,
+}
+
+
+def allocating_hamiltonian(Y, co):
+    """The block Z = G^T P G + H plus M F on the top rows and (M F)^T on the
+    left columns, every product allocated afresh."""
+    F, G, H = co
+    n = Y.shape[-1]
+    Z = _mT(G) @ (Y[..., :1, :, :] @ G) + H
+    YF = Y @ F
+    top = Z[..., :n, :]
+    top += YF
+    left = Z[..., :n]
+    left += _mT(YF)
+    return Z
+
+
+def allocating_rhs(Y, co):
+    n = Y.shape[-1]
+    Z = allocating_hamiltonian(Y, co)
+    return riccati._rate(Z[..., :n, :n], Z[..., n:, :n],
+                         *linalg._eigh(Z[..., n:, n:]))
+
+
+def reference_gre(p, monkeypatch):
+    """``integrate_gre`` with every stage on the allocating reference."""
+    tab = tabulate(p, p.horizon)
+
+    def reference_steps(grid, f_node, f_mid, start, backward=False, post=None):
+        return rk4_steps(
+            grid,
+            lambda y, k: allocating_rhs(y, riccati._at(tab.node_maps, k)),
+            lambda y, i: allocating_rhs(y, riccati._at(tab.mid_maps, i)),
+            start, backward=backward, post=post,
+        )
+
+    with monkeypatch.context() as patch:
+        patch.setattr(riccati, "rk4_steps", reference_steps)
+        return integrate_gre(p)
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_report_equal(rep, ref):
+    assert rep.conditions == ref.conditions
+    assert (rep.regular, rep.n_steps, rep.tol) == (ref.regular, ref.n_steps, ref.tol)
+    assert (rep.near_cutoff_dev, rep.near_cutoff_mean) == (
+        ref.near_cutoff_dev, ref.near_cutoff_mean)
+    assert_bitwise(rep.dev_rank, ref.dev_rank)
+    assert_bitwise(rep.mean_rank, ref.mean_rank)
+
+
+def assert_solutions_bitwise(sol, ref):
+    for f in fields(sol):
+        got, want = getattr(sol, f.name), getattr(ref, f.name)
+        if f.name == "grid":
+            assert got == want
+        elif f.name == "factor":
+            assert_bitwise(got.eigvals, want.eigvals)
+            assert_bitwise(got.eigvecs, want.eigvecs)
+        elif f.name == "table":
+            for a, b in zip(got.node_maps + got.mid_maps, want.node_maps + want.mid_maps):
+                assert_bitwise(a, b)
+        elif f.name == "report":
+            assert_report_equal(got, want)
+        else:
+            assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_workspace_sweep_is_bitwise_the_allocating_stage(case, monkeypatch):
+    p = CASES[case]()
+    assert_solutions_bitwise(integrate_gre(p), reference_gre(p, monkeypatch))
+
+
+def test_channels_stay_bitwise_equal_on_the_workspace():
+    sol = integrate_gre(CASES["no_bars_3_2"]())
+    assert_bitwise(sol.P, sol.P_mean)
+    assert_bitwise(sol.gain_dev, sol.gain_mean)
+
+
+def test_time_varying_problem_takes_the_sampled_map_branch(monkeypatch):
+    """Its sampled maps are resolved at every stage, and every stage of the
+    sweep is one call of the seam on a (2, m, m) stack."""
+    p = time_varying_problem()
+    tab = tabulate(p, p.horizon)
+    assert any(t.ndim == 4 for t in tab.node_maps + tab.mid_maps)
+    shapes = []
+    seam = linalg._eigh
+
+    def counting(M):
+        shapes.append(M.shape)
+        return seam(M)
+
+    monkeypatch.setattr(linalg, "_eigh", counting)
+    integrate_gre(p)
+    K = p.horizon.n_steps
+    assert shapes[:4 * K] == [(2, p.m, p.m)] * (4 * K)
+    assert len(shapes) == 4 * K + 1
+
+
+def test_concurrent_sweeps_match_sequential_ones():
+    """Two sweeps run at once in two threads give bitwise the results of the
+    same sweeps run one after the other: no workspace is shared.  The two
+    problems have the same sizes, so a workspace kept per shape would be,
+    and a short switch interval interleaves their stages."""
+    problems = (CASES["random_spd_2_2"](), CASES["time_varying"]())
+    sequential = [integrate_gre(p) for p in problems]
+    concurrent = [None, None]
+    start = threading.Barrier(2)
+
+    def sweep(i):
+        start.wait()
+        concurrent[i] = integrate_gre(problems[i])
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for sol, ref in zip(concurrent, sequential):
+        assert_solutions_bitwise(sol, ref)
