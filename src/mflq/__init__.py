@@ -26,7 +26,6 @@ from .riccati import (
     RegularityReport,
     assess_regularity,
     dense_midpoints,
-    gains,
     integrate_gre,
 )
 from .affine import AffineSolution, CorrectionSet, solve_affine
@@ -92,7 +91,6 @@ __all__ = [
     "estimate_cost",
     "example31",
     "example31_null_control",
-    "gains",
     "get_preset",
     "homogeneous_cost",
     "integrate_gre",

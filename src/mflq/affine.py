@@ -18,7 +18,6 @@ which steps them through batched runs of RK4 propagators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -107,24 +106,7 @@ def _noise_adjoint(p: ProblemData, sol: GreSolution, mids: MidpointData):
     eta = linear_rk4(
         sol.grid, L_n, g_n, L_m, g_m, p.g1, "adjoint offset", backward=True
     )
-    return eta, _noise_midpoints(sol, eta, L_n, g_n)
-
-
-def _noise_midpoints(sol: GreSolution, eta: np.ndarray, L, g) -> np.ndarray:
-    """Hermite midpoints of the noise adjoint from its nodal derivative
-    L eta + g."""
-    return hermite_midpoints(eta, _mv(L, eta) + g, sol.grid.h)
-
-
-def solve_adjoint(
-    p: ProblemData, sol: GreSolution, mids: Optional[MidpointData] = None
-) -> np.ndarray:
-    """Solve the noise coefficient of the pathwise adjoint backward; (K+1, n).
-
-    The equation is autonomous: it sees neither the constant part of the
-    adjoint nor the mean channel, and its terminal value is g1.
-    """
-    return _noise_adjoint(p, sol, dense_midpoints(sol) if mids is None else mids)[0]
+    return eta, hermite_midpoints(eta, _mv(L_n, eta) + g_n, sol.grid.h)
 
 
 def _mean_ode(c, maps, P, Pm, Ga, e1):
@@ -145,27 +127,6 @@ def _mean_adjoint(p, sol, adjoint_noise, noise_mid, mids: MidpointData):
     return linear_rk4(
         sol.grid, L_n, g_n, L_m, g_m, p.g0 + p.g_bar, "mean adjoint offset",
         backward=True,
-    )
-
-
-def solve_adjoint_mean(
-    p: ProblemData,
-    sol: GreSolution,
-    adjoint_noise: np.ndarray,
-    mids: Optional[MidpointData] = None,
-) -> np.ndarray:
-    """Solve the mean-channel adjoint ODE backward; returns (K+1, n).
-
-    The drift couples to the already-solved noise coefficient of the
-    pathwise adjoint (its expectation against the running Brownian value is
-    what survives in the mean dynamics); its midpoints are Hermite
-    midpoints from its own nodal derivative.
-    """
-    tab = sol.table
-    noise_ode = _noise_ode(tab.node, tab.node_maps, sol.P, sol.gain_dev)
-    noise_mid = _noise_midpoints(sol, adjoint_noise, *noise_ode)
-    return _mean_adjoint(
-        p, sol, adjoint_noise, noise_mid, dense_midpoints(sol) if mids is None else mids
     )
 
 

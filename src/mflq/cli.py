@@ -40,6 +40,7 @@ from .riccati import DEFAULT_REG_TOL, assess_regularity, integrate_gre
 from .synthesis import ClosedLoopSolution, closed_loop, synthesize
 from .synthesis import value as strategy_value
 from .verify import (
+    _require_noiseless,
     classical_degeneration,
     completion_check,
     lower_bound_battery,
@@ -381,7 +382,6 @@ def _check_dict(c) -> dict:
 def _suite_qp(args, p, doc_law, solution):
     law = _resolve_law(args, doc_law, p.n, required=False)
     try:
-        from .verify import _require_noiseless
         _require_noiseless(p)
     except ValueError as exc:
         return None, str(exc)

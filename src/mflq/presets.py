@@ -35,8 +35,11 @@ from .problem import (
 
 PRESET_NAMES = ("example31", "scalar_classic", "random_spd")
 
+# The steps of every preset's horizon when the caller names none.
+_DEFAULT_STEPS = 1000
 
-def example31(t: float = 0.5, n_steps: int = 1000):
+
+def example31(t: float = 0.5, n_steps: int = _DEFAULT_STEPS):
     """Scalar instance with a vanishing deviation-channel input weight.
 
     Dynamics dX = (u - E[u]) ds + E[u] dW on [t, 1], cost
@@ -75,7 +78,7 @@ def example31_null_control(t: float = 0.5, x: float = 1.0) -> ControlSpec:
     )
 
 
-def scalar_classic(n_steps: int = 1000):
+def scalar_classic(n_steps: int = _DEFAULT_STEPS):
     """Scalar regulator dX = u ds, cost integral of u^2 plus X(1)^2 on [0, 1]."""
     horizon = TimeGrid(0.0, 1.0, n_steps)
     p = make_problem(
@@ -89,7 +92,7 @@ def random_spd(
     seed: int,
     n: int = 2,
     m: int = 2,
-    n_steps: int = 1000,
+    n_steps: int = _DEFAULT_STEPS,
     with_bars: bool = True,
     inhomogeneous: bool = True,
 ):
@@ -187,7 +190,7 @@ def get_preset(
 ):
     """Look up a preset by its public name; returns (problem, law)."""
     if n_steps is None:
-        n_steps = 1000
+        n_steps = _DEFAULT_STEPS
     if name == "example31":
         return example31(n_steps=n_steps)
     if name == "scalar_classic":

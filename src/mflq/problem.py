@@ -184,9 +184,6 @@ class NoiseAffinePath:
     def shape(self) -> tuple:
         return self.const_part.shape
 
-    def mean_at(self, s: float) -> np.ndarray:
-        return self.const_part.at(s)
-
 
 @dataclass(frozen=True)
 class InitialLaw:
@@ -268,10 +265,6 @@ class ControlSpec:
             MatrixPath.constant(zmn),
             NoiseAffinePath.zero((m,)),
         )
-
-    def mean_control(self, s: float, mean_state: np.ndarray) -> np.ndarray:
-        gain = self.feedback.at(s) + self.mean_feedback.at(s)
-        return gain @ mean_state + self.offset.mean_at(s)
 
 
 # Field → (kind, shape-maker, symmetric?) table used by validation and the

@@ -49,7 +49,7 @@ import numpy as np
 from . import linalg, problem
 from .errors import ValidationError
 from .linalg import _eig_inverse, _mT, _sym
-from .problem import CoefficientTable, MatrixPath, ProblemData, TimeGrid, tabulate
+from .problem import CoefficientTable, ProblemData, TimeGrid, tabulate
 from .quadrature import _RUN, _check_finite, _screen_passes, rk4_steps, trapezoid
 
 # A retained eigenvalue within this factor of the rank cutoff marks the
@@ -211,13 +211,6 @@ def _gain(cross, factor: linalg.SymFactor):
     """Feedback gain -W^+ cross, applied in W's eigenbasis."""
     V = factor.eigvecs
     return -(V @ (_eig_inverse(factor.eigvals)[..., None] * (_mT(V) @ cross)))
-
-
-def _rhs(Y, co):
-    """dY/ds of both channels, factoring their input weights in one batch."""
-    n = Y.shape[-1]
-    Z = _hamiltonian(Y, co)
-    return _rate(Z[..., :n, :n], Z[..., n:, :n], *linalg._eigh(Z[..., n:, n:]))
 
 
 def _stage_rate(co, Z, fill):
@@ -450,20 +443,3 @@ def assess_regularity(
             sol.mean_smallest_retained, sol.mean_cutoff
         ),
     )
-
-
-def gains(sol: GreSolution):
-    """Feedback gains as sampled paths plus their nodewise defect norms.
-
-    The defects ||W gain + cross|| vanish (up to roundoff) exactly when the
-    range conditions hold, so they double as a feasibility diagnostic.
-    """
-    res_dev = np.linalg.norm(
-        sol.input_weight @ sol.gain_dev + sol.cross_term, axis=(1, 2)
-    )
-    res_mean = np.linalg.norm(
-        sol.input_weight_mean @ sol.gain_mean + sol.cross_term_mean, axis=(1, 2)
-    )
-    theta = MatrixPath.sampled(sol.grid, sol.gain_dev)
-    gamma = MatrixPath.sampled(sol.grid, sol.gain_mean)
-    return theta, gamma, res_dev, res_mean

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from mflq import affine
-from mflq.affine import compute_corrections, solve_adjoint, solve_adjoint_mean, solve_affine
+from mflq.affine import compute_corrections, solve_affine
 from mflq.presets import random_spd
 from mflq.problem import TimeGrid, make_problem
 from mflq.riccati import integrate_gre
@@ -40,35 +40,33 @@ def test_homogeneous_adjoints_vanish():
 
 def test_terminal_values_of_adjoints():
     p = classic(100, g0=[0.3], g1=[0.7], g_bar=[0.1])
-    sol = integrate_gre(p)
-    eta1 = solve_adjoint(p, sol)
-    assert eta1[-1, 0] == 0.7
-    eta_bar = solve_adjoint_mean(p, sol, eta1)
-    assert eta_bar[-1, 0] == pytest.approx(0.4)
+    aff = solve_affine(p, integrate_gre(p))
+    assert aff.adjoint_noise[-1, 0] == 0.7
+    assert aff.adjoint_mean[-1, 0] == pytest.approx(0.4)
 
 
 def test_constant_drift_inhomogeneity_closed_form():
     b0 = 0.8
     p = classic(1000, b=(b0, 0.0))
-    sol = integrate_gre(p)
-    eta1 = solve_adjoint(p, sol)
-    s = sol.grid.nodes
-    assert np.all(eta1 == 0.0)
-    eta_bar = solve_adjoint_mean(p, sol, eta1)
-    np.testing.assert_allclose(eta_bar[:, 0], b0 * (1 - s) / (2 - s), atol=1e-12)
+    aff = solve_affine(p, integrate_gre(p))
+    s = aff.grid.nodes
+    assert np.all(aff.adjoint_noise == 0.0)
+    np.testing.assert_allclose(
+        aff.adjoint_mean[:, 0], b0 * (1 - s) / (2 - s), atol=1e-12
+    )
 
 
 def test_noise_riding_drift_moves_only_noise_channel():
     b1 = -0.6
     p = classic(1000, b=(0.0, b1))
-    sol = integrate_gre(p)
-    eta1 = solve_adjoint(p, sol)
-    s = sol.grid.nodes
-    np.testing.assert_allclose(eta1[:, 0], b1 * (1 - s) / (2 - s), atol=1e-12)
-    eta_bar = solve_adjoint_mean(p, sol, eta1)
+    aff = solve_affine(p, integrate_gre(p))
+    s = aff.grid.nodes
+    np.testing.assert_allclose(
+        aff.adjoint_noise[:, 0], b1 * (1 - s) / (2 - s), atol=1e-12
+    )
     # carrier P sigma0 + eta1 enters the mean equation only through C and D,
     # both zero here, so the mean adjoint stays flat
-    assert np.max(np.abs(eta_bar)) < 1e-14
+    assert np.max(np.abs(aff.adjoint_mean)) < 1e-14
 
 
 def test_corrections_solve_weighted_offsets():
@@ -108,18 +106,17 @@ def test_infeasible_offset_detected():
 def test_compute_corrections_matches_solve_affine():
     p = classic(300, b=(0.2, 0.1), sigma=(0.3, 0.0), q=(0.05, 0.0), rho=(0.1, 0.0))
     sol = integrate_gre(p)
-    eta1 = solve_adjoint(p, sol)
-    eta_bar = solve_adjoint_mean(p, sol, eta1)
-    direct = compute_corrections(sol, eta1, eta_bar)
     packed = solve_affine(p, sol)
+    direct = compute_corrections(sol, packed.adjoint_noise, packed.adjoint_mean)
     np.testing.assert_array_equal(direct.corr_noise, packed.corrections.corr_noise)
     np.testing.assert_array_equal(direct.corr_mean, packed.corrections.corr_mean)
 
 
 def test_synthesis_builds_the_noise_adjoint_ode_twice(monkeypatch):
     """One build at the nodes and one at the midpoints serve the noise
-    adjoint and the mean adjoint's midpoints; the adjoints and offsets are
-    bitwise those of the public solvers, which build the nodal ODE again."""
+    adjoint and the mean adjoint's midpoints; the synthesized adjoints and
+    offsets are bitwise those of ``solve_affine`` and of
+    ``compute_corrections`` run on its adjoints."""
     p, _ = random_spd(2, n=3, m=2, n_steps=120)
     sol = integrate_gre(p)
     builds = []
@@ -130,13 +127,11 @@ def test_synthesis_builds_the_noise_adjoint_ode_twice(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(affine, "_noise_ode", counted)
-    synthesize(p)
+    synth = synthesize(p).affine
     assert builds == [121, 120]
     aff = solve_affine(p, sol)
-    eta1 = solve_adjoint(p, sol)
-    eta_bar = solve_adjoint_mean(p, sol, eta1)
-    direct = compute_corrections(sol, eta1, eta_bar)
-    np.testing.assert_array_equal(aff.adjoint_noise, eta1)
-    np.testing.assert_array_equal(aff.adjoint_mean, eta_bar)
+    direct = compute_corrections(sol, aff.adjoint_noise, aff.adjoint_mean)
+    np.testing.assert_array_equal(synth.adjoint_noise, aff.adjoint_noise)
+    np.testing.assert_array_equal(synth.adjoint_mean, aff.adjoint_mean)
     np.testing.assert_array_equal(aff.corrections.corr_noise, direct.corr_noise)
     np.testing.assert_array_equal(aff.corrections.corr_mean, direct.corr_mean)

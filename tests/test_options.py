@@ -12,6 +12,12 @@ or ``bench/``.  Calls are matched by the called name alone, so a call
 The command line gets the same lint: every ``--flag`` that ``mflq.cli``
 adds to its parser must appear in some test or bench as a string of its
 own, ``"--flag"`` or ``"--flag=value"``.
+
+A public function that only tests call is a second path beside the one the
+program runs.  So every public module-level function under ``src/mflq``
+must be referenced from ``src/mflq`` itself, by name or as an attribute,
+or be exported in ``mflq.__all__``; the few kept otherwise are named below
+with their reasons.
 """
 
 import ast
@@ -20,6 +26,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mflq"
 CALLER_DIRS = ("src", "tests", "bench")
+
+# Public functions that nothing under src/mflq references and mflq.__all__
+# does not export, each with the reason it stays.
+UNREFERENCED_KEPT = {
+    "docio.emit_strategy": "writes the strategy document that "
+    "`mflq simulate --strategy` reads",
+}
 
 
 def _parse(path):
@@ -188,3 +201,61 @@ def test_flag_lint_sees_add_argument_and_passed_strings():
         'msg = "--delta must be positive"\n'
     )
     assert unpassed_flags(flags, [callers]) == ["--delta"]
+
+
+def _exports(tree):
+    """The names listed in the module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in node.value.elts}
+    return set()
+
+
+def _referenced(tree):
+    """Every name ``tree`` reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unreferenced_functions(trees):
+    """Sorted "module.function" of every public module-level def in
+    ``trees`` ({module: tree}) that no tree references and the
+    ``__init__`` tree does not export."""
+    used = set().union(*map(_referenced, trees.values()))
+    if "__init__" in trees:
+        used |= _exports(trees["__init__"])
+    return sorted(
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    )
+
+
+def test_every_public_function_is_referenced_or_exported():
+    trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_functions(trees) == sorted(UNREFERENCED_KEPT)
+
+
+def test_function_lint_sees_references_and_exports():
+    trees = {
+        "__init__": ast.parse("from .a import f\n__all__ = ['f']\n"),
+        "a": ast.parse(
+            "def f():\n    pass\n"
+            "def g():\n    pass\n"
+            "def h():\n    pass\n"
+            "def _p():\n    pass\n"
+            "class K:\n    def m(self):\n        pass\n"
+        ),
+        "b": ast.parse("from . import a\nx = a.h()\n"),
+    }
+    assert unreferenced_functions(trees) == ["a.g"]

@@ -3,10 +3,8 @@ import pytest
 
 from mflq.errors import ValidationError
 from mflq.problem import (
-    ControlSpec,
     InitialLaw,
     MatrixPath,
-    NoiseAffinePath,
     TimeGrid,
     make_problem,
     nodes_and_midpoints,
@@ -179,16 +177,6 @@ def test_has_mean_terms():
     assert not p.has_mean_terms
     q = make_problem(1, 1, g, R=1.0, G=1.0, A_bar=0.1)
     assert q.has_mean_terms
-
-
-def test_control_spec_mean_control():
-    spec = ControlSpec(
-        feedback=MatrixPath.constant([[2.0]]),
-        mean_feedback=MatrixPath.constant([[-0.5]]),
-        offset=NoiseAffinePath.of([0.25], [0.0]),
-    )
-    u = spec.mean_control(0.0, np.array([2.0]))
-    np.testing.assert_allclose(u, [3.25])
 
 
 def test_paths_are_read_only():

@@ -5,19 +5,28 @@ import pytest
 
 from mflq.errors import FiniteEscapeError, ValidationError
 from mflq.problem import _CHANNEL_NAMES, TimeGrid, _channel_maps, make_problem
-from mflq.riccati import _rhs, _sym, assess_regularity, gains, integrate_gre
+from mflq.riccati import (
+    _block_builder,
+    _stage_rate,
+    _sym,
+    assess_regularity,
+    integrate_gre,
+)
 from mflq.presets import example31, scalar_classic
 
 
 def gre_rhs(P, P_mean, s, p):
-    """Coupled Riccati right-hand sides (dP/ds, dP_mean/ds) at time s."""
+    """Coupled Riccati right-hand sides (dP/ds, dP_mean/ds) at time s,
+    from the stage the sweep runs, on a workspace of its own."""
     Y = np.stack((np.asarray(P, dtype=float), np.asarray(P_mean, dtype=float)))
     samples = {
         name: getattr(p, name).at(s)
         for base in _CHANNEL_NAMES
         for name in (base, base + "_bar")
     }
-    dY = _sym(_rhs(Y, _channel_maps(samples)))
+    N = p.n + p.m
+    rate = _stage_rate(_channel_maps(samples), *_block_builder((2, N, N), p.n))
+    dY = _sym(rate(Y, 0))
     return dY[0], dY[1]
 
 
@@ -40,10 +49,12 @@ def test_classic_gain_is_minus_p():
     p = classic_problem()
     sol = integrate_gre(p)
     np.testing.assert_allclose(sol.gain_dev[:, 0, 0], -sol.P[:, 0, 0], atol=1e-14)
-    theta, gamma, res_dev, res_mean = gains(sol)
-    assert np.max(res_dev) < 1e-14
-    assert np.max(res_mean) < 1e-14
-    assert theta.at(0.0)[0, 0] == pytest.approx(-0.5, abs=1e-12)
+    for W, gain, cross in (
+        (sol.input_weight, sol.gain_dev, sol.cross_term),
+        (sol.input_weight_mean, sol.gain_mean, sol.cross_term_mean),
+    ):
+        assert np.max(np.linalg.norm(W @ gain + cross, axis=(1, 2))) < 1e-14
+    assert sol.gain_dev[0, 0, 0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_rk4_fourth_order_on_classic():

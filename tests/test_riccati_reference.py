@@ -6,9 +6,9 @@ weight's pseudo-inverse in its eigenbasis.  The reference below keeps the
 earlier formulation as test-only code: the input weight, the cross term and
 the linear part assembled term by term from the seven channel-stacked
 coefficient pairs (A, B, C, D, Q, S, R), with the pseudo-inverse formed as a
-matrix.  It is driven through the same ``rk4_steps`` and feeds the public
-adjoint, offset and value functions, so every difference comes from the
-stage itself.
+matrix.  It is driven through the same ``rk4_steps`` and feeds the adjoint
+ODEs that ``solve_affine`` runs, the offsets and the value, so every
+difference comes from the stage itself.
 
 Values must agree to 1e-13 (1 + |x|); ranks, near-cutoff node lists and all
 verdict flags exactly.
@@ -19,14 +19,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mflq import linalg
-from mflq.affine import (
-    AffineSolution,
-    compute_corrections,
-    solve_adjoint,
-    solve_adjoint_mean,
-    solve_affine,
-)
+from mflq import affine, linalg
+from mflq.affine import AffineSolution, compute_corrections, solve_affine
 from mflq.presets import example31, random_spd
 from mflq.problem import InitialLaw, tabulate
 from mflq.quadrature import rk4_steps
@@ -131,8 +125,8 @@ def reference_solution(p):
 
 
 def reference_affine(p, sol, mids):
-    adjoint_noise = solve_adjoint(p, sol, mids=mids)
-    adjoint_mean = solve_adjoint_mean(p, sol, adjoint_noise, mids=mids)
+    adjoint_noise, noise_mid = affine._noise_adjoint(p, sol, mids)
+    adjoint_mean = affine._mean_adjoint(p, sol, adjoint_noise, noise_mid, mids)
     return AffineSolution(
         grid=sol.grid,
         adjoint_noise=adjoint_noise,
