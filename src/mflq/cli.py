@@ -6,17 +6,20 @@ scan), ``value`` (cost of the synthesized strategy from a given law),
 cross-check suites), and ``example`` (emit a built-in problem document).
 
 Reports are JSON on standard output with sorted keys, so a fixed command
-line and seed produce byte-identical bytes.  ``--csv <dir>`` additionally
-writes a time series (columns: time, then row-major entries of the two
-Riccati matrices, the two gains, and the state mean).  Exit codes: 0
-success, 2 validation failure, 3 numerical failure (finite escape), 4
-verification suite failure.
+line and seed produce byte-identical bytes.  Result records (regularity
+conditions, verification checks, the initial law) appear under their own
+field names.  ``verify`` runs its suites from one table, ``_SUITES``.
+``--csv <dir>`` additionally writes a time series (columns: time, then
+row-major entries of the two Riccati matrices, the two gains, and the
+state mean).  Exit codes: 0 success, 2 validation failure, 3 numerical
+failure (finite escape), 4 verification suite failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import os
 import sys
@@ -40,6 +43,8 @@ from .riccati import DEFAULT_REG_TOL, assess_regularity, integrate_gre
 from .synthesis import ClosedLoopSolution, closed_loop, synthesize
 from .synthesis import value as strategy_value
 from .verify import (
+    CheckResult,
+    VerificationReport,
     _require_noiseless,
     classical_degeneration,
     completion_check,
@@ -60,8 +65,12 @@ COMPLETION_REL_TOL = 1e-2
 def _jsonable(obj):
     """Reduce a report object to JSON-encodable types.
 
-    Non-finite floats become strings, since the emitter refuses NaN tokens.
+    A dataclass instance becomes {field name: value}.  Non-finite floats
+    become strings, since the emitter refuses NaN tokens.
     """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -100,7 +109,12 @@ def _parse_floats(text: str, where: str) -> list:
 
 def _resolve_law(args, doc_law: Optional[InitialLaw], n: int,
                  required: bool) -> Optional[InitialLaw]:
-    """Initial law from the document, overridden by --law key=values flags."""
+    """Initial law from the document, overridden by --law key=values flags.
+
+    Each key names an InitialLaw field.  One value fills the field: a vector
+    of it, or it times the identity for indep_load; otherwise the flag gives
+    every entry, row-major for indep_load.
+    """
     overrides = getattr(args, "law", None) or []
     if not overrides:
         if doc_law is None and required:
@@ -108,14 +122,9 @@ def _resolve_law(args, doc_law: Optional[InitialLaw], n: int,
                 ["initial law: the document has none; pass --law mean=..."]
             )
         return doc_law
-    if doc_law is not None:
-        mean = np.array(doc_law.mean)
-        bl = np.array(doc_law.brownian_load)
-        il = np.array(doc_law.indep_load)
-    else:
-        mean = np.zeros(n)
-        bl = np.zeros(n)
-        il = np.zeros((n, n))
+    if doc_law is None:
+        doc_law = InitialLaw.deterministic(np.zeros(n))
+    fields = dataclasses.asdict(doc_law)
     for item in overrides:
         key, sep, val = item.partition("=")
         if not sep:
@@ -123,56 +132,21 @@ def _resolve_law(args, doc_law: Optional[InitialLaw], n: int,
                 [f"--law {item!r}: expected key=value"]
             )
         vals = _parse_floats(val, f"--law {key}")
-        if key in ("mean", "brownian_load"):
-            if len(vals) == 1:
-                vec = np.full(n, vals[0])
-            elif len(vals) == n:
-                vec = np.array(vals)
-            else:
-                raise ValidationError(
-                    [f"--law {key}: expected 1 or {n} entries, got {len(vals)}"]
-                )
-            if key == "mean":
-                mean = vec
-            else:
-                bl = vec
-        elif key == "indep_load":
-            if len(vals) == 1:
-                il = vals[0] * np.eye(n)
-            elif len(vals) == n * n:
-                il = np.array(vals).reshape(n, n)
-            else:
-                raise ValidationError(
-                    [f"--law indep_load: expected 1 or {n * n} entries, "
-                     f"got {len(vals)}"]
-                )
+        if key not in fields:
+            raise ValidationError(
+                [f"--law {key}: unknown field ({', '.join(fields)})"]
+            )
+        square = key == "indep_load"
+        size = n * n if square else n
+        if len(vals) == 1:
+            fields[key] = vals[0] * np.eye(n) if square else np.full(n, vals[0])
+        elif len(vals) == size:
+            fields[key] = np.reshape(vals, (n, n) if square else n)
         else:
             raise ValidationError(
-                [f"--law {key}: unknown field (mean, brownian_load, "
-                 "indep_load)"]
+                [f"--law {key}: expected 1 or {size} entries, got {len(vals)}"]
             )
-    return InitialLaw(mean, bl, il)
-
-
-def _law_dict(law: InitialLaw) -> dict:
-    return {
-        "mean": law.mean,
-        "brownian_load": law.brownian_load,
-        "indep_load": law.indep_load,
-    }
-
-
-def _condition_dicts(report) -> list:
-    return [
-        {
-            "name": c.name,
-            "passed": c.passed,
-            "worst_node": c.worst_node,
-            "worst_value": c.worst_value,
-            "tolerance": c.tolerance,
-        }
-        for c in report.conditions
-    ]
+    return InitialLaw(**fields)
 
 
 def _write_timeseries(dirpath: str, sol: ClosedLoopSolution,
@@ -199,18 +173,12 @@ def _write_timeseries(dirpath: str, sol: ClosedLoopSolution,
             writer.writerow(row)
 
 
-def _mean_for_csv(p: ProblemData, sol: ClosedLoopSolution,
-                  law: Optional[InitialLaw],
-                  spec: Optional[ControlSpec] = None) -> np.ndarray:
-    m0 = law.mean if law is not None else np.zeros(p.n)
-    use = spec if spec is not None else sol.strategy
-    EX, _ = sim.mean_ode(p, use, m0, n_steps=sol.grid.n_steps)
-    return EX
-
-
 def _maybe_csv(args, p, sol, law, spec=None):
     if getattr(args, "csv", None):
-        _write_timeseries(args.csv, sol, _mean_for_csv(p, sol, law, spec))
+        m0 = law.mean if law is not None else np.zeros(p.n)
+        use = spec if spec is not None else sol.strategy
+        EX, _ = sim.mean_ode(p, use, m0, n_steps=sol.grid.n_steps)
+        _write_timeseries(args.csv, sol, EX)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +218,7 @@ def cmd_solve(args) -> int:
         "regular": sol.regular,
         "feasible": sol.feasible,
         "solvable": sol.solvable,
-        "conditions": _condition_dicts(sol.gre.report),
+        "conditions": sol.gre.report.conditions,
         "corrections": {
             "feasible": corr.feasible,
             "worst_dev_node": corr.worst_dev_node,
@@ -290,7 +258,7 @@ def cmd_regularity(args) -> int:
         "regular": rep.regular,
         "n_steps": rep.n_steps,
         "tolerance": rep.tol,
-        "conditions": _condition_dicts(rep),
+        "conditions": rep.conditions,
         "failing": [c.name for c in rep.conditions if not c.passed],
         "rank_dev": {"min": int(rep.dev_rank.min()),
                      "max": int(rep.dev_rank.max())},
@@ -317,7 +285,7 @@ def cmd_value(args) -> int:
         "label": "optimal value" if sol.solvable else "weak value candidate",
         "regular": sol.regular,
         "feasible": sol.feasible,
-        "law": _law_dict(law),
+        "law": law,
     }
     _print_report(report)
     _maybe_csv(args, p, sol, law)
@@ -359,7 +327,7 @@ def cmd_simulate(args) -> int:
         "seed": rep.seed,
         "mean_gap": rep.mean_gap,
         "terminal_mean": rep.terminal_mean,
-        "law": _law_dict(law),
+        "law": law,
     }
     _print_report(report)
     if getattr(args, "csv", None):
@@ -369,53 +337,41 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _check_dict(c) -> dict:
-    return {
-        "name": c.name,
-        "passed": c.passed,
-        "discrepancy": c.discrepancy,
-        "tolerance": c.tolerance,
-        "metadata": c.metadata,
-    }
+# Each suite takes (args, p, doc_law, sweep, solution) and returns its
+# VerificationReport, or the reason it does not apply to the problem.
 
 
-def _suite_qp(args, p, doc_law, solution):
+def _suite_qp(args, p, doc_law, sweep, solution):
     law = _resolve_law(args, doc_law, p.n, required=False)
     try:
         _require_noiseless(p)
     except ValueError as exc:
-        return None, str(exc)
+        return str(exc)
     if law is None:
-        return None, "no initial law in the document and no --law given"
+        return "no initial law in the document and no --law given"
     if np.any(law.brownian_load != 0.0) or np.any(law.indep_load != 0.0):
-        return None, "the oracle needs a deterministic initial state"
+        return "the oracle needs a deterministic initial state"
     v = strategy_value(solution(), law)
     res = qp_oracle(p, law.mean, K=args.qp_intervals)
     tol = max(args.qp_tol, args.qp_tol * abs(v))
     gap = abs(res.cost - v) if res.cost is not None else float("inf")
-    passed = res.status == "ok" and gap <= tol
-    return {
-        "passed": passed,
-        "checks": [{
-            "name": "qp_matches_value",
-            "passed": passed,
-            "discrepancy": gap,
-            "tolerance": tol,
-            "metadata": {
-                "status": res.status,
-                "oracle_cost": res.cost,
-                "value": v,
-                "n_intervals": res.n_intervals,
-            },
-        }],
-    }, None
+    return VerificationReport((CheckResult(
+        name="qp_matches_value", passed=res.status == "ok" and gap <= tol,
+        discrepancy=gap, tolerance=tol,
+        metadata={
+            "status": res.status,
+            "oracle_cost": res.cost,
+            "value": v,
+            "n_intervals": res.n_intervals,
+        },
+    ),))
 
 
-def _suite_completion(args, p, sweep):
+def _suite_completion(args, p, doc_law, sweep, solution):
     core = strip_inhomogeneous(p)
     gre = sweep()  # the Riccati pair never reads the inhomogeneities
     if not gre.report.regular:
-        return None, "the quadratic core is not regular"
+        return "the quadratic core is not regular"
     m, n = p.m, p.n
     probe = ControlSpec(
         feedback=MatrixPath.constant(np.full((m, n), 0.1)),
@@ -433,63 +389,54 @@ def _suite_completion(args, p, sweep):
         res.rel_gap <= COMPLETION_REL_TOL
         or res.gap <= 3.0 * res.gap_stderr
     )
-    return {
-        "passed": passed,
-        "checks": [{
-            "name": "completed_square_identity",
-            "passed": passed,
-            "discrepancy": res.rel_gap,
-            "tolerance": COMPLETION_REL_TOL,
-            "metadata": {
-                "lhs": res.lhs,
-                "rhs": res.rhs,
-                "gap": res.gap,
-                "lhs_stderr": res.lhs_stderr,
-                "gap_stderr": res.gap_stderr,
-                "n_paths": res.n_paths,
-                "n_steps": res.n_steps,
-                "seed": res.seed,
-            },
-        }],
-    }, None
+    return VerificationReport((CheckResult(
+        name="completed_square_identity", passed=passed,
+        discrepancy=res.rel_gap, tolerance=COMPLETION_REL_TOL,
+        metadata={
+            "lhs": res.lhs,
+            "rhs": res.rhs,
+            "gap": res.gap,
+            "lhs_stderr": res.lhs_stderr,
+            "gap_stderr": res.gap_stderr,
+            "n_paths": res.n_paths,
+            "n_steps": res.n_steps,
+            "seed": res.seed,
+        },
+    ),))
 
 
-def _suite_battery(args, p, doc_law, solution):
+def _suite_battery(args, p, doc_law, sweep, solution):
     law = _resolve_law(args, doc_law, p.n, required=False)
     if law is None:
         law = InitialLaw.deterministic(np.zeros(p.n))
     sol = solution()
     if not sol.solvable:
-        return None, "problem is not closed-loop solvable; the value is " \
-                     "not a certified lower bound"
-    rep = lower_bound_battery(
+        return "problem is not closed-loop solvable; the value is " \
+               "not a certified lower bound"
+    return lower_bound_battery(
         p, sol, law, n_controls=args.controls, n_paths=args.paths,
         seed=args.seed, n_steps=args.steps,
     )
-    return {
-        "passed": rep.passed,
-        "checks": [_check_dict(c) for c in rep.checks],
-    }, None
 
 
-def _suite_degeneration(args, p, sweep):
+def _suite_degeneration(args, p, doc_law, sweep, solution):
     if p.has_mean_terms:
-        return None, "mean-coupling coefficients are nonzero"
-    rep = classical_degeneration(p, sweep())
-    return {
-        "passed": rep.passed,
-        "checks": [_check_dict(c) for c in rep.checks],
-    }, None
+        return "mean-coupling coefficients are nonzero"
+    return classical_degeneration(p, sweep())
+
+
+_SUITES = {
+    "qp": _suite_qp,
+    "completion": _suite_completion,
+    "battery": _suite_battery,
+    "degeneration": _suite_degeneration,
+}
 
 
 def cmd_verify(args) -> int:
     _check_tolerance(args.qp_tol, "--qp-tol")
     p, doc_law = _read_problem(args.file)
-    wanted = (
-        ["qp", "completion", "battery", "degeneration"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    wanted = list(_SUITES) if args.suite == "all" else [args.suite]
     # One Riccati sweep for every suite and one synthesis on it for qp and
     # battery, built on first use: refused suites pay for neither.
     sweep = functools.cache(lambda: integrate_gre(p))
@@ -497,22 +444,15 @@ def cmd_verify(args) -> int:
     suites = {}
     skipped = {}
     for name in wanted:
-        if name == "qp":
-            result, reason = _suite_qp(args, p, doc_law, solution)
-        elif name == "completion":
-            result, reason = _suite_completion(args, p, sweep)
-        elif name == "battery":
-            result, reason = _suite_battery(args, p, doc_law, solution)
-        else:
-            result, reason = _suite_degeneration(args, p, sweep)
-        if result is None:
+        rep = _SUITES[name](args, p, doc_law, sweep, solution)
+        if isinstance(rep, str):
             if args.suite != "all":
-                raise ValidationError([f"suite {name}: {reason}"])
-            skipped[name] = reason
+                raise ValidationError([f"suite {name}: {rep}"])
+            skipped[name] = rep
         else:
-            suites[name] = result
+            suites[name] = {"passed": rep.passed, "checks": rep.checks}
 
-    passed = all(s["passed"] for s in suites.values()) if suites else True
+    passed = all(s["passed"] for s in suites.values())
     report = {
         "command": "verify",
         "suite": args.suite,
@@ -597,9 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run independent cross-checks")
     sp.add_argument("file")
-    sp.add_argument("--suite", default="all",
-                    choices=["all", "qp", "completion", "battery",
-                             "degeneration"])
+    sp.add_argument("--suite", default="all", choices=["all", *_SUITES])
     sp.add_argument("--paths", type=int, default=20000)
     sp.add_argument("--steps", type=int, default=200,
                     help="simulation steps for the statistical suites")

@@ -32,9 +32,9 @@ DRAW_BLOCK paths, one block at a time: a segment that is not its chunk's
 first waits until its predecessor is drawn.  So every path sees the draws
 of an unsegmented sweep; with _MIN_TAIL, its cost is the same bit for
 bit.  The path sums behind the sample mean and the terminal moments are
-taken per segment and added in segment order as soon as the segments
-before are in, so they do not depend on which worker finishes first.  A
-run of one segment is swept inline and starts no thread.
+taken per segment and added in segment order once the workers are joined,
+so they do not depend on which worker finishes first.  A run of one
+segment is swept inline and starts no thread.
 """
 
 from __future__ import annotations
@@ -332,8 +332,6 @@ def _simulate_chunks(
     drawn = [threading.Event() for _ in segments]
     streams = {}
     results = [None] * len(segments)
-    sums = [np.zeros((K + 1, n)), np.zeros(n), np.zeros((n, n))]
-    summed = 0
     failure = []
     lock = threading.Lock()
 
@@ -368,8 +366,7 @@ def _simulate_chunks(
 
     def work():
         """Claim, draw and sweep segments until none is left or a worker
-        failed; add the path sums of the completed prefix in segment order."""
-        nonlocal summed
+        failed."""
         try:
             buffer = np.empty((K, width))
             while True:
@@ -381,10 +378,6 @@ def _simulate_chunks(
                 result = sweep(*segment)
                 with lock:
                     results[s] = result
-                    while summed < len(results) and results[summed] is not None:
-                        for total, part in zip(sums, results[summed][2]):
-                            total += part
-                        summed += 1
         except BaseException as exc:  # re-raised by the caller below
             with lock:
                 failure.append(exc)
@@ -402,6 +395,10 @@ def _simulate_chunks(
             helper.join()
     if failure:
         raise failure[0]
+    sums = [np.zeros((K + 1, n)), np.zeros(n), np.zeros((n, n))]
+    for r in results:
+        for total, part in zip(sums, r[2]):
+            total += part
     costs = np.concatenate([r[0] for r in results])
     extra_out = [np.concatenate([r[1][e] for r in results]) for e in range(len(extras))]
     return (costs, extra_out) + tuple(sums)

@@ -12,7 +12,14 @@ import pytest
 
 from mflq import cli, docio, riccati, sim, synthesis
 from mflq.cli import main
-from mflq.problem import ControlSpec, MatrixPath, NoiseAffinePath, TimeGrid, make_problem
+from mflq.problem import (
+    ControlSpec,
+    InitialLaw,
+    MatrixPath,
+    NoiseAffinePath,
+    TimeGrid,
+    make_problem,
+)
 
 
 def run(capsys, argv):
@@ -25,6 +32,10 @@ def write_doc(tmp_path, p, law, name="problem.json"):
     target = tmp_path / name
     target.write_text(docio.dumps(docio.emit_problem(p, law)))
     return str(target)
+
+
+# The fields of a regularity verdict, each condition's keys in a report.
+CONDITION_KEYS = {"name", "passed", "worst_node", "worst_value", "tolerance"}
 
 
 def write_preset(capsys, tmp_path, name, filename):
@@ -114,6 +125,7 @@ def test_solve_reports_samples_and_flags(capsys, tmp_path):
     assert rep["corrections"]["feasible"] is True
     names = [c["name"] for c in rep["conditions"]]
     assert "psd_dev" in names and "range_mean" in names
+    assert all(set(c) == CONDITION_KEYS for c in rep["conditions"])
 
 
 def test_solve_rejects_time_outside_horizon(capsys, tmp_path):
@@ -180,6 +192,7 @@ def test_regularity_flags_range_failure(capsys, tmp_path):
     assert rep["failing"] == ["range_dev"]
     by_name = {c["name"]: c for c in rep["conditions"]}
     assert abs(by_name["range_dev"]["worst_value"] - 0.5) < 1e-12
+    assert all(set(c) == CONDITION_KEYS for c in rep["conditions"])
     assert rep["rank_dev"] == {"min": 0, "max": 0}
 
 
@@ -240,7 +253,8 @@ def test_value_law_override(capsys, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert abs(rep["value"] - 4.5) < 1e-8
-    assert rep["law"]["mean"] == [-3.0]
+    assert rep["law"] == {"mean": [-3.0], "brownian_load": [0.0],
+                          "indep_load": [[0.0]]}
 
 
 def test_value_weak_label_when_not_solvable(capsys, tmp_path):
@@ -273,6 +287,73 @@ def test_bad_law_flags(capsys, tmp_path, flag, fragment):
     code, out, err = run(capsys, ["value", path, "--law", flag])
     assert code == 2
     assert fragment in err
+
+
+def write_spd(capsys, tmp_path):
+    """A random_spd document with n = 3, m = 2 on a 100-step grid, and the
+    initial law it holds."""
+    target = tmp_path / "spd.json"
+    code, out, err = run(capsys, ["example", "random_spd", "--n", "3", "--m", "2",
+                                  "--steps", "100", "--out", str(target)])
+    assert code == 0
+    _, law = docio.load_problem(json.loads(target.read_text()))
+    return str(target), law
+
+
+def value_report(capsys, path, *flags):
+    """The report ``mflq value`` prints with one --law per flag."""
+    argv = ["value", path]
+    for flag in flags:
+        argv += ["--law", flag]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("flag, field, want", [
+    ("brownian_load=0.2", "brownian_load", [0.2, 0.2, 0.2]),
+    ("brownian_load=0.1,-0.2,0.3", "brownian_load", [0.1, -0.2, 0.3]),
+    ("indep_load=0.3", "indep_load", (0.3 * np.eye(3)).tolist()),
+    ("indep_load=1,2,3,4,5,6,7,8,9", "indep_load",
+     [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]),
+])
+def test_law_field_takes_one_value_or_every_entry(capsys, tmp_path, flag,
+                                                 field, want):
+    """One value fills brownian_load, or gives that multiple of I for
+    indep_load; otherwise the flag gives every entry, row-major for
+    indep_load.  The other fields stay the document's."""
+    path, doc_law = write_spd(capsys, tmp_path)
+    expected = {name: getattr(doc_law, name).tolist()
+                for name in ("mean", "brownian_load", "indep_load")}
+    expected[field] = want
+    assert value_report(capsys, path, flag)["law"] == expected
+
+
+def test_repeated_law_flags_combine(capsys, tmp_path):
+    """Flags apply in order, a later one overriding an earlier one on the
+    same field, and the value is the one of the combined law."""
+    path, doc_law = write_spd(capsys, tmp_path)
+    rep = value_report(capsys, path, "mean=1", "indep_load=0.3", "mean=2,0,-1")
+    law = InitialLaw(np.array([2.0, 0.0, -1.0]), doc_law.brownian_load,
+                     0.3 * np.eye(3))
+    assert rep["law"] == {"mean": [2.0, 0.0, -1.0],
+                          "brownian_load": doc_law.brownian_load.tolist(),
+                          "indep_load": (0.3 * np.eye(3)).tolist()}
+    p, _ = docio.load_problem(json.loads((tmp_path / "spd.json").read_text()))
+    assert rep["value"] == synthesis.value(synthesis.synthesize(p), law)
+
+
+def test_law_override_without_a_document_law_starts_from_zeros(capsys, tmp_path):
+    g = TimeGrid(0.0, 1.0, 100)
+    p = make_problem(2, 1, g, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
+                     Q=np.eye(2), R=[[1.0]], G=np.eye(2))
+    path = write_doc(tmp_path, p, None, "lawless.json")
+    law = value_report(capsys, path, "brownian_load=0.5")["law"]
+    assert law == {"mean": [0.0, 0.0], "brownian_load": [0.5, 0.5],
+                   "indep_load": [[0.0, 0.0], [0.0, 0.0]]}
+    law = value_report(capsys, path, "indep_load=0.1,0,0,0.2")["law"]
+    assert law == {"mean": [0.0, 0.0], "brownian_load": [0.0, 0.0],
+                   "indep_load": [[0.1, 0.0], [0.0, 0.2]]}
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +414,8 @@ def test_simulate_solver_steps_sets_the_synthesis_grid(capsys, tmp_path):
     assert rep["cost_mean"] == want.cost_mean
     assert rep["cost_stderr"] == want.cost_stderr
     assert rep["terminal_mean"] == want.terminal_mean.tolist()
+    assert rep["law"] == {"mean": [1.0], "brownian_load": [0.0],
+                          "indep_load": [[0.0]]}
     code, out, err = run(capsys, argv)
     assert code == 0
     assert json.loads(out)["cost_mean"] != want.cost_mean
@@ -466,8 +549,12 @@ def test_verify_all_skips_inapplicable_suites(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["passed"] is True
     assert rep["suites"] == {}
-    assert set(rep["skipped"]) == {
-        "qp", "completion", "battery", "degeneration",
+    assert rep["skipped"] == {
+        "qp": "qp_oracle handles noiseless problems only; nonzero: D_bar",
+        "completion": "the quadratic core is not regular",
+        "battery": "problem is not closed-loop solvable; the value is not a "
+                   "certified lower bound",
+        "degeneration": "mean-coupling coefficients are nonzero",
     }
 
 
@@ -557,3 +644,25 @@ def test_verify_single_sweep_suites_skip_the_affine_stage(capsys, tmp_path,
     assert code == 0
     assert json.loads(out)["passed"] is True
     assert (calls.count("integrate_gre"), calls.count("solve_affine")) == (1, 0)
+
+
+def test_each_suite_under_all_equals_the_suite_run_alone(capsys, tmp_path):
+    """Every check has the CheckResult fields, and a suite's entry does not
+    depend on the suites run beside it."""
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    argv = ["verify", path, "--paths", "200", "--steps", "50", "--controls", "2",
+            "--seed", "4"]
+    code, out, err = run(capsys, argv + ["--suite", "all"])
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    assert list(suites) == ["battery", "completion", "degeneration", "qp"]
+    for name, entry in suites.items():
+        assert set(entry) == {"passed", "checks"}
+        assert entry["checks"]
+        assert all(set(c) == {"name", "passed", "discrepancy", "tolerance",
+                              "metadata"} for c in entry["checks"])
+        code, out, err = run(capsys, argv + ["--suite", name])
+        assert code == 0
+        alone = json.loads(out)
+        assert alone["suites"] == {name: entry}
+        assert alone["skipped"] == {}

@@ -11,7 +11,10 @@ or ``bench/``.  Calls are matched by the called name alone, so a call
 
 The command line gets the same lint: every ``--flag`` that ``mflq.cli``
 adds to its parser must appear in some test or bench as a string of its
-own, ``"--flag"`` or ``"--flag=value"``.
+own, ``"--flag"`` or ``"--flag=value"``.  So must every value a parser
+argument offers as a choice (a subcommand, a ``--suite``, a preset name),
+read from ``cli.build_parser()``: a suite or preset added to a table cannot
+land without a test or bench that runs it by name.
 
 A public function that only tests call is a second path beside the one the
 program runs.  So every public module-level function under ``src/mflq``
@@ -20,8 +23,11 @@ or be exported in ``mflq.__all__``; the few kept otherwise are named below
 with their reasons.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from mflq import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mflq"
@@ -160,31 +166,40 @@ def cli_flags(tree):
     return sorted(flags)
 
 
-def unpassed_flags(flags, trees):
-    """The flags that no string constant in ``trees`` passes."""
-    strings = {
+def _strings(trees):
+    """Every string constant in ``trees``."""
+    return {
         node.value
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
+
+
+def unpassed_flags(flags, trees):
+    """The flags that no string constant in ``trees`` passes."""
+    strings = _strings(trees)
     return [
         flag for flag in flags
         if not any(s == flag or s.startswith(flag + "=") for s in strings)
     ]
 
 
-def test_every_cli_flag_has_a_caller():
-    """This file names flags itself, so it is not scanned for callers."""
-    trees = [
+def _caller_trees():
+    """Tests and bench; this file names flags and choices itself, so it is
+    not scanned for callers."""
+    return [
         _parse(path)
         for top in ("tests", "bench")
         for path in sorted((ROOT / top).rglob("*.py"))
         if path != Path(__file__).resolve()
     ]
+
+
+def test_every_cli_flag_has_a_caller():
     flags = cli_flags(_parse(PACKAGE / "cli.py"))
     assert "--solver-steps" in flags
-    assert unpassed_flags(flags, trees) == []
+    assert unpassed_flags(flags, _caller_trees()) == []
 
 
 def test_flag_lint_sees_add_argument_and_passed_strings():
@@ -201,6 +216,48 @@ def test_flag_lint_sees_add_argument_and_passed_strings():
         'msg = "--delta must be positive"\n'
     )
     assert unpassed_flags(flags, [callers]) == ["--delta"]
+
+
+def parser_choices(parser):
+    """Sorted choice values of every argument of ``parser``, subcommand
+    names included, and of every subcommand's parser."""
+    found = set()
+    for action in parser._actions:
+        choices = action.choices or ()
+        found.update(choices)
+        if isinstance(choices, dict):  # subcommand name -> its parser
+            for sub in choices.values():
+                found.update(parser_choices(sub))
+    return sorted(found)
+
+
+def unnamed_choices(choices, trees):
+    """The choices that no string constant in ``trees`` names exactly."""
+    strings = _strings(trees)
+    return [choice for choice in choices if choice not in strings]
+
+
+def test_every_cli_choice_is_named_by_a_caller():
+    choices = parser_choices(cli.build_parser())
+    assert {"all", "qp", "degeneration", "example31", "verify"} <= set(choices)
+    assert unnamed_choices(choices, _caller_trees()) == []
+
+
+def test_choice_lint_sees_subcommands_and_argument_choices():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    sp = sub.add_parser("run")
+    sp.add_argument("--mode", choices=["fast", "slow"])
+    sp.add_argument("--label", default="fast-ish")
+    sub.add_parser("show").add_argument("what", choices=["one", "two"])
+    choices = parser_choices(parser)
+    assert choices == ["fast", "one", "run", "show", "slow", "two"]
+    callers = ast.parse(
+        'main(["run", "--mode", "fast", "slow-ish"])\n'
+        'main(["show", "two"])\n'
+        'msg = "one of: one, slow"\n'
+    )
+    assert unnamed_choices(choices, [callers]) == ["one", "slow"]
 
 
 def _exports(tree):
