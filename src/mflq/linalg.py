@@ -6,8 +6,10 @@ rank travels with the factorization so callers can flag near-degenerate
 weighting matrices instead of silently inverting noise.  ``sym_factor``
 factors a whole stack of symmetric matrices with one batched
 eigendecomposition.  The rank rule, |lambda| > DEFAULT_RTOL * m *
-max|lambda|, is stated once, in ``_rank_rule``; ``SymFactor`` and
-``_eig_inverse`` both read it.
+max|lambda|, is stated once, in ``_inverse_builder``, which fills the
+retained mask, the cutoff and 1/lambda in place on a workspace its caller
+owns.  ``SymFactor``, ``_eig_inverse`` and the Riccati stages each fill a
+workspace of their own, so no state is shared between calls or threads.
 
 Every symmetric factorization in the package, the 4K per-stage calls of
 the Riccati sweep included, goes through one seam, ``_eigh``.  It calls
@@ -83,25 +85,52 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + _mT(M))
 
 
-def _rank_rule(lam: np.ndarray):
-    """The rank decision of a stack of eigenvalues (..., m).
+def _inverse_builder(shape):
+    """(inv, rule, invert): the rank rule and the inverse it selects, in
+    place, on one workspace for eigenvalue stacks of the given shape, (..., m).
 
-    Returns the retained mask |lambda| > (DEFAULT_RTOL m) max|lambda|,
-    (..., m), and the cutoff with the last axis kept at length one.
+    ``rule(lam)`` overwrites and returns the retained mask
+    |lambda| > (DEFAULT_RTOL m) max|lambda|, (..., m), and the cutoff, its
+    last axis kept at length one.  ``invert(lam)`` runs the rule and then
+    overwrites and returns inv with 1/lambda on the retained eigenvalues and
+    0 elsewhere (``np.reciprocal``: the same correctly rounded division as
+    1.0/lambda, without a scalar to convert).  A NaN eigenvalue makes its row's cutoff NaN, so that row
+    keeps nothing.  max|lambda| is reduced over the whole row, not read from
+    the two ends of the ascending spectrum: ``_eigh`` can return a NaN
+    between finite ends (diag(1, NaN, 1) gives [1, NaN, 1]), and such a row
+    must still keep nothing.  This is the package's one statement of the
+    rule: ``SymFactor``, ``_eig_inverse`` and the Riccati stages all run it
+    on a workspace of their own.
     """
-    mod = np.abs(lam)
-    cut = (DEFAULT_RTOL * lam.shape[-1]) * np.maximum.reduce(
-        mod, axis=-1, keepdims=True
-    )
-    return mod > cut, cut
+    mod = np.empty(shape)
+    cut = np.empty(shape[:-1] + (1,))
+    keep = np.empty(shape, dtype=bool)
+    inv = np.empty(shape)
+    # A 0-d array: the ufunc takes it faster than a Python float.
+    scale = np.array(DEFAULT_RTOL * shape[-1])
+    largest = np.maximum.reduce
+
+    def rule(lam):
+        np.abs(lam, out=mod)
+        largest(mod, axis=-1, keepdims=True, out=cut)
+        np.multiply(scale, cut, out=cut)
+        np.greater(mod, cut, out=keep)
+        return keep, cut
+
+    def invert(lam):
+        rule(lam)
+        inv.fill(0.0)
+        np.reciprocal(lam, out=inv, where=keep)
+        return inv
+
+    return inv, rule, invert
 
 
 def _eig_inverse(lam: np.ndarray) -> np.ndarray:
-    """1/lambda on the retained eigenvalues of a factored weight, 0 elsewhere.
-
-    It reads the eigenvalues alone because it runs in every RK4 stage.
-    """
-    return np.divide(1.0, lam, out=np.zeros(lam.shape), where=_rank_rule(lam)[0])
+    """1/lambda on the retained eigenvalues of a factored weight, 0 elsewhere,
+    from a workspace of its own; the gains and the affine offsets read it."""
+    _, _, invert = _inverse_builder(lam.shape)
+    return invert(lam)
 
 
 @dataclass(frozen=True)
@@ -109,9 +138,9 @@ class SymFactor:
     """Eigendecomposition of a stack of symmetric matrices, shape (..., m, m).
 
     Only the eigenpairs are stored; everything the node-wise machinery needs
-    is derived from them on access.  ``keep`` and ``cutoff`` come from
-    ``_rank_rule``; the rank, the PSD verdict and the range projector all
-    follow from the same eigenpairs.
+    is derived from them on access.  ``keep`` and ``cutoff`` come from the
+    rule of ``_inverse_builder``; the rank, the PSD verdict and the range
+    projector all follow from the same eigenpairs.
     """
 
     eigvals: np.ndarray   # (..., m), ascending
@@ -119,12 +148,14 @@ class SymFactor:
 
     @property
     def cutoff(self) -> np.ndarray:
-        return _rank_rule(self.eigvals)[1][..., 0]
+        _, rule, _ = _inverse_builder(self.eigvals.shape)
+        return rule(self.eigvals)[1][..., 0]
 
     @property
     def keep(self) -> np.ndarray:
         """Eigenvalues retained above the cutoff, (..., m)."""
-        return _rank_rule(self.eigvals)[0]
+        _, rule, _ = _inverse_builder(self.eigvals.shape)
+        return rule(self.eigvals)[0]
 
     @property
     def rank(self) -> np.ndarray:

@@ -20,18 +20,22 @@ which the stages, the node pass and the midpoint pass all call.  The
 quadratic term cross^T W^+ cross is applied in its eigenbasis as
 U^T diag(1/lambda) U with U = V^T cross, over the retained eigenvalues; no
 pseudo-inverse matrix is formed; 1/lambda comes from the eigenvalues alone,
-through ``linalg._eig_inverse``, which the stages, the gains and the affine
-offsets share and which reads the one rank rule of ``linalg``.  The sweep
-steps one node at a time through ``quadrature.rk4_steps`` and screens each
-step for finite escape with the quadrature's one screen.  The block is
-built in place by one builder, ``_block_builder``, on a workspace it
-allocates: each sweep makes one workspace, with its views sliced and its
-constant maps resolved once, and every RK4 stage refills it, so a stage
-allocates only its eigenpairs and its fresh rate.  The workspace belongs
-to the call, never to the module, so sweeps in different threads do not
-share it.  The node and midpoint passes build the block, each in a
-workspace of its own, in fixed runs of grid points and factor all of a
-grid's weights in one batch.
+through the one rank rule of ``linalg``, ``linalg._inverse_builder``.  The
+rate is formed by one builder, ``_rate_builder``, which the stages and the
+node pass share; the gains and the affine offsets read the rule through
+``linalg._eig_inverse``.  The sweep steps one node at a time through
+``quadrature.rk4_steps`` and screens each step for finite escape with the
+quadrature's one screen.  The block is built in place by one builder,
+``_block_builder``, on a workspace it allocates: each sweep makes one
+workspace, with its views sliced and its constant maps resolved once, and
+every RK4 stage refills it.  Its node and midpoint stages each add a rate
+workspace made when the sweep starts (U, the scaled U and the rank rule's
+buffers), so a stage allocates only its eigenpairs and its fresh rate.
+The workspaces belong to the call, never to the module, so sweeps in
+different threads do not share them.  The node and midpoint passes build
+the block, each in a workspace of its own, in fixed runs of grid points
+and factor all of a grid's weights in one batch; the node pass forms its
+rate run by run, each run on a rate workspace of its own.
 
 A consequence worth keeping: when every mean-coupling coefficient vanishes
 the two stacked channels still perform identical float operations, each
@@ -48,7 +52,7 @@ import numpy as np
 
 from . import linalg, problem
 from .errors import ValidationError
-from .linalg import _eig_inverse, _mT, _sym
+from .linalg import _eig_inverse, _inverse_builder, _mT, _sym
 from .problem import CoefficientTable, ProblemData, TimeGrid, tabulate
 from .quadrature import _RUN, _check_finite, _screen_passes, rk4_steps, trapezoid
 
@@ -197,14 +201,38 @@ def _hamiltonian(Y, co):
     return fill(Y, F, G, _mT(G), H)
 
 
-def _rate(lin, cross, lam, V):
-    """dM/ds = cross^T W^+ cross - lin, with W^+ applied in W's eigenbasis.
+def _rate_builder(shape, n):
+    """An in-place rate for eigenvalue stacks of the given shape, (..., m),
+    on one workspace allocated here: U, the scaled U and the rank rule's
+    buffers from ``linalg._inverse_builder``, with U^T and 1/lambda as a
+    column sliced once (the column already broadcast to U's shape, which
+    halves the cost of the scaling).  ``rate(lin, cross, lam, V)`` returns
 
-    With W = V diag(lambda) V^T and U = V^T cross, the quadratic term is
-    U^T diag(1/lambda) U over the retained eigenvalues.
+        dM/ds = cross^T W^+ cross - lin, with W^+ applied in W's eigenbasis:
+
+    with W = V diag(lambda) V^T and U = V^T cross, the quadratic term is
+    U^T diag(1/lambda) U over the retained eigenvalues.  The returned rate
+    is a fresh array, since RK4 keeps its four stage rates alive at once.
     """
-    U = _mT(V) @ cross
-    return _mT(U) @ (_eig_inverse(lam)[..., None] * U) - lin
+    U = np.empty(shape + (n,))
+    SU = np.empty_like(U)
+    UT = _mT(U)
+    inv, _, invert = _inverse_builder(shape)
+    col = np.broadcast_to(inv[..., None], U.shape)
+
+    def rate(lin, cross, lam, V):
+        invert(lam)
+        np.matmul(_mT(V), cross, out=U)
+        np.multiply(col, U, out=SU)
+        dM = np.matmul(UT, SU)
+        return np.subtract(dM, lin, out=dM)
+
+    return rate
+
+
+def _rate(lin, cross, lam, V):
+    """The rate of ``_rate_builder`` on a workspace of its own."""
+    return _rate_builder(lam.shape, lin.shape[-1])(lin, cross, lam, V)
 
 
 def _gain(cross, factor: linalg.SymFactor):
@@ -215,12 +243,14 @@ def _gain(cross, factor: linalg.SymFactor):
 
 def _stage_rate(co, Z, fill):
     """The sweep's f(Y, k): dY/ds of one (2, n, n) value at grid point k of
-    the maps co, its block built by ``fill`` into the workspace Z.  Constant
-    maps are resolved here, once per sweep, sampled ones at every stage;
+    the maps co, its block built by ``fill`` into the workspace Z and its
+    rate formed on a rate workspace made here.  Constant maps are resolved
+    here, once per sweep, sampled ones at every stage;
     the seam is read from ``linalg`` here too, so a patched one sees every
     stage of the sweep."""
     n = co[0].shape[-2]
     lin, cross, W = Z[:, :n, :n], Z[:, n:, :n], Z[:, n:, n:]
+    form_rate = _rate_builder(W.shape[:-1], n)
     eigh = linalg._eigh
     if all(t.ndim == 3 for t in co):
         F, G, H = co
@@ -228,14 +258,14 @@ def _stage_rate(co, Z, fill):
 
         def rate(Y, k):
             fill(Y, F, G, GT, H)
-            return _rate(lin, cross, *eigh(W))
+            return form_rate(lin, cross, *eigh(W))
 
     else:
 
         def rate(Y, k):
             F, G, H = _at(co, k)
             fill(Y, F, G, _mT(G), H)
-            return _rate(lin, cross, *eigh(W))
+            return form_rate(lin, cross, *eigh(W))
 
     return rate
 

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mflq.linalg import DEFAULT_RTOL, _eig_inverse, _mT, sym_factor
+from mflq.linalg import (
+    DEFAULT_RTOL,
+    SymFactor,
+    _eig_inverse,
+    _eigh,
+    _inverse_builder,
+    _mT,
+    sym_factor,
+)
 
 # Relative symmetry slack for matrices that are symmetric by construction but
 # assembled through non-associative float products.
@@ -307,3 +315,89 @@ def test_stage_inverse_and_factor_share_the_rank_rule():
     np.testing.assert_array_equal(inv != 0.0, f.keep)
     np.testing.assert_array_equal(inv[f.keep], 1.0 / f.eigvals[f.keep])
     np.testing.assert_array_equal(f.keep.sum(axis=-1), [3, 3, 2, 0, 3, 2])
+
+
+def _cut(largest, m=3):
+    """The cutoff the rule computes for a row whose largest modulus is given."""
+    return (DEFAULT_RTOL * m) * largest
+
+
+_C1, _C7 = _cut(1.0), _cut(7.25)
+_EDGE_STACKS = {
+    "exact_zeros": [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]],
+    "all_zero_weight": [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]],
+    "negative": [[-3.0, -1.0, 2.0], [-5.0, -4.0, -1e-12]],
+    "at_and_above_cutoff": [
+        [_C1, np.nextafter(_C1, np.inf), 1.0],
+        [-7.25, -_C7, np.nextafter(_C7, np.inf)],
+    ],
+    "channel_scales": [
+        [2e-311, 1e-300, 1e-290],
+        [-1e300, 1e-5, 1e290],
+    ],
+    "nan_row": [[np.nan] * 3, [0.5, 1.0, 2.0]],
+    "nan_inside": [
+        _eigh(np.diag([1.0, np.nan, 1.0]))[0].tolist(),
+        [1.0, 1e-11, 3.0],
+    ],
+}
+
+
+def _assert_rule_is_the_reference(workspace, lam):
+    """``rule`` and ``invert`` of one workspace, and ``SymFactor`` and
+    ``_eig_inverse`` on workspaces of their own, against the allocating
+    rule on the stack lam."""
+    # Imported here: that module imports this one's reference functions.
+    from test_riccati_workspace import allocating_eig_inverse, allocating_rank_rule
+
+    want_keep, want_cut = allocating_rank_rule(lam)
+    want_inv = allocating_eig_inverse(lam)
+    inv, rule, invert = workspace
+    keep, cut = rule(lam)
+    assert keep.tobytes() == want_keep.tobytes()
+    assert cut.tobytes() == want_cut.tobytes()
+    assert invert(lam) is inv
+    assert inv.tobytes() == want_inv.tobytes()
+    assert rule(lam)[0] is keep
+    f = SymFactor(eigvals=lam, eigvecs=np.zeros(lam.shape + lam.shape[-1:]))
+    assert f.keep.tobytes() == want_keep.tobytes()
+    assert f.cutoff.tobytes() == want_cut[..., 0].tobytes()
+    assert _eig_inverse(lam).tobytes() == want_inv.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_STACKS))
+def test_inverse_builder_is_the_allocating_rule_bitwise(case):
+    """One (2, m) stack of ascending eigenvalues per case, on a fresh
+    workspace: the keep mask, the cutoff and 1/lambda are bitwise those of
+    the allocating rule the builder replaced."""
+    lam = np.array(_EDGE_STACKS[case])
+    _assert_rule_is_the_reference(_inverse_builder(lam.shape), lam)
+
+
+def test_inverse_builder_edge_decisions():
+    """The decisions the edge stacks exist for, stated outright."""
+    _, rule, _ = _inverse_builder((2, 3))
+    rows = {case: rule(np.array(lam))[0].copy() for case, lam in _EDGE_STACKS.items()}
+    np.testing.assert_array_equal(
+        rows["at_and_above_cutoff"], [[False, True, True], [True, False, True]])
+    np.testing.assert_array_equal(
+        rows["all_zero_weight"], [[False] * 3, [True] * 3])
+    np.testing.assert_array_equal(
+        rows["channel_scales"], [[False, False, True], [True, False, False]])
+    assert np.isnan(_EDGE_STACKS["nan_inside"][0][1])
+    assert not np.isnan(_EDGE_STACKS["nan_inside"][0]).all()
+    np.testing.assert_array_equal(
+        rows["nan_inside"], [[False] * 3, [True, False, True]])
+    np.testing.assert_array_equal(rows["nan_row"], [[False] * 3, [True] * 3])
+
+
+def test_one_workspace_refilled_in_any_order_is_the_reference():
+    """A workspace refilled with stack after stack, kept and dropped entries
+    trading places, holds nothing over from the stack before; so does a
+    batch of all the stacks at once."""
+    stacks = [np.array(lam) for lam in _EDGE_STACKS.values()]
+    workspace = _inverse_builder((2, 3))
+    for lam in stacks + stacks[::-1]:
+        _assert_rule_is_the_reference(workspace, lam)
+    batch = np.stack(stacks)
+    _assert_rule_is_the_reference(_inverse_builder(batch.shape), batch)

@@ -1,8 +1,9 @@
 """One rank rule and one linear-algebra path in the package.
 
-``linalg._rank_rule`` states the rule |lambda| > DEFAULT_RTOL * m * max|lambda|
-that decides what every pseudo-inverse W^+ keeps, and both ``SymFactor`` and
-the Riccati stage's ``linalg._eig_inverse`` read it.  A module other than
+``linalg._inverse_builder`` states the rule
+|lambda| > DEFAULT_RTOL * m * max|lambda| that decides what every
+pseudo-inverse W^+ keeps, and ``SymFactor``, ``linalg._eig_inverse`` and
+the Riccati stages all run it.  A module other than
 ``linalg`` that named ``DEFAULT_RTOL`` would state the rule a second time,
 and any use of ``svd`` or ``pinv`` would open a second route to W^+ with a
 rank decision of its own.  This lint scans the package with ``ast`` and

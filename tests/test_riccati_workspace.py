@@ -1,13 +1,16 @@
 """The Riccati sweep's stage workspace against the allocating stage it replaced.
 
-``integrate_gre`` gives every sweep one workspace: the Hamiltonian block
-and its scratch products are allocated once and every RK4 stage refills
-them in place.  The reference below keeps the earlier stage as test-only
-code: a Hamiltonian block allocated afresh at every stage, factored by the
-``linalg._eigh`` seam and turned into a rate by ``riccati._rate``, with the
-maps resolved per stage by ``riccati._at``.  It is driven by the same
-``rk4_steps`` from the same ``integrate_gre``, so every difference comes
-from the stage, and every output must agree bit for bit.
+``integrate_gre`` gives every sweep one workspace: the Hamiltonian block,
+its scratch products, U = V^T cross, the scaled U and the rank rule's
+buffers are allocated once and every RK4 stage refills them in place.  The
+reference below keeps the earlier arithmetic as test-only code: a
+Hamiltonian block allocated afresh at every stage, factored by the
+``linalg._eigh`` seam and turned into a rate by an allocating rate, whose
+1/lambda comes from an allocating rank rule, with the maps resolved per
+stage by ``riccati._at``.  It is driven by the same ``rk4_steps`` from the
+same ``integrate_gre``, with the node pass's rate, its gains and the
+factorization's ``keep`` and ``cutoff`` on the same allocating arithmetic,
+so every output must agree bit for bit.
 """
 
 import sys
@@ -51,15 +54,38 @@ def allocating_hamiltonian(Y, co):
     return Z
 
 
+def allocating_rank_rule(lam):
+    """The retained mask |lambda| > (DEFAULT_RTOL m) max|lambda| of a stack
+    of eigenvalues (..., m), and the cutoff with the last axis kept."""
+    mod = np.abs(lam)
+    cut = (linalg.DEFAULT_RTOL * lam.shape[-1]) * np.maximum.reduce(
+        mod, axis=-1, keepdims=True
+    )
+    return mod > cut, cut
+
+
+def allocating_eig_inverse(lam):
+    """1/lambda on the retained eigenvalues, 0 elsewhere."""
+    return np.divide(1.0, lam, out=np.zeros(lam.shape),
+                     where=allocating_rank_rule(lam)[0])
+
+
+def allocating_rate(lin, cross, lam, V):
+    """cross^T W^+ cross - lin as U^T diag(1/lambda) U - lin, U = V^T cross."""
+    U = _mT(V) @ cross
+    return _mT(U) @ (allocating_eig_inverse(lam)[..., None] * U) - lin
+
+
 def allocating_rhs(Y, co):
     n = Y.shape[-1]
     Z = allocating_hamiltonian(Y, co)
-    return riccati._rate(Z[..., :n, :n], Z[..., n:, :n],
-                         *linalg._eigh(Z[..., n:, n:]))
+    return allocating_rate(Z[..., :n, :n], Z[..., n:, :n],
+                           *linalg._eigh(Z[..., n:, n:]))
 
 
 def reference_gre(p, monkeypatch):
-    """``integrate_gre`` with every stage on the allocating reference."""
+    """``integrate_gre`` with every stage, the node pass's rate and gains and
+    the factorization's rank rule on the allocating reference."""
     tab = tabulate(p, p.horizon)
 
     def reference_steps(grid, f_node, f_mid, start, backward=False, post=None):
@@ -72,6 +98,12 @@ def reference_gre(p, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(riccati, "rk4_steps", reference_steps)
+        patch.setattr(riccati, "_rate", allocating_rate)
+        patch.setattr(riccati, "_eig_inverse", allocating_eig_inverse)
+        patch.setattr(linalg.SymFactor, "keep", property(
+            lambda f: allocating_rank_rule(f.eigvals)[0]))
+        patch.setattr(linalg.SymFactor, "cutoff", property(
+            lambda f: allocating_rank_rule(f.eigvals)[1][..., 0]))
         return integrate_gre(p)
 
 
@@ -136,6 +168,29 @@ def test_time_varying_problem_takes_the_sampled_map_branch(monkeypatch):
     K = p.horizon.n_steps
     assert shapes[:4 * K] == [(2, p.m, p.m)] * (4 * K)
     assert len(shapes) == 4 * K + 1
+
+
+@pytest.mark.parametrize("case", ["random_spd_2_2", "time_varying"])
+def test_each_stage_call_returns_a_fresh_rate(case):
+    """One sweep's stage called twice returns two arrays that share memory
+    with neither each other nor the workspace, and the second call leaves
+    the first rate as it was: RK4 holds f1 while it asks for f2, f3, f4."""
+    p = CASES[case]()
+    sol = integrate_gre(p)
+    maps = tabulate(p, p.horizon).node_maps
+    N = p.n + p.m
+    Z, fill = riccati._block_builder((2, N, N), p.n)
+    stage = riccati._stage_rate(maps, Z, fill)
+    Y1, Y2 = (np.stack((sol.P[k], sol.P_mean[k])) for k in (10, 20))
+    f1 = stage(Y1, 10)
+    kept = f1.copy()
+    f2 = stage(Y2, 20)
+    assert f1 is not f2
+    assert not np.shares_memory(f1, f2)
+    assert not any(np.shares_memory(f, Z) for f in (f1, f2))
+    assert_bitwise(f1, kept)
+    assert_bitwise(f1, allocating_rhs(Y1, riccati._at(maps, 10)))
+    assert_bitwise(f2, allocating_rhs(Y2, riccati._at(maps, 20)))
 
 
 def test_concurrent_sweeps_match_sequential_ones():
