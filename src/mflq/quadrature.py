@@ -4,9 +4,10 @@ driven.  ``rk4_steps`` takes one step at a time and serves the nonlinear
 Riccati pair and the moment pair.  ``linear_rk4`` serves linear ODEs with
 tabulated coefficients: each RK4 step of dy/ds = L y + g is an affine map
 y -> Phi y + psi, so it builds those maps for a run of steps in one batched
-pass of the same tableau and then walks the run with one product per step.
-The Riccati sweep, the moment sweep and the linear walk screen each step
-for finite escape with one dot product."""
+pass of the same tableau, composes every prefix of the run by doubling and
+reads all the run's nodes off the composed maps at once.  The Riccati and
+moment sweeps screen each step for finite escape with one dot product; a
+linear sweep screens each run with one batched one."""
 
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ _ESCAPE_SCREEN = 0.5 * BLOWUP_NORM
 
 # Grid points per batched build, in the Riccati node and midpoint passes and
 # in the propagator runs of ``linear_rk4``: it bounds the size of the
-# build's temporaries however fine the grid.
+# build's temporaries however fine the grid, and a run's doubling scan to
+# ceil(log2 _RUN) = 8 batched products.
 _RUN = 256
 
 
@@ -102,6 +104,53 @@ def _affine_rate(L, g):
     return rate
 
 
+def _prefix_products(M):
+    """Every prefix product of a run of augmented affine maps, in place:
+    M[t] becomes M[t] @ ... @ M[0].  A Hillis-Steele scan, one batched
+    product per doubling of the span, so ceil(log2 len(M)) products in all;
+    each map's last row stays [0 ... 0 1], so only the rows above it are
+    formed."""
+    d = M.shape[-1] - 1
+    span = 1
+    while span < len(M):
+        M[span:, :d] = M[span:, :d] @ M[:-span]
+        span *= 2
+
+
+def _carry_run(maps, y, ends, out, name, times):
+    """Carry y through a run of step maps [Phi | psi], (n, d, d+1), storing
+    the value after each step at the grid index ``ends`` gives for it in
+    ``out``; returns the last.  ``times`` are the grid's node times.
+
+    The maps are augmented to (d+1)-square, composed by ``_prefix_products``
+    and applied to [y; 1] in one batched product.  Nodes whose squared norm
+    fails the screen get the named check in sweep order.  A composed map
+    can overflow where the step-by-step values stay finite (a growing mode
+    that y does not excite gives inf * 0), so at the first value that is not
+    finite the composition restarts from the node before it.  A restart's
+    first value is one plain step, so every restart advances a node.
+    """
+    n, d = maps.shape[:2]
+    M = np.zeros((n, d + 1, d + 1))
+    M[:, d, d] = 1.0
+    r = 0
+    while r < n:
+        M[r:, :d] = maps[r:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _prefix_products(M[r:])
+            Y = M[r:, :d] @ np.append(y, 1.0)
+            tripped = ~(np.einsum("ti,ti->t", Y, Y) <= _ESCAPE_SCREEN**2)
+        blown = ~np.isfinite(Y).all(axis=1)
+        stop = max(int(blown.argmax()), 1) if blown.any() else n - r
+        for t in np.flatnonzero(tripped[:stop]):
+            node = ends[r + t]
+            _check_finite(name, Y[t], node, times[node])
+        out[ends[r : r + stop]] = Y[:stop]
+        y = Y[stop - 1]
+        r += stop
+    return y
+
+
 def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
     """Integrate dy/ds = L y + g with classical fixed-step RK4.
 
@@ -113,8 +162,10 @@ def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
 
     Each RK4 step is the affine map y_j = Phi y_k + psi.  For every run of
     at most _RUN steps, in sweep order, one batched RK4 step applied to the
-    augmented identity [I | 0] gives [Phi | psi] of all the run's steps;
-    the run is then walked with one product and one add per step.
+    augmented identity [I | 0] gives [Phi | psi] of all the run's steps.
+    Those maps are composed by doubling into the map from the run's start
+    to each of its nodes, in ceil(log2 _RUN) batched products, and y at all
+    the run's nodes is read off them with one more; no step is walked.
     """
     K = grid.n_steps
     nodes = grid.nodes
@@ -132,10 +183,5 @@ def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
             k = K - k
         j = k - 1 if backward else k + 1
         maps = _rk4_step(eye, dt, k, np.minimum(k, j), j, f_node, f_mid)
-        Phi, psi = maps[..., :d], maps[..., d]
-        for t, node in enumerate(j.tolist()):
-            y = Phi[t] @ y + psi[t]
-            if not _screen_passes(y):
-                _check_finite(name, y, node, nodes[node])
-            out[node] = y
+        y = _carry_run(maps, y, j, out, name, nodes)
     return out

@@ -1,13 +1,16 @@
 """Propagator runs of ``linear_rk4`` against the stepwise sweep they replaced.
 
 ``linear_rk4`` builds the affine map y -> Phi y + psi of every RK4 step of a
-run in one batched pass and then walks the run.  The reference below keeps
-the earlier formulation as test-only code: the same tableau driven one step
-at a time through ``rk4_steps``, with the named finite-escape check at every
-node.  Both routes are compared directly, on constant and sampled
-coefficients in both directions at grid sizes around the run length, and
-through the public adjoint, offset, value, mean-ODE and simulation layers,
-with ``linear_rk4`` swapped for the reference.
+run in one batched pass and then composes the run by doubling.  The
+reference below keeps the earlier formulation as test-only code: the same
+tableau driven one step at a time through ``rk4_steps``, with the named
+finite-escape check at every node.  Both routes are compared directly, on
+constant and sampled coefficients in both directions at grid sizes around
+the run length, and through the public adjoint, offset, value, mean-ODE and
+simulation layers, with ``linear_rk4`` swapped for the reference.  Further
+cases pin what the composition must survive: a growing mode that neither
+the start nor the forcing excites, whose composed maps overflow, and
+escapes at run edges.
 
 Values must agree to 1e-13 (1 + |x|); escape reports must name the same
 quantity, node and time.
@@ -174,3 +177,83 @@ def test_synthesis_counts(monkeypatch):
     assert batched == [256, 256, 256, 232] * 2
     assert len(factored) == 4 * K + 2
     assert sum(factored) == 12 * K + 2
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_unexcited_growing_mode_stays_finite(backward):
+    """A mode growing by about 48 per step that neither the start nor the
+    forcing excites: its composed maps overflow near node 184 while the
+    stepwise values stay finite, decaying to (0, exp(-1))."""
+    K = 200
+    grid = TimeGrid(0.0, 1.0, K)
+    L = np.diag([-900.0, 1.0] if backward else [900.0, -1.0])
+    tables = (
+        np.broadcast_to(L, (K + 1, 2, 2)), np.zeros((K + 1, 2)),
+        np.broadcast_to(L, (K, 2, 2)), np.zeros((K, 2)),
+    )
+    start = np.array([0.0, 1.0])
+    got = linear_rk4(grid, *tables, start, "y", backward=backward)
+    want = reference_linear_rk4(grid, *tables, start, "y", backward=backward)
+    assert_close(got, want)
+    last = 0 if backward else K
+    np.testing.assert_allclose(got[last], [0.0, np.exp(-1.0)], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("step", [100, 256, 257])
+@pytest.mark.parametrize("backward", [False, True])
+def test_escape_at_run_edges_matches_stepwise_sweep(step, backward):
+    """Constant L = 65 I (sign flipped backward) and nonzero g: y moves
+    away from the fixed point -L^-1 g by G = 1.114 a step, and the start is
+    put so that the norm first passes the blow-up norm at the given step of
+    the sweep: inside the first run, at its last node and at the first node
+    of the second.  The screen trips a few steps earlier."""
+    K = 600
+    grid = TimeGrid(0.0, 1.0, K)
+    lam = -65.0 if backward else 65.0
+    L = lam * np.eye(2)
+    g = np.array([3.0, -1.0])
+    z = 65.0 * grid.h
+    G = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    fixed = -g / lam
+    start = fixed + quadrature.BLOWUP_NORM / G ** (step - 0.5) * np.array([0.6, 0.8])
+    tables = (
+        np.broadcast_to(L, (K + 1, 2, 2)), np.broadcast_to(g, (K + 1, 2)),
+        np.broadcast_to(L, (K, 2, 2)), np.broadcast_to(g, (K, 2)),
+    )
+    reports = []
+    for solve in (linear_rk4, reference_linear_rk4):
+        with pytest.raises(FiniteEscapeError) as info:
+            solve(grid, *tables, start, "mean adjoint offset", backward=backward)
+        reports.append(info.value)
+    got, want = reports
+    assert want.node == (K - step if backward else step)
+    assert (got.quantity, got.node, got.time) == (want.quantity, want.node, want.time)
+    assert got.norm == pytest.approx(want.norm, rel=1e-12)
+
+
+def test_linear_sweep_counts(monkeypatch):
+    """Two adjoints at K = 1000: each run is composed once, in
+    ceil(log2 run) <= 8 batched products, and no node is screened alone."""
+    runs, products, screened = [], [], []
+    compose, screen = quadrature._prefix_products, quadrature._screen_passes
+
+    class CountingMaps(np.ndarray):
+        def __matmul__(self, other):
+            products[-1] += 1
+            return np.ndarray.__matmul__(self, other)
+
+    def counting_compose(M):
+        runs.append(len(M))
+        products.append(0)
+        compose(M.view(CountingMaps))
+
+    def counting_screen(y):
+        screened.append(1)
+        return screen(y)
+
+    monkeypatch.setattr(quadrature, "_prefix_products", counting_compose)
+    monkeypatch.setattr(quadrature, "_screen_passes", counting_screen)
+    synthesize(time_varying_problem(), n_steps=1000)
+    assert runs == [256, 256, 256, 232] * 2
+    assert products == [8] * 8
+    assert screened == []
