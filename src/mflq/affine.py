@@ -29,6 +29,8 @@ from .riccati import (
     GreSolution,
     MidpointData,
     _gain,
+    _range_verdict,
+    _split,
     dense_midpoints,
     hermite_midpoints,
 )
@@ -141,7 +143,8 @@ def compute_corrections(
     the eigenbasis of the input-weight factorization kept on the Riccati
     solution, as for the gains.  Each target is also range-checked against
     its input weight, and the worst residual per channel (first node on
-    ties) is held to DEFAULT_REG_TOL.
+    ties) is held to DEFAULT_REG_TOL by the regularity report's range
+    verdict.
     """
     c, (F, G, _) = sol.table.node, sol.table.node_maps
     n = sol.P.shape[-1]
@@ -156,20 +159,20 @@ def compute_corrections(
     eta = np.stack((adjoint_noise, adjoint_mean), axis=1)
     targets = _mv(_mT(F[..., n:]), eta) + _mv(_mT(G[..., n:]), v) + r + r_bar
     targets = targets[..., None]
-    corr = _gain(targets, sol.factor)[..., 0]
+    corr_noise, corr_mean = _split(_gain(targets, sol.factor)[..., 0])
     residual = sol.factor.range_residual(targets)
-    worst = np.argmax(residual, axis=0)
-    worst_dev = float(residual[worst[0], 0])
-    worst_mean = float(residual[worst[1], 1])
-
+    dev, mean = (
+        _range_verdict(name, residual[:, ch], DEFAULT_REG_TOL)
+        for ch, name in enumerate(("range_dev", "range_mean"))
+    )
     return CorrectionSet(
-        corr_noise=np.ascontiguousarray(corr[:, 0]),
-        corr_mean=np.ascontiguousarray(corr[:, 1]),
-        feasible=(worst_dev <= DEFAULT_REG_TOL and worst_mean <= DEFAULT_REG_TOL),
-        worst_dev_node=int(worst[0]),
-        worst_dev_residual=worst_dev,
-        worst_mean_node=int(worst[1]),
-        worst_mean_residual=worst_mean,
+        corr_noise=corr_noise,
+        corr_mean=corr_mean,
+        feasible=dev.passed and mean.passed,
+        worst_dev_node=dev.worst_node,
+        worst_dev_residual=dev.worst_value,
+        worst_mean_node=mean.worst_node,
+        worst_mean_residual=mean.worst_value,
         tol=DEFAULT_REG_TOL,
     )
 

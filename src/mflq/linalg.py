@@ -6,10 +6,13 @@ rank travels with the factorization so callers can flag near-degenerate
 weighting matrices instead of silently inverting noise.  ``sym_factor``
 factors a whole stack of symmetric matrices with one batched
 eigendecomposition.  The rank rule, |lambda| > DEFAULT_RTOL * m *
-max|lambda|, is stated once, in ``_inverse_builder``, which fills the
-retained mask, the cutoff and 1/lambda in place on a workspace its caller
-owns.  ``SymFactor``, ``_eig_inverse`` and the Riccati stages each fill a
-workspace of their own, so no state is shared between calls or threads.
+max|lambda|, is stated once, in ``_inverse_builder``, whose ``decide``
+fills the retained mask, the cutoff and 1/lambda in place on a workspace
+its caller owns.  It runs in two places only: once per ``SymFactor``, at
+construction, which keeps the three as fields for the rank, the verdicts,
+the gains and the offsets to read, and once per Riccati stage.  Each
+fills a workspace of its own, so no state is shared between calls or
+threads.
 
 Every symmetric factorization in the package, the 4K per-stage calls of
 the Riccati sweep included, goes through one seam, ``_eigh``.  It calls
@@ -25,7 +28,7 @@ that names the gufunc and the installed numpy when it is missing.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,21 +89,20 @@ def _sym(M: np.ndarray) -> np.ndarray:
 
 
 def _inverse_builder(shape):
-    """(inv, rule, invert): the rank rule and the inverse it selects, in
-    place, on one workspace for eigenvalue stacks of the given shape, (..., m).
+    """(inv, decide): the rank rule and the inverse it selects, in place, on
+    one workspace for eigenvalue stacks of the given shape, (..., m).
 
-    ``rule(lam)`` overwrites and returns the retained mask
-    |lambda| > (DEFAULT_RTOL m) max|lambda|, (..., m), and the cutoff, its
-    last axis kept at length one.  ``invert(lam)`` runs the rule and then
-    overwrites and returns inv with 1/lambda on the retained eigenvalues and
-    0 elsewhere (``np.reciprocal``: the same correctly rounded division as
-    1.0/lambda, without a scalar to convert).  A NaN eigenvalue makes its row's cutoff NaN, so that row
-    keeps nothing.  max|lambda| is reduced over the whole row, not read from
-    the two ends of the ascending spectrum: ``_eigh`` can return a NaN
-    between finite ends (diag(1, NaN, 1) gives [1, NaN, 1]), and such a row
-    must still keep nothing.  This is the package's one statement of the
-    rule: ``SymFactor``, ``_eig_inverse`` and the Riccati stages all run it
-    on a workspace of their own.
+    ``decide(lam)`` overwrites and returns (keep, cut, inv): the retained
+    mask |lambda| > (DEFAULT_RTOL m) max|lambda|, (..., m), the cutoff, its
+    last axis kept at length one, and inv, 1/lambda on the retained
+    eigenvalues and 0 elsewhere (``np.reciprocal``: the same correctly
+    rounded division as 1.0/lambda, without a scalar to convert).  A NaN
+    eigenvalue makes its row's cutoff NaN, so that row keeps nothing.
+    max|lambda| is reduced over the whole row, not read from the two ends of
+    the ascending spectrum: ``_eigh`` can return a NaN between finite ends
+    (diag(1, NaN, 1) gives [1, NaN, 1]), and such a row must still keep
+    nothing.  This is the package's one statement of the rule: ``SymFactor``
+    and the Riccati stages run it, each on a workspace of its own.
     """
     mod = np.empty(shape)
     cut = np.empty(shape[:-1] + (1,))
@@ -110,52 +112,39 @@ def _inverse_builder(shape):
     scale = np.array(DEFAULT_RTOL * shape[-1])
     largest = np.maximum.reduce
 
-    def rule(lam):
+    def decide(lam):
         np.abs(lam, out=mod)
         largest(mod, axis=-1, keepdims=True, out=cut)
         np.multiply(scale, cut, out=cut)
         np.greater(mod, cut, out=keep)
-        return keep, cut
-
-    def invert(lam):
-        rule(lam)
         inv.fill(0.0)
         np.reciprocal(lam, out=inv, where=keep)
-        return inv
+        return keep, cut, inv
 
-    return inv, rule, invert
-
-
-def _eig_inverse(lam: np.ndarray) -> np.ndarray:
-    """1/lambda on the retained eigenvalues of a factored weight, 0 elsewhere,
-    from a workspace of its own; the gains and the affine offsets read it."""
-    _, _, invert = _inverse_builder(lam.shape)
-    return invert(lam)
+    return inv, decide
 
 
 @dataclass(frozen=True)
 class SymFactor:
-    """Eigendecomposition of a stack of symmetric matrices, shape (..., m, m).
-
-    Only the eigenpairs are stored; everything the node-wise machinery needs
-    is derived from them on access.  ``keep`` and ``cutoff`` come from the
-    rule of ``_inverse_builder``; the rank, the PSD verdict and the range
-    projector all follow from the same eigenpairs.
+    """Eigendecomposition of a stack of symmetric matrices, shape (..., m, m),
+    and its rank decision: the rule of ``_inverse_builder`` runs once, at
+    construction, and keeps ``keep`` (..., m), ``cutoff`` (...) and ``inv``,
+    the 1/lambda that applies W^+ in the eigenbasis.  The rank, the PSD
+    verdict and the range projector follow from the eigenpairs and ``keep``.
     """
 
     eigvals: np.ndarray   # (..., m), ascending
     eigvecs: np.ndarray   # (..., m, m), eigenvectors as columns
+    keep: np.ndarray = field(init=False)
+    cutoff: np.ndarray = field(init=False)
+    inv: np.ndarray = field(init=False)
 
-    @property
-    def cutoff(self) -> np.ndarray:
-        _, rule, _ = _inverse_builder(self.eigvals.shape)
-        return rule(self.eigvals)[1][..., 0]
-
-    @property
-    def keep(self) -> np.ndarray:
-        """Eigenvalues retained above the cutoff, (..., m)."""
-        _, rule, _ = _inverse_builder(self.eigvals.shape)
-        return rule(self.eigvals)[0]
+    def __post_init__(self):
+        _, decide = _inverse_builder(self.eigvals.shape)
+        keep, cut, inv = decide(self.eigvals)
+        object.__setattr__(self, "keep", keep)
+        object.__setattr__(self, "cutoff", cut[..., 0])
+        object.__setattr__(self, "inv", inv)
 
     @property
     def rank(self) -> np.ndarray:

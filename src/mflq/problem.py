@@ -5,8 +5,8 @@ and its expectation with a quadratic cost that weighs the state, the control,
 and their means separately.  Everything here is plain data: uniform time
 grids, (possibly time-varying) coefficient matrices, noise-affine
 inhomogeneities, the initial distribution, and feedback-plus-offset control
-specifications.  The solver modules consume these containers and never
-mutate them.
+specifications.  The containers keep read-only private copies of the
+arrays they are given, and the solver modules never mutate them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,18 @@ def _as_float_array(value, name: str = "value") -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name}: contains non-finite entries")
+    return arr
+
+
+def _private(value) -> np.ndarray:
+    """value as a read-only float array that no other array can write to: a
+    container freezes none of its caller's arrays and shares none they can
+    write.  A read-only array that owns its data is kept as it is (the
+    solver's gains and offsets are made so); anything else is copied."""
+    arr = np.asarray(value, dtype=float)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
     return arr
 
 
@@ -115,8 +127,7 @@ class MatrixPath:
         return cls(values=arr, grid=grid)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        self.values.setflags(write=False)
+        object.__setattr__(self, "values", _private(self.values))
 
     @property
     def is_constant(self) -> bool:
@@ -205,19 +216,9 @@ class InitialLaw:
         return cls(x, np.zeros(n), np.zeros((n, n)))
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "mean", _as_float_array(self.mean, "InitialLaw.mean")
-        )
-        object.__setattr__(
-            self,
-            "brownian_load",
-            _as_float_array(self.brownian_load, "InitialLaw.brownian_load"),
-        )
-        object.__setattr__(
-            self,
-            "indep_load",
-            _as_float_array(self.indep_load, "InitialLaw.indep_load"),
-        )
+        for name in ("mean", "brownian_load", "indep_load"):
+            arr = _as_float_array(getattr(self, name), f"InitialLaw.{name}")
+            object.__setattr__(self, name, _private(arr))
         n = self.mean.shape[0]
         if self.mean.ndim != 1:
             raise ValidationError("InitialLaw.mean: expected a vector")
@@ -269,7 +270,7 @@ class ControlSpec:
 
 # Field → (kind, shape-maker, symmetric?) table used by validation and the
 # generic constructor.  Kinds: "path" (MatrixPath), "noise" (NoiseAffinePath),
-# "matrix" (plain terminal array), "vector" (plain terminal vector).
+# "terminal" (plain terminal array).
 def _coeff_table(n: int, m: int):
     return {
         "A": ("path", (n, n), False),
@@ -286,17 +287,17 @@ def _coeff_table(n: int, m: int):
         "S_bar": ("path", (m, n), False),
         "R": ("path", (m, m), True),
         "R_bar": ("path", (m, m), True),
-        "G": ("matrix", (n, n), True),
-        "G_bar": ("matrix", (n, n), True),
+        "G": ("terminal", (n, n), True),
+        "G_bar": ("terminal", (n, n), True),
         "b": ("noise", (n,), False),
         "sigma": ("noise", (n,), False),
         "q": ("noise", (n,), False),
         "rho": ("noise", (m,), False),
         "q_bar": ("path", (n,), False),
         "rho_bar": ("path", (m,), False),
-        "g0": ("vector", (n,), False),
-        "g1": ("vector", (n,), False),
-        "g_bar": ("vector", (n,), False),
+        "g0": ("terminal", (n,), False),
+        "g1": ("terminal", (n,), False),
+        "g_bar": ("terminal", (n,), False),
     }
 
 
@@ -343,8 +344,7 @@ class ProblemData:
     def __post_init__(self):
         for name in ("G", "G_bar", "g0", "g1", "g_bar"):
             arr = _as_float_array(getattr(self, name), name)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _private(arr))
 
     @property
     def is_homogeneous(self) -> bool:
@@ -531,7 +531,7 @@ def strip_inhomogeneous(p: ProblemData) -> ProblemData:
 
     Idempotent; used to reduce a problem to its purely quadratic core.
     """
-    zero = {"noise": NoiseAffinePath.zero, "vector": np.zeros,
+    zero = {"noise": NoiseAffinePath.zero, "terminal": np.zeros,
             "path": lambda shape: MatrixPath.constant(np.zeros(shape))}
     table = _coeff_table(p.n, p.m)
     return replace(p, **{

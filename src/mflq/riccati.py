@@ -21,21 +21,25 @@ quadratic term cross^T W^+ cross is applied in its eigenbasis as
 U^T diag(1/lambda) U with U = V^T cross, over the retained eigenvalues; no
 pseudo-inverse matrix is formed; 1/lambda comes from the eigenvalues alone,
 through the one rank rule of ``linalg``, ``linalg._inverse_builder``.  The
-rate is formed by one builder, ``_rate_builder``, which the stages and the
-node pass share; the gains and the affine offsets read the rule through
-``linalg._eig_inverse``.  The sweep steps one node at a time through
-``quadrature.rk4_steps`` and screens each step for finite escape with the
-quadrature's one screen.  The block is built in place by one builder,
-``_block_builder``, on a workspace it allocates: each sweep makes one
-workspace, with its views sliced and its constant maps resolved once, and
-every RK4 stage refills it.  Its node and midpoint stages each add a rate
-workspace made when the sweep starts (U, the scaled U and the rank rule's
-buffers), so a stage allocates only its eigenpairs and its fresh rate.
-The workspaces belong to the call, never to the module, so sweeps in
-different threads do not share them.  The node and midpoint passes build
-the block, each in a workspace of its own, in fixed runs of grid points
-and factor all of a grid's weights in one batch; the node pass forms its
-rate run by run, each run on a rate workspace of its own.
+rule runs once per RK4 stage, on the stage's own workspace, and once per
+factorization of the node and midpoint passes, whose ``SymFactor`` keeps
+the decision: the node pass's rate, the gains, the regularity report and
+the affine offsets all read it there.  The rate is formed by one builder,
+``_rate_builder``, which the stages and the node pass share; it scales by a
+1/lambda buffer its caller fills.  The sweep steps one node at a time
+through ``quadrature.rk4_steps`` and screens each step for finite escape
+with the quadrature's one screen.  The block is built in place by one
+builder, ``_block_builder``, on a workspace it allocates: each sweep makes
+one workspace, with its views sliced and its constant maps resolved once,
+and every RK4 stage refills it.  Its node and midpoint stages each add a
+rank-rule and a rate workspace made when the sweep starts (the rule's
+buffers, U and the scaled U), so a stage allocates only its eigenpairs and
+its fresh rate.  The workspaces belong to the call, never to the module, so
+sweeps in different threads do not share them.  The node and midpoint
+passes build the block, each in a workspace of its own, in fixed runs of
+grid points and factor all of a grid's weights in one batch; the node pass
+forms its rate run by run from the factorization's 1/lambda, each run on a
+rate workspace of its own.
 
 A consequence worth keeping: when every mean-coupling coefficient vanishes
 the two stacked channels still perform identical float operations, each
@@ -52,7 +56,7 @@ import numpy as np
 
 from . import linalg, problem
 from .errors import ValidationError
-from .linalg import _eig_inverse, _inverse_builder, _mT, _sym
+from .linalg import _mT, _sym
 from .problem import CoefficientTable, ProblemData, TimeGrid, tabulate
 from .quadrature import _RUN, _check_finite, _screen_passes, rk4_steps, trapezoid
 
@@ -104,8 +108,10 @@ class GreSolution:
     gain_dev / gain_mean: feedback gains, minus pseudo-inverse of the input
         weight applied to the cross term, (K+1, m, n).
     factor: eigendecomposition of both input weights at every node, stacked
-        (K+1, 2) with the deviation channel first; the ranks, the regularity
-        report and the affine offsets all come from it.
+        (K+1, 2) with the deviation channel first, with its one rank
+        decision (``keep``, ``cutoff`` and 1/lambda as ``inv``); the rate,
+        the gains, the regularity report and the affine offsets all read
+        it.
     table: the problem's coefficients tabulated on ``grid``, read by the
         dense output, the adjoints, the offsets and the value.
     rate: dY/ds of the stacked pair Y = (P, P_mean) at every node,
@@ -127,30 +133,6 @@ class GreSolution:
     table: CoefficientTable
     report: Optional[RegularityReport]
     rate: Optional[np.ndarray] = None
-
-    @property
-    def dev_rank(self) -> np.ndarray:
-        return self.factor.rank[:, 0]
-
-    @property
-    def mean_rank(self) -> np.ndarray:
-        return self.factor.rank[:, 1]
-
-    @property
-    def dev_smallest_retained(self) -> np.ndarray:
-        return self.factor.smallest_retained[:, 0]
-
-    @property
-    def mean_smallest_retained(self) -> np.ndarray:
-        return self.factor.smallest_retained[:, 1]
-
-    @property
-    def dev_cutoff(self) -> np.ndarray:
-        return self.factor.cutoff[:, 0]
-
-    @property
-    def mean_cutoff(self) -> np.ndarray:
-        return self.factor.cutoff[:, 1]
 
 
 def _at(maps, k):
@@ -201,12 +183,13 @@ def _hamiltonian(Y, co):
     return fill(Y, F, G, _mT(G), H)
 
 
-def _rate_builder(shape, n):
-    """An in-place rate for eigenvalue stacks of the given shape, (..., m),
-    on one workspace allocated here: U, the scaled U and the rank rule's
-    buffers from ``linalg._inverse_builder``, with U^T and 1/lambda as a
-    column sliced once (the column already broadcast to U's shape, which
-    halves the cost of the scaling).  ``rate(lin, cross, lam, V)`` returns
+def _rate_builder(inv, n):
+    """An in-place rate that scales by inv, 1/lambda on the retained
+    eigenvalues of a stack of weights, (..., m), a buffer its caller fills
+    before each call.  Its workspace, allocated here, is U and the scaled U,
+    with U^T and inv as a column sliced once (the column already broadcast
+    to U's shape, which halves the cost of the scaling).
+    ``rate(lin, cross, V)`` returns
 
         dM/ds = cross^T W^+ cross - lin, with W^+ applied in W's eigenbasis:
 
@@ -214,14 +197,12 @@ def _rate_builder(shape, n):
     U^T diag(1/lambda) U over the retained eigenvalues.  The returned rate
     is a fresh array, since RK4 keeps its four stage rates alive at once.
     """
-    U = np.empty(shape + (n,))
+    U = np.empty(inv.shape + (n,))
     SU = np.empty_like(U)
     UT = _mT(U)
-    inv, _, invert = _inverse_builder(shape)
     col = np.broadcast_to(inv[..., None], U.shape)
 
-    def rate(lin, cross, lam, V):
-        invert(lam)
+    def rate(lin, cross, V):
         np.matmul(_mT(V), cross, out=U)
         np.multiply(col, U, out=SU)
         dM = np.matmul(UT, SU)
@@ -230,27 +211,28 @@ def _rate_builder(shape, n):
     return rate
 
 
-def _rate(lin, cross, lam, V):
+def _rate(lin, cross, inv, V):
     """The rate of ``_rate_builder`` on a workspace of its own."""
-    return _rate_builder(lam.shape, lin.shape[-1])(lin, cross, lam, V)
+    return _rate_builder(inv, lin.shape[-1])(lin, cross, V)
 
 
 def _gain(cross, factor: linalg.SymFactor):
     """Feedback gain -W^+ cross, applied in W's eigenbasis."""
     V = factor.eigvecs
-    return -(V @ (_eig_inverse(factor.eigvals)[..., None] * (_mT(V) @ cross)))
+    return -(V @ (factor.inv[..., None] * (_mT(V) @ cross)))
 
 
 def _stage_rate(co, Z, fill):
     """The sweep's f(Y, k): dY/ds of one (2, n, n) value at grid point k of
-    the maps co, its block built by ``fill`` into the workspace Z and its
-    rate formed on a rate workspace made here.  Constant maps are resolved
-    here, once per sweep, sampled ones at every stage;
-    the seam is read from ``linalg`` here too, so a patched one sees every
-    stage of the sweep."""
+    the maps co, its block built by ``fill`` into the workspace Z, its rank
+    decided and its rate formed on a rank-rule and a rate workspace made
+    here.  Constant maps are resolved here, once per sweep, sampled ones at
+    every stage; the seam and the rule are read from ``linalg`` here too,
+    so a patched one sees every stage of the sweep."""
     n = co[0].shape[-2]
     lin, cross, W = Z[:, :n, :n], Z[:, n:, :n], Z[:, n:, n:]
-    form_rate = _rate_builder(W.shape[:-1], n)
+    inv, decide = linalg._inverse_builder(W.shape[:-1])
+    form_rate = _rate_builder(inv, n)
     eigh = linalg._eigh
     if all(t.ndim == 3 for t in co):
         F, G, H = co
@@ -258,14 +240,18 @@ def _stage_rate(co, Z, fill):
 
         def rate(Y, k):
             fill(Y, F, G, GT, H)
-            return form_rate(lin, cross, *eigh(W))
+            lam, V = eigh(W)
+            decide(lam)
+            return form_rate(lin, cross, V)
 
     else:
 
         def rate(Y, k):
             F, G, H = _at(co, k)
             fill(Y, F, G, _mT(G), H)
-            return form_rate(lin, cross, *eigh(W))
+            lam, V = eigh(W)
+            decide(lam)
+            return form_rate(lin, cross, V)
 
     return rate
 
@@ -281,7 +267,8 @@ def _gains(Y, co, rate=None):
     """Input weights, cross terms, gains and weight factorization at every
     grid point of Y; the weights of all points are factored in one batch.
     Given ``rate``, an array shaped like Y, it receives dY/ds at every
-    point, symmetrized, formed run by run from that factorization."""
+    point, symmetrized, formed run by run from that factorization's
+    1/lambda."""
     n, m = Y.shape[-1], co[2].shape[-1] - Y.shape[-1]
     weight = np.empty(Y.shape[:-2] + (m, m))
     cross = np.empty(Y.shape[:-2] + (m, n))
@@ -293,16 +280,20 @@ def _gains(Y, co, rate=None):
     weight = _sym(weight)
     factor = linalg.sym_factor(weight)
     if rate is not None:
-        lam, V = factor.eigvals, factor.eigvecs
+        inv, V = factor.inv, factor.eigvecs
         for start in range(0, len(Y), _RUN):
             run = slice(start, start + _RUN)
-            rate[run] = _sym(_rate(rate[run], cross[run], lam[run], V[run]))
+            rate[run] = _sym(_rate(rate[run], cross[run], inv[run], V[run]))
     return weight, cross, _gain(cross, factor), factor
 
 
 def _split(X):
-    """The two channels of a stacked (K+1, 2, ...) array, each contiguous."""
-    return np.ascontiguousarray(X[:, 0]), np.ascontiguousarray(X[:, 1])
+    """The two channels of a stacked (K+1, 2, ...) array, each a contiguous
+    read-only copy."""
+    channels = np.ascontiguousarray(X[:, 0]), np.ascontiguousarray(X[:, 1])
+    for c in channels:
+        c.setflags(write=False)
+    return channels
 
 
 def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
@@ -446,11 +437,14 @@ def assess_regularity(
     integrability of the gains is certified by finite nodewise gains
     together with a finite trapezoid integral of their squared Frobenius
     norms (a surrogate that is the best a fixed grid can assert, hence the
-    report also records the grid resolution).
+    report also records the grid resolution).  The ranks, the cutoffs and
+    the smallest retained eigenvalues are the factorization's own decision.
     """
     h = sol.grid.h
-    min_eig = sol.factor.min_eig
-    residual = sol.factor.range_residual(
+    factor = sol.factor
+    min_eig = factor.min_eig
+    rank, smin, cut = factor.rank, factor.smallest_retained, factor.cutoff
+    residual = factor.range_residual(
         np.stack((sol.cross_term, sol.cross_term_mean), axis=1)
     )
     conditions = (
@@ -466,10 +460,8 @@ def assess_regularity(
         conditions=conditions,
         n_steps=sol.grid.n_steps,
         tol=tol,
-        dev_rank=sol.dev_rank,
-        mean_rank=sol.mean_rank,
-        near_cutoff_dev=_near_cutoff_nodes(sol.dev_smallest_retained, sol.dev_cutoff),
-        near_cutoff_mean=_near_cutoff_nodes(
-            sol.mean_smallest_retained, sol.mean_cutoff
-        ),
+        dev_rank=rank[:, 0],
+        mean_rank=rank[:, 1],
+        near_cutoff_dev=_near_cutoff_nodes(smin[:, 0], cut[:, 0]),
+        near_cutoff_mean=_near_cutoff_nodes(smin[:, 1], cut[:, 1]),
     )

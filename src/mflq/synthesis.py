@@ -59,9 +59,12 @@ def closed_loop(p: ProblemData, gre: GreSolution) -> ClosedLoopSolution:
     """
     aff = solve_affine(p, gre)
     grid = gre.grid
+    # Read-only and owning its data, so the path keeps it without a copy.
+    gain_gap = gre.gain_mean - gre.gain_dev
+    gain_gap.setflags(write=False)
     strategy = ControlSpec(
         feedback=MatrixPath.sampled(grid, gre.gain_dev),
-        mean_feedback=MatrixPath.sampled(grid, gre.gain_mean - gre.gain_dev),
+        mean_feedback=MatrixPath.sampled(grid, gain_gap),
         offset=NoiseAffinePath(
             const_part=MatrixPath.sampled(grid, aff.corrections.corr_mean),
             noise_part=MatrixPath.sampled(grid, aff.corrections.corr_noise),

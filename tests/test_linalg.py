@@ -15,7 +15,6 @@ import pytest
 from mflq.linalg import (
     DEFAULT_RTOL,
     SymFactor,
-    _eig_inverse,
     _eigh,
     _inverse_builder,
     _mT,
@@ -311,7 +310,8 @@ def test_stage_inverse_and_factor_share_the_rank_rule():
     retains an eigenvalue, and equals 1/lambda there, bit for bit, on every
     branch of the rank decision including 0.99x and 1.01x the cutoff."""
     f = sym_factor(_weight_stack())
-    inv = _eig_inverse(f.eigvals)
+    _, decide = _inverse_builder(f.eigvals.shape)
+    inv = decide(f.eigvals)[2]
     np.testing.assert_array_equal(inv != 0.0, f.keep)
     np.testing.assert_array_equal(inv[f.keep], 1.0 / f.eigvals[f.keep])
     np.testing.assert_array_equal(f.keep.sum(axis=-1), [3, 3, 2, 0, 3, 2])
@@ -344,25 +344,24 @@ _EDGE_STACKS = {
 
 
 def _assert_rule_is_the_reference(workspace, lam):
-    """``rule`` and ``invert`` of one workspace, and ``SymFactor`` and
-    ``_eig_inverse`` on workspaces of their own, against the allocating
-    rule on the stack lam."""
+    """``decide`` of one workspace, and ``SymFactor`` on a workspace of its
+    own, against the allocating rule on the stack lam."""
     # Imported here: that module imports this one's reference functions.
     from test_riccati_workspace import allocating_eig_inverse, allocating_rank_rule
 
     want_keep, want_cut = allocating_rank_rule(lam)
     want_inv = allocating_eig_inverse(lam)
-    inv, rule, invert = workspace
-    keep, cut = rule(lam)
+    inv, decide = workspace
+    keep, cut, _ = decide(lam)
     assert keep.tobytes() == want_keep.tobytes()
     assert cut.tobytes() == want_cut.tobytes()
-    assert invert(lam) is inv
+    assert decide(lam)[2] is inv
     assert inv.tobytes() == want_inv.tobytes()
-    assert rule(lam)[0] is keep
+    assert decide(lam)[0] is keep
     f = SymFactor(eigvals=lam, eigvecs=np.zeros(lam.shape + lam.shape[-1:]))
     assert f.keep.tobytes() == want_keep.tobytes()
     assert f.cutoff.tobytes() == want_cut[..., 0].tobytes()
-    assert _eig_inverse(lam).tobytes() == want_inv.tobytes()
+    assert f.inv.tobytes() == want_inv.tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(_EDGE_STACKS))
@@ -376,8 +375,8 @@ def test_inverse_builder_is_the_allocating_rule_bitwise(case):
 
 def test_inverse_builder_edge_decisions():
     """The decisions the edge stacks exist for, stated outright."""
-    _, rule, _ = _inverse_builder((2, 3))
-    rows = {case: rule(np.array(lam))[0].copy() for case, lam in _EDGE_STACKS.items()}
+    _, decide = _inverse_builder((2, 3))
+    rows = {case: decide(np.array(lam))[0].copy() for case, lam in _EDGE_STACKS.items()}
     np.testing.assert_array_equal(
         rows["at_and_above_cutoff"], [[False, True, True], [True, False, True]])
     np.testing.assert_array_equal(

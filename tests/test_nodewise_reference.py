@@ -137,11 +137,13 @@ def test_batched_passes_match_node_by_node(case):
     times = gre.grid.nodes
     h = gre.grid.h
 
+    f = gre.factor
     channels = (
         ("dev", gre.P, False, gre.input_weight, gre.cross_term, gre.gain_dev,
-         gre.dev_rank, gre.dev_smallest_retained, gre.dev_cutoff),
+         gre.report.dev_rank, f.smallest_retained[:, 0], f.cutoff[:, 0]),
         ("mean", gre.P_mean, True, gre.input_weight_mean, gre.cross_term_mean,
-         gre.gain_mean, gre.mean_rank, gre.mean_smallest_retained, gre.mean_cutoff),
+         gre.gain_mean, gre.report.mean_rank, f.smallest_retained[:, 1],
+         f.cutoff[:, 1]),
     )
     report = {c.name: c for c in gre.report.conditions}
     min_eig = gre.factor.min_eig
@@ -241,7 +243,7 @@ def test_singular_weight_case_fails_where_expected():
     """The singular instance exercises the failing branches, not just ties."""
     p = singular_weight_problem()
     gre = integrate_gre(p)
-    assert np.all(gre.dev_rank == 1) and np.all(gre.mean_rank == 1)
+    assert np.all(gre.report.dev_rank == 1) and np.all(gre.report.mean_rank == 1)
     failing = [c.name for c in gre.report.conditions if not c.passed]
     assert failing == ["range_dev", "range_mean"]
     assert not solve_affine(p, gre).feasible

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,29 @@ def test_paths_are_read_only():
     p = MatrixPath.constant(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         p.values[0, 0] = 1.0
+
+
+def test_containers_copy_the_callers_arrays():
+    """Paths, problems and initial laws keep private copies: the caller's
+    arrays stay writable, and writing to them afterwards reaches none of
+    the containers."""
+    g = TimeGrid(0.0, 1.0, 4)
+    A, R, G = np.eye(1), np.ones((1, 1)), np.ones((1, 1))
+    R_path = np.ones((5, 1, 1))
+    g1 = np.zeros(1)
+    const, sampled = MatrixPath.constant(A), MatrixPath.sampled(g, R_path)
+    p = make_problem(1, 1, g, A=A, B=1.0, R=R_path, G=G, g=(g1, g1))
+    data = replace(p, G=G, g_bar=g1)
+    m, c, L = np.zeros(1), np.zeros(1), np.zeros((1, 1))
+    law = InitialLaw(m, c, L)
+    for arr in (A, R, G, R_path, g1, m, c, L):
+        assert arr.flags.writeable
+        arr[...] = 7.0
+    for kept in (const.values, sampled.values, p.A.values, p.R.values,
+                 p.G, p.g1, data.G, data.g_bar):
+        assert not np.any(kept == 7.0)
+    for kept in (law.mean, law.brownian_load, law.indep_load):
+        assert np.all(kept == 0.0)
 
 
 def test_table_keeps_constant_paths_unexpanded():

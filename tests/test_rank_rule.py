@@ -2,8 +2,8 @@
 
 ``linalg._inverse_builder`` states the rule
 |lambda| > DEFAULT_RTOL * m * max|lambda| that decides what every
-pseudo-inverse W^+ keeps, and ``SymFactor``, ``linalg._eig_inverse`` and
-the Riccati stages all run it.  A module other than
+pseudo-inverse W^+ keeps, and ``SymFactor``, at construction, and the
+Riccati stages are the only callers that run it.  A module other than
 ``linalg`` that named ``DEFAULT_RTOL`` would state the rule a second time,
 and any use of ``svd`` or ``pinv`` would open a second route to W^+ with a
 rank decision of its own.  This lint scans the package with ``ast`` and

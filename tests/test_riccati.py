@@ -125,7 +125,7 @@ def test_example31_riccati_is_exact():
     # Control enters the diffusion only through the mean channel here; the
     # deviation weight R + D'PD is identically zero.
     assert np.all(sol.input_weight == 0.0)
-    assert np.all(sol.dev_rank == 0)
+    assert np.all(sol.report.dev_rank == 0)
 
 
 def test_example31_regularity_fails_only_range_dev():

@@ -8,9 +8,10 @@ Hamiltonian block allocated afresh at every stage, factored by the
 ``linalg._eigh`` seam and turned into a rate by an allocating rate, whose
 1/lambda comes from an allocating rank rule, with the maps resolved per
 stage by ``riccati._at``.  It is driven by the same ``rk4_steps`` from the
-same ``integrate_gre``, with the node pass's rate, its gains and the
-factorization's ``keep`` and ``cutoff`` on the same allocating arithmetic,
-so every output must agree bit for bit.
+same ``integrate_gre``, with the node pass's rate and the factorization's
+rank decision (``keep``, ``cutoff`` and 1/lambda, which the gains and the
+report read) on the same allocating arithmetic, so every output must agree
+bit for bit.
 """
 
 import sys
@@ -70,22 +71,36 @@ def allocating_eig_inverse(lam):
                      where=allocating_rank_rule(lam)[0])
 
 
-def allocating_rate(lin, cross, lam, V):
+def allocating_inverse_builder(shape):
+    """``linalg._inverse_builder`` on the allocating rule: ``decide`` copies
+    the allocating 1/lambda into the one buffer a rate builder reads."""
+    inv = np.empty(shape)
+
+    def decide(lam):
+        keep, cut = allocating_rank_rule(lam)
+        inv[...] = allocating_eig_inverse(lam)
+        return keep, cut, inv
+
+    return inv, decide
+
+
+def allocating_rate(lin, cross, inv, V):
     """cross^T W^+ cross - lin as U^T diag(1/lambda) U - lin, U = V^T cross."""
     U = _mT(V) @ cross
-    return _mT(U) @ (allocating_eig_inverse(lam)[..., None] * U) - lin
+    return _mT(U) @ (inv[..., None] * U) - lin
 
 
 def allocating_rhs(Y, co):
     n = Y.shape[-1]
     Z = allocating_hamiltonian(Y, co)
+    lam, V = linalg._eigh(Z[..., n:, n:])
     return allocating_rate(Z[..., :n, :n], Z[..., n:, :n],
-                           *linalg._eigh(Z[..., n:, n:]))
+                           allocating_eig_inverse(lam), V)
 
 
 def reference_gre(p, monkeypatch):
-    """``integrate_gre`` with every stage, the node pass's rate and gains and
-    the factorization's rank rule on the allocating reference."""
+    """``integrate_gre`` with every stage, the node pass's rate and the
+    factorization's rank rule on the allocating reference."""
     tab = tabulate(p, p.horizon)
 
     def reference_steps(grid, f_node, f_mid, start, backward=False, post=None):
@@ -99,11 +114,7 @@ def reference_gre(p, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(riccati, "rk4_steps", reference_steps)
         patch.setattr(riccati, "_rate", allocating_rate)
-        patch.setattr(riccati, "_eig_inverse", allocating_eig_inverse)
-        patch.setattr(linalg.SymFactor, "keep", property(
-            lambda f: allocating_rank_rule(f.eigvals)[0]))
-        patch.setattr(linalg.SymFactor, "cutoff", property(
-            lambda f: allocating_rank_rule(f.eigvals)[1][..., 0]))
+        patch.setattr(linalg, "_inverse_builder", allocating_inverse_builder)
         return integrate_gre(p)
 
 

@@ -176,16 +176,43 @@ def test_synthesis_factors_each_weight_once_per_node(monkeypatch):
     assert sum(factored) == 12 * K + 2
 
 
+@pytest.mark.parametrize("K", [200, 1000])
+def test_rank_rule_runs_once_per_factorization_and_stage(K, monkeypatch):
+    """Workspaces of the rank rule, counted at ``linalg._inverse_builder``:
+    one for each of the sweep's node and midpoint stages and one for the
+    nodal factorization make 3 per ``integrate_gre``, and the midpoint
+    factorization makes 4 per synthesis, at any K.  The gains, the nodal
+    rate, the regularity report and the offsets read the factorization's
+    decision instead of running the rule again."""
+    p, _ = random_spd(0, n=2, m=2, n_steps=K)
+    entries = []
+    original = linalg._inverse_builder
+
+    def counting(shape):
+        entries.append(shape)
+        return original(shape)
+
+    monkeypatch.setattr(linalg, "_inverse_builder", counting)
+    gre = integrate_gre(p)
+    assert len(entries) == 3
+    entries.clear()
+    affine.solve_affine(p, gre)
+    assert len(entries) == 1
+    entries.clear()
+    synthesize(p)
+    assert len(entries) == 4
+
+
 def rebuilt_dense_midpoints(sol):
     """The dense output with nodal derivatives from a fresh build of the
     nodal Hamiltonian blocks, factored by the node pass's eigenpairs."""
     n = sol.P.shape[-1]
-    lam, V = sol.factor.eigvals, sol.factor.eigvecs
+    inv, V = sol.factor.inv, sol.factor.eigvecs
     Y = np.stack((sol.P, sol.P_mean), axis=1)
     deriv = np.empty_like(Y)
     for run, Z in riccati._runs(Y, sol.table.node_maps):
         deriv[run] = _sym(riccati._rate(Z[..., :n, :n], Z[..., n:, :n],
-                                        lam[run], V[run]))
+                                        inv[run], V[run]))
     Y_mid = riccati.hermite_midpoints(Y, deriv, sol.grid.h)
     _, _, gain, _ = riccati._gains(Y_mid, sol.table.mid_maps)
     return riccati.MidpointData(P=Y_mid[:, 0], P_mean=Y_mid[:, 1],
@@ -305,3 +332,37 @@ def test_sampled_coefficients_are_tabulated_once_per_grid(monkeypatch):
     counts.update(dict.fromkeys(sampled, 0))
     simulate(p, sol.strategy, law, n_paths=64, n_steps=50, seed=0)
     assert counts == {"A": 1, "R": 1, "b0": 1}
+
+
+def _vanishing_weight_problem(K, **coeffs):
+    """R(s) = (1 - s)^2 on [0, 1], sampled on the K-step solve grid."""
+    grid = TimeGrid(0.0, 1.0, K)
+    R = ((1.0 - grid.nodes) ** 2)[:, None, None]
+    return make_problem(1, 1, grid, Q=1.0, R=R, **coeffs)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 6: the L2 verdict of the gains is decided on one grid; "
+    "the gain -c/(1 - s) is not square integrable, yet l2_gain_dev passes "
+    "(173.6 at K=250, 695.5 at K=1000)"))
+@pytest.mark.parametrize("K", [250, 1000])
+def test_gain_that_is_not_square_integrable_is_not_solvable(K):
+    """B = Q = 1, R = (1 - s)^2: P = c (1 - s) with c = (sqrt 5 - 1)/2, so
+    the gain -c/(1 - s) is not in L^2 and the problem is not closed-loop
+    solvable."""
+    sol = synthesize(_vanishing_weight_problem(K, B=1.0))
+    assert not sol.solvable
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 13: feasible checks only the offsets' range condition; "
+    "the offset -1/(1 - s) is not square integrable (its integral on the "
+    "grid is 410 at K=250 and 1644 at K=1000)"))
+@pytest.mark.parametrize("K", [250, 1000])
+def test_offset_that_is_not_square_integrable_is_not_solvable(K):
+    """B = 0, Q = 1, R = (1 - s)^2 and the sampled rho = 1 - s: every target
+    is in range and the gains vanish, but the exact offset -1/(1 - s) is
+    not in L^2, so the problem is not closed-loop solvable."""
+    rho = (1.0 - TimeGrid(0.0, 1.0, K).nodes)[:, None]
+    sol = synthesize(_vanishing_weight_problem(K, B=0.0, rho=rho))
+    assert not sol.solvable
