@@ -3,11 +3,13 @@ classical RK4 tableau that every ODE sweep runs on, and the two ways it is
 driven.  ``rk4_steps`` takes one step at a time and serves the nonlinear
 Riccati pair and the moment pair.  ``linear_rk4`` serves linear ODEs with
 tabulated coefficients: each RK4 step of dy/ds = L y + g is an affine map
-y -> Phi y + psi, so it builds those maps for a run of steps in one batched
-pass of the same tableau, composes every prefix of the run by doubling and
-reads all the run's nodes off the composed maps at once.  The Riccati and
-moment sweeps screen each step for finite escape with one dot product; a
-linear sweep screens each run with one batched one."""
+y -> Phi y + psi, so it builds those maps, as increments Phi - I, for a run
+of steps in one batched pass of the same tableau, and reads all the run's
+nodes off them with a work-efficient scan: fewer map products than steps,
+then one matrix-vector product per node, in a few batched products a
+level.  The Riccati and moment sweeps screen each step for finite escape
+with one dot product; a linear sweep screens each run with one batched
+one."""
 
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ _ESCAPE_SCREEN = 0.5 * BLOWUP_NORM
 
 # Grid points per batched build, in the Riccati node and midpoint passes and
 # in the propagator runs of ``linear_rk4``: it bounds the size of the
-# build's temporaries however fine the grid, and a run's doubling scan to
-# ceil(log2 _RUN) = 8 batched products.
+# build's temporaries however fine the grid, and a run's scan to
+# 2 ceil(log2 _RUN) = 16 batched products.
 _RUN = 256
 
 
@@ -60,15 +62,34 @@ def _screen_passes(y) -> bool:
     return bool(v @ v <= _ESCAPE_SCREEN * _ESCAPE_SCREEN)
 
 
+def _stage(y, f, c):
+    """The stage value y + c f, in one fresh array."""
+    z = f * c
+    z += y
+    return z
+
+
 def _rk4_step(y, dt, k, i, j, f_node, f_mid):
-    """One classical RK4 step of size dt from node k to node j through the
-    midpoint i of their interval; k, i and j may be index arrays, stepping
-    a batch of values at once."""
+    """The increment (dt/6) (f1 + 2 f2 + 2 f3 + f4) of one classical RK4
+    step of size dt from node k to node j through the midpoint i of their
+    interval; k, i and j may be index arrays, stepping a batch of values
+    at once.  The caller adds y, so a linear sweep can keep the increment
+    of a step map, which Phi = I + increment would round.
+
+    Each rate must return a fresh array: the increment is formed in place
+    on them, with the formula's roundings in its order, so the only arrays
+    a step allocates are its three stage values."""
     f1 = f_node(y, k)
-    f2 = f_mid(y + 0.5 * dt * f1, i)
-    f3 = f_mid(y + 0.5 * dt * f2, i)
-    f4 = f_node(y + dt * f3, j)
-    return y + (dt / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
+    f2 = f_mid(_stage(y, f1, 0.5 * dt), i)
+    f3 = f_mid(_stage(y, f2, 0.5 * dt), i)
+    f4 = f_node(_stage(y, f3, dt), j)
+    f2 *= 2
+    f2 += f1
+    f3 *= 2
+    f2 += f3
+    f2 += f4
+    f2 *= dt / 6.0
+    return f2
 
 
 def rk4_steps(grid, f_node, f_mid, start, backward=False, post=None):
@@ -86,9 +107,9 @@ def rk4_steps(grid, f_node, f_mid, start, backward=False, post=None):
     y = start
     for k in range(K, 0, -1) if backward else range(K):
         j = k - 1 if backward else k + 1
-        y = _rk4_step(y, dt, k, min(k, j), j, f_node, f_mid)
-        if post is not None:
-            y = post(y)
+        dy = _rk4_step(y, dt, k, min(k, j), j, f_node, f_mid)
+        dy += y
+        y = dy if post is None else post(dy)
         yield j, y
 
 
@@ -104,41 +125,76 @@ def _affine_rate(L, g):
     return rate
 
 
-def _prefix_products(M):
-    """Every prefix product of a run of augmented affine maps, in place:
-    M[t] becomes M[t] @ ... @ M[0].  A Hillis-Steele scan, one batched
-    product per doubling of the span, so ceil(log2 len(M)) products in all;
-    each map's last row stays [0 ... 0 1], so only the rows above it are
-    formed."""
-    d = M.shape[-1] - 1
-    span = 1
-    while span < len(M):
-        M[span:, :d] = M[span:, :d] @ M[:-span]
+def _prefix_products(D, y):
+    """y carried through every prefix of a run of affine maps, given by
+    their increments D = [Phi - I | psi], (n, d, d+1): returns Y, (n, d),
+    the value after each map.  D is only read.
+
+    A work-efficient scan (Blelloch 1990).  Let V[T] be the value after T
+    steps, V[0] = y, and cap = 2^(ceil(log2 n) - 1).  The up-sweep composes
+    the maps into blocks, B[t] first of steps 2t and 2t+1; then, level by
+    level, each block ending at a multiple of 2b steps absorbs the block of
+    b steps before it, until the block ending at node T spans b(T) steps,
+    the largest power of two dividing T, at most cap.  That is fewer than n
+    map products in ceil(log2 n) - 1 batched ones (one, unread, for n <= 2,
+    where cap is 1).  The down-sweep reads every node off its block with
+    one matrix-vector product: first the multiples of cap (at most two, in
+    turn), then, level by level from b = cap / 2 down to 1, the nodes with
+    b(T) = b, each from node T - b, which the levels before have reached.
+    That is n products in at most ceil(log2 n) + 1 batched ones.
+
+    Maps stay increments, composed as (I + A)(I + B) = I + (A + B + A B): a
+    step's Phi - I is of order h, and Phi itself would hold it only to
+    absolute precision eps, an error that a constant coefficient repeats at
+    every step, so that it grows with the length of the sweep.
+    """
+    n, d = D.shape[:2]
+    cap = 1 << max((n - 1).bit_length() - 1, 0)
+    first, second = D[0::2], D[1::2]
+    h = len(second)
+    B = second[..., :d] @ first[:h]
+    B += first[:h]
+    B += second
+    span = 2
+    while 2 * span <= cap:
+        late, early = B[span - 1 :: span], B[span // 2 - 1 :: span][: h // span]
+        late += early + late[..., :d] @ early
         span *= 2
+    V = np.empty((n + 1, d + 1))
+    V[:, d] = 1.0
+    V[0, :d] = y
+    for T in range(cap, n + 1, cap):
+        M = D[T - 1] if cap == 1 else B[T // 2 - 1]
+        V[T, :d] = V[T - cap, :d] + M @ V[T - cap]
+    span = cap
+    while span > 1:
+        half = span // 2
+        src = V[::span][: (n + half) // span]
+        M = first if half == 1 else B[half // 2 - 1 :: half]
+        V[half::span, :d] = src[:, :d] + (M[: len(src)] @ src[..., None])[..., 0]
+        span = half
+    return V[1:, :d]
 
 
 def _carry_run(maps, y, ends, out, name, times):
-    """Carry y through a run of step maps [Phi | psi], (n, d, d+1), storing
-    the value after each step at the grid index ``ends`` gives for it in
-    ``out``; returns the last.  ``times`` are the grid's node times.
+    """Carry y through a run of step maps given by their increments
+    [Phi - I | psi], (n, d, d+1), storing the value after each step at the
+    grid index ``ends`` gives for it in ``out``; returns the last.
+    ``times`` are the grid's node times.
 
-    The maps are augmented to (d+1)-square, composed by ``_prefix_products``
-    and applied to [y; 1] in one batched product.  Nodes whose squared norm
-    fails the screen get the named check in sweep order.  A composed map
-    can overflow where the step-by-step values stay finite (a growing mode
-    that y does not excite gives inf * 0), so at the first value that is not
-    finite the composition restarts from the node before it.  A restart's
-    first value is one plain step, so every restart advances a node.
+    ``_prefix_products`` scans the maps.  Nodes whose squared norm fails
+    the screen get the named check in sweep order.  A composed block can
+    overflow where the step-by-step values stay finite (a growing mode that
+    y does not excite gives inf * 0), and every value read off it or off a
+    value after it is then not finite, so at the first value that is not
+    finite the scan restarts from the node before it.  A scan's first value
+    is one plain step, so every restart advances a node.
     """
-    n, d = maps.shape[:2]
-    M = np.zeros((n, d + 1, d + 1))
-    M[:, d, d] = 1.0
+    n = len(maps)
     r = 0
     while r < n:
-        M[r:, :d] = maps[r:]
         with np.errstate(over="ignore", invalid="ignore"):
-            _prefix_products(M[r:])
-            Y = M[r:, :d] @ np.append(y, 1.0)
+            Y = _prefix_products(maps[r:], y)
             tripped = ~(np.einsum("ti,ti->t", Y, Y) <= _ESCAPE_SCREEN**2)
         blown = ~np.isfinite(Y).all(axis=1)
         stop = max(int(blown.argmax()), 1) if blown.any() else n - r
@@ -161,21 +217,22 @@ def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
     solution is not finite or exceeds BLOWUP_NORM.  Returns y at every node.
 
     Each RK4 step is the affine map y_j = Phi y_k + psi.  For every run of
-    at most _RUN steps, in sweep order, one batched RK4 step applied to the
-    augmented identity [I | 0] gives [Phi | psi] of all the run's steps.
-    Those maps are composed by doubling into the map from the run's start
-    to each of its nodes, in ceil(log2 _RUN) batched products, and y at all
-    the run's nodes is read off them with one more; no step is walked.
+    at most _RUN steps, in sweep order, the increment of one batched RK4
+    step from the augmented identity [I | 0] gives [Phi - I | psi] of all
+    the run's steps, and ``_carry_run`` reads y at all the run's nodes off
+    them with the
+    scan of ``_prefix_products``, in at most 2 ceil(log2 _RUN) batched
+    products; no step is walked.
     """
     K = grid.n_steps
     nodes = grid.nodes
-    d = np.shape(start)[-1]
     out = np.empty((K + 1,) + np.shape(start))
     first = K if backward else 0
     out[first] = start
     y = out[first]
     dt = -grid.h if backward else grid.h
     f_node, f_mid = _affine_rate(L_node, g_node), _affine_rate(L_mid, g_mid)
+    d = np.shape(start)[-1]
     eye = np.eye(d, d + 1)
     for s in range(0, K, _RUN):
         k = np.arange(s, min(s + _RUN, K))

@@ -5,14 +5,19 @@ LAPACK's eigh gufunc directly under the error state of numpy's public
 wrapper.  These tests pin three things: no solver path reaches numpy's
 public eigh, eigvalsh or svd; the seam's eigenpairs are bitwise those of
 the wrapper, NaN inputs included; and a LAPACK failure raises LinAlgError
-while overflow, division and underflow inside the solver stay silent.
-The seam's gufunc lives in a private numpy module, so importing ``mflq``
-without it fails with an ImportError that names it and the numpy found.
+while overflow, division and underflow inside the solver stay silent,
+and the caller's own error state, on this thread and on others, is back
+in place after every call.  The seam's gufunc, error-state builder and
+error-state context variable live in private numpy modules, so importing
+``mflq`` without one of them fails with an ImportError that names it and
+the numpy found.
 """
 
+import contextvars
 import os
 import subprocess
 import sys
+import threading
 import types
 import warnings
 
@@ -222,6 +227,78 @@ def test_sweep_nonconvergence_is_not_a_finite_escape(monkeypatch):
         integrate_gre(p)
 
 
+_SEAM_STATE = {"divide": "ignore", "over": "ignore", "under": "ignore",
+               "invalid": "call"}
+
+
+def _call_seam(fails):
+    try:
+        _eigh(np.eye(2))
+    except np.linalg.LinAlgError:
+        assert fails
+    else:
+        assert not fails
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_callers_error_state_is_restored(fails, monkeypatch):
+    """After a return and after a LinAlgError, the caller's error state is
+    back exactly: the default one, and an enclosing all="raise"."""
+    if fails:
+        monkeypatch.setattr(linalg, "_eigh_lo",
+                            _flagging(lambda: np.sqrt(np.array(-1.0))))
+    before, call = np.geterr(), np.geterrcall()
+    _call_seam(fails)
+    assert np.geterr() == before and np.geterrcall() is call
+    with np.errstate(all="raise"):
+        _call_seam(fails)
+        assert np.geterr() == dict.fromkeys(before, "raise")
+        assert np.geterrcall() is call
+    assert np.geterr() == before
+
+
+def test_overflow_stays_silent_under_a_raising_caller(monkeypatch):
+    monkeypatch.setattr(linalg, "_eigh_lo", _flagging(lambda: np.array(1e308) * 10.0))
+    with np.errstate(over="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, V = _eigh(np.diag([1.0, 2.0]))
+        assert np.geterr()["over"] == "raise"
+    np.testing.assert_array_equal(lam, [1.0, 2.0])
+
+
+def test_a_call_on_another_thread_leaves_this_threads_state_alone(monkeypatch):
+    """While a second thread is inside the seam, and after it, this
+    thread's enclosing state is its own; inside, the seam's state holds."""
+    inside, release = threading.Event(), threading.Event()
+    seen = {}
+    real = linalg._eigh_lo
+
+    def stub(M, signature):
+        seen["inside"] = np.geterr()
+        inside.set()
+        assert release.wait(timeout=60)
+        return real(M, signature=signature)
+
+    def worker():
+        seen["lam"], _ = _eigh(np.diag([1.0, 2.0]))
+
+    monkeypatch.setattr(linalg, "_eigh_lo", stub)
+    thread = threading.Thread(target=worker)
+    with np.errstate(all="raise"):
+        thread.start()
+        try:
+            assert inside.wait(timeout=60)
+            during = np.geterr()
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        after = np.geterr()
+    raising = dict.fromkeys(_SEAM_STATE, "raise")
+    assert during == after == raising
+    assert seen["inside"] == _SEAM_STATE
+    np.testing.assert_array_equal(seen["lam"], [1.0, 2.0])
+
+
 # ---------------------------------------------------------------------------
 # end to end
 
@@ -283,3 +360,57 @@ def test_importing_mflq_without_the_gufunc_fails_loudly():
     last = run.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError: mflq needs the gufunc "
                            f"{GUFUNC_MODULE}.eigh_lo, which numpy")
+
+
+# ---------------------------------------------------------------------------
+# the private error state is checked at import
+
+
+ERRSTATE_MODULE = "numpy._core._multiarray_umath"
+_ERRSTATE = sys.modules[ERRSTATE_MODULE]
+
+
+def _errstate_stub(**changes):
+    names = {"_make_extobj": _ERRSTATE._make_extobj,
+             "_extobj_contextvar": _ERRSTATE._extobj_contextvar}
+    names.update(changes)
+    return types.SimpleNamespace(**{k: v for k, v in names.items() if v is not None})
+
+
+@pytest.mark.parametrize("stub, missing", [
+    (None, "_make_extobj"),
+    (_errstate_stub(_make_extobj=None), "_make_extobj"),
+    (_errstate_stub(_make_extobj=lambda **kwargs: None), "_make_extobj"),
+    (_errstate_stub(_extobj_contextvar=None), "_extobj_contextvar"),
+    (_errstate_stub(_extobj_contextvar=object()), "_extobj_contextvar"),
+], ids=["no_module", "no_builder", "builder_not_builtin", "no_variable",
+        "variable_not_a_contextvar"])
+def test_missing_error_state_raises_importerror_naming_numpy(stub, missing,
+                                                             monkeypatch):
+    monkeypatch.setitem(sys.modules, ERRSTATE_MODULE, stub)
+    with pytest.raises(ImportError) as info:
+        linalg._require_error_state()
+    assert f"{ERRSTATE_MODULE}.{missing}" in str(info.value)
+    assert f"numpy {np.__version__}" in str(info.value)
+
+
+def test_installed_numpy_provides_the_error_state():
+    make, var = linalg._require_error_state()
+    assert make is linalg._make_extobj and var is linalg._extobj_contextvar
+    assert isinstance(var, contextvars.ContextVar)
+
+
+def test_importing_mflq_without_the_error_state_fails_loudly():
+    code = (
+        "import sys, types, numpy\n"
+        f"sys.modules[{ERRSTATE_MODULE!r}] = types.ModuleType({ERRSTATE_MODULE!r})\n"
+        "import mflq\n"
+    )
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode != 0
+    last = run.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: mflq needs the error-state builder "
+                           f"{ERRSTATE_MODULE}._make_extobj, which numpy")

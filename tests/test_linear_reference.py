@@ -1,20 +1,23 @@
 """Propagator runs of ``linear_rk4`` against the stepwise sweep they replaced.
 
 ``linear_rk4`` builds the affine map y -> Phi y + psi of every RK4 step of a
-run in one batched pass and then composes the run by doubling.  The
-reference below keeps the earlier formulation as test-only code: the same
-tableau driven one step at a time through ``rk4_steps``, with the named
-finite-escape check at every node.  Both routes are compared directly, on
-constant and sampled coefficients in both directions at grid sizes around
-the run length, and through the public adjoint, offset, value, mean-ODE and
-simulation layers, with ``linear_rk4`` swapped for the reference.  Further
-cases pin what the composition must survive: a growing mode that neither
-the start nor the forcing excites, whose composed maps overflow, and
-escapes at run edges.
+run in one batched pass and then reads the run's nodes off them with a
+work-efficient scan.  The reference below keeps the earlier formulation as
+test-only code: the same tableau driven one step at a time through
+``rk4_steps``, with the named finite-escape check at every node.  Both
+routes are compared directly, on constant and sampled coefficients in both
+directions at grid sizes around the run length, at d = 3, 20 and 40, and
+through the public adjoint, offset, value, mean-ODE and simulation layers,
+with ``linear_rk4`` swapped for the reference.  Further cases pin what the
+composition must survive: a growing mode that neither the start nor the
+forcing excites, whose composed maps can overflow, and escapes at run
+edges.
 
 Values must agree to 1e-13 (1 + |x|); escape reports must name the same
 quantity, node and time.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +94,24 @@ def test_linear_rk4_matches_stepwise_sweep(K, backward, sampled):
     assert_close(got, want)
     first = K if backward else 0
     assert np.array_equal(got[first], start)
+
+
+@pytest.mark.parametrize("K", [1, 255, 256, 257, 1000])
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("d", [20, 40])
+def test_linear_rk4_matches_stepwise_sweep_at_large_d(d, sampled, backward, K):
+    """L, g and the start are scaled by sqrt(3 / d), so that L's spectrum
+    and the norms keep their size at d = 3; unscaled, the stepwise
+    reference's own roundoff reaches 2.7e-13 (1 + |x|) at d = 40, K = 1000
+    (against the same sweep in extended precision)."""
+    grid = TimeGrid(0.25, 1.25, K)
+    scale = np.sqrt(3.0 / d)
+    tables = [t * scale for t in linear_tables(grid, sampled, d=d)]
+    start = np.resize([0.5, -1.0, 2.0], d) * scale
+    got = linear_rk4(grid, *tables, start, "y", backward=backward)
+    want = reference_linear_rk4(grid, *tables, start, "y", backward=backward)
+    assert_close(got, want)
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -182,7 +203,7 @@ def test_synthesis_counts(monkeypatch):
 @pytest.mark.parametrize("backward", [False, True])
 def test_unexcited_growing_mode_stays_finite(backward):
     """A mode growing by about 48 per step that neither the start nor the
-    forcing excites: its composed maps overflow near node 184 while the
+    forcing excites: its prefix maps overflow past node 184 while the
     stepwise values stay finite, decaying to (0, exp(-1))."""
     K = 200
     grid = TimeGrid(0.0, 1.0, K)
@@ -197,6 +218,43 @@ def test_unexcited_growing_mode_stays_finite(backward):
     assert_close(got, want)
     last = 0 if backward else K
     np.testing.assert_allclose(got[last], [0.0, np.exp(-1.0)], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_overflowing_block_restarts_the_scan_at_large_d(backward, monkeypatch):
+    """d = 16: one mode grows by about 297 a step (h L = 8) and neither the
+    start nor the forcing excites it, beside 15 coupled, forced, decaying
+    ones.  The scan's 128-step block overflows (297^128 > 1e308) while the
+    stepwise values stay finite, so the 200-step run is scanned again from
+    the node before the first value that is not finite, and still matches
+    the stepwise sweep."""
+    K, d = 200, 16
+    grid = TimeGrid(0.0, 1.0, K)
+    rng = np.random.default_rng(3)
+    L = np.zeros((d, d))
+    L[0, 0] = 1600.0
+    coupling = rng.normal(size=(d - 1, d - 1)) / np.sqrt(d - 1)
+    L[1:, 1:] = -np.eye(d - 1) + 0.3 * coupling
+    if backward:
+        L = -L
+    g = np.r_[0.0, rng.normal(size=d - 1)]
+    tables = (
+        np.broadcast_to(L, (K + 1, d, d)), np.broadcast_to(g, (K + 1, d)),
+        np.broadcast_to(L, (K, d, d)), np.broadcast_to(g, (K, d)),
+    )
+    start = np.r_[0.0, rng.normal(size=d - 1)]
+    scans = []
+    scan = quadrature._prefix_products
+
+    def counting_scan(D, y):
+        scans.append(len(D))
+        return scan(D, y)
+
+    monkeypatch.setattr(quadrature, "_prefix_products", counting_scan)
+    got = linear_rk4(grid, *tables, start, "y", backward=backward)
+    want = reference_linear_rk4(grid, *tables, start, "y", backward=backward)
+    assert_close(got, want)
+    assert scans == [200, 73]
 
 
 @pytest.mark.parametrize("step", [100, 256, 257])
@@ -232,20 +290,25 @@ def test_escape_at_run_edges_matches_stepwise_sweep(step, backward):
 
 
 def test_linear_sweep_counts(monkeypatch):
-    """Two adjoints at K = 1000: each run is composed once, in
-    ceil(log2 run) <= 8 batched products, and no node is screened alone."""
-    runs, products, screened = [], [], []
+    """Two adjoints at K = 1000, in runs of 256, 256, 256 and 232 steps:
+    each run is scanned once, in at most 2 ceil(log2 run) batched products,
+    with fewer map-map products than steps and one matrix-vector product
+    per node, and no node is screened alone."""
+    runs, screened = [], []
     compose, screen = quadrature._prefix_products, quadrature._screen_passes
 
     class CountingMaps(np.ndarray):
         def __matmul__(self, other):
-            products[-1] += 1
+            count = runs[-1]
+            count["calls"] += 1
+            nodes = np.ndim(other) == 1 or np.shape(other)[-1] == 1
+            products = len(other) if np.ndim(other) == 3 else 1
+            count["nodes" if nodes else "maps"] += products
             return np.ndarray.__matmul__(self, other)
 
-    def counting_compose(M):
-        runs.append(len(M))
-        products.append(0)
-        compose(M.view(CountingMaps))
+    def counting_compose(M, y):
+        runs.append({"run": len(M), "calls": 0, "maps": 0, "nodes": 0})
+        return compose(M.view(CountingMaps), y)
 
     def counting_screen(y):
         screened.append(1)
@@ -254,6 +317,10 @@ def test_linear_sweep_counts(monkeypatch):
     monkeypatch.setattr(quadrature, "_prefix_products", counting_compose)
     monkeypatch.setattr(quadrature, "_screen_passes", counting_screen)
     synthesize(time_varying_problem(), n_steps=1000)
-    assert runs == [256, 256, 256, 232] * 2
-    assert products == [8] * 8
+    assert [count["run"] for count in runs] == [256, 256, 256, 232] * 2
+    for count in runs:
+        n = count["run"]
+        assert count["calls"] <= 2 * math.ceil(math.log2(n))
+        assert count["maps"] <= n - 1
+        assert count["nodes"] == n
     assert screened == []
