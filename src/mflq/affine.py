@@ -12,7 +12,10 @@ Brownian value.  Coefficients come from the table on the Riccati solution,
 the quadratic ones only through its channel maps F = [A B] and G = [C D]:
 each adjoint runs on its channel's closed-loop maps A + B K and C + D K.
 Both adjoints are linear ODEs and go through ``quadrature.linear_rk4``,
-which steps them through batched runs of RK4 propagators.
+which steps them through batched runs of RK4 propagators.  The offsets'
+range constraints, the second half of the paper's solvability test, are
+recorded as ``ConditionVerdict``s, as the regularity report records the
+first half.
 """
 
 from __future__ import annotations
@@ -38,22 +41,24 @@ from .riccati import (
 
 @dataclass(frozen=True)
 class CorrectionSet:
-    """Affine control offsets plus their pointwise attainability verdict.
+    """Affine control offsets plus their pointwise attainability verdicts.
 
     corr_noise multiplies the running Brownian value; corr_mean is the
     deterministic offset of the mean control channel.  Attainability asks
     that the vectors being pseudo-inverted lie in the range of the
-    corresponding input weight at every node.
+    corresponding input weight at every node: ``conditions`` holds one
+    ``ConditionVerdict`` per channel, ``offset_range_dev`` and
+    ``offset_range_mean``, recorded as the regularity report records the
+    Riccati half of the solvability test.
     """
 
     corr_noise: np.ndarray
     corr_mean: np.ndarray
-    feasible: bool
-    worst_dev_node: int
-    worst_dev_residual: float
-    worst_mean_node: int
-    worst_mean_residual: float
-    tol: float
+    conditions: tuple
+
+    @property
+    def feasible(self) -> bool:
+        return all(c.passed for c in self.conditions)
 
 
 @dataclass(frozen=True)
@@ -142,9 +147,9 @@ def compute_corrections(
     rho_bar (the noise channel's rho_bar is zero).  -W^+ applies to them in
     the eigenbasis of the input-weight factorization kept on the Riccati
     solution, as for the gains.  Each target is also range-checked against
-    its input weight, and the worst residual per channel (first node on
-    ties) is held to DEFAULT_REG_TOL by the regularity report's range
-    verdict.
+    its input weight: each channel's residuals become one ConditionVerdict,
+    offset_range_dev or offset_range_mean, at DEFAULT_REG_TOL by the
+    regularity report's range rule (first node on ties).
     """
     c, (F, G, _) = sol.table.node, sol.table.node_maps
     n = sol.P.shape[-1]
@@ -161,20 +166,11 @@ def compute_corrections(
     targets = targets[..., None]
     corr_noise, corr_mean = _split(_gain(targets, sol.factor)[..., 0])
     residual = sol.factor.range_residual(targets)
-    dev, mean = (
+    conditions = tuple(
         _range_verdict(name, residual[:, ch], DEFAULT_REG_TOL)
-        for ch, name in enumerate(("range_dev", "range_mean"))
+        for ch, name in enumerate(("offset_range_dev", "offset_range_mean"))
     )
-    return CorrectionSet(
-        corr_noise=corr_noise,
-        corr_mean=corr_mean,
-        feasible=dev.passed and mean.passed,
-        worst_dev_node=dev.worst_node,
-        worst_dev_residual=dev.worst_value,
-        worst_mean_node=mean.worst_node,
-        worst_mean_residual=mean.worst_value,
-        tol=DEFAULT_REG_TOL,
-    )
+    return CorrectionSet(corr_noise, corr_mean, conditions)
 
 
 def solve_affine(p: ProblemData, sol: GreSolution) -> AffineSolution:

@@ -211,6 +211,7 @@ def cmd_solve(args) -> int:
     ]
 
     corr = sol.affine.corrections
+    dev, mean = corr.conditions
     report = {
         "command": "solve",
         "dims": {"n": p.n, "m": p.m},
@@ -221,11 +222,11 @@ def cmd_solve(args) -> int:
         "conditions": sol.gre.report.conditions,
         "corrections": {
             "feasible": corr.feasible,
-            "worst_dev_node": corr.worst_dev_node,
-            "worst_dev_residual": corr.worst_dev_residual,
-            "worst_mean_node": corr.worst_mean_node,
-            "worst_mean_residual": corr.worst_mean_residual,
-            "tolerance": corr.tol,
+            "worst_dev_node": dev.worst_node,
+            "worst_dev_residual": dev.worst_value,
+            "worst_mean_node": mean.worst_node,
+            "worst_mean_residual": mean.worst_value,
+            "tolerance": dev.tolerance,
         },
         "samples": samples,
     }
@@ -393,14 +394,8 @@ def _suite_completion(args, p, doc_law, sweep, solution):
         name="completed_square_identity", passed=passed,
         discrepancy=res.rel_gap, tolerance=COMPLETION_REL_TOL,
         metadata={
-            "lhs": res.lhs,
-            "rhs": res.rhs,
-            "gap": res.gap,
-            "lhs_stderr": res.lhs_stderr,
-            "gap_stderr": res.gap_stderr,
-            "n_paths": res.n_paths,
-            "n_steps": res.n_steps,
-            "seed": res.seed,
+            f.name: getattr(res, f.name) for f in dataclasses.fields(res)
+            if f.name != "rel_gap"  # already the check's discrepancy
         },
     ),))
 

@@ -9,10 +9,11 @@ to the cost of any gain pair, independent of both the Riccati machinery and
 Monte Carlo; the stationarity probe built on top of it is what certifies a
 synthesized gain as a critical point.
 
-The coefficients enter through the coefficient table's channel maps only:
-under the channel gains (fb, fb + mf) each channel moves by F S + S F^T,
-the noise of both feeds the covariance, and each is priced by its running
-weight [I; K]^T H [I; K] and the Riccati's terminal pair (G, G + G_bar).
+The coefficients enter through the coefficient table's channel maps and
+terminal pair only: under the channel gains (fb, fb + mf) each channel
+moves by F S + S F^T, the noise of both feeds the covariance, and each is
+priced by its running weight [I; K]^T H [I; K] and its terminal weight,
+G or G + G_bar.
 E[X X^T] = S_0 + S_1 is formed only at the API boundary.  The pair is
 linear but steps node by node, since its per-step propagator would be
 (2n^2)^2 per gain; each step passes the quadrature's finite-escape screen.
@@ -138,11 +139,6 @@ def _cost_mats(H, gains):
     return np.moveaxis(HK[..., :n, :] + _mT(gains) @ HK[..., n:, :], -3, 0)
 
 
-def _terminal_pair(p: ProblemData):
-    """The terminal weight of each channel, (G, G + G_bar), (2, n, n)."""
-    return np.stack((p.G, p.G + p.G_bar))
-
-
 def _price(W, S):
     """Sum of tr(W_c S_c) over the leading channel axis, batched over the rest."""
     return np.einsum("c...ij,c...ij->...", W, S)
@@ -232,11 +228,12 @@ def homogeneous_cost(p: ProblemData, feedback, mean_feedback, mp: MomentPath) ->
         _gain_nodes(feedback, grid, p.m, p.n),
         _gain_nodes(mean_feedback, grid, p.m, p.n),
     )
-    W = _cost_mats(tabulate(p, grid).node_maps[2], gains)[:, 0]
+    tab = tabulate(p, grid)
+    W = _cost_mats(tab.node_maps[2], gains)[:, 0]
     S = np.stack((mp.second - mp.mean_outer, mp.mean_outer))
     w = trapezoid_weights(grid.n_steps + 1, grid.h)
     running = float(np.sum(w * _price(W, S)))
-    return running + float(_price(_terminal_pair(p), S[:, -1]))
+    return running + float(_price(tab.terminal, S[:, -1]))
 
 
 def batch_cost(
@@ -265,7 +262,7 @@ def batch_cost(
     steps = _moment_steps(tab, gains, _channel_gains(fb_m, mf_m), X0, Y0)
     for k, S in steps:
         costs += w[k] * _price(W[:, :, k], S)
-    return costs + _price(_terminal_pair(p)[:, None], S)
+    return costs + _price(tab.terminal[:, None], S)
 
 
 def stationarity_residual(

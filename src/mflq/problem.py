@@ -462,15 +462,16 @@ def make_problem(n: int, m: int, horizon: TimeGrid, **coeffs) -> ProblemData:
 
 
 def _check_symmetry(name: str, values: np.ndarray, violations: list):
+    """Report the first node of a (stack of) matrices that is not symmetric."""
     stack = values if values.ndim == 3 else values[None]
-    for k, mat in enumerate(stack):
-        gap = np.linalg.norm(mat - mat.T)
-        if gap > SYMMETRY_RTOL * (1.0 + np.linalg.norm(mat)):
-            where = f" at node {k}" if values.ndim == 3 else ""
-            violations.append(
-                f"{name}: not symmetric{where} (|M - M^T| = {gap:.3e})"
-            )
-            break
+    gaps = np.linalg.norm(stack - _mT(stack), axis=(-2, -1))
+    bad = gaps > SYMMETRY_RTOL * (1.0 + np.linalg.norm(stack, axis=(-2, -1)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f" at node {k}" if values.ndim == 3 else ""
+        violations.append(
+            f"{name}: not symmetric{where} (|M - M^T| = {gaps[k]:.3e})"
+        )
 
 
 def _check_path(name: str, path: MatrixPath, shape, horizon: TimeGrid,
@@ -620,14 +621,16 @@ class CoefficientTable:
 
     ``node_maps`` and ``mid_maps`` are the channel maps (F, G, H) of
     ``_channel_maps`` at the nodes and at the midpoints, each built on first
-    read and kept with the table; they are the only place the coefficients
-    combine into the deviation and mean channels.
+    read and kept with the table, and ``terminal`` is the channel pair
+    (G, G + G_bar) of the terminal weights, (2, n, n); they are the only
+    place the coefficients combine into the deviation and mean channels.
     """
 
     grid: TimeGrid
     node: dict
     mid: dict
     sampled: frozenset
+    terminal: np.ndarray
 
     def stack(self, name: str) -> np.ndarray:
         """Node samples of one coefficient as a (K+1, ...) stack, for per-step indexing."""
@@ -664,4 +667,6 @@ def tabulate(p: ProblemData, grid: TimeGrid) -> CoefficientTable:
         node[name].setflags(write=False)
         mid[name].setflags(write=False)
         sampled.add(name)
-    return CoefficientTable(grid, node, mid, frozenset(sampled))
+    terminal = _channel_pair(p.G, p.G_bar)
+    terminal.setflags(write=False)
+    return CoefficientTable(grid, node, mid, frozenset(sampled), terminal)

@@ -315,8 +315,7 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     co_nodes, co_mids = tab.node_maps, tab.mid_maps
 
     Y = np.empty((K + 1, 2, p.n, p.n))
-    Y[K, 0] = _sym(p.G)
-    Y[K, 1] = _sym(p.G + p.G_bar)
+    Y[K] = _sym(tab.terminal)
 
     # One workspace per sweep, shared by its node and midpoint stages.
     N = p.n + p.m

@@ -89,7 +89,6 @@ class SimulationReport:
     n_paths: int
     n_steps: int
     seed: int
-    times: np.ndarray
     mean_path: np.ndarray
     mean_control: np.ndarray
     sample_mean_path: np.ndarray
@@ -461,7 +460,6 @@ def simulate(
         n_paths=n_paths,
         n_steps=n_steps,
         seed=seed,
-        times=grid.nodes,
         mean_path=EX,
         mean_control=EU,
         sample_mean_path=sample_mean,

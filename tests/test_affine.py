@@ -11,14 +11,17 @@ same equation governs the noise coefficient of the pathwise adjoint when the
 inhomogeneity rides on the Brownian value instead.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from mflq import affine
+from mflq import affine, docio
 from mflq.affine import compute_corrections, solve_affine
+from mflq.cli import main
 from mflq.presets import random_spd
 from mflq.problem import TimeGrid, make_problem
-from mflq.riccati import integrate_gre
+from mflq.riccati import DEFAULT_REG_TOL, ConditionVerdict, integrate_gre
 from mflq.synthesis import synthesize
 
 
@@ -80,7 +83,7 @@ def test_corrections_solve_weighted_offsets():
     )
     assert np.all(aff.corrections.corr_noise == 0.0)
     assert aff.feasible
-    assert aff.corrections.worst_mean_residual < 1e-12
+    assert aff.corrections.conditions[1].worst_value < 1e-12
 
 
 def test_infeasible_offset_detected():
@@ -97,10 +100,39 @@ def test_infeasible_offset_detected():
     assert np.all(sol.input_weight == 0.0)
     aff = solve_affine(p, sol)
     assert not aff.feasible
-    assert aff.corrections.worst_dev_node == 0
+    dev = aff.corrections.conditions[0]
+    assert dev.worst_node == 0
     # eta1(0) = 1.5 exactly (RK4 integrates the linear-in-time rhs exactly),
     # and the normalised residual against a zero weight is 1.5/2.5
-    assert aff.corrections.worst_dev_residual == pytest.approx(0.6, abs=1e-12)
+    assert dev.worst_value == pytest.approx(0.6, abs=1e-12)
+
+
+def test_offset_range_constraints_are_condition_verdicts(capsys, tmp_path):
+    """The offsets' range constraints are recorded as the regularity report
+    records the Riccati conditions, and ``mflq solve`` reads its
+    corrections block off those verdicts."""
+    g = TimeGrid(0.0, 1.0, 500)
+    p = make_problem(1, 1, g, B=1.0, Q=1.0, R=0.0, G=1.0, b=(0.0, 1.0))
+    corr = solve_affine(p, integrate_gre(p)).corrections
+    dev, mean = corr.conditions
+    assert isinstance(dev, ConditionVerdict) and isinstance(mean, ConditionVerdict)
+    assert (dev.name, mean.name) == ("offset_range_dev", "offset_range_mean")
+    assert dev.tolerance == mean.tolerance == DEFAULT_REG_TOL
+    assert (dev.passed, mean.passed) == (False, True)
+    assert corr.feasible == all(c.passed for c in corr.conditions)
+
+    doc = tmp_path / "infeasible.json"
+    doc.write_text(docio.dumps(docio.emit_problem(p)))
+    assert main(["solve", str(doc)]) == 0
+    block = json.loads(capsys.readouterr().out)["corrections"]
+    assert block == {
+        "feasible": False,
+        "worst_dev_node": dev.worst_node,
+        "worst_dev_residual": dev.worst_value,
+        "worst_mean_node": mean.worst_node,
+        "worst_mean_residual": mean.worst_value,
+        "tolerance": DEFAULT_REG_TOL,
+    }
 
 
 def test_compute_corrections_matches_solve_affine():

@@ -1,23 +1,25 @@
 """Only ``problem`` turns the quadratic coefficients into channel maps.
 
-The deviation channel runs on (A, B, C, D, Q, S, R) and the mean channel on
-the sums with their ``_bar`` companions.  ``problem._channel_maps`` stacks
-them once per coefficient table as F = [A B], G = [C D] and
-H = [[Q S^T], [S R]], and the Riccati, adjoint and moment layers read those
-maps.  A module that picked a quadratic coefficient out of a table by name
-would decide a second time how the channels combine.  This lint scans those
+The deviation channel runs on (A, B, C, D, Q, S, R) and the terminal weight
+G, and the mean channel on the sums with their ``_bar`` companions.
+``problem._channel_maps`` stacks them once per coefficient table as
+F = [A B], G = [C D] and H = [[Q S^T], [S R]], ``problem.tabulate`` pairs
+the terminal weights as the table's ``terminal`` (G, G + G_bar), and the
+Riccati, adjoint, moment and synthesis layers read those.  A module that
+picked a quadratic coefficient out of a table or a problem by name would
+decide a second time how the channels combine.  This lint scans those
 modules with ``ast`` and reports every place that names one: a string
 literal such as ``tab.node["A"]`` or ``tab.stack("R_bar")`` uses, or an
-attribute such as ``p.B``.
+attribute such as ``p.B`` or ``p.G_bar``.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mflq"
-MAP_READERS = ("riccati.py", "affine.py", "moments.py")
+MAP_READERS = ("riccati.py", "affine.py", "moments.py", "synthesis.py")
 QUADRATIC = frozenset(
-    name + suffix for name in "ABCDQSR" for suffix in ("", "_bar")
+    name + suffix for name in "ABCDQSRG" for suffix in ("", "_bar")
 )
 
 
@@ -46,4 +48,4 @@ def test_lint_sees_subscripts_calls_and_attributes():
         'y = c["q_bar"] + c["rho1"] + p.G_bar + p.P\n'
         '"""A docstring that mentions A, B and S_bar."""\n'
     )
-    assert named_reads(tree) == [(1, "A"), (1, "D"), (1, "R_bar")]
+    assert named_reads(tree) == [(1, "A"), (1, "D"), (1, "R_bar"), (2, "G_bar")]

@@ -226,16 +226,18 @@ def test_batched_passes_match_node_by_node(case):
     _assert_close(corr.corr_noise, ref["noise"])
     _assert_close(corr.corr_mean, ref["mean"])
     offset_res = gre.factor.range_residual(ref["target"][..., None])
+    dev, mean = corr.conditions
     _assert_worst(
-        corr.worst_dev_node, corr.worst_dev_residual,
+        dev.worst_node, dev.worst_value,
         offset_res[:, 0], ref["res_dev"], np.argmax,
     )
     _assert_worst(
-        corr.worst_mean_node, corr.worst_mean_residual,
+        mean.worst_node, mean.worst_value,
         offset_res[:, 1], ref["res_mean"], np.argmax,
     )
     assert corr.feasible == (
-        ref["res_dev"].max() <= corr.tol and ref["res_mean"].max() <= corr.tol
+        ref["res_dev"].max() <= dev.tolerance
+        and ref["res_mean"].max() <= mean.tolerance
     )
 
 

@@ -153,6 +153,18 @@ def test_validate_flags_asymmetric_weight():
     assert any("Q" in v and "symmetric" in v for v in bad)
 
 
+def test_validate_names_the_first_asymmetric_node_of_a_sampled_weight():
+    """Roundoff asymmetry passes; of two asymmetric nodes the earlier is
+    named, with its own gap."""
+    g = TimeGrid(0.0, 1.0, 20)
+    R = np.tile(np.eye(2), (21, 1, 1))
+    R[3, 0, 1] += 1e-14
+    R[7, 0, 1] += 1e-3
+    R[12, 0, 1] = 1e-2
+    p = make_problem(2, 2, g, R=R, G=np.eye(2))
+    assert validate(p) == ["R: not symmetric at node 7 (|M - M^T| = 1.414e-03)"]
+
+
 def test_validate_flags_wrong_shape_path():
     import dataclasses
 
