@@ -10,10 +10,11 @@ Monte Carlo; the stationarity probe built on top of it is what certifies a
 synthesized gain as a critical point.
 
 The coefficients enter through the coefficient table's channel maps and
-terminal pair only: under the channel gains (fb, fb + mf) each channel
-moves by F S + S F^T, the noise of both feeds the covariance, and each is
-priced by its running weight [I; K]^T H [I; K] and its terminal weight,
-G or G + G_bar.
+terminal pair only, the gains as paths sampled and paired by ``problem``'s
+rules, as a coefficient is: under the channel gains (fb, fb + mf) of
+``_channel_pair`` each channel moves by F S + S F^T, the noise of both
+feeds the covariance, and each is priced by its running weight
+[I; K]^T H [I; K] and its terminal weight, G or G + G_bar.
 E[X X^T] = S_0 + S_1 is formed only at the API boundary.  The pair is
 linear but steps node by node, since its per-step propagator would be
 (2n^2)^2 per gain; each step passes the quadrature's finite-escape screen.
@@ -34,6 +35,7 @@ from .problem import (
     MatrixPath,
     ProblemData,
     TimeGrid,
+    _channel_pair,
     _closed_loop,
     _nonzero_terms,
     nodes_and_midpoints,
@@ -41,6 +43,9 @@ from .problem import (
     tabulate,
 )
 from .quadrature import _check_finite, _screen_passes, rk4_steps, trapezoid_weights
+
+# Gain bump of the stationarity probe's central differences.
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -69,35 +74,23 @@ def _require_homogeneous(p: ProblemData):
         )
 
 
-def _gain_nodes(gain, grid: TimeGrid, m: int, n: int):
-    """Node samples of one gain, with a leading batch axis of length one.
-
-    Accepts a MatrixPath, a scalar (filled across all entries), a constant
-    (m, n) array or a sampled (K+1, m, n) stack; returns (1, K+1, m, n).
-    """
-    K = grid.n_steps
+def _gain_path(gain, grid: TimeGrid, m: int, n: int) -> MatrixPath:
+    """One gain as a path: a MatrixPath as it is, a scalar (filled across
+    all entries) or a constant (m, n) array as a constant path, a (K+1, m, n)
+    stack as a path sampled on ``grid``."""
     if isinstance(gain, MatrixPath):
-        return sample_path(gain, grid.nodes)[None]
+        return gain
     arr = np.asarray(gain, dtype=float)
     if arr.ndim == 0:
         arr = np.full((m, n), float(arr))
     if arr.shape == (m, n):
-        return np.broadcast_to(arr, (1, K + 1, m, n)).copy()
-    if arr.shape == (K + 1, m, n):
-        return arr[None]
+        return MatrixPath.constant(arr)
+    if arr.shape == (grid.n_steps + 1, m, n):
+        return MatrixPath.sampled(grid, arr)
     raise ValueError(
         f"cannot interpret gain of shape {arr.shape}; expected ({m}, {n}), "
-        f"({K + 1}, {m}, {n}) or a MatrixPath"
+        f"({grid.n_steps + 1}, {m}, {n}) or a MatrixPath"
     )
-
-
-def _as_gain_stack(gain, grid: TimeGrid, m: int, n: int):
-    """Node and midpoint sample stacks of one gain in a form ``_gain_nodes``
-    accepts, each with a leading batch axis of length one."""
-    if isinstance(gain, MatrixPath):
-        node, mid = nodes_and_midpoints(gain, grid)
-        return node[None], mid[None]
-    return _as_batch_stack(_gain_nodes(gain, grid, m, n), grid, m, n)
 
 
 def _as_batch_stack(gains, grid: TimeGrid, m: int, n: int):
@@ -112,17 +105,13 @@ def _as_batch_stack(gains, grid: TimeGrid, m: int, n: int):
     return arr, 0.5 * (arr[:, :-1] + arr[:, 1:])
 
 
-def _channel_gains(fb, mf):
-    """The channel gains (fb, fb + mf) of (B, K, m, n) gains, (B, K, 2, m, n)."""
-    return np.stack((fb, fb + mf), axis=-3)
-
-
 def _closed_loop_mats(maps, gains):
     """Closed-loop drift and diffusion of both channels, each (2, B, K, n, n).
 
     ``maps`` are the table's (F, G, H) at one family of times and ``gains``
-    the channel gains of ``_channel_gains``; channel 0 is A + B fb, channel
-    1 A + A_bar + (B + B_bar)(fb + mf), and G likewise.
+    the channel pair (fb, fb + mf) of ``_channel_pair``, (B, K, 2, m, n);
+    channel 0 is A + B fb, channel 1 A + A_bar + (B + B_bar)(fb + mf), and
+    G likewise.
     """
     return tuple(np.moveaxis(_closed_loop(t, gains), -3, 0) for t in maps[:2])
 
@@ -203,12 +192,12 @@ def propagate_moments(
     """
     _require_centered_dynamics(p)
     grid = p.horizon if n_steps is None else p.horizon.with_steps(n_steps)
-    fb_n, fb_m = _as_gain_stack(feedback, grid, p.m, p.n)
-    mf_n, mf_m = _as_gain_stack(mean_feedback, grid, p.m, p.n)
+    fb, mf = (nodes_and_midpoints(_gain_path(gain, grid, p.m, p.n), grid)
+              for gain in (feedback, mean_feedback))
+    gains_n, gains_m = (_channel_pair(f, g)[None] for f, g in zip(fb, mf))
     second = np.empty((grid.n_steps + 1, p.n, p.n))
     mean_outer = np.empty_like(second)
-    steps = _moment_steps(tabulate(p, grid), _channel_gains(fb_n, mf_n),
-                          _channel_gains(fb_m, mf_m), X0, Y0)
+    steps = _moment_steps(tabulate(p, grid), gains_n, gains_m, X0, Y0)
     for k, S in steps:
         second[k] = S[0, 0] + S[1, 0]
         mean_outer[k] = S[1, 0]
@@ -224,10 +213,9 @@ def homogeneous_cost(p: ProblemData, feedback, mean_feedback, mp: MomentPath) ->
     """
     _require_homogeneous(p)
     grid = mp.grid
-    gains = _channel_gains(
-        _gain_nodes(feedback, grid, p.m, p.n),
-        _gain_nodes(mean_feedback, grid, p.m, p.n),
-    )
+    fb, mf = (sample_path(_gain_path(gain, grid, p.m, p.n), grid.nodes)
+              for gain in (feedback, mean_feedback))
+    gains = _channel_pair(fb, mf)[None]
     tab = tabulate(p, grid)
     W = _cost_mats(tab.node_maps[2], gains)[:, 0]
     S = np.stack((mp.second - mp.mean_outer, mp.mean_outer))
@@ -255,11 +243,11 @@ def batch_cost(
     if fb_n.shape[0] != mf_n.shape[0]:
         raise ValueError("feedback batches must have equal size")
     tab = tabulate(p, grid)
-    gains = _channel_gains(fb_n, mf_n)
+    gains = _channel_pair(fb_n, mf_n)
     W = _cost_mats(tab.node_maps[2], gains)
     w = trapezoid_weights(grid.n_steps + 1, grid.h)
     costs = np.zeros(fb_n.shape[0])
-    steps = _moment_steps(tab, gains, _channel_gains(fb_m, mf_m), X0, Y0)
+    steps = _moment_steps(tab, gains, _channel_pair(fb_m, mf_m), X0, Y0)
     for k, S in steps:
         costs += w[k] * _price(W[:, :, k], S)
     return costs + _price(tab.terminal[:, None], S)
@@ -271,11 +259,10 @@ def stationarity_residual(
     mean_feedback,
     X0,
     Y0,
-    fd_step: float = 1e-5,
 ) -> float:
     """Max-norm cost gradient under constant-in-time gain bumps.
 
-    Central differences: every entry of both gains is bumped by +/- fd_step
+    Central differences: every entry of both gains is bumped by +/- FD_STEP
     uniformly in time, all 4*m*n propagations run as one batch on the
     problem's grid, and the largest absolute difference quotient comes
     back.  Near zero at a true optimum; order-one a fixed distance away.
@@ -283,8 +270,8 @@ def stationarity_residual(
     _require_homogeneous(p)
     grid = p.horizon
     m, n = p.m, p.n
-    fb_n = _gain_nodes(feedback, grid, m, n)
-    mf_n = _gain_nodes(mean_feedback, grid, m, n)
+    fb_n, mf_n = (sample_path(_gain_path(gain, grid, m, n), grid.nodes)[None]
+                  for gain in (feedback, mean_feedback))
 
     n_entries = m * n
     Bsz = 4 * n_entries
@@ -294,14 +281,14 @@ def stationarity_residual(
     for idx in range(n_entries):
         i, j = divmod(idx, n)
         for sign in (+1.0, -1.0):
-            fbs[row, :, i, j] += sign * fd_step
+            fbs[row, :, i, j] += sign * FD_STEP
             row += 1
         for sign in (+1.0, -1.0):
-            mfs[row, :, i, j] += sign * fd_step
+            mfs[row, :, i, j] += sign * FD_STEP
             row += 1
 
     costs = batch_cost(p, fbs, mfs, X0, Y0)
     plus = costs[0::2]
     minus = costs[1::2]
-    grads = (plus - minus) / (2.0 * fd_step)
+    grads = (plus - minus) / (2.0 * FD_STEP)
     return float(np.max(np.abs(grads)))

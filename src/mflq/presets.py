@@ -30,6 +30,7 @@ from .problem import (
     NoiseAffinePath,
     ProblemData,
     TimeGrid,
+    _MEAN_COUPLING,
     make_problem,
 )
 
@@ -57,16 +58,16 @@ def example31(t: float = 0.5, n_steps: int = _DEFAULT_STEPS):
     return p, InitialLaw.deterministic(1.0)
 
 
-def example31_null_control(t: float = 0.5, x: float = 1.0) -> ControlSpec:
-    """The open-loop control that zeroes out example31 from state x W(t).
+def example31_null_control(t: float = 0.5) -> ControlSpec:
+    """The open-loop control that zeroes out example31 from state W(t).
 
-    Paired with the Brownian-loaded initial state xi = x W(t), the control
-    u(s) = W(t) x / (t - 1) (Brownian factor frozen at the start time) drives
-    X(s) = x W(t) (1 - s) / (1 - t): exactly linear in s, zero at the
+    Paired with the Brownian-loaded initial state xi = W(t), the control
+    u(s) = W(t) / (t - 1) (Brownian factor frozen at the start time) drives
+    X(s) = W(t) (1 - s) / (1 - t): exactly linear in s, zero at the
     terminal time, zero cost.  No closed-loop strategy achieves this, which
     is the point of the example.
     """
-    coeff = x / (t - 1.0)
+    coeff = 1.0 / (t - 1.0)
     return ControlSpec(
         feedback=MatrixPath.constant(np.zeros((1, 1))),
         mean_feedback=MatrixPath.constant(np.zeros((1, 1))),
@@ -154,22 +155,15 @@ def random_spd(
     brownian_load = u(n, 0.4)
     indep_load = u((n, n), 0.35)
 
-    if not with_bars:
-        A_bar = np.zeros((n, n))
-        B_bar = np.zeros((n, m))
-        C_bar = np.zeros((n, n))
-        D_bar = np.zeros((n, m))
-        Q_bar = np.zeros((n, n))
-        S_bar = np.zeros((m, n))
-        R_bar = np.zeros((m, m))
-        G_bar = np.zeros((n, n))
-
     coeffs = dict(
         A=A, A_bar=A_bar, B=B, B_bar=B_bar,
         C=C, C_bar=C_bar, D=D, D_bar=D_bar,
         Q=Q, Q_bar=Q_bar, S=S, S_bar=S_bar, R=R, R_bar=R_bar,
         G=G, G_bar=G_bar,
     )
+    if not with_bars:  # after every draw; make_problem zero-fills them
+        for name in _MEAN_COUPLING:
+            del coeffs[name]
     if inhomogeneous:
         coeffs.update(
             b=b, sigma=sigma, q=q, rho=rho,

@@ -191,10 +191,6 @@ class NoiseAffinePath:
             frozen_at_start,
         )
 
-    @property
-    def shape(self) -> tuple:
-        return self.const_part.shape
-
 
 @dataclass(frozen=True)
 class InitialLaw:
@@ -243,6 +239,13 @@ class InitialLaw:
 
     def second_moment(self, t0: float) -> np.ndarray:
         return self.covariance(t0) + np.outer(self.mean, self.mean)
+
+
+def _check_law_dim(law: InitialLaw, n: int):
+    if law.dim != n:
+        raise ValidationError(
+            f"initial law dimension {law.dim} does not match state dimension {n}"
+        )
 
 
 @dataclass(frozen=True)
@@ -497,33 +500,21 @@ def _check_path(name: str, path: MatrixPath, shape, horizon: TimeGrid,
 
 
 def validate(p: ProblemData) -> list:
-    """Return a list of human-readable violations; empty means valid."""
+    """Return a list of human-readable violations; empty means valid.  Each
+    coefficient is checked as a path, a terminal weight as a constant one."""
     violations = []
     if p.n < 1 or p.m < 1:
         violations.append("dimensions n and m must be positive")
         return violations
-    table = _coeff_table(p.n, p.m)
-    for name, (kind, shape, symmetric) in table.items():
+    for name, (kind, shape, symmetric) in _coeff_table(p.n, p.m).items():
         value = getattr(p, name)
-        if kind == "path":
-            _check_path(name, value, shape, p.horizon, symmetric, violations)
-        elif kind == "noise":
-            _check_path(f"{name}.const", value.const_part, shape, p.horizon,
-                        False, violations)
-            _check_path(f"{name}.noise", value.noise_part, shape, p.horizon,
-                        False, violations)
+        if kind == "noise":
+            paths = {f"{name}.const": value.const_part,
+                     f"{name}.noise": value.noise_part}
         else:
-            arr = value
-            if arr.shape != shape:
-                violations.append(
-                    f"{name}: expected shape {shape}, got {arr.shape}"
-                )
-                continue
-            if not np.all(np.isfinite(arr)):
-                violations.append(f"{name}: contains non-finite entries")
-                continue
-            if symmetric:
-                _check_symmetry(name, arr, violations)
+            paths = {name: value if kind == "path" else MatrixPath(value)}
+        for label, path in paths.items():
+            _check_path(label, path, shape, p.horizon, symmetric, violations)
     return violations
 
 

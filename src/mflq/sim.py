@@ -53,6 +53,7 @@ from .problem import (
     ProblemData,
     TimeGrid,
     _TIME_SLACK,
+    _check_law_dim,
     _closed_loop,
     _join,
     _nonzero_terms,
@@ -430,10 +431,7 @@ def simulate(
         raise ValidationError("n_paths must be positive")
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
-    if law.dim != p.n:
-        raise ValidationError(
-            f"initial law dimension {law.dim} does not match state dimension {p.n}"
-        )
+    _check_law_dim(law, p.n)
     grid = p.horizon.with_steps(n_steps)
     tab = tabulate(p, grid)
     control = _control_samples(spec, grid)

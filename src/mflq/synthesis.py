@@ -24,6 +24,7 @@ from .problem import (
     NoiseAffinePath,
     ProblemData,
     TimeGrid,
+    _check_law_dim,
 )
 from .quadrature import trapezoid
 from .riccati import GreSolution, integrate_gre
@@ -94,8 +95,10 @@ def value(sol: ClosedLoopSolution, law: InitialLaw) -> float:
     law's Brownian loading contributes t * outer(c, c) to the covariance.
 
     When ``sol.solvable`` is false the returned number is the weak-value
-    candidate rather than an attained optimum.
+    candidate rather than an attained optimum.  A law whose dimension is
+    not the state's raises ValidationError.
     """
+    _check_law_dim(law, sol.problem.n)
     gre = sol.gre
     aff = sol.affine
     grid = sol.grid

@@ -78,7 +78,7 @@ def test_criterion_03_adapted_control_reaching_zero_terminal_state():
     terminal time; the simulated cost vanishes to round-off."""
     t = 0.5
     p, _ = example31(t=t)
-    spec = example31_null_control(t=t, x=1.0)
+    spec = example31_null_control(t=t)
     law = InitialLaw(
         mean=np.zeros(1),
         brownian_load=np.ones(1),
@@ -145,10 +145,9 @@ def test_criterion_07_synthesized_gains_are_stationary():
         fb = sol.gre.gain_dev
         mf = sol.gre.gain_mean - sol.gre.gain_dev
 
-        at_opt = stationarity_residual(p, fb, mf, X0, Y0, fd_step=1e-5)
+        at_opt = stationarity_residual(p, fb, mf, X0, Y0)
         assert at_opt <= 1e-4
-        away = stationarity_residual(p, fb + 0.5, mf + 0.5, X0, Y0,
-                                     fd_step=1e-5)
+        away = stationarity_residual(p, fb + 0.5, mf + 0.5, X0, Y0)
         assert away >= 1e-2
 
 

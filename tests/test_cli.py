@@ -374,6 +374,30 @@ def test_simulate_zero_strategy_is_exact(capsys, tmp_path):
     assert rep["n_paths"] == 200
 
 
+def test_simulate_zero_strategy_synthesizes_only_for_the_csv(capsys, tmp_path):
+    """--strategy zero needs no synthesis for its report; --csv still
+    writes the time series of a synthesis, with the zero strategy's mean."""
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    argv = ["simulate", path, "--strategy", "zero",
+            "--paths", "20", "--steps", "20", "--seed", "1"]
+    _, plain, _ = run(capsys, argv)
+    run(capsys, ["solve", path, "--csv", str(tmp_path / "solve")])
+    code, out, err = run(capsys, [*argv, "--csv", str(tmp_path / "sim")])
+    assert code == 0
+    assert out == plain
+    tables = []
+    for name in ("sim", "solve"):
+        with open(tmp_path / name / "timeseries.csv", newline="") as fh:
+            tables.append(list(csv.DictReader(fh)))
+    zero, optimal = tables
+    assert len(zero) == len(optimal) == 1001
+    for row, want in zip(zero, optimal):
+        # dX = u ds with u = 0 keeps the mean at its start x = 1.
+        assert float(row.pop("EX_0")) == 1.0
+        want.pop("EX_0")
+        assert row == want
+
+
 def test_simulate_refuses_zero_steps(capsys, tmp_path):
     path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
     code, out, err = run(capsys, [

@@ -123,6 +123,17 @@ def test_wrong_kind_rejected():
         load_strategy({"kind": PROBLEM_KIND}, 1, 1, TimeGrid(0.0, 1.0, 10))
 
 
+def test_strategy_without_offset_gets_the_zero_offset():
+    p, _ = scalar_classic(n_steps=20)
+    doc = emit_strategy(ControlSpec.zero(1, 1), 1, 1, p.horizon)
+    del doc["offset"]
+    spec = load_strategy(doc, 1, 1, p.horizon)
+    for part in (spec.offset.const_part, spec.offset.noise_part):
+        assert part.is_constant
+        np.testing.assert_array_equal(part.values, np.zeros(1))
+    assert spec.offset.frozen_at_start is False
+
+
 def test_strategy_dimension_mismatch():
     p, _ = scalar_classic(n_steps=20)
     doc = emit_strategy(ControlSpec.zero(2, 2), 2, 2, p.horizon)

@@ -21,15 +21,20 @@ from mflq.errors import FiniteEscapeError
 from mflq.linalg import _mT, _sym
 from mflq.moments import (
     _as_batch_stack,
-    _as_gain_stack,
-    _gain_nodes,
+    _gain_path,
     batch_cost,
     homogeneous_cost,
     propagate_moments,
     stationarity_residual,
 )
 from mflq.presets import random_spd
-from mflq.problem import MatrixPath, _closed_loop, tabulate
+from mflq.problem import (
+    MatrixPath,
+    _closed_loop,
+    nodes_and_midpoints,
+    sample_path,
+    tabulate,
+)
 from mflq.quadrature import BLOWUP_NORM, rk4_steps, trapezoid_weights
 from mflq.synthesis import synthesize, value
 
@@ -90,16 +95,18 @@ def reference_weights(H, fb, mf):
 
 def reference_propagate(p, feedback, mean_feedback, X0, Y0):
     grid = p.horizon
-    fb_n, fb_m = _as_gain_stack(feedback, grid, p.m, p.n)
-    mf_n, mf_m = _as_gain_stack(mean_feedback, grid, p.m, p.n)
+    fb_n, fb_m = (s[None] for s in nodes_and_midpoints(
+        _gain_path(feedback, grid, p.m, p.n), grid))
+    mf_n, mf_m = (s[None] for s in nodes_and_midpoints(
+        _gain_path(mean_feedback, grid, p.m, p.n), grid))
     Z = reference_sweep(tabulate(p, grid), fb_n, fb_m, mf_n, mf_m, X0, Y0)
     return Z[:, 0, 0], Z[:, 1, 0]
 
 
 def reference_cost(p, feedback, mean_feedback, second, mean_outer):
     grid = p.horizon
-    fb_n = _gain_nodes(feedback, grid, p.m, p.n)
-    mf_n = _gain_nodes(mean_feedback, grid, p.m, p.n)
+    fb_n = sample_path(_gain_path(feedback, grid, p.m, p.n), grid.nodes)[None]
+    mf_n = sample_path(_gain_path(mean_feedback, grid, p.m, p.n), grid.nodes)[None]
     M, N = reference_weights(tabulate(p, grid).node_maps[2], fb_n, mf_n)
     w = trapezoid_weights(grid.n_steps + 1, grid.h)
     running = np.sum(
@@ -132,8 +139,9 @@ def reference_batch_cost(p, feedbacks, mean_feedbacks, X0, Y0):
 def reference_residual(p, feedback, mean_feedback, X0, Y0, fd_step=1e-5):
     """Central differences over every entry of both gains, row by row."""
     m, n = p.m, p.n
-    fb_n = _gain_nodes(feedback, p.horizon, m, n)
-    mf_n = _gain_nodes(mean_feedback, p.horizon, m, n)
+    grid = p.horizon
+    fb_n = sample_path(_gain_path(feedback, grid, m, n), grid.nodes)[None]
+    mf_n = sample_path(_gain_path(mean_feedback, grid, m, n), grid.nodes)[None]
     fbs = np.repeat(fb_n, 4 * m * n, axis=0)
     mfs = np.repeat(mf_n, 4 * m * n, axis=0)
     row = 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mflq.errors import FiniteEscapeError
+from mflq.errors import FiniteEscapeError, ValidationError
 from mflq.moments import (
     batch_cost,
     homogeneous_cost,
@@ -154,6 +154,21 @@ def test_gain_shape_is_validated():
     p = classic(50)
     with pytest.raises(ValueError, match="cannot interpret gain"):
         propagate_moments(p, np.zeros((2, 3)), 0.0, [[1.0]], [[1.0]])
+
+
+def test_non_finite_gain_is_refused():
+    p = classic(50)
+    gain = np.zeros((51, 1, 1))
+    gain[7] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        propagate_moments(p, gain, 0.0, [[1.0]], [[1.0]])
+
+
+def test_batch_cost_refuses_unequal_batches():
+    p = classic(50)
+    X0 = [[1.0]]
+    with pytest.raises(ValueError, match="equal size"):
+        batch_cost(p, np.zeros((3, 51, 1, 1)), np.zeros((2, 51, 1, 1)), X0, X0)
 
 
 def test_single_gain_functions_reject_a_batch():

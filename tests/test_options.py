@@ -9,6 +9,12 @@ keyword or by position, by at least one call under ``src/``, ``tests/``
 or ``bench/``.  Calls are matched by the called name alone, so a call
 ``obj.f(...)`` counts for every function or method named ``f``.
 
+A parameter that every call passes its own default is the same dead knob
+in disguise, so a second lint flags a parameter when some call sets it
+and every call that does passes a literal equal to the default (compared
+with ``ast.literal_eval``).  A non-literal argument, or a call through
+``*`` or ``**``, counts as a different value.
+
 The command line gets the same lint: every ``--flag`` that ``mflq.cli``
 adds to its parser must appear in some test or bench as a string of its
 own, ``"--flag"`` or ``"--flag=value"``.  So must every value a parser
@@ -51,6 +57,15 @@ def _optional_params(tree):
     Methods drop their bound first parameter, so the indices match the
     positional arguments of a call through an instance or the class.
     """
+    return [
+        (name, {param: index for param, (index, _) in params.items()})
+        for name, params in _defaults(tree)
+    ]
+
+
+def _defaults(tree):
+    """(function name, {parameter: (positional index or None, default node)})
+    per public def, indexed as in ``_optional_params``."""
     found = []
 
     def visit(body, in_class):
@@ -68,9 +83,12 @@ def _optional_params(tree):
                 if in_class and "staticmethod" not in decorators:
                     positional = positional[1:]
                 defaulted = positional[len(positional) - len(args.defaults):]
-                params = {a.arg: positional.index(a) for a in defaulted}
+                params = {
+                    a.arg: (positional.index(a), d)
+                    for a, d in zip(defaulted, args.defaults)
+                }
                 params.update(
-                    (a.arg, None)
+                    (a.arg, (None, d))
                     for a, d in zip(args.kwonlyargs, args.kw_defaults)
                     if d is not None
                 )
@@ -135,6 +153,79 @@ def unset_options():
 
 def test_every_optional_parameter_has_a_caller():
     assert unset_options() == []
+
+
+def _literal(node):
+    """The value of a literal expression node, or a fresh object that equals
+    nothing when it is not a literal."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return object()
+
+
+def _passed_values(calls, param, index):
+    """The argument nodes of the calls that set ``param``, None for a call
+    through ``*`` or ``**``, whose value cannot be read."""
+    found = []
+    for call in calls:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            kw.arg is None for kw in call.keywords
+        ):
+            found.append(None)
+            continue
+        by_name = [kw.value for kw in call.keywords if kw.arg == param]
+        if by_name:
+            found.append(by_name[0])
+        elif index is not None and index < len(call.args):
+            found.append(call.args[index])
+    return found
+
+
+def default_only_options(trees, package):
+    """Sorted "module.function(parameter)" entries of the {module: tree}
+    ``package`` that some call in ``trees`` sets and every call that sets
+    passes the parameter's own default, as a literal."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) is not None:
+                calls.setdefault(_called_name(node), []).append(node)
+
+    flagged = []
+    for stem, tree in package.items():
+        for func, params in _defaults(tree):
+            for param, (index, default) in params.items():
+                passed = _passed_values(calls.get(func, []), param, index)
+                want = _literal(default)
+                if passed and all(
+                    v is not None and _literal(v) == want for v in passed
+                ):
+                    flagged.append(f"{stem}.{func}({param})")
+    return sorted(flagged)
+
+
+def test_no_optional_parameter_is_only_passed_its_default():
+    trees = [_parse(path) for top in CALLER_DIRS
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    package = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert default_only_options(trees, package) == []
+
+
+def test_default_lint_sees_literals_names_and_star_calls():
+    package = {"a": ast.parse(
+        "def f(x, y=1.0, z=None, *, w='s'):\n    pass\n"
+        "def g(a=2):\n    pass\n"
+        "def h(b=3):\n    pass\n"
+        "def k(c=0):\n    pass\n"
+    )}
+    callers = [ast.parse(
+        "f(0, 1)\nf(0, y=1.0, z=None, w='t')\nf(1, z=None)\n"
+        "g(2)\ng(a)\n"
+        "h(3)\nh(*args)\n"
+        "k()\n"
+    )]
+    assert default_only_options(callers, package) == ["a.f(y)", "a.f(z)"]
 
 
 def test_lint_sees_keyword_and_positional_callers():

@@ -156,7 +156,7 @@ def test_adapted_null_strategy_reaches_zero_terminal_state():
         brownian_load=np.array([1.0]),
         indep_load=np.zeros((1, 1)),
     )
-    spec = example31_null_control(t, 1.0)
+    spec = example31_null_control(t)
     rep = simulate(p, spec, law, n_paths=3000, n_steps=200, seed=13)
     assert abs(rep.terminal_mean[0]) < 1e-13
     assert rep.terminal_second_moment[0, 0] < 1e-26
@@ -184,6 +184,20 @@ def test_estimate_cost_validates_shapes():
     p = make_problem(1, 1, g, B=1.0, R=1.0, G=1.0)
     with pytest.raises(ValidationError):
         estimate_cost(g.nodes, np.zeros((2, 5, 1)), np.zeros((2, 11, 1)), p)
+
+
+def test_estimate_cost_refuses_times_of_another_length():
+    g = TimeGrid(0.0, 1.0, 10)
+    p = make_problem(1, 1, g, B=1.0, R=1.0, G=1.0)
+    X = np.zeros((2, 11, 1))
+    with pytest.raises(ValidationError, match="times length"):
+        estimate_cost(g.nodes[:-1], X, X, p)
+
+
+def test_mean_ode_refuses_a_misshaped_initial_mean():
+    p, _ = scalar_classic(n_steps=20)
+    with pytest.raises(ValidationError, match=r"initial mean: expected shape \(1,\)"):
+        mean_ode(p, ControlSpec.zero(1, 1), [1.0, 2.0])
 
 
 @pytest.mark.parametrize("x_dim, u_dim", [(2, 1), (1, 2)])

@@ -16,6 +16,7 @@ import pytest
 
 import mflq
 from mflq import affine, linalg, problem, riccati
+from mflq.errors import ValidationError
 from mflq.linalg import _sym
 from mflq.presets import example31, random_spd, scalar_classic
 from mflq.problem import InitialLaw, TimeGrid, make_problem
@@ -33,6 +34,15 @@ def test_scalar_classic_value():
     assert value(sol, law) == pytest.approx(0.5, abs=1e-12)
     law3 = InitialLaw.deterministic([3.0])
     assert value(sol, law3) == pytest.approx(4.5, abs=1e-11)
+
+
+def test_value_names_a_mismatched_initial_law():
+    """A law of the wrong dimension used to end in numpy's matmul error."""
+    p, _ = random_spd(0, n_steps=50)
+    sol = synthesize(p)
+    with pytest.raises(ValidationError, match="initial law dimension 1 does "
+                       "not match state dimension 2"):
+        value(sol, InitialLaw.deterministic([1.0]))
 
 
 def test_strategy_mean_feedback_vanishes_without_bars():

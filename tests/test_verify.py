@@ -72,6 +72,12 @@ def test_qp_oracle_unbounded():
     assert res.control is None
 
 
+def test_qp_oracle_refuses_a_misshaped_initial_state():
+    p, _ = scalar_classic(n_steps=20)
+    with pytest.raises(ValueError, match=r"initial state must have shape \(1,\)"):
+        qp_oracle(p, [1.0, 2.0], 10)
+
+
 def test_qp_oracle_rejects_noise():
     p, _ = example31()
     with pytest.raises(ValueError, match="D_bar"):
