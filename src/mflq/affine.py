@@ -12,10 +12,18 @@ Brownian value.  Coefficients come from the table on the Riccati solution,
 the quadratic ones only through its channel maps F = [A B] and G = [C D]:
 each adjoint runs on its channel's closed-loop maps A + B K and C + D K.
 Both adjoints are linear ODEs and go through ``quadrature.linear_rk4``,
-which steps them through batched runs of RK4 propagators.  The offsets'
-range constraints, the second half of the paper's solvability test, are
-recorded as ``ConditionVerdict``s, as the regularity report records the
-first half.
+which steps them through batched runs of RK4 propagators.  Their (d, d)
+coefficient L and their forcing g are ``quadrature.OnDemand`` tables:
+``linear_rk4`` builds them one run of points at a time, so no (K+1, n, n)
+table of an adjoint is ever held; the vector loads they read are (K+1, n)
+stacks formed once.  The noise adjoint's nodal rate, which its Hermite
+midpoints need, is formed run by run after its sweep, from a second build
+of its node table's points: ``linear_rk4`` returns the solution only, and
+the stepwise reference the tests swap in for it cannot return more.  The
+offsets of both channels are written into one channel-major
+buffer, as the Riccati solution's pairs are, and their range constraints,
+the second half of the paper's solvability test, are recorded as
+``ConditionVerdict``s, as the regularity report records the first half.
 """
 
 from __future__ import annotations
@@ -26,14 +34,15 @@ import numpy as np
 
 from .linalg import _mT
 from .problem import ProblemData, TimeGrid, _closed_loop
-from .quadrature import linear_rk4
+from .quadrature import _RUN, OnDemand, linear_rk4
 from .riccati import (
     DEFAULT_REG_TOL,
     GreSolution,
     MidpointData,
+    _channels,
     _gain,
+    _pair_buffer,
     _range_verdict,
-    _split,
     dense_midpoints,
     hermite_midpoints,
 )
@@ -78,15 +87,35 @@ def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (M @ v[..., None])[..., 0]
 
 
-def _adjoint_ode(maps, channel, gain, Y, v, r, b, q):
-    """L and g of one channel's adjoint d eta/ds = L eta + g.
+def _rows(x, idx, point_ndim=1):
+    """A node or midpoint stack at the points idx; a constant, which has
+    the dimensions of one point only, passes through."""
+    return x if x.ndim == point_ndim else x[idx]
 
-    L = -F^T and g = -(G^T v + K^T r + Y b + q), with F = A + B K and
-    G = C + D K the channel's closed-loop maps under its gain K, Y its
-    Riccati matrix and (v, r) its diffusion and control loads.
+
+def _adjoint_ode(maps, channel, gain, Y, v, r, b, q):
+    """L and g of one channel's adjoint d eta/ds = L eta + g, as ``OnDemand``
+    tables over the points of Y that build the points asked for:
+
+        L = -F^T and g = -(G^T v + K^T r + Y b + q),
+
+    with F = A + B K and G = C + D K the channel's closed-loop maps under
+    its gain K, Y its Riccati matrix and (v, r) its diffusion and control
+    loads.  The vector terms K^T r and Y b are formed once over all the
+    points; the matrix-sized ones, F, G and L, exist only for the points
+    built.
     """
-    F, G = (_closed_loop(t[..., channel, :, :], gain) for t in maps[:2])
-    return -_mT(F), -(_mv(_mT(G), v) + _mv(_mT(gain), r) + _mv(Y, b) + q)
+    F_open, G_open = (t[..., channel, :, :] for t in maps[:2])
+    Kr, Yb = _mv(_mT(gain), r), _mv(Y, b)
+
+    def build_L(idx):
+        return -_mT(_closed_loop(_rows(F_open, idx, 2), gain[idx]))
+
+    def build_g(idx):
+        G = _closed_loop(_rows(G_open, idx, 2), gain[idx])
+        return -(_mv(_mT(G), v[idx]) + Kr[idx] + Yb[idx] + _rows(q, idx))
+
+    return OnDemand(build_L), OnDemand(build_g)
 
 
 def _noise_loads(c, P):
@@ -106,14 +135,20 @@ def _noise_ode(c, maps, P, Th):
 
 def _noise_adjoint(p: ProblemData, sol: GreSolution, mids: MidpointData):
     """The noise adjoint and the Hermite midpoints of it that the mean
-    adjoint reads, from one build of its nodal ODE for both."""
+    adjoint reads.  Its nodal rate L eta + g, which the midpoints need, is
+    formed one run of nodes at a time from the node table the sweep read,
+    which builds those points again."""
     tab = sol.table
     L_n, g_n = _noise_ode(tab.node, tab.node_maps, sol.P, sol.gain_dev)
     L_m, g_m = _noise_ode(tab.mid, tab.mid_maps, mids.P, mids.gain_dev)
     eta = linear_rk4(
         sol.grid, L_n, g_n, L_m, g_m, p.g1, "adjoint offset", backward=True
     )
-    return eta, hermite_midpoints(eta, _mv(L_n, eta) + g_n, sol.grid.h)
+    rate = np.empty_like(eta)
+    for start in range(0, len(eta), _RUN):
+        run = slice(start, start + _RUN)
+        rate[run] = _mv(L_n[run], eta[run]) + g_n[run]
+    return eta, hermite_midpoints(eta, rate, sol.grid.h)
 
 
 def _mean_ode(c, maps, P, Pm, Ga, e1):
@@ -163,8 +198,10 @@ def compute_corrections(
     v, r, r_bar = (np.stack(np.broadcast_arrays(*pair), axis=-2) for pair in pairs)
     eta = np.stack((adjoint_noise, adjoint_mean), axis=1)
     targets = _mv(_mT(F[..., n:]), eta) + _mv(_mT(G[..., n:]), v) + r + r_bar
+    corr = _pair_buffer(targets.shape[:1] + targets.shape[2:])
     targets = targets[..., None]
-    corr_noise, corr_mean = _split(_gain(targets, sol.factor)[..., 0])
+    corr[...] = _gain(targets, sol.factor)[..., 0]
+    corr_noise, corr_mean = _channels(corr)
     residual = sol.factor.range_residual(targets)
     conditions = tuple(
         _range_verdict(name, residual[:, ch], DEFAULT_REG_TOL)

@@ -217,7 +217,12 @@ def sym_factor(M) -> SymFactor:
     """Factor a stack of symmetric matrices with one batched ``_eigh``.
 
     M has shape (..., m, m) and must already be symmetric; only its lower
-    triangle is read.
+    triangle is read.  A stack that is not C-contiguous, such as the
+    node-major view of a channel-major pair of weights, is factored from a
+    C-contiguous copy: the gufunc lays its outputs out like its input, and
+    the products every caller forms with the eigenvectors run faster on a
+    C-contiguous stack of small matrices than on a strided one (twice as
+    fast for the gains at (n, m) = (1, 1)).
     """
-    lam, V = _eigh(np.asarray(M, dtype=float))
+    lam, V = _eigh(np.ascontiguousarray(M, dtype=float))
     return SymFactor(eigvals=lam, eigvecs=V)

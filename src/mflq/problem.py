@@ -40,10 +40,18 @@ def _as_float_array(value, name: str = "value") -> np.ndarray:
 def _private(value) -> np.ndarray:
     """value as a read-only float array that no other array can write to: a
     container freezes none of its caller's arrays and shares none they can
-    write.  A read-only array that owns its data is kept as it is (the
-    solver's gains and offsets are made so); anything else is copied."""
+    write.  A read-only array that owns its data is kept as it is, and so
+    is a read-only view of a read-only array that owns its data (the
+    solver's gains, Riccati matrices and offsets are made so: slabs of one
+    read-only channel-pair buffer); anything else is copied."""
     arr = np.asarray(value, dtype=float)
-    if arr.flags.writeable or not arr.flags.owndata:
+    owner = arr if arr.base is None else arr.base
+    kept = (
+        isinstance(owner, np.ndarray)
+        and owner.flags.owndata
+        and not (arr.flags.writeable or owner.flags.writeable)
+    )
+    if not kept:
         arr = arr.copy()
         arr.setflags(write=False)
     return arr

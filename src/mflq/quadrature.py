@@ -2,12 +2,14 @@
 classical RK4 tableau that every ODE sweep runs on, and the two ways it is
 driven.  ``rk4_steps`` takes one step at a time and serves the nonlinear
 Riccati pair and the moment pair.  ``linear_rk4`` serves linear ODEs with
-tabulated coefficients: each RK4 step of dy/ds = L y + g is an affine map
+coefficients on the grid: each RK4 step of dy/ds = L y + g is an affine map
 y -> Phi y + psi, so it builds those maps, as increments Phi - I, for a run
 of steps in one batched pass of the same tableau, and reads all the run's
 nodes off them with a work-efficient scan: fewer map products than steps,
 then one matrix-vector product per node, in a few batched products a
-level.  The Riccati and moment sweeps screen each step for finite escape
+level.  It reads each table one run at a time, so a table may be an
+``OnDemand`` one that builds only the run's points and is never held
+whole.  The Riccati and moment sweeps screen each step for finite escape
 with one dot product; a linear sweep screens each run with one batched
 one."""
 
@@ -72,9 +74,9 @@ def _stage(y, f, c):
 def _rk4_step(y, dt, k, i, j, f_node, f_mid):
     """The increment (dt/6) (f1 + 2 f2 + 2 f3 + f4) of one classical RK4
     step of size dt from node k to node j through the midpoint i of their
-    interval; k, i and j may be index arrays, stepping a batch of values
-    at once.  The caller adds y, so a linear sweep can keep the increment
-    of a step map, which Phi = I + increment would round.
+    interval; k, i and j may be ranges of a run's rows, stepping a batch
+    of values at once.  The caller adds y, so a linear sweep can keep the
+    increment of a step map, which Phi = I + increment would round.
 
     Each rate must return a fresh array: the increment is formed in place
     on them, with the formula's roundings in its order, so the only arrays
@@ -113,13 +115,31 @@ def rk4_steps(grid, f_node, f_mid, start, backward=False, post=None):
         yield j, y
 
 
+class OnDemand:
+    """A coefficient table that is never held whole: ``table[idx]`` builds
+    the points idx, an int, a slice or an index array, with ``build(idx)``.
+    ``linear_rk4`` asks one run of points at a time, a stepwise sweep one
+    point."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __getitem__(self, idx):
+        return self.build(idx)
+
+
 def _affine_rate(L, g):
     """Rate of an augmented value Y = [Phi | psi] under dy/ds = L y + g at a
-    batch of grid points: L[idx] @ Y, with g[idx] added to the last column."""
+    batch of a run's points, given as a range of rows of the run's tables L
+    and g, which are read through the matching slice: L @ Y, with g added
+    to the last column."""
 
-    def rate(Y, idx):
-        R = L[idx] @ Y
-        R[..., -1] += g[idx]
+    def rate(Y, rows):
+        rows = slice(rows.start, rows.stop)
+        R = L[rows] @ Y
+        R[..., -1] += g[rows]
         return R
 
     return rate
@@ -207,21 +227,39 @@ def _carry_run(maps, y, ends, out, name, times):
     return y
 
 
+def _run_points(K, s, n, backward):
+    """The run of n steps that starts s steps into a sweep over K steps:
+    slices of its n + 1 nodes and n midpoints in sweep order, and the index
+    array of the n nodes it steps to."""
+    if not backward:
+        return slice(s, s + n + 1), slice(s, s + n), np.arange(s + 1, s + n + 1)
+    top = K - s
+
+    def down(hi, count):
+        return slice(hi, hi - count if hi >= count else None, -1)
+
+    return down(top, n + 1), down(top - 1, n), np.arange(top - 1, top - n - 1, -1)
+
+
 def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
     """Integrate dy/ds = L y + g with classical fixed-step RK4.
 
-    L and g are tabulated at the nodes, (K+1, d, d) and (K+1, d), and at the
-    interval midpoints, (K, d, d) and (K, d).  The sweep starts from
-    ``start`` at the first node, or at the last one when ``backward``, and
-    raises FiniteEscapeError (naming ``name``) at the first node whose
-    solution is not finite or exceeds BLOWUP_NORM.  Returns y at every node.
+    L and g are given at the nodes, (K+1, d, d) and (K+1, d), and at the
+    interval midpoints, (K, d, d) and (K, d), as arrays or as ``OnDemand``
+    tables that build them.  The sweep starts from ``start`` at the first
+    node, or at the last one when ``backward``, and raises
+    FiniteEscapeError (naming ``name``) at the first node whose solution is
+    not finite or exceeds BLOWUP_NORM.  Returns y at every node.
 
-    Each RK4 step is the affine map y_j = Phi y_k + psi.  For every run of
-    at most _RUN steps, in sweep order, the increment of one batched RK4
-    step from the augmented identity [I | 0] gives [Phi - I | psi] of all
-    the run's steps, and ``_carry_run`` reads y at all the run's nodes off
-    them with the
-    scan of ``_prefix_products``, in at most 2 ceil(log2 _RUN) batched
+    Each RK4 step is the affine map y_j = Phi y_k + psi.  The sweep takes
+    the grid in runs of at most _RUN steps, in sweep order.  Each run reads
+    its tables once, through one slice per table in sweep order (an
+    ``OnDemand`` table builds just those points, so no table is ever held
+    whole), and its batched RK4 step from the augmented identity [I | 0]
+    reads the stages' node and midpoint rows as slices of them: the
+    increment gives [Phi - I | psi] of all the run's steps, and
+    ``_carry_run`` reads y at all the run's nodes off them with the scan
+    of ``_prefix_products``, in at most 2 ceil(log2 _RUN) batched
     products; no step is walked.
     """
     K = grid.n_steps
@@ -231,14 +269,14 @@ def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
     out[first] = start
     y = out[first]
     dt = -grid.h if backward else grid.h
-    f_node, f_mid = _affine_rate(L_node, g_node), _affine_rate(L_mid, g_mid)
     d = np.shape(start)[-1]
     eye = np.eye(d, d + 1)
     for s in range(0, K, _RUN):
-        k = np.arange(s, min(s + _RUN, K))
-        if backward:
-            k = K - k
-        j = k - 1 if backward else k + 1
-        maps = _rk4_step(eye, dt, k, np.minimum(k, j), j, f_node, f_mid)
-        y = _carry_run(maps, y, j, out, name, nodes)
+        n = min(_RUN, K - s)
+        at, mid, ends = _run_points(K, s, n, backward)
+        f_node = _affine_rate(L_node[at], g_node[at])
+        f_mid = _affine_rate(L_mid[mid], g_mid[mid])
+        steps = range(n)
+        maps = _rk4_step(eye, dt, steps, steps, range(1, n + 1), f_node, f_mid)
+        y = _carry_run(maps, y, ends, out, name, nodes)
     return out

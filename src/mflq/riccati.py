@@ -39,7 +39,15 @@ sweeps in different threads do not share them.  The node and midpoint
 passes build the block, each in a workspace of its own, in fixed runs of
 grid points and factor all of a grid's weights in one batch; the node pass
 forms its rate run by run from the factorization's 1/lambda, each run on a
-rate workspace of its own.
+rate workspace of its own.  Each channel pair they produce, the Riccati
+matrices, weights, cross terms and gains and their midpoint samples, is
+written through a node-major view into one channel-major (2, K+1, ...)
+buffer that is then made read-only, so each channel is a contiguous slab
+of it and no pair is split or stacked by a copy (only the batched
+factorization reads a C-contiguous copy of the weights, see
+``linalg.sym_factor``); a pass that needs a pair node by node takes it
+with ``_pair``, which is a view of such a buffer and stacks only channels
+that are not slabs of one.
 
 A consequence worth keeping: when every mean-coupling coefficient vanishes
 the two stacked channels still perform identical float operations, each
@@ -118,6 +126,13 @@ class GreSolution:
         symmetrized, (K+1, 2, n, n), from the node pass's factorization;
         the dense output's nodal derivatives.  None on a solution that
         ``integrate_gre`` did not build, which ``dense_midpoints`` refuses.
+
+    ``integrate_gre`` writes each channel pair into one read-only
+    channel-major buffer, (2, K+1, ...), so each field above is a
+    contiguous slab of it and the passes that read a pair node by node
+    (the regularity report, the dense output) see it through ``_pair`` as
+    a view, never a copy.  Any other layout works too: a pair whose two
+    channels are not slabs of one buffer is stacked by ``_pair``.
     """
 
     grid: TimeGrid
@@ -216,10 +231,12 @@ def _rate(lin, cross, inv, V):
     return _rate_builder(inv, lin.shape[-1])(lin, cross, V)
 
 
-def _gain(cross, factor: linalg.SymFactor):
-    """Feedback gain -W^+ cross, applied in W's eigenbasis."""
-    V = factor.eigvecs
-    return -(V @ (factor.inv[..., None] * (_mT(V) @ cross)))
+def _gain(cross, factor: linalg.SymFactor, run=Ellipsis, out=None):
+    """Feedback gain -W^+ cross, applied in W's eigenbasis, at the grid
+    points ``run`` of cross and the factorization (all by default); into
+    ``out`` if given."""
+    V, inv = factor.eigvecs[run], factor.inv[run]
+    return np.negative(V @ (inv[..., None] * (_mT(V) @ cross[run])), out=out)
 
 
 def _stage_rate(co, Z, fill):
@@ -263,37 +280,84 @@ def _runs(Y, co):
         yield run, _hamiltonian(Y[run], _at(co, run))
 
 
-def _gains(Y, co, rate=None):
-    """Input weights, cross terms, gains and weight factorization at every
-    grid point of Y; the weights of all points are factored in one batch.
-    Given ``rate``, an array shaped like Y, it receives dY/ds at every
-    point, symmetrized, formed run by run from that factorization's
-    1/lambda."""
-    n, m = Y.shape[-1], co[2].shape[-1] - Y.shape[-1]
-    weight = np.empty(Y.shape[:-2] + (m, m))
-    cross = np.empty(Y.shape[:-2] + (m, n))
+def _pair_buffer(shape):
+    """The node-major view, (shape[0], 2, *shape[1:]), of a new empty
+    channel-major buffer for a channel pair, (2, *shape), through which a
+    pass fills it."""
+    return np.moveaxis(np.empty((2,) + shape), 0, 1)
+
+
+def _channels(pair):
+    """The two channels of a filled ``_pair_buffer`` view, each a
+    contiguous slab of its buffer; the buffer, the view and both slabs
+    become read-only."""
+    pair.base.setflags(write=False)
+    pair.setflags(write=False)
+    return pair[:, 0], pair[:, 1]
+
+
+def _pair(first, second):
+    """The node-major pair (len, 2, ...) of two channel arrays of one shape.
+
+    When the two are slabs of one buffer at a fixed distance, as the
+    channels of a channel-major buffer are and so are the strided channels
+    of a node-major (len, 2, ...) array, the pair is a read-only view of
+    that buffer; any other two arrays are stacked into a new one.  Nothing
+    is assumed about where the arrays came from.
+    """
+    base = first.base
+    if (
+        base is not None
+        and base is second.base
+        and first.shape == second.shape
+        and first.strides == second.strides
+        and first.dtype == second.dtype
+    ):
+        gap = second.ctypes.data - first.ctypes.data
+        return np.lib.stride_tricks.as_strided(
+            first,
+            shape=first.shape[:1] + (2,) + first.shape[1:],
+            strides=first.strides[:1] + (gap,) + first.strides[1:],
+            writeable=False,
+        )
+    return np.stack((first, second), axis=1)
+
+
+def _blocks(Y, co, rate=None):
+    """Input weights and cross terms at every grid point of the node-major
+    pair Y, (len, 2, n, n), as node-major views of channel-major pair
+    buffers, built one run of points at a time.  Given ``rate``, an array
+    shaped like Y, it receives the blocks' linear parts."""
+    lead, (n, m) = Y.shape[:-3], (Y.shape[-1], co[2].shape[-1] - Y.shape[-1])
+    weight = _pair_buffer(lead + (m, m))
+    cross = _pair_buffer(lead + (m, n))
     for run, Z in _runs(Y, co):
-        weight[run] = Z[..., n:, n:]
+        weight[run] = _sym(Z[..., n:, n:])
         cross[run] = Z[..., n:, :n]
         if rate is not None:
             rate[run] = Z[..., :n, :n]
-    weight = _sym(weight)
+    return weight, cross
+
+
+def _gains(Y, co, rate=None):
+    """Input weights, cross terms, gains and weight factorization at every
+    grid point of the node-major pair Y, (len, 2, n, n).  The weights,
+    cross terms and gains are node-major views of channel-major pair
+    buffers, filled one run of points at a time: the blocks by
+    ``_blocks``, then, after one batched factorization of all the weights,
+    the gains.  Given ``rate``, an array shaped like Y, it receives dY/ds
+    at every point, symmetrized, formed run by run from that
+    factorization's 1/lambda."""
+    weight, cross = _blocks(Y, co, rate)
     factor = linalg.sym_factor(weight)
-    if rate is not None:
-        inv, V = factor.inv, factor.eigvecs
-        for start in range(0, len(Y), _RUN):
-            run = slice(start, start + _RUN)
+    inv, V = factor.inv, factor.eigvecs
+    gain = _pair_buffer(cross.shape[:1] + cross.shape[2:])
+    for start in range(0, len(Y), _RUN):
+        run = slice(start, start + _RUN)
+        if rate is not None:
             rate[run] = _sym(_rate(rate[run], cross[run], inv[run], V[run]))
-    return weight, cross, _gain(cross, factor), factor
-
-
-def _split(X):
-    """The two channels of a stacked (K+1, 2, ...) array, each a contiguous
-    read-only copy."""
-    channels = np.ascontiguousarray(X[:, 0]), np.ascontiguousarray(X[:, 1])
-    for c in channels:
-        c.setflags(write=False)
-    return channels
+        _gain(cross, factor, run, out=gain[run])
+    return weight, cross, gain, factor
 
 
 def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
@@ -314,8 +378,9 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     tab = tabulate(p, grid)
     co_nodes, co_mids = tab.node_maps, tab.mid_maps
 
-    Y = np.empty((K + 1, 2, p.n, p.n))
-    Y[K] = _sym(tab.terminal)
+    Y = _pair_buffer((K + 1, p.n, p.n))
+    start = _sym(tab.terminal)
+    Y[K] = start
 
     # One workspace per sweep, shared by its node and midpoint stages.
     N = p.n + p.m
@@ -324,7 +389,7 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
         grid,
         _stage_rate(co_nodes, Z, fill),
         _stage_rate(co_mids, Z, fill),
-        Y[K],
+        start,
         backward=True,
         post=_sym,
     )
@@ -334,12 +399,12 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
             _check_finite("mean Riccati matrix", y[1], j, nodes[j])
         Y[j] = y
 
-    rate = np.empty_like(Y)
+    rate = np.empty(Y.shape)
     weight, cross, gain, factor = _gains(Y, co_nodes, rate)
-    P, P_mean = _split(Y)
-    weight_dev, weight_mean = _split(weight)
-    cross_dev, cross_mean = _split(cross)
-    gain_dev, gain_mean = _split(gain)
+    P, P_mean = _channels(Y)
+    weight_dev, weight_mean = _channels(weight)
+    cross_dev, cross_mean = _channels(cross)
+    gain_dev, gain_mean = _channels(gain)
 
     sol = GreSolution(
         grid=grid,
@@ -368,7 +433,9 @@ class MidpointData:
     with them.  These samples come from cubic Hermite dense output (nodal
     values corrected by nodal derivatives), matching the order of the
     Riccati integration itself, and the gains are recomputed from the
-    corrected matrices rather than interpolated.
+    corrected matrices rather than interpolated.  As on ``GreSolution``,
+    each channel pair is one read-only channel-major buffer, (2, K, ...),
+    and each field a contiguous slab of it.
     """
 
     P: np.ndarray
@@ -386,16 +453,28 @@ def dense_midpoints(sol: GreSolution) -> MidpointData:
     """Fourth-order midpoint samples of P, P_mean and the gains.
 
     The nodal derivatives are the rate that ``integrate_gre``'s node pass
-    kept; the midpoint gains come from one batched factorization.  A
-    solution without that rate raises ValueError.
+    kept.  The Hermite midpoints are formed one run of intervals at a time
+    into a channel-major buffer, ``_blocks`` builds the midpoint weights
+    and cross terms run by run, all the weights are factored in one batch
+    and dropped, and each run's gains then overwrite its cross terms, which
+    nothing else reads.  A solution without that rate raises ValueError.
     """
     if sol.rate is None:
         raise ValueError("dense_midpoints needs the nodal rate integrate_gre keeps")
-    Y = np.stack((sol.P, sol.P_mean), axis=1)
-    Y_mid = hermite_midpoints(Y, sol.rate, sol.grid.h)
-    _, _, gain, _ = _gains(Y_mid, sol.table.mid_maps)
-    P_mid, Pm_mid = _split(Y_mid)
-    gain_dev, gain_mean = _split(gain)
+    Y, h = _pair(sol.P, sol.P_mean), sol.grid.h
+    K = len(Y) - 1
+    Y_mid = _pair_buffer((K,) + Y.shape[2:])
+    for start in range(0, K, _RUN):
+        nodes = slice(start, start + _RUN + 1)
+        Y_mid[start : start + _RUN] = hermite_midpoints(Y[nodes], sol.rate[nodes], h)
+    weight, gain = _blocks(Y_mid, sol.table.mid_maps)
+    factor = linalg.sym_factor(weight)
+    del weight
+    for start in range(0, K, _RUN):
+        run = slice(start, start + _RUN)
+        _gain(gain, factor, run, out=gain[run])
+    P_mid, Pm_mid = _channels(Y_mid)
+    gain_dev, gain_mean = _channels(gain)
     return MidpointData(P=P_mid, P_mean=Pm_mid, gain_dev=gain_dev, gain_mean=gain_mean)
 
 
@@ -443,9 +522,7 @@ def assess_regularity(
     factor = sol.factor
     min_eig = factor.min_eig
     rank, smin, cut = factor.rank, factor.smallest_retained, factor.cutoff
-    residual = factor.range_residual(
-        np.stack((sol.cross_term, sol.cross_term_mean), axis=1)
-    )
+    residual = factor.range_residual(_pair(sol.cross_term, sol.cross_term_mean))
     conditions = (
         _psd_verdict("psd_dev", min_eig[:, 0], tol),
         _psd_verdict("psd_mean", min_eig[:, 1], tol),

@@ -333,3 +333,28 @@ def test_closed_loop_map_is_x_plus_y_k():
     K = rng.standard_normal((2, 2, 3))
     got = _closed_loop(np.concatenate((X, Y), axis=-1), K)
     np.testing.assert_allclose(got, X + Y @ K, rtol=1e-14, atol=1e-15)
+
+
+def test_read_only_view_of_a_read_only_owner_is_kept():
+    """A read-only view of a read-only array that owns its data is already
+    private, so a container keeps the view itself, without a copy."""
+    g = TimeGrid(0.0, 1.0, 4)
+    buf = np.array(np.arange(20.0).reshape(2, 5, 2))
+    buf.setflags(write=False)
+    slab, mean = buf[1], buf[0, 0]
+    assert MatrixPath.sampled(g, slab).values is slab
+    assert InitialLaw(mean, np.zeros(2), np.eye(2)).mean is mean
+
+
+def test_read_only_view_of_a_writable_array_is_copied():
+    """A view that is read-only but whose owner can still be written is
+    copied, so a later write to the owner reaches no container."""
+    g = TimeGrid(0.0, 1.0, 4)
+    owner = np.arange(20.0).reshape(2, 5, 2)
+    view = owner[1]
+    view.setflags(write=False)
+    path = MatrixPath.sampled(g, view)
+    assert not np.shares_memory(path.values, owner)
+    owner[...] = 7.0
+    np.testing.assert_array_equal(path.values, np.arange(10.0, 20.0).reshape(5, 2))
+    assert not path.values.flags.writeable
