@@ -34,7 +34,7 @@ import numpy as np
 
 from .linalg import _mT
 from .problem import ProblemData, TimeGrid, _closed_loop
-from .quadrature import _RUN, OnDemand, linear_rk4
+from .quadrature import OnDemand, _run_slices, linear_rk4
 from .riccati import (
     DEFAULT_REG_TOL,
     GreSolution,
@@ -145,8 +145,7 @@ def _noise_adjoint(p: ProblemData, sol: GreSolution, mids: MidpointData):
         sol.grid, L_n, g_n, L_m, g_m, p.g1, "adjoint offset", backward=True
     )
     rate = np.empty_like(eta)
-    for start in range(0, len(eta), _RUN):
-        run = slice(start, start + _RUN)
+    for run in _run_slices(len(eta)):
         rate[run] = _mv(L_n[run], eta[run]) + g_n[run]
     return eta, hermite_midpoints(eta, rate, sol.grid.h)
 

@@ -27,11 +27,17 @@ BLOWUP_NORM = 1e12
 # check, which reports the quantity, node and time, runs only past it.
 _ESCAPE_SCREEN = 0.5 * BLOWUP_NORM
 
-# Grid points per batched build, in the Riccati node and midpoint passes and
-# in the propagator runs of ``linear_rk4``: it bounds the size of the
-# build's temporaries however fine the grid, and a run's scan to
-# 2 ceil(log2 _RUN) = 16 batched products.
+# Grid points per run of a batched pass.  Every such pass (the Riccati node
+# pass and dense output, the noise adjoint's rate and ``linear_rk4``) cuts
+# the grid with ``_run_slices``: this bounds a pass's run workspace however
+# fine the grid, and a run's scan to 2 ceil(log2 _RUN) = 16 batched products.
 _RUN = 256
+
+
+def _run_slices(n_points):
+    """The runs of n_points grid points, in order: slices of _RUN points but
+    the last, so a workspace sized to the first holds any run's rows."""
+    return [slice(s, min(s + _RUN, n_points)) for s in range(0, n_points, _RUN)]
 
 
 def trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
@@ -252,8 +258,8 @@ def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
     not finite or exceeds BLOWUP_NORM.  Returns y at every node.
 
     Each RK4 step is the affine map y_j = Phi y_k + psi.  The sweep takes
-    the grid in runs of at most _RUN steps, in sweep order.  Each run reads
-    its tables once, through one slice per table in sweep order (an
+    the K steps in the runs of ``_run_slices``, in sweep order.  Each run
+    reads its tables once, through one slice per table in sweep order (an
     ``OnDemand`` table builds just those points, so no table is ever held
     whole), and its batched RK4 step from the augmented identity [I | 0]
     reads the stages' node and midpoint rows as slices of them: the
@@ -271,9 +277,9 @@ def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
     dt = -grid.h if backward else grid.h
     d = np.shape(start)[-1]
     eye = np.eye(d, d + 1)
-    for s in range(0, K, _RUN):
-        n = min(_RUN, K - s)
-        at, mid, ends = _run_points(K, s, n, backward)
+    for run in _run_slices(K):
+        n = run.stop - run.start
+        at, mid, ends = _run_points(K, run.start, n, backward)
         f_node = _affine_rate(L_node[at], g_node[at])
         f_mid = _affine_rate(L_mid[mid], g_mid[mid])
         steps = range(n)

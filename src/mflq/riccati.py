@@ -35,11 +35,12 @@ and every RK4 stage refills it.  Its node and midpoint stages each add a
 rank-rule and a rate workspace made when the sweep starts (the rule's
 buffers, U and the scaled U), so a stage allocates only its eigenpairs and
 its fresh rate.  The workspaces belong to the call, never to the module, so
-sweeps in different threads do not share them.  The node and midpoint
-passes build the block, each in a workspace of its own, in fixed runs of
-grid points and factor all of a grid's weights in one batch; the node pass
-forms its rate run by run from the factorization's 1/lambda, each run on a
-rate workspace of its own.  Each channel pair they produce, the Riccati
+sweeps in different threads do not share them.  The node pass and the
+dense output build the block in the runs of ``quadrature._run_slices``,
+each on one workspace made before its loop and sized to the first run,
+whose leading rows the short last run fills, and factor all of a grid's
+weights in one batch; the node pass forms its rate run by run from the
+factorization's 1/lambda, each run on a rate workspace of its own.  Each channel pair they produce, the Riccati
 matrices, weights, cross terms and gains and their midpoint samples, is
 written through a node-major view into one channel-major (2, K+1, ...)
 buffer that is then made read-only, so each channel is a contiguous slab
@@ -66,7 +67,7 @@ from . import linalg, problem
 from .errors import ValidationError
 from .linalg import _mT, _sym
 from .problem import CoefficientTable, ProblemData, TimeGrid, tabulate
-from .quadrature import _RUN, _check_finite, _screen_passes, rk4_steps, trapezoid
+from .quadrature import _check_finite, _run_slices, _screen_passes, rk4_steps, trapezoid
 
 # A retained eigenvalue within this factor of the rank cutoff marks the
 # node as numerically ambiguous for the rank decision.
@@ -160,7 +161,9 @@ def _block_builder(shape, n):
     shape, (..., n+m, n+m), on one workspace allocated here, Z and the
     scratch products P G and Y F, with Z's top rows, Z's left columns and
     (Y F)^T sliced once.  ``fill(Y, F, G, GT, H)``, with GT the transpose
-    of G, overwrites Z with Y's block and returns it:
+    of G, overwrites Z with Y's block and returns it; a Y with fewer
+    leading rows than Z, a pass's short last run, fills and returns Z's
+    leading rows:
 
         Z = G^T P G + H, with M F added to its top rows and (M F)^T to its
         left columns, where M is each channel's matrix and P the deviation
@@ -175,27 +178,24 @@ def _block_builder(shape, n):
     Z = np.empty(shape)
     PG = np.empty(shape[:-2] + (n, shape[-1]))
     YF = np.empty_like(PG)
-    top, left, YFT = Z[..., :n, :], Z[..., :n], _mT(YF)
+
+    def views(rows):
+        z, pg, yf = Z[:rows], PG[:rows], YF[:rows]
+        return z, pg, yf, z[..., :n, :], z[..., :n], _mT(yf)
+
+    whole = views(len(Z))
 
     def fill(Y, F, G, GT, H):
-        np.matmul(Y[..., :1, :, :], G, out=PG)
-        np.matmul(GT, PG, out=Z)
-        np.add(Z, H, out=Z)
-        np.matmul(Y, F, out=YF)
-        np.add(top, YF, out=top)
-        np.add(left, YFT, out=left)
-        return Z
+        z, pg, yf, top, left, yft = whole if len(Y) == len(Z) else views(len(Y))
+        np.matmul(Y[..., :1, :, :], G, out=pg)
+        np.matmul(GT, pg, out=z)
+        np.add(z, H, out=z)
+        np.matmul(Y, F, out=yf)
+        np.add(top, yf, out=top)
+        np.add(left, yft, out=left)
+        return z
 
     return Z, fill
-
-
-def _hamiltonian(Y, co):
-    """Hamiltonian block Z of both channels, (..., 2, n+m, n+m), built in a
-    workspace of its own by ``_block_builder``."""
-    F, G, H = co
-    lead = np.broadcast_shapes(Y.shape[:-2], F.shape[:-2], G.shape[:-2], H.shape[:-2])
-    _, fill = _block_builder(lead + H.shape[-2:], Y.shape[-1])
-    return fill(Y, F, G, _mT(G), H)
 
 
 def _rate_builder(inv, n):
@@ -273,13 +273,6 @@ def _stage_rate(co, Z, fill):
     return rate
 
 
-def _runs(Y, co):
-    """(run, Z) over the grid points of Y in runs of at most _RUN points."""
-    for start in range(0, len(Y), _RUN):
-        run = slice(start, start + _RUN)
-        yield run, _hamiltonian(Y[run], _at(co, run))
-
-
 def _pair_buffer(shape):
     """The node-major view, (shape[0], 2, *shape[1:]), of a new empty
     channel-major buffer for a channel pair, (2, *shape), through which a
@@ -326,12 +319,16 @@ def _pair(first, second):
 def _blocks(Y, co, rate=None):
     """Input weights and cross terms at every grid point of the node-major
     pair Y, (len, 2, n, n), as node-major views of channel-major pair
-    buffers, built one run of points at a time.  Given ``rate``, an array
-    shaped like Y, it receives the blocks' linear parts."""
+    buffers, built run by run on one block workspace.  Given ``rate``, an
+    array shaped like Y, it receives the blocks' linear parts."""
     lead, (n, m) = Y.shape[:-3], (Y.shape[-1], co[2].shape[-1] - Y.shape[-1])
     weight = _pair_buffer(lead + (m, m))
     cross = _pair_buffer(lead + (m, n))
-    for run, Z in _runs(Y, co):
+    runs = _run_slices(len(Y))
+    _, fill = _block_builder(Y[runs[0]].shape[:-2] + co[2].shape[-2:], n)
+    for run in runs:
+        F, G, H = _at(co, run)
+        Z = fill(Y[run], F, G, _mT(G), H)
         weight[run] = _sym(Z[..., n:, n:])
         cross[run] = Z[..., n:, :n]
         if rate is not None:
@@ -352,8 +349,7 @@ def _gains(Y, co, rate=None):
     factor = linalg.sym_factor(weight)
     inv, V = factor.inv, factor.eigvecs
     gain = _pair_buffer(cross.shape[:1] + cross.shape[2:])
-    for start in range(0, len(Y), _RUN):
-        run = slice(start, start + _RUN)
+    for run in _run_slices(len(Y)):
         if rate is not None:
             rate[run] = _sym(_rate(rate[run], cross[run], inv[run], V[run]))
         _gain(cross, factor, run, out=gain[run])
@@ -464,14 +460,13 @@ def dense_midpoints(sol: GreSolution) -> MidpointData:
     Y, h = _pair(sol.P, sol.P_mean), sol.grid.h
     K = len(Y) - 1
     Y_mid = _pair_buffer((K,) + Y.shape[2:])
-    for start in range(0, K, _RUN):
-        nodes = slice(start, start + _RUN + 1)
-        Y_mid[start : start + _RUN] = hermite_midpoints(Y[nodes], sol.rate[nodes], h)
+    for run in _run_slices(K):
+        nodes = slice(run.start, run.stop + 1)
+        Y_mid[run] = hermite_midpoints(Y[nodes], sol.rate[nodes], h)
     weight, gain = _blocks(Y_mid, sol.table.mid_maps)
     factor = linalg.sym_factor(weight)
     del weight
-    for start in range(0, K, _RUN):
-        run = slice(start, start + _RUN)
+    for run in _run_slices(K):
         _gain(gain, factor, run, out=gain[run])
     P_mid, Pm_mid = _channels(Y_mid)
     gain_dev, gain_mean = _channels(gain)

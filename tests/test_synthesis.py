@@ -20,11 +20,13 @@ from mflq.errors import ValidationError
 from mflq.linalg import _sym
 from mflq.presets import example31, random_spd, scalar_classic
 from mflq.problem import InitialLaw, TimeGrid, make_problem
+from mflq.quadrature import _run_slices
 from mflq.riccati import dense_midpoints, integrate_gre
 from mflq.sim import simulate
 from mflq.synthesis import synthesize, value
 from mflq.verify import qp_oracle
 from test_nodewise_reference import time_varying_problem
+from test_riccati_workspace import allocating_hamiltonian
 
 
 def test_scalar_classic_value():
@@ -215,12 +217,14 @@ def test_rank_rule_runs_once_per_factorization_and_stage(K, monkeypatch):
 
 def rebuilt_dense_midpoints(sol):
     """The dense output with nodal derivatives from a fresh build of the
-    nodal Hamiltonian blocks, factored by the node pass's eigenpairs."""
+    nodal Hamiltonian blocks, each run's allocated afresh, factored by the
+    node pass's eigenpairs."""
     n = sol.P.shape[-1]
     inv, V = sol.factor.inv, sol.factor.eigvecs
     Y = np.stack((sol.P, sol.P_mean), axis=1)
     deriv = np.empty_like(Y)
-    for run, Z in riccati._runs(Y, sol.table.node_maps):
+    for run in _run_slices(len(Y)):
+        Z = allocating_hamiltonian(Y[run], riccati._at(sol.table.node_maps, run))
         deriv[run] = _sym(riccati._rate(Z[..., :n, :n], Z[..., n:, :n],
                                         inv[run], V[run]))
     Y_mid = riccati.hermite_midpoints(Y, deriv, sol.grid.h)
@@ -234,19 +238,25 @@ def test_dense_output_reads_the_nodal_rate_of_the_node_pass(monkeypatch):
 
     At K = 1000 a synthesis builds the Hamiltonian blocks in 8 batched runs
     of at most 256 points (4 over the nodes, 4 over the midpoints), not 12,
-    and the midpoint data and every synthesis output are bitwise those of a
-    dense output that builds the nodal blocks again.
+    counted as the batched calls of the block fills, and the midpoint data
+    and every synthesis output are bitwise those of a dense output that
+    builds the nodal blocks again.
     """
     p, law = random_spd(0, n=6, m=3)
     assert p.horizon.n_steps == 1000
     batched = []
-    hamiltonian = riccati._hamiltonian
+    builder = riccati._block_builder
 
-    def counting(Y, co):
-        batched.append(Y.ndim == 4)
-        return hamiltonian(Y, co)
+    def counting(shape, n):
+        Z, fill = builder(shape, n)
 
-    monkeypatch.setattr(riccati, "_hamiltonian", counting)
+        def counted(Y, *maps):
+            batched.append(Y.ndim == 4)
+            return fill(Y, *maps)
+
+        return Z, counted
+
+    monkeypatch.setattr(riccati, "_block_builder", counting)
     sol = synthesize(p)
     assert sum(batched) == 8
     monkeypatch.undo()
