@@ -454,6 +454,8 @@ def cmd_verify(args) -> int:
         "suites": suites,
         "skipped": skipped,
         "passed": passed,
+        # passed with no suite run backs no verdict; say so on its own key
+        "vacuous": not suites,
     }
     _print_report(report)
     return EXIT_OK if passed else EXIT_VERIFICATION

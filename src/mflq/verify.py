@@ -3,8 +3,9 @@
 Four families, deliberately built on different machinery than the solver:
 
 * a brute-force quadratic program on the Euler-discretised noiseless
-  problem in the stacked controls, its Hessian assembled interval by
-  interval and minimised through one in-place Cholesky factorization;
+  problem in the stacked controls, its Hessian held as lower row blocks,
+  assembled interval by interval and minimised through one in-place
+  left-looking block Cholesky factorization;
 * a completion-of-squares residual identity that re-expresses a simulated
   cost through the Riccati data, evaluated with common random numbers;
 * a lower-bound battery that samples random strategies and checks none
@@ -111,79 +112,96 @@ def _require_noiseless(p: ProblemData):
         )
 
 
-# Block width of the oracle's Cholesky: no temporary of the factorization
-# or of the substitutions holds more than (Km) x _BLOCK numbers.
+# The oracle's Hessian is held as lower row blocks: block [s, e) stores rows
+# s..e-1 and columns 0..e-1, nothing above its diagonal block.  A block is
+# _BLOCK // m whole intervals (at least one), so each interval's m rows land
+# in one block.  The factorization's temporaries are block x block, and the
+# inverses of the diagonal blocks that it keeps hold Km x _BLOCK numbers at
+# most (Km x m when m > _BLOCK).
 _BLOCK = 256
 
 
-def _chol_inplace(a: np.ndarray) -> None:
-    """Overwrite the lower triangle of ``a`` with its Cholesky factor.
+def _row_bounds(dim: int, m: int) -> list:
+    """Row ranges [s, e) of the Hessian's row blocks, whole intervals each."""
+    rows = max(1, _BLOCK // m) * m
+    return [(s, min(s + rows, dim)) for s in range(0, dim, rows)]
 
-    Right-looking and blocked: each diagonal block is factored by
-    ``np.linalg.cholesky``, the panel below it is solved against that
-    factor, and the trailing lower triangle is updated one column panel at
-    a time.  Only the lower triangle is read; the diagonal blocks end with
-    zeros above the diagonal, the rest of the upper triangle is untouched.
-    Raises ``np.linalg.LinAlgError`` when ``a`` is not positive definite,
-    with ``a`` partly overwritten.
+
+def _chol_inplace(rows: list) -> list:
+    """Overwrite lower row blocks with their Cholesky factor L.
+
+    ``rows`` are the row blocks of ``_row_bounds``, block i of shape
+    (e_i - s_i, e_i).  Left-looking: block row i takes, for each earlier
+    block j, the panel L_ij = (A_ij - L_i[:, :s_j] L_j[:, :s_j]^T) inv(L_jj)^T,
+    then factors A_ii - L_i[:, :s_i] L_i[:, :s_i]^T by
+    ``np.linalg.cholesky``.  Returns the inverses inv(L_ii), formed once
+    each, for the panels and both substitutions.  Only the lower triangle
+    is read; the diagonal blocks end with zeros above the diagonal.  Raises
+    ``np.linalg.LinAlgError`` when the matrix is not positive definite,
+    with the blocks partly overwritten.
     """
-    N = a.shape[0]
-    for k0 in range(0, N, _BLOCK):
-        k1 = min(k0 + _BLOCK, N)
-        a[k0:k1, k0:k1] = np.linalg.cholesky(a[k0:k1, k0:k1])
-        panel = a[k1:, k0:k1]
-        panel[...] = np.linalg.solve(a[k0:k1, k0:k1], panel.T).T
-        for c0 in range(k1, N, _BLOCK):
-            c1 = min(c0 + _BLOCK, N)
-            a[c0:, c0:c1] -= panel[c0 - k1:] @ panel[c0 - k1 : c1 - k1].T
+    inv = []
+    for a in rows:
+        s = a.shape[1] - a.shape[0]
+        for lj, inv_j in zip(rows, inv):  # the blocks factored so far
+            sj, ej = lj.shape[1] - lj.shape[0], lj.shape[1]
+            panel = a[:, sj:ej]
+            panel -= a[:, :sj] @ lj[:, :sj].T
+            panel[...] = panel @ inv_j.T
+        d = a[:, s:]
+        d -= a[:, :s] @ a[:, :s].T
+        d[...] = np.linalg.cholesky(d)
+        inv.append(np.tril(np.linalg.inv(d)))
+    return inv
 
 
-def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L y = b, block by block, for the factor left by ``_chol_inplace``."""
+def _solve_lower(rows: list, inv: list, b: np.ndarray) -> np.ndarray:
+    """Solve L y = b, row block by row block, for ``_chol_inplace``'s factor."""
     y = np.array(b, dtype=float)
-    N = l.shape[0]
-    for k0 in range(0, N, _BLOCK):
-        k1 = min(k0 + _BLOCK, N)
-        y[k0:k1] = np.linalg.solve(
-            l[k0:k1, k0:k1], y[k0:k1] - l[k0:k1, :k0] @ y[:k0]
-        )
+    for a, inv_i in zip(rows, inv):
+        s, e = a.shape[1] - a.shape[0], a.shape[1]
+        y[s:e] = inv_i @ (y[s:e] - a[:, :s] @ y[:s])
     return y
 
 
-def _solve_lower_t(l: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve L^T x = y, block by block from the last, for the same factor."""
+def _solve_lower_t(rows: list, inv: list, y: np.ndarray) -> np.ndarray:
+    """Solve L^T x = y for the same factor, from the last row block.
+
+    Each block, once solved, takes its share L_i[:, :s_i]^T x_i off the
+    entries before it, so the rows are read as they are stored.
+    """
     x = np.array(y, dtype=float)
-    N = l.shape[0]
-    for k0 in reversed(range(0, N, _BLOCK)):
-        k1 = min(k0 + _BLOCK, N)
-        x[k0:k1] = np.linalg.solve(
-            l[k0:k1, k0:k1].T, x[k0:k1] - l[k1:, k0:k1].T @ x[k1:]
-        )
+    for a, inv_i in zip(reversed(rows), reversed(inv)):
+        s, e = a.shape[1] - a.shape[0], a.shape[1]
+        x[s:e] = inv_i.T @ x[s:e]
+        x[:s] -= a[:, :s].T @ x[s:e]
     return x
 
 
-def _hessian_lower(T, hB, WB, Sh, Rh, h):
-    """Row blocks of the QP Hessian's lower triangle, one interval at a time.
+def _hessian_lower(rows, T, hB, WB, Sh, Rh, h) -> None:
+    """Fill the QP Hessian's lower row blocks, one interval at a time.
 
-    Keeps only the current control sensitivity Psi_j of the state
-    (X_j = Phi_j + Psi_j u).  Row block j, columns up to its diagonal block,
-    is the state cost (W_{j+1} h B_j)^T Psi_{j+1}, the cross term
-    h S_j Psi_j, and h R_j on the diagonal.  The strict upper triangle
-    beyond the diagonal blocks stays zero.
+    ``rows`` are zeroed blocks laid out by ``_row_bounds``.  Keeps only the
+    current control sensitivity Psi_j of the state (X_j = Phi_j + Psi_j u).
+    The m rows of interval j, columns up to its diagonal block, are the
+    state cost (W_{j+1} h B_j)^T Psi_{j+1}, the cross term h S_j Psi_j, and
+    h R_j on the diagonal.  A diagonal block right of each interval's own m
+    columns stays zero.
     """
     K, n, m = hB.shape
-    dim = K * m
-    H = np.zeros((dim, dim))
-    psi = np.zeros((n, dim))
-    for j in range(K):
-        r0, r1 = j * m, (j + 1) * m
-        row = H[r0:r1, :r1]
-        row[:, :r0] = h * (Sh[j] @ psi[:, :r0])
-        psi[:, :r0] = T[j] @ psi[:, :r0]
-        psi[:, r0:r1] = hB[j]
-        row += WB[j].T @ psi[:, :r1]
-        row[:, r0:r1] += h * Rh[j]
-    return H
+    psi = np.zeros((n, K * m))
+    j = 0
+    for a in rows:
+        s = a.shape[1] - a.shape[0]
+        for r0 in range(s, a.shape[1], m):
+            r1 = r0 + m
+            row = a[r0 - s : r1 - s, :r1]
+            row[:, :r0] = h * (Sh[j] @ psi[:, :r0])
+            psi[:, :r0] = T[j] @ psi[:, :r0]
+            psi[:, r0:r1] = hB[j]
+            row += WB[j].T @ psi[:, :r1]
+            row[:, r0:r1] += h * Rh[j]
+            j += 1
 
 
 def qp_oracle(p: ProblemData, x, K: int) -> QpOracleResult:
@@ -196,13 +214,15 @@ def qp_oracle(p: ProblemData, x, K: int) -> QpOracleResult:
     u^T H u + 2 c^T u + const in the stacked control vector.  A backward
     weight recursion, W_K = G and W_j = h Q_j + T_j^T W_{j+1} T_j with
     T_j = I + h A_j, carries each later state cost back to step j; it is
-    linear (no weight is inverted, no feedback is formed).  A forward pass
-    over the intervals then fills H's lower triangle row block by row
-    block, so the only (Km)^2 array is H itself.  H is factored once, in
-    place, by a blocked Cholesky, and the minimiser follows from two
-    triangular substitutions.  A singular or indefinite Hessian is
-    reported, never regularised away (indefinite: smallest eigenvalue
-    below -1e-9 * max(||H||_F, 1)); that check re-assembles the full H.
+    linear (no weight is inverted, no feedback is formed).  H is held as
+    its lower row blocks alone (``_row_bounds``), about half of (Km)^2
+    numbers, and a forward pass over the intervals fills them.  They are
+    factored once, in place, by a left-looking block Cholesky, and the
+    minimiser follows from two row-block substitutions, products with the
+    kept inverses of the diagonal blocks.  A singular or indefinite Hessian
+    is reported, never regularised away (indefinite: smallest eigenvalue
+    below -1e-9 * max(||H||_F, 1)); that check assembles the full H again,
+    the only (Km)^2 array the oracle then holds.
 
     First-order accurate in 1/K by construction (left-endpoint rectangle
     rule), which is exactly what makes it an independent check.
@@ -257,18 +277,32 @@ def qp_oracle(p: ProblemData, x, K: int) -> QpOracleResult:
     )
     const += float(Phi[K] @ (Gh @ Phi[K]) + 2.0 * gh @ Phi[K])
 
-    H = _hessian_lower(T, hB, WB, Sh, Rh, h)
+    dim = K * m
+    bounds = _row_bounds(dim, m)
+    rows = [np.zeros((e - s, e)) for s, e in bounds]
+    _hessian_lower(rows, T, hB, WB, Sh, Rh, h)
     try:
-        _chol_inplace(H)
+        inv = _chol_inplace(rows)
     except np.linalg.LinAlgError:
-        # The refused factorization overwrote part of H: build it again,
-        # in full, for the eigenvalue and least-squares verdicts.
-        H = _hessian_lower(T, hB, WB, Sh, Rh, h)
-        H += np.tril(H, -1).T
+        pass  # not positive definite: classified below
     else:
-        u = _solve_lower_t(H, _solve_lower(H, -c))
+        u = _solve_lower_t(rows, inv, _solve_lower(rows, inv, -c))
         cost = const + float(c @ u)
         return QpOracleResult("ok", cost, K, u.reshape(K, m))
+
+    # The refused factorization overwrote part of the blocks.  Out of the
+    # except clause its traceback no longer holds them, so they go before
+    # H is assembled again, in full, for the eigenvalue and least-squares
+    # verdicts: its rows filled in place, then mirrored block by block.  A
+    # diagonal block is rebuilt from its lower triangle alone, because each
+    # interval's own m x m block is filled on both sides of its diagonal.
+    del rows
+    H = np.zeros((dim, dim))
+    _hessian_lower([H[s:e, :e] for s, e in bounds], T, hB, WB, Sh, Rh, h)
+    for s, e in bounds:
+        H[:s, s:e] = H[s:e, :s].T
+        d = H[s:e, s:e]
+        d[...] = np.tril(d) + np.tril(d, -1).T
 
     scale = float(np.linalg.norm(H, ord="fro"))
     eigs = np.linalg.eigvalsh(H)

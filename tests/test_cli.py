@@ -582,6 +582,22 @@ def test_verify_all_skips_inapplicable_suites(capsys, tmp_path):
     }
 
 
+def test_verify_names_a_pass_with_no_suite_run_vacuous(capsys, tmp_path):
+    argv = ["--suite", "all", "--paths", "100", "--steps", "50",
+            "--controls", "2"]
+    path = write_preset(capsys, tmp_path, "example31", "mf.json")
+    code, out, err = run(capsys, ["verify", path] + argv)
+    rep = json.loads(out)
+    assert (code, rep["passed"], rep["suites"]) == (0, True, {})
+    assert rep["vacuous"] is True
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    code, out, err = run(capsys, ["verify", path] + argv)
+    rep = json.loads(out)
+    assert (code, rep["passed"]) == (0, True)
+    assert list(rep["suites"]) == ["battery", "completion", "degeneration", "qp"]
+    assert rep["vacuous"] is False
+
+
 def test_verify_battery_on_solvable_instance(capsys, tmp_path):
     path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
     code, out, err = run(capsys, [

@@ -1,8 +1,9 @@
 """The QP oracle against the dense assembly it replaced.
 
-``qp_oracle`` fills the lower triangle of its Hessian one interval at a
-time from a backward weight recursion, factors it once in place with a
-blocked Cholesky and solves by two blocked substitutions.  The reference
+``qp_oracle`` holds its Hessian as lower row blocks, whole intervals each
+and nothing above the diagonal blocks, fills them one interval at a time
+from a backward weight recursion, factors them in place with a
+left-looking block Cholesky and solves by two row-block substitutions.  The reference
 below keeps the earlier formulation as test-only code: the full
 state-sensitivity stack Psi, the Hessian Psi^T Q Psi of the normal
 equations, ``np.linalg.cholesky`` as the definiteness test, then
@@ -12,9 +13,13 @@ positive definite.
 Status must agree exactly, cost and control to 1e-12 (1 + |x|), on
 noiseless problems with every deterministic coefficient set and with
 time-varying ones, at K m below, on and just past the factorization's block
-edges.  The factorization and the substitutions are also compared with
-numpy's on random SPD matrices, must refuse what is not positive definite,
-and the oracle's memory must stay at one (Km)^2 array.
+edges, including a control dimension that does not divide the block width.
+The factorization and the substitutions are also compared with numpy's on
+random SPD matrices, must refuse what is not positive definite, and the
+positive-definite path calls no ``np.linalg.solve``.  The oracle's traced
+memory must stay below four fifths of one dense (Km)^2 array, and below
+one and a quarter when the factorization refuses and H is assembled in
+full.
 """
 
 import tracemalloc
@@ -27,6 +32,7 @@ from mflq.problem import MatrixPath, TimeGrid, make_problem, tabulate
 from mflq.verify import (
     _BLOCK,
     _chol_inplace,
+    _row_bounds,
     _solve_lower,
     _solve_lower_t,
     qp_oracle,
@@ -162,6 +168,19 @@ def late_singular_problem():
     )
 
 
+def two_control_singular_problem():
+    """Two controls that enter only through u_1 + u_2 / 2, with R = 0.
+
+    The Hessian is singular but consistent, and each interval's 2 x 2
+    diagonal block has nonzero entries off its diagonal.
+    """
+    return make_problem(
+        1, 2, TimeGrid(0.0, 1.0, 20), A=0.2, B=np.array([[1.0, 0.5]]),
+        Q=np.array([[1.0]]), G=np.array([[1.0]]),
+        b=(np.array([0.3]), np.zeros(1)),
+    )
+
+
 def assert_close(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -199,6 +218,34 @@ def test_full_noiseless_problem_matches_dense_reference(n, m, K):
     assert assert_matches_reference(p, x, K).status == "ok"
 
 
+@pytest.mark.parametrize("K", [170, 171, 172])
+def test_row_blocks_hold_whole_intervals_when_m_does_not_divide_the_block(K):
+    # 85 intervals of 3 controls a block: two full blocks of 255 rows, then
+    # nothing, one interval or two.
+    m = 3
+    bounds = _row_bounds(K * m, m)
+    assert bounds[:2] == [(0, 255), (255, 510)]
+    assert all(s % m == 0 and e % m == 0 for s, e in bounds)
+    assert bounds[-1][1] == K * m
+    p = noiseless_problem(2, m, seed=2 + m)
+    assert assert_matches_reference(p, np.array([1.0, -0.5]), K).status == "ok"
+
+
+def test_positive_definite_path_makes_no_general_solve(monkeypatch):
+    p, law = scalar_classic()
+    K = 600
+    status, cost, control = reference_qp_oracle(p, law.mean, K)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    res = qp_oracle(p, law.mean, K)
+    assert res.status == status == "ok"
+    assert_close(res.cost, cost)
+    assert_close(res.control, control)
+
+
 def test_singular_and_unbounded_fixtures_keep_their_status():
     g = TimeGrid(0.0, 1.0, 20)
     singular = assert_matches_reference(make_problem(1, 1, g, B=1.0), [1.0], 50)
@@ -216,9 +263,20 @@ def test_singular_hessian_past_the_first_block_is_reassembled():
     assert res.cost == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("K", [5, 20])
+def test_singular_hessian_with_two_controls_is_mirrored_once(K):
+    res = assert_matches_reference(two_control_singular_problem(), [1.0], K)
+    assert res.status == "singular"
+
+
 def spd_matrix(N, seed):
     M = np.random.default_rng(seed).standard_normal((N, N))
     return M @ M.T + N * np.eye(N)
+
+
+def row_blocks(A):
+    """Row-block views of a dense matrix, cut as for one control."""
+    return [A[s:e, :e] for s, e in _row_bounds(len(A), 1)]
 
 
 @pytest.mark.parametrize("N", [1, 255, 256, 257, 700])
@@ -227,13 +285,13 @@ def test_blocked_cholesky_and_substitutions_match_numpy(N):
     b = np.random.default_rng(N + 1).standard_normal(N)
     L_ref = np.linalg.cholesky(A)
     L = A.copy()
-    _chol_inplace(L)
+    inv = _chol_inplace(row_blocks(L))
     L = np.tril(L)
     assert np.max(np.abs(L - L_ref)) <= TOL * np.max(np.abs(L_ref))
-    y = _solve_lower(L, b)
+    y = _solve_lower(row_blocks(L), inv, b)
     y_ref = np.linalg.solve(L_ref, b)
     assert np.max(np.abs(y - y_ref)) <= TOL * np.max(np.abs(y_ref))
-    x = _solve_lower_t(L, y)
+    x = _solve_lower_t(row_blocks(L), inv, y)
     x_ref = np.linalg.solve(A, b)
     assert np.max(np.abs(x - x_ref)) <= TOL * np.max(np.abs(x_ref))
 
@@ -241,8 +299,8 @@ def test_blocked_cholesky_and_substitutions_match_numpy(N):
 def test_blocked_cholesky_reads_only_the_lower_triangle():
     A = spd_matrix(300, seed=3)
     junk = A + np.triu(np.full_like(A, 7.0), 1)
-    _chol_inplace(A)
-    _chol_inplace(junk)
+    _chol_inplace(row_blocks(A))
+    _chol_inplace(row_blocks(junk))
     np.testing.assert_array_equal(np.tril(junk), np.tril(A))
 
 
@@ -276,7 +334,7 @@ def test_blocked_cholesky_refuses_what_is_not_positive_definite(make):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(make())
     with pytest.raises(np.linalg.LinAlgError):
-        _chol_inplace(make())
+        _chol_inplace(row_blocks(make()))
 
 
 def test_qp_oracle_holds_one_hessian_sized_array():
@@ -291,3 +349,43 @@ def test_qp_oracle_holds_one_hessian_sized_array():
         tracemalloc.stop()
     assert res.status == "ok"
     assert peak <= 1.5 * 8 * (K * p.m) ** 2
+
+
+def traced_peak(p, x, K):
+    tracemalloc.start()
+    try:
+        res = qp_oracle(p, x, K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return res, peak
+
+
+def test_qp_oracle_holds_its_lower_row_blocks_only():
+    """The row blocks, 0.56 (Km)^2 numbers at K = 2000, and the inverses of
+    their diagonal blocks; a dense Hessian peaked at 1.12 (Km)^2."""
+    p, law = scalar_classic()
+    K = 2000
+    res, peak = traced_peak(p, law.mean, K)
+    assert res.status == "ok"
+    assert peak <= 0.8 * 8 * (K * p.m) ** 2
+
+
+@pytest.mark.parametrize(
+    "make, status",
+    [
+        (lambda: make_problem(1, 1, TimeGrid(0.0, 1.0, 20), B=1.0),
+         "singular"),
+        (lambda: make_problem(1, 1, TimeGrid(0.0, 1.0, 20), B=1.0, R=-1.0),
+         "unbounded"),
+        (late_singular_problem, "singular"),
+    ],
+    ids=["singular", "unbounded", "late_singular"],
+)
+def test_refused_factorization_holds_one_hessian(make, status):
+    """The refused blocks go before H is assembled again and mirrored in
+    place; keeping them and mirroring through a copy peaked at 3.14 (Km)^2."""
+    K = 1000
+    res, peak = traced_peak(make(), [1.0], K)
+    assert res.status == status
+    assert peak <= 1.25 * 8 * K**2
