@@ -15,33 +15,42 @@ last axis of Z = [U; X; 1; W; W0] (the W0 row, the Brownian value at the
 entry time, only when the offset is frozen there), and every node makes
 two products: U = gain[k] @ [X; 1; W; W0], then T[k] @ Z, whose rows are
 the weighted running-cost form, the drift scaled by h and the diffusion.
-Both maps are built once per call by ``_sweep_maps``; ``estimate_cost``
-prices recorded paths with the same cost rows.
+Both maps are built once per strategy and call by ``_sweep_maps``;
+``estimate_cost`` prices recorded paths with the same cost rows.
+
+One call can sweep several strategies (``_simulate_many``, which the
+lower-bound battery uses; ``simulate`` is a batch of one).  The paths are
+drawn once: each segment's increments are drawn into one buffer and every
+strategy is swept on it in turn, with its own maps and mean path.  A sweep
+only reads the buffer, so each strategy's report is bitwise the report of
+a call of its own at the same seed, and the strategies share their random
+numbers.
 
 A chunk is swept in segments of SEGMENT = CHUNK // 2 paths, by two
 workers: the calling thread and one helper thread.  Each worker claims
 whole segments, every chunk's first segment before any chunk's second, so
-both start at once on streams of their own; it draws and sweeps what it
-claims, in a step-major (K, widest segment) increment buffer of its own
-(the two together hold what one (K, CHUNK) buffer would; a merged
-remainder, see _MIN_TAIL, widens them by at most 15 columns).  numpy's
-generators and products release the interpreter lock, so the two workers
-run on two cores.  Each chunk's stream is still drawn in path order, its
-initial draws first and then its increments path-major in blocks of
-DRAW_BLOCK paths, one block at a time: a segment that is not its chunk's
-first waits until its predecessor is drawn.  So every path sees the draws
-of an unsegmented sweep; with _MIN_TAIL, its cost is the same bit for
-bit.  The path sums behind the sample mean and the terminal moments are
-taken per segment and added in segment order once the workers are joined,
-so they do not depend on which worker finishes first.  A run of one
-segment is swept inline and starts no thread.
+both start at once on streams of their own; it draws what it claims once,
+in a step-major (K, widest segment) increment buffer of its own, and
+sweeps every strategy on it (the two buffers together hold what one
+(K, CHUNK) buffer would; a merged remainder, see _MIN_TAIL, widens them by
+at most 15 columns).  numpy's generators and products release the
+interpreter lock, so the two workers run on two cores.  Each chunk's
+stream is still drawn in path order, its initial draws first and then its
+increments path-major in blocks of DRAW_BLOCK paths, one block at a time:
+a segment that is not its chunk's first waits until its predecessor is
+drawn.  So every path sees the draws of an unsegmented sweep; with
+_MIN_TAIL, its cost is the same bit for bit.  The path sums behind the
+sample mean and the terminal moments are taken per segment and strategy
+and added in segment order once the workers are joined, so they do not
+depend on which worker finishes first.  A run of one segment is swept
+inline and starts no thread.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -254,42 +263,44 @@ def _segments(n_paths: int):
 
 def _simulate_chunks(
     grid: TimeGrid,
-    maps,
+    strategies: Sequence,
     law: InitialLaw,
     n_paths: int,
     seed: int,
-    EX: np.ndarray,
-    EU: np.ndarray,
     extras: Sequence[Callable] = (),
 ):
-    """Core Euler-Maruyama sweep over path segments.
+    """Core Euler-Maruyama sweep of every strategy over the same path segments.
 
-    Returns (costs, extra_accumulators, sum_state_per_node, terminal sums).
-    ``maps`` is (gain, T, terminal) from ``_sweep_maps``; the columns of T
-    are the rows of Z.  ``extras`` are per-node integrands
-    f(k, X - EX[k], U - EU[k], W) -> (B,), accumulated with the same
-    trapezoid weights as the running cost.
+    ``strategies`` holds one (maps, EX, EU) per strategy: ``maps`` is
+    (gain, T, terminal) from ``_sweep_maps``, the columns of T the rows of
+    Z, and (EX, EU) its exact mean path.  Returns one (costs,
+    extra_accumulators, sum_state_per_node, terminal sums) per strategy, in
+    order.  ``extras`` are per-node integrands f(k, X - EX[k], U - EU[k], W)
+    -> (B,), accumulated for every strategy with the same trapezoid weights
+    as the running cost.
 
     Paths run along the last axis of Z = [U; X; 1; W; W0], shape
     (rows, B).  Each node makes two products, U = gain[k] @ Z[m:] and
     T[k] @ Z, then adds the cost rows' form to the running cost and the
     drift and the diffusion times dW_k to X.  _WORKERS workers, the caller
     and helper threads, claim segments (every chunk's first, then every
-    chunk's second) and each draws and sweeps what it claims in an
-    increment buffer of its own.  The first failure stops both workers and
-    raises here; the helper is joined before this returns or raises.
+    chunk's second) and each draws what it claims once, in an increment
+    buffer of its own, and sweeps every strategy on it in turn; a sweep
+    only reads the buffer.  The first failure stops both workers and raises
+    here; the helper is joined before this returns or raises.
     """
-    gain, T, terminal = maps
     K = grid.n_steps
-    n, m = EX.shape[1], EU.shape[1]
-    d = n + m
+    n = law.mean.shape[0]
     w = trapezoid_weights(K + 1, grid.h)
     sqrt_h = np.sqrt(grid.h)
     sqrt_t0 = np.sqrt(grid.t0) if grid.t0 > 0.0 else 0.0
     n_gauss = law.indep_load.shape[1]
 
-    def sweep(gauss, z0, dW):
-        """Costs, extras and path sums of one segment's paths."""
+    def sweep(strategy, gauss, z0, dW):
+        """Costs, extras and path sums of one strategy on one segment's paths."""
+        (gain, T, terminal), EX, EU = strategy
+        m = EU.shape[1]
+        d = n + m
         bsz = z0.shape[0]
         Z = np.empty((T.shape[2], bsz))
         U, X, W = Z[:m], Z[m:d], Z[d + 1]
@@ -375,7 +386,7 @@ def _simulate_chunks(
                 segment = None if s is None else draw(s, buffer)
                 if segment is None:
                     return
-                result = sweep(*segment)
+                result = [sweep(strategy, *segment) for strategy in strategies]
                 with lock:
                     results[s] = result
         except BaseException as exc:  # re-raised by the caller below
@@ -395,13 +406,17 @@ def _simulate_chunks(
             helper.join()
     if failure:
         raise failure[0]
-    sums = [np.zeros((K + 1, n)), np.zeros(n), np.zeros((n, n))]
-    for r in results:
-        for total, part in zip(sums, r[2]):
-            total += part
-    costs = np.concatenate([r[0] for r in results])
-    extra_out = [np.concatenate([r[1][e] for r in results]) for e in range(len(extras))]
-    return (costs, extra_out) + tuple(sums)
+    out = []
+    for parts in zip(*results):  # one strategy's results, in segment order
+        sums = [np.zeros((K + 1, n)), np.zeros(n), np.zeros((n, n))]
+        for r in parts:
+            for total, part in zip(sums, r[2]):
+                total += part
+        costs = np.concatenate([r[0] for r in parts])
+        extra_out = [np.concatenate([r[1][e] for r in parts])
+                     for e in range(len(extras))]
+        out.append((costs, extra_out) + tuple(sums))
+    return out
 
 
 def simulate(
@@ -427,6 +442,34 @@ def simulate(
     ``keep_costs`` the report carries the per-path cost vector, for
     estimators that need path-level joint statistics.
     """
+    (report, extra_out), = _simulate_many(
+        p, (spec,), law, n_paths, n_steps, seed, extras, keep_costs
+    )
+    if extras:
+        return report, extra_out
+    return report
+
+
+def _simulate_many(
+    p: ProblemData,
+    specs: Iterable[ControlSpec],
+    law: InitialLaw,
+    n_paths: int,
+    n_steps: int,
+    seed: int,
+    extras: Sequence[Callable] = (),
+    keep_costs: bool = False,
+):
+    """``simulate`` of every strategy in ``specs`` on one set of paths.
+
+    Tabulates the problem once and builds each strategy's mean path and
+    sweep maps in turn, keeping nothing else of a strategy; then one draw
+    of the paths of ``seed`` serves every sweep.  Returns one (report,
+    extra accumulators) per strategy, in order, each bitwise what
+    ``simulate`` of that strategy alone returns at ``seed``: the estimates
+    are those of independent runs, but they share their random numbers, so
+    their differences are far less noisy than either one.
+    """
     if n_paths < 1:
         raise ValidationError("n_paths must be positive")
     if not 0 <= seed < 2**64:
@@ -434,41 +477,41 @@ def simulate(
     _check_law_dim(law, p.n)
     grid = p.horizon.with_steps(n_steps)
     tab = tabulate(p, grid)
-    control = _control_samples(spec, grid)
-    EX, EU = _mean_path(tab, control, law.mean)
-    det_cost = _mean_channel_cost(p, tab, EX, EU)
 
-    offset = spec.offset
-    maps = _sweep_maps(p, tab, EX, EU, (
-        control, sample_path(offset.noise_part, grid.nodes), offset.frozen_at_start
-    ))
-    costs, extra_out, sum_X, sum_term, sum_term_outer = _simulate_chunks(
-        grid, maps, law, n_paths, seed, EX, EU, extras
-    )
-    costs = costs + det_cost
+    def strategy(spec):
+        control = _control_samples(spec, grid)
+        EX, EU = _mean_path(tab, control, law.mean)
+        offset = spec.offset
+        maps = _sweep_maps(p, tab, EX, EU, (
+            control, sample_path(offset.noise_part, grid.nodes), offset.frozen_at_start
+        ))
+        return maps, EX, EU
 
-    cost_mean = float(np.mean(costs))
-    cost_stderr = sample_stderr(costs)
+    strategies = [strategy(spec) for spec in specs]
+    swept = _simulate_chunks(grid, strategies, law, n_paths, seed, extras)
 
-    sample_mean = sum_X / n_paths
-    mean_gap = float(np.max(np.abs(sample_mean - EX)))
-    report = SimulationReport(
-        cost_mean=cost_mean,
-        cost_stderr=cost_stderr,
-        n_paths=n_paths,
-        n_steps=n_steps,
-        seed=seed,
-        mean_path=EX,
-        mean_control=EU,
-        sample_mean_path=sample_mean,
-        mean_gap=mean_gap,
-        terminal_mean=sum_term / n_paths,
-        terminal_second_moment=sum_term_outer / n_paths,
-        per_path_costs=costs if keep_costs else None,
-    )
-    if extras:
-        return report, extra_out
-    return report
+    out = []
+    for (_, EX, EU), (costs, extra_out, sum_X, sum_term, sum_term_outer) in zip(
+        strategies, swept
+    ):
+        costs = costs + _mean_channel_cost(p, tab, EX, EU)
+        sample_mean = sum_X / n_paths
+        report = SimulationReport(
+            cost_mean=float(np.mean(costs)),
+            cost_stderr=sample_stderr(costs),
+            n_paths=n_paths,
+            n_steps=n_steps,
+            seed=seed,
+            mean_path=EX,
+            mean_control=EU,
+            sample_mean_path=sample_mean,
+            mean_gap=float(np.max(np.abs(sample_mean - EX))),
+            terminal_mean=sum_term / n_paths,
+            terminal_second_moment=sum_term_outer / n_paths,
+            per_path_costs=costs if keep_costs else None,
+        )
+        out.append((report, extra_out))
+    return out
 
 
 def estimate_cost(times: np.ndarray, X: np.ndarray, U: np.ndarray, p: ProblemData):

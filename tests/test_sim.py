@@ -14,7 +14,12 @@ import pytest
 import mflq
 from mflq import sim
 from mflq.errors import FiniteEscapeError, ValidationError
-from mflq.presets import example31, example31_null_control, scalar_classic
+from mflq.presets import (
+    example31,
+    example31_null_control,
+    random_spd,
+    scalar_classic,
+)
 from mflq.problem import (
     ControlSpec,
     InitialLaw,
@@ -298,6 +303,35 @@ def test_frozen_offset_uses_entry_time_brownian_value():
     rep_run = simulate(p, spec_run, law, n_paths=200000, n_steps=100, seed=21)
     # E[(int_t0^T W ds)^2] > E[(W(t0) span)^2] for this horizon
     assert rep_run.cost_mean > rep.cost_mean
+
+
+BATCH_FIELDS = ("per_path_costs", "cost_mean", "cost_stderr", "sample_mean_path",
+                "mean_gap", "terminal_mean", "terminal_second_moment")
+
+
+@pytest.mark.parametrize("n_paths", [2000, CHUNK, CHUNK + sim.SEGMENT + 3,
+                                     2 * CHUNK + 100])
+def test_batch_gives_each_strategy_its_single_call_report(n_paths):
+    """Each strategy of a batch, swept on the batch's one draw, reports
+    bitwise what simulate of it alone reports at the same seed: one segment
+    swept inline, two segments on two workers, a chunk and a merged tail,
+    and several chunks."""
+    p, law = random_spd(3, n_steps=20)
+    opt = synthesize(p).strategy
+    bumped = ControlSpec(opt.feedback.add_constant(0.5), opt.mean_feedback,
+                         opt.offset)
+    specs = (opt, ControlSpec.zero(p.n, p.m), bumped)
+    batch = sim._simulate_many(p, iter(specs), law, n_paths, 20, seed=5,
+                               keep_costs=True)
+    assert len(batch) == len(specs)
+    for spec, (rep, extra_out) in zip(specs, batch):
+        assert extra_out == []
+        alone = simulate(p, spec, law, n_paths, 20, seed=5, keep_costs=True)
+        for name in BATCH_FIELDS:
+            np.testing.assert_array_equal(getattr(rep, name), getattr(alone, name),
+                                          err_msg=f"{name} at {n_paths} paths")
+    costs = [rep.cost_mean for rep, _ in batch]
+    assert len(set(costs)) == len(costs)
 
 
 class Planted(Exception):

@@ -379,6 +379,13 @@ def sequential_simulate_chunks(
     return costs, extra_out, sum_X, sum_term, sum_term_outer
 
 
+def sequential_core(grid, strategies, law, n_paths, seed, extras=()):
+    """``sequential_simulate_chunks`` behind the batched core's signature,
+    for a batch of one strategy, as ``simulate`` makes."""
+    ((maps, EX, EU),) = strategies
+    return [sequential_simulate_chunks(grid, maps, law, n_paths, seed, EX, EU, extras)]
+
+
 def frozen_riding_case(n, m):
     """A random_spd problem with every riding term nonzero, and its optimal
     strategy with the offset frozen at the entry time."""
@@ -410,7 +417,7 @@ def test_segmented_sweep_matches_sequential_sweep(n, m, monkeypatch):
                             extras=(extra_term,), keep_costs=True)
 
     got = [run(n_paths) for n_paths in SEGMENT_CASES]
-    monkeypatch.setattr(sim, "_simulate_chunks", sequential_simulate_chunks)
+    monkeypatch.setattr(sim, "_simulate_chunks", sequential_core)
     for n_paths, (rep, (acc,)) in zip(SEGMENT_CASES, got):
         ref, (ref_acc,) = run(n_paths)
         np.testing.assert_array_equal(rep.per_path_costs, ref.per_path_costs)

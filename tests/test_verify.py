@@ -184,6 +184,39 @@ def test_battery_flags_inflated_value():
     assert not rep.check("optimal_attains_value").passed
 
 
+def test_battery_prices_the_optimum_as_simulate_does():
+    """The optimum runs in the battery's batch on the paths of seed: its
+    cost and stderr are bitwise those of simulate alone at that seed."""
+    p, law = random_spd(1, n_steps=50)
+    sol = synthesize(p)
+    rep = lower_bound_battery(p, sol, law, n_controls=3, n_paths=300, seed=4,
+                              n_steps=40)
+    alone = sim.simulate(p, sol.strategy, law, 300, 40, 4)
+    meta = rep.check("optimal_attains_value").metadata
+    assert (meta["optimal_cost"], meta["optimal_stderr"]) == (
+        alone.cost_mean, alone.cost_stderr)
+
+
+def test_battery_opens_one_stream_per_chunk(monkeypatch):
+    """The battery draws its paths once for all its strategies: n controls
+    over N paths open ceil(N / CHUNK) Philox streams, not (n + 1) times
+    that."""
+    p, law = scalar_classic(n_steps=50)
+    sol = synthesize(p)
+    opened = []
+    chunk_rng = sim._chunk_rng
+
+    def counted(seed, chunk_index):
+        opened.append((seed, chunk_index))
+        return chunk_rng(seed, chunk_index)
+
+    monkeypatch.setattr(sim, "_chunk_rng", counted)
+    n_paths = 2 * sim.CHUNK + 5
+    lower_bound_battery(p, sol, law, n_controls=4, n_paths=n_paths, seed=6,
+                        n_steps=10)
+    assert sorted(opened) == [(6, 0), (6, 1), (6, 2)]
+
+
 def test_battery_requires_solvable():
     p, law = example31(n_steps=200)
     sol = synthesize(p)
