@@ -26,24 +26,30 @@ only reads the buffer, so each strategy's report is bitwise the report of
 a call of its own at the same seed, and the strategies share their random
 numbers.
 
-A chunk is swept in segments of SEGMENT = CHUNK // 2 paths, by two
+A chunk is swept in segments of SEGMENT = CHUNK // 4 paths, by two
 workers: the calling thread and one helper thread.  Each worker claims
-whole segments, every chunk's first segment before any chunk's second, so
-both start at once on streams of their own; it draws what it claims once,
-in a step-major (K, widest segment) increment buffer of its own, and
-sweeps every strategy on it (the two buffers together hold what one
-(K, CHUNK) buffer would; a merged remainder, see _MIN_TAIL, widens them by
-at most 15 columns).  numpy's generators and products release the
-interpreter lock, so the two workers run on two cores.  Each chunk's
-stream is still drawn in path order, its initial draws first and then its
-increments path-major in blocks of DRAW_BLOCK paths, one block at a time:
-a segment that is not its chunk's first waits until its predecessor is
-drawn.  So every path sees the draws of an unsegmented sweep; with
-_MIN_TAIL, its cost is the same bit for bit.  The path sums behind the
-sample mean and the terminal moments are taken per segment and strategy
-and added in segment order once the workers are joined, so they do not
-depend on which worker finishes first.  A run of one segment is swept
-inline and starts no thread.
+whole segments, every chunk's first segment, then every chunk's second,
+and so on, so both start at once on streams of their own; it draws what it
+claims once, in a step-major (K, widest segment) increment buffer of its
+own, and sweeps every strategy on it (the two buffers together hold half
+of what one (K, CHUNK) buffer would; a merged remainder, see _MIN_TAIL,
+widens them by at most 15 columns).  numpy's generators and products
+release the interpreter lock, so the two workers run on two cores.  Each
+chunk's stream is still drawn in path order, its initial draws first and
+then its increments path-major in blocks of DRAW_BLOCK paths, one block at
+a time: a segment that is not its chunk's first waits until its
+predecessor is drawn.  So every path sees the draws of an unsegmented
+sweep and goes through the same arithmetic in the same order.  Its cost
+is the same bit for bit wherever BLAS rounds each column of a product
+independently of the product's width (_MIN_TAIL keeps the narrow kernels
+out); single-threaded OpenBLAS does not always: for some map shapes (T at
+(n, m) = (6, 3), 21 x 11, is one) it rounds the last (width mod 8) columns
+of a product by the product's width, so the last few paths of a chunk's
+last segment can move in the last bits.  The path sums behind the sample
+mean and the terminal moments are taken per segment and strategy and
+added in segment order once the workers are joined, so they do not depend
+on which worker finishes first.  A run of one segment is swept inline and
+starts no thread.
 """
 
 from __future__ import annotations
@@ -79,7 +85,15 @@ CHUNK = 16384
 # the blocks concatenate to the chunk's single (paths, K) draw bit for bit.
 DRAW_BLOCK = 1024
 # Paths per segment of a chunk: the unit a worker claims, draws and sweeps.
-SEGMENT = CHUNK // 2
+# CHUNK % SEGMENT == 0 and SEGMENT % DRAW_BLOCK == 0 must hold, so that a
+# chunk's stream is drawn in the same blocks and order as unsegmented and
+# every segment starts on a block boundary.  The two workers' (K, SEGMENT)
+# increment buffers set a large call's memory peak, and a 40,000-path call
+# makes ten quarter-chunk segments, split about evenly between them.
+# CHUNK // 8 was measured on 40,000 paths x 150 steps against CHUNK // 4:
+# 8% less peak memory but 26% more time, as per-node dispatch then
+# outweighs the work of a node's products.
+SEGMENT = CHUNK // 4
 # Workers per multi-segment call: the calling thread and one helper thread.
 _WORKERS = 2
 # A chunk's remainder of fewer paths than this stays in the segment before
@@ -284,10 +298,10 @@ def _simulate_chunks(
     T[k] @ Z, then adds the cost rows' form to the running cost and the
     drift and the diffusion times dW_k to X.  _WORKERS workers, the caller
     and helper threads, claim segments (every chunk's first, then every
-    chunk's second) and each draws what it claims once, in an increment
-    buffer of its own, and sweeps every strategy on it in turn; a sweep
-    only reads the buffer.  The first failure stops both workers and raises
-    here; the helper is joined before this returns or raises.
+    chunk's second, and so on) and each draws what it claims once, in an
+    increment buffer of its own, and sweeps every strategy on it in turn;
+    a sweep only reads the buffer.  The first failure stops both workers
+    and raises here; the helper is joined before this returns or raises.
     """
     K = grid.n_steps
     n = law.mean.shape[0]

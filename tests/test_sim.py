@@ -84,6 +84,23 @@ def test_chunk_holds_one_increment_buffer():
     assert peak < 1.5 * CHUNK * n_steps * 8
 
 
+def test_workers_hold_half_a_chunk_of_increments():
+    """A 40,000-path call, ten quarter-chunk segments over two workers,
+    holds two (K, SEGMENT) increment buffers: its traced peak stays below
+    0.9 times one (K, CHUNK) buffer (two half-chunk buffers read 1.33)."""
+    n_steps = 150
+    p = noisy_classic(n_steps)
+    law = InitialLaw.deterministic([1.0])
+    sol = synthesize(p)
+    tracemalloc.start()
+    try:
+        simulate(p, sol.strategy, law, n_paths=40_000, n_steps=n_steps, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9 * CHUNK * n_steps * 8
+
+
 def test_deterministic_problem_has_zero_stderr():
     # no diffusion, point initial law: every path is the mean path
     p, law = scalar_classic(n_steps=300)

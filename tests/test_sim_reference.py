@@ -459,6 +459,30 @@ def test_two_workers_match_one_worker_bitwise(n, m, monkeypatch):
                                           err_msg=f"{name} at {n_paths} paths")
 
 
+def test_segments_start_on_draw_block_boundaries():
+    """Whole segments tile a chunk, and each starts on a DRAW_BLOCK
+    boundary, so a chunk's stream is drawn in the same blocks as
+    unsegmented."""
+    assert sim.CHUNK % sim.SEGMENT == 0
+    assert sim.SEGMENT % sim.DRAW_BLOCK == 0
+
+
+def test_bench_shape_matches_sequential_sweep(monkeypatch):
+    """(6, 3) at 40,000 paths, as the monte-carlo benchmark calls it: three
+    chunks with no tail to merge; per-path costs, cost_mean and cost_stderr
+    are bitwise those of the sequential sweep."""
+    p, spec, law = frozen_riding_case(6, 3)
+
+    def run():
+        return sim.simulate(p, spec, law, 40_000, 20, seed=9, keep_costs=True)
+
+    rep = run()
+    monkeypatch.setattr(sim, "_simulate_chunks", sequential_core)
+    ref = run()
+    np.testing.assert_array_equal(rep.per_path_costs, ref.per_path_costs)
+    assert (rep.cost_mean, rep.cost_stderr) == (ref.cost_mean, ref.cost_stderr)
+
+
 def test_segments_cover_each_chunk_in_path_order():
     """Segments run through the paths in order, SEGMENT at a time, and only
     the last one is wider, by fewer than _MIN_TAIL paths."""
