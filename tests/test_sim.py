@@ -327,12 +327,12 @@ BATCH_FIELDS = ("per_path_costs", "cost_mean", "cost_stderr", "sample_mean_path"
 
 
 @pytest.mark.parametrize("n_paths", [2000, CHUNK, CHUNK + sim.SEGMENT + 3,
-                                     2 * CHUNK + 100])
+                                     CHUNK + 2 * sim.SEGMENT + 3, 2 * CHUNK + 100])
 def test_batch_gives_each_strategy_its_single_call_report(n_paths):
     """Each strategy of a batch, swept on the batch's one draw, reports
     bitwise what simulate of it alone reports at the same seed: one segment
-    swept inline, two segments on two workers, a chunk and a merged tail,
-    and several chunks."""
+    swept inline, segments on two workers, a chunk and a merged tail, a chunk
+    and two segments whose last takes the merged tail, and several chunks."""
     p, law = random_spd(3, n_steps=20)
     opt = synthesize(p).strategy
     bumped = ControlSpec(opt.feedback.add_constant(0.5), opt.mean_feedback,
