@@ -37,7 +37,7 @@ from .moments import (
     propagate_moments,
     stationarity_residual,
 )
-from .sim import SimulationReport, estimate_cost, mean_ode, sample_stderr, simulate
+from .sim import SimulationReport, mean_ode, sample_stderr, simulate
 from .verify import (
     CheckResult,
     CompletionResult,
@@ -88,7 +88,6 @@ __all__ = [
     "closed_loop",
     "completion_check",
     "dense_midpoints",
-    "estimate_cost",
     "example31",
     "example31_null_control",
     "get_preset",

@@ -3,10 +3,12 @@
 The document layout mirrors ProblemData: dimensions, horizon {t, T, steps},
 one entry per coefficient (flat row-major list for a constant, {"grid":
 [...]} with one flat matrix per node for a sampled path, {"const": ...,
-"noise": ...} for noise-affine inhomogeneities) and the initial law.  Every
-matrix is written with explicit dimensions implied by the field, never
-broadcast.  Round-trips are lossless: floats serialize via repr, so load
-after emit reproduces the arrays bit for bit.
+"noise": ...} for noise-affine inhomogeneities) and the initial law.  A
+strategy's noise-affine offset may also carry "frozen_at_start": true; a
+problem coefficient may not, and any other key of a noise-affine object is
+refused.  Every matrix is written with explicit dimensions implied by the
+field, never broadcast.  Round-trips are lossless: floats serialize via
+repr, so load after emit reproduces the arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -186,6 +188,8 @@ def _decode_noise(r: _Reader, value, where: str, shape,
     if not isinstance(value, dict) or "const" not in value or "noise" not in value:
         r.fail(where, "expected an object with 'const' and 'noise'")
         return None
+    for key in sorted(set(value) - {"const", "noise", "frozen_at_start"}):
+        r.fail(f"{where}.{key}", "unknown field")
     const = _decode_path(r, value["const"], f"{where}.const", shape, horizon)
     noise = _decode_path(r, value["noise"], f"{where}.noise", shape, horizon)
     frozen = value.get("frozen_at_start", False)

@@ -179,7 +179,9 @@ class NoiseAffinePath:
 
     ``frozen_at_start`` pins the Brownian factor to its value at the initial
     time instead of the running value; simulation honours the flag, while
-    the mean of the path is the constant part either way.
+    the mean of the path is the constant part either way.  The flag belongs
+    to strategy offsets: ``ProblemData`` refuses it on b, sigma, q and rho,
+    whose Brownian factor is always the running value.
     """
 
     const_part: MatrixPath
@@ -356,6 +358,12 @@ class ProblemData:
         for name in ("G", "G_bar", "g0", "g1", "g_bar"):
             arr = _as_float_array(getattr(self, name), name)
             object.__setattr__(self, name, _private(arr))
+        for name in ("b", "sigma", "q", "rho"):
+            if getattr(self, name).frozen_at_start:
+                raise ValidationError(
+                    f"{name}: frozen_at_start is a flag of strategy offsets; "
+                    "a problem coefficient rides the running Brownian value"
+                )
 
     @property
     def is_homogeneous(self) -> bool:

@@ -15,8 +15,7 @@ last axis of Z = [U; X; 1; W; W0] (the W0 row, the Brownian value at the
 entry time, only when the offset is frozen there), and every node makes
 two products: U = gain[k] @ [X; 1; W; W0], then T[k] @ Z, whose rows are
 the weighted running-cost form, the drift scaled by h and the diffusion.
-Both maps are built once per strategy and call by ``_sweep_maps``;
-``estimate_cost`` prices recorded paths with the same cost rows.
+Both maps are built once per strategy and call by ``_sweep_maps``.
 
 One call can sweep several strategies (``_simulate_many``, which the
 lower-bound battery uses; ``simulate`` is a batch of one).  The paths are
@@ -67,11 +66,9 @@ from .problem import (
     InitialLaw,
     ProblemData,
     TimeGrid,
-    _TIME_SLACK,
     _check_law_dim,
     _closed_loop,
     _join,
-    _nonzero_terms,
     nodes_and_midpoints,
     sample_path,
     tabulate,
@@ -181,7 +178,7 @@ def _mean_path(tab: CoefficientTable, control, m0: np.ndarray):
     return EX, EU
 
 
-def _sweep_maps(p: ProblemData, tab: CoefficientTable, EX, EU, control=None):
+def _sweep_maps(p: ProblemData, tab: CoefficientTable, EX, EU, control):
     """The affine maps of one path sweep over Z = [U; X; 1; W; W0].
 
     Built once per call from the coefficient table and the mean (EX, EU).
@@ -198,15 +195,12 @@ def _sweep_maps(p: ProblemData, tab: CoefficientTable, EX, EU, control=None):
       of node k; the drift h [B A | mean drift | b1]; the diffusion
       [D C | mean diffusion | sigma1].
     - terminal (n, n+2): [G 2g0 2g1], the terminal cost on [X; 1; W].
-
-    Without ``control`` (recorded paths, Z = [U; X; 1; W]) gain is None and
-    T holds the cost rows alone, (K+1, n+m, n+m+2).
     """
     grid = tab.grid
     K, h = grid.n_steps, grid.h
     n, d = p.n, p.n + p.m
     st = tab.stack
-    samples, v1, frozen = (None, None, False) if control is None else control
+    samples, v1, frozen = control
     ux = np.r_[n:d, :n]  # the [x; u] columns of a channel map, as [u; x]
 
     def channel(t):
@@ -226,8 +220,6 @@ def _sweep_maps(p: ProblemData, tab: CoefficientTable, EX, EU, control=None):
                     2.0 * np.concatenate((st("rho0"), st("q0")), 1),
                     2.0 * np.concatenate((st("rho1"), st("q1")), 1))
     terminal = np.column_stack((p.G, 2.0 * p.g0, 2.0 * p.g1))
-    if samples is None:
-        return None, cost, terminal
     T = _join((
         cost,
         h * rows(channel(F), mean_step("A_bar", "B_bar", "b0"), st("b1")),
@@ -526,65 +518,3 @@ def _simulate_many(
         )
         out.append((report, extra_out))
     return out
-
-
-def estimate_cost(times: np.ndarray, X: np.ndarray, U: np.ndarray, p: ProblemData):
-    """Cost estimate from recorded path ensembles.
-
-    X has shape (paths, K+1, n) and U (paths, K+1, m) with finite entries;
-    the mean channel uses their sample means.  Other shapes and non-finite
-    entries raise ValidationError.  ``times`` must be the uniform nodes of
-    the problem's horizon, within the horizon's time slack; any other grid
-    raises ValidationError.  The recorded paths carry no Brownian values,
-    so a problem whose cost rides them (nonzero q.noise, rho.noise or g1)
-    raises ValidationError.  Returns (mean, stderr).
-    """
-    nonzero = _nonzero_terms(p, ("q.noise", "rho.noise", "g1"))
-    if nonzero:
-        raise ValidationError(
-            "estimate_cost needs a cost free of Brownian-riding terms; "
-            "nonzero: " + ", ".join(nonzero)
-        )
-    times = np.asarray(times, dtype=float)
-    X = np.asarray(X, dtype=float)
-    U = np.asarray(U, dtype=float)
-    if X.ndim != 3 or U.ndim != 3 or X.shape[:2] != U.shape[:2]:
-        raise ValidationError("X and U must be (paths, nodes, dim) with equal fronts")
-    n, m = p.n, p.m
-    if (X.shape[2], U.shape[2]) != (n, m):
-        raise ValidationError(
-            f"X and U must end in the state and control dimensions ({n}, {m}), "
-            f"got ({X.shape[2]}, {U.shape[2]})"
-        )
-    for name, values in (("X", X), ("U", U)):
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(f"{name} has non-finite entries")
-    n_paths, n_nodes = X.shape[:2]
-    if times.shape != (n_nodes,):
-        raise ValidationError("times length does not match the path arrays")
-    grid = p.horizon.with_steps(n_nodes - 1)
-    slack = _TIME_SLACK * max(grid.span, 1.0)
-    if not np.all(np.abs(times - grid.nodes) <= slack):
-        raise ValidationError(
-            f"times must be the {n_nodes} uniform nodes of the horizon "
-            f"[{grid.t0}, {grid.tT}]"
-        )
-    EX = X.mean(axis=0)
-    EU = U.mean(axis=0)
-
-    # Z = [U; X; 1]: the W column of the maps is zero without riding costs.
-    d = n + m
-    tab = tabulate(p, grid)
-    _, cost, terminal = _sweep_maps(p, tab, EX, EU)
-    per_path = np.zeros(n_paths)
-    Z = np.empty((d + 1, n_paths))
-    Z[d] = 1.0
-    for k in range(n_nodes):
-        Z[:m] = U[:, k].T
-        Z[m:d] = X[:, k].T
-        per_path += np.einsum("ib,ib->b", cost[k, :, : d + 1] @ Z, Z[:d])
-    per_path += np.einsum("ib,ib->b", terminal[:, : n + 1] @ Z[m:], Z[m:d])
-    per_path += _mean_channel_cost(p, tab, EX, EU)
-
-    mean = float(np.mean(per_path))
-    return mean, sample_stderr(per_path)

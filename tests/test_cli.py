@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from mflq import cli, docio, riccati, sim, synthesis
+from mflq import cli, docio, presets, riccati, sim, synthesis
 from mflq.cli import main
 from mflq.problem import (
     ControlSpec,
@@ -177,6 +177,21 @@ def test_json_booleans_are_not_numbers(capsys, tmp_path, section, field,
     assert code == 2
     assert out == ""
     assert f"invalid: {where}:" in err
+
+
+def test_frozen_problem_coefficient_exits_2(capsys, tmp_path):
+    """frozen_at_start belongs to strategy offsets; on a problem coefficient
+    it is refused instead of being solved as the running Brownian value."""
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    doc = json.loads(open(path).read())
+    doc["coefficients"]["b"] = {"const": [0.0], "noise": [2.0],
+                                "frozen_at_start": True}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, ["solve", path])
+    assert code == 2
+    assert out == ""
+    assert "b: frozen_at_start" in err
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +477,27 @@ def test_simulate_strategy_from_file(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["strategy"] == f"file:{spath}"
     assert rep["cost_mean"] == 2.0
+
+
+def test_misspelt_offset_key_exits_2(capsys, tmp_path):
+    """A key of a noise-affine object other than const, noise and
+    frozen_at_start is refused: a misspelt flag used to load unfrozen."""
+    problem_path = write_preset(capsys, tmp_path, "example31", "mf.json")
+    doc = json.loads((tmp_path / "mf.json").read_text())
+    g = TimeGrid(doc["horizon"]["t"], doc["horizon"]["T"],
+                 doc["horizon"]["steps"])
+    sdoc = docio.emit_strategy(presets.example31_null_control(), 1, 1, g)
+    del sdoc["offset"]["frozen_at_start"]
+    sdoc["offset"]["frozen_at_strat"] = True
+    spath = tmp_path / "null.json"
+    spath.write_text(docio.dumps(sdoc))
+    code, out, err = run(capsys, [
+        "simulate", problem_path, "--strategy", str(spath),
+        "--paths", "16", "--steps", "40",
+    ])
+    assert code == 2
+    assert out == ""
+    assert "offset.frozen_at_strat: unknown field" in err
 
 
 def test_simulate_diverging_strategy_exits_3(capsys, tmp_path):

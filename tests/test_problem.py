@@ -107,12 +107,27 @@ def test_deterministic_law_has_zero_covariance():
 def test_make_problem_accepts_scalars_and_tuples():
     g = TimeGrid(0.0, 1.0, 10)
     p = make_problem(1, 1, g, A=0.5, B=1.0, R=2.0, G=1.0,
-                     b=(0.1, 0.2), sigma=(0.0, 0.3, True))
+                     b=(0.1, 0.2), sigma=(0.0, 0.3))
     assert p.A.at(0.3)[0, 0] == 0.5
     assert p.b.const_part.values[0] == 0.1
     assert p.b.noise_part.values[0] == 0.2
-    assert p.sigma.frozen_at_start is True
     assert validate(p) == []
+
+
+@pytest.mark.parametrize("field", ["b", "sigma", "q", "rho"])
+def test_problem_refuses_a_frozen_coefficient(field):
+    """Only a strategy offset can freeze its Brownian factor: the solver and
+    the sweep read a problem coefficient's running value, so a frozen
+    b = 2 W(0.5) on [0.5, 1.5] used to be simulated as the running one
+    (4.317 from x = 1 under the zero strategy, where its exact cost is 3)."""
+    g = TimeGrid(0.5, 1.5, 20)
+    coeffs = dict(B=1.0, R=1.0, G=1.0)
+    with pytest.raises(ValidationError, match=f"^{field}: frozen_at_start"):
+        make_problem(1, 1, g, **coeffs, **{field: (0.0, 2.0, True)})
+    p = make_problem(1, 1, g, **coeffs, **{field: (0.0, 2.0)})
+    frozen = replace(getattr(p, field), frozen_at_start=True)
+    with pytest.raises(ValidationError, match=f"^{field}: frozen_at_start"):
+        replace(p, **{field: frozen})
 
 
 def test_make_problem_rejects_unknown_names():

@@ -28,7 +28,7 @@ from mflq.problem import (
     TimeGrid,
     make_problem,
 )
-from mflq.sim import CHUNK, estimate_cost, mean_ode, simulate
+from mflq.sim import CHUNK, mean_ode, simulate
 from mflq.synthesis import synthesize
 
 
@@ -185,92 +185,10 @@ def test_adapted_null_strategy_reaches_zero_terminal_state():
     assert abs(rep.cost_mean) < 1e-25
 
 
-def test_estimate_cost_on_hand_built_paths():
-    """Constant control u = 1 from x = 0 under dX = u ds: X(s) = s on every
-    path, and the cost x(1)^2 + mean terms is computed from the recorded
-    ensemble alone."""
-    g = TimeGrid(0.0, 1.0, 2000)
-    p = make_problem(1, 1, g, B=1.0, R=1.0, G=1.0)
-    K = g.n_steps
-    times = g.nodes
-    X = np.broadcast_to(times, (4, K + 1))[..., None]
-    U = np.ones((4, K + 1, 1))
-    mean, stderr = estimate_cost(times, X, U, p)
-    # integral of u^2 is 1, terminal is 1
-    assert mean == pytest.approx(2.0, abs=1e-12)
-    assert stderr == 0.0
-
-
-def test_estimate_cost_validates_shapes():
-    g = TimeGrid(0.0, 1.0, 10)
-    p = make_problem(1, 1, g, B=1.0, R=1.0, G=1.0)
-    with pytest.raises(ValidationError):
-        estimate_cost(g.nodes, np.zeros((2, 5, 1)), np.zeros((2, 11, 1)), p)
-
-
-def test_estimate_cost_refuses_times_of_another_length():
-    g = TimeGrid(0.0, 1.0, 10)
-    p = make_problem(1, 1, g, B=1.0, R=1.0, G=1.0)
-    X = np.zeros((2, 11, 1))
-    with pytest.raises(ValidationError, match="times length"):
-        estimate_cost(g.nodes[:-1], X, X, p)
-
-
 def test_mean_ode_refuses_a_misshaped_initial_mean():
     p, _ = scalar_classic(n_steps=20)
     with pytest.raises(ValidationError, match=r"initial mean: expected shape \(1,\)"):
         mean_ode(p, ControlSpec.zero(1, 1), [1.0, 2.0])
-
-
-@pytest.mark.parametrize("x_dim, u_dim", [(2, 1), (1, 2)])
-def test_estimate_cost_refuses_wrong_state_or_control_dimension(x_dim, u_dim):
-    """A wrong last axis used to end in numpy's matmul core-dimension error."""
-    g = TimeGrid(0.0, 1.0, 10)
-    p = make_problem(1, 1, g, B=1.0, R=1.0, G=1.0)
-    X, U = np.zeros((3, 11, x_dim)), np.zeros((3, 11, u_dim))
-    with pytest.raises(ValidationError, match=r"dimensions \(1, 1\)"):
-        estimate_cost(g.nodes, X, U, p)
-
-
-@pytest.mark.parametrize("name, bad", [("X", np.nan), ("U", np.inf)])
-def test_estimate_cost_refuses_non_finite_paths(name, bad):
-    """NaN paths used to come back silently as (nan, nan)."""
-    g = TimeGrid(0.0, 1.0, 10)
-    p = make_problem(1, 1, g, B=1.0, R=1.0, G=1.0)
-    arrays = {"X": np.zeros((3, 11, 1)), "U": np.zeros((3, 11, 1))}
-    arrays[name][1, 4, 0] = bad
-    with pytest.raises(ValidationError, match=f"{name} has non-finite"):
-        estimate_cost(g.nodes, arrays["X"], arrays["U"], p)
-
-
-@pytest.mark.parametrize("times, match", [
-    ([0.0, 0.1, 1.0], "uniform nodes"),      # not uniform
-    ([0.0, 1.0, 2.0], "uniform nodes"),      # runs past the horizon [0, 1]
-    ([0.0], "n_steps"),                      # a single node is no grid
-])
-def test_estimate_cost_refuses_times_off_the_horizon_grid(times, match):
-    """The step and the tabulation grid come from the problem's horizon, so
-    times that are not its uniform nodes used to be priced silently (1.048
-    on [0, 0.1, 1] against 2.002 on [0, 0.5, 1], and 3.19 on [0, 1, 2])."""
-    p, _ = scalar_classic(2)
-    rng = np.random.default_rng(3)
-    X = 1.0 + 0.1 * rng.standard_normal((50, len(times), 1))
-    U = rng.standard_normal((50, len(times), 1))
-    with pytest.raises(ValidationError, match=match):
-        estimate_cost(np.array(times), X, U, p)
-
-
-@pytest.mark.parametrize("riding", [
-    {"q": (0.0, 0.5)}, {"rho": (0.0, 0.5)}, {"g": (0.0, 0.5)},
-])
-def test_estimate_cost_refuses_brownian_riding_costs(riding):
-    """Recorded paths carry no Brownian values, so the q1, rho1 and g1 terms
-    cannot be priced; they used to be dropped without a word."""
-    g = TimeGrid(0.0, 1.0, 10)
-    p = make_problem(1, 1, g, B=1.0, R=1.0, G=1.0, **riding)
-    X = np.zeros((2, 11, 1))
-    with pytest.raises(ValidationError, match="Brownian"):
-        estimate_cost(g.nodes, X, X, p)
 
 
 def test_simulate_validates_inputs():

@@ -30,7 +30,6 @@ from mflq.problem import (
     InitialLaw,
     NoiseAffinePath,
     TimeGrid,
-    make_problem,
     sample_path,
     tabulate,
 )
@@ -193,33 +192,6 @@ def test_short_last_chunk_agrees():
     assert_agrees(p, synthesize(p).strategy, law, sim.CHUNK + 7, 20)
 
 
-def test_estimate_cost_matches_row_layout_formula():
-    K = 12
-    g = TimeGrid(0.0, 1.0, K)
-    Q = np.stack([[[1.0 + t, 0.2], [0.2, 0.5]] for t in g.nodes])
-    p = make_problem(
-        2, 1, g, A=0.1 * np.eye(2), B=[[1.0], [0.5]],
-        Q=Q, Q_bar=0.3 * np.eye(2),
-        S=[[0.1, -0.2]], S_bar=[[0.05, 0.0]], R=2.0, R_bar=0.5,
-        G=[[1.0, 0.1], [0.1, 2.0]], G_bar=0.2 * np.eye(2),
-        q=([0.3, -0.1], [0.0, 0.0]), rho=([0.4], [0.0]),
-        q_bar=[0.1, 0.2], rho_bar=[-0.3], g0=[0.2, -0.1], g_bar=[0.1, 0.0],
-    )
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(300, K + 1, 2))
-    U = rng.normal(size=(300, K + 1, 1))
-    mean, stderr = sim.estimate_cost(g.nodes, X, U, p)
-
-    tab = tabulate(p, g)
-    w = trapezoid_weights(K + 1, g.h)
-    ref = sum(w[k] * node_cost(tab.stack, k, X[:, k], U[:, k], 0.0)
-              for k in range(K + 1))
-    ref = ref + terminal_cost(p, X[:, -1], 0.0)
-    ref = ref + mean_channel_cost(p, tab, X.mean(axis=0), U.mean(axis=0))
-    assert abs(mean - ref.mean()) <= TOL * (1.0 + abs(ref.mean()))
-    assert abs(stderr - sim.sample_stderr(ref)) <= TOL * sim.sample_stderr(ref)
-
-
 def test_node_maps_match_row_layout_formulas():
     """At one node, from a random Z with a frozen anchor and every riding
     term nonzero, the control product, the cost rows' form, both increments
@@ -278,9 +250,6 @@ def test_each_call_builds_the_sweep_maps_once(monkeypatch):
     p, law = random_spd(4, n=2, m=1, n_steps=20, inhomogeneous=False)
     sim.simulate(p, synthesize(p).strategy, law, 500, 25, seed=1)
     assert calls == [25]
-    X = np.ones((30, 13, 2))
-    sim.estimate_cost(p.horizon.with_steps(12).nodes, X, X[..., :1], p)
-    assert calls == [25, 12]
 
 
 # The sweep before it was split into segments, kept verbatim as the

@@ -16,7 +16,7 @@ import pytest
 
 import mflq
 from mflq import affine, linalg, problem, riccati
-from mflq.errors import ValidationError
+from mflq.errors import FiniteEscapeError, ValidationError
 from mflq.linalg import _sym
 from mflq.presets import example31, random_spd, scalar_classic
 from mflq.problem import InitialLaw, TimeGrid, make_problem
@@ -386,3 +386,46 @@ def test_offset_that_is_not_square_integrable_is_not_solvable(K):
     rho = (1.0 - TimeGrid(0.0, 1.0, K).nodes)[:, None]
     sol = synthesize(_vanishing_weight_problem(K, B=0.0, rho=rho))
     assert not sol.solvable
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: RK4 at h = 1e-3 cannot resolve the 4e-4 wide terminal "
+    "layer, yet the synthesis reports solvable; value gives 0.2088, 1.1176 "
+    "and 127.96 at K=1000"))
+@pytest.mark.parametrize("a", [-1250.0, -1380.0, -1500.0])
+def test_stiff_value_matches_the_closed_form(a):
+    """A = a, B = R = Q = 1, G = 100, sigma = 1 on [0, 1] from x0 = 0: the
+    value is the integral of P, r+ + ln((1 - c e^(-2d)) / (1 - c)) with
+    d = sqrt(a^2 + 1), r+ = 1/(d - a), r- = a - d and
+    c = (100 - r+)/(100 - r-).  A named refusal also passes."""
+    p = make_problem(1, 1, TimeGrid(0.0, 1.0, 1000), A=a, B=1.0, R=1.0,
+                     Q=1.0, G=100.0, sigma=(1.0, 0.0))
+    d = np.hypot(a, 1.0)
+    r_plus, r_minus = 1.0 / (d - a), a - d
+    c = (100.0 - r_plus) / (100.0 - r_minus)
+    exact = r_plus + np.log((1.0 - c * np.exp(-2.0 * d)) / (1.0 - c))
+    try:
+        got = value(synthesize(p), InitialLaw.deterministic(0.0))
+    except (FiniteEscapeError, ValidationError):
+        return
+    assert abs(got - exact) <= 0.01 * exact
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: with R = 1e-4 the step h = 1.25e-4 gives h 2P/R = 2.5 "
+    "at T, yet the synthesis reports solvable with gains 13.1% off at "
+    "K=4000"))
+def test_small_input_weight_gain_matches_the_exact_gain():
+    """example31 with R = eps = 1e-4: the deviation Riccati solution is
+    eps/(eps + 1 - s), so the exact gain is -1/(eps + 1 - s) at every node.
+    A named refusal also passes."""
+    eps = 1e-4
+    p, _ = example31(n_steps=4000)
+    p = dataclasses.replace(p, R=problem.MatrixPath.constant([[eps]]))
+    try:
+        sol = synthesize(p)
+    except (FiniteEscapeError, ValidationError):
+        return
+    exact = -1.0 / (eps + 1.0 - p.horizon.nodes)
+    err = np.abs(sol.gre.gain_dev[:, 0, 0] - exact) / np.abs(exact)
+    assert np.max(err) <= 1e-3
