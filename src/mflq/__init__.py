@@ -17,7 +17,6 @@ from .problem import (
     make_problem,
     sample_path,
     strip_inhomogeneous,
-    validate,
 )
 from .riccati import (
     ConditionVerdict,
@@ -107,6 +106,5 @@ __all__ = [
     "stationarity_residual",
     "strip_inhomogeneous",
     "synthesize",
-    "validate",
     "value",
 ]

@@ -11,7 +11,8 @@ conditions, verification checks, the initial law) appear under their own
 field names.  ``verify`` runs its suites from one table, ``_SUITES``.
 ``--csv <dir>`` additionally writes a time series (columns: time, then
 row-major entries of the two Riccati matrices, the two gains, and the
-state mean).  Exit codes: 0 success, 2 validation failure, 3 numerical
+state mean; for ``simulate``, the simulated strategy's gains and mean
+only).  Exit codes: 0 success, 2 validation failure, 3 numerical
 failure (finite escape), 4 verification suite failure.
 """
 
@@ -40,7 +41,7 @@ from .problem import (
     strip_inhomogeneous,
 )
 from .riccati import DEFAULT_REG_TOL, assess_regularity, integrate_gre
-from .synthesis import ClosedLoopSolution, closed_loop, synthesize
+from .synthesis import closed_loop, synthesize
 from .synthesis import value as strategy_value
 from .verify import (
     CheckResult,
@@ -149,36 +150,34 @@ def _resolve_law(args, doc_law: Optional[InitialLaw], n: int,
     return InitialLaw(**fields)
 
 
-def _write_timeseries(dirpath: str, sol: ClosedLoopSolution,
-                      EX: np.ndarray):
-    """CSV with one row per node of the synthesis grid."""
+def _write_timeseries(dirpath: str, times: np.ndarray, columns: dict):
+    """CSV with one row per time: ``columns`` maps a name to a stack with
+    one block per time, written row-major as name_i or name_i_j."""
     os.makedirs(dirpath, exist_ok=True)
-    n, m = sol.problem.n, sol.problem.m
-    gre = sol.gre
     header = ["time"]
-    header += [f"P_{i}_{j}" for i in range(n) for j in range(n)]
-    header += [f"P_mean_{i}_{j}" for i in range(n) for j in range(n)]
-    header += [f"gain_dev_{i}_{j}" for i in range(m) for j in range(n)]
-    header += [f"gain_mean_{i}_{j}" for i in range(m) for j in range(n)]
-    header += [f"EX_{i}" for i in range(n)]
+    for name, stack in columns.items():
+        header += ["_".join(map(str, (name, *at)))
+                   for at in np.ndindex(stack.shape[1:])]
     target = os.path.join(dirpath, "timeseries.csv")
     with open(target, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for k, t in enumerate(sol.grid.nodes):
+        for k, t in enumerate(times):
             row = [repr(float(t))]
-            for block in (gre.P[k], gre.P_mean[k], gre.gain_dev[k],
-                          gre.gain_mean[k], EX[k]):
-                row += [repr(float(v)) for v in np.ravel(block)]
+            for stack in columns.values():
+                row += [repr(float(v)) for v in np.ravel(stack[k])]
             writer.writerow(row)
 
 
-def _maybe_csv(args, p, sol, law, spec=None):
+def _maybe_csv(args, p, sol, law):
     if getattr(args, "csv", None):
         m0 = law.mean if law is not None else np.zeros(p.n)
-        use = spec if spec is not None else sol.strategy
-        EX, _ = sim.mean_ode(p, use, m0, n_steps=sol.grid.n_steps)
-        _write_timeseries(args.csv, sol, EX)
+        EX, _ = sim.mean_ode(p, sol.strategy, m0, n_steps=sol.grid.n_steps)
+        gre = sol.gre
+        _write_timeseries(args.csv, sol.grid.nodes, {
+            "P": gre.P, "P_mean": gre.P_mean, "gain_dev": gre.gain_dev,
+            "gain_mean": gre.gain_mean, "EX": EX,
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +295,9 @@ def cmd_value(args) -> int:
 def _load_strategy_arg(args, p: ProblemData):
     choice = args.strategy
     if choice == "optimal":
-        sol = synthesize(p, n_steps=args.solver_steps)
-        return sol.strategy, "optimal", sol
+        return synthesize(p, n_steps=args.solver_steps).strategy, "optimal"
     if choice == "zero":
-        return ControlSpec.zero(p.n, p.m), "zero", None
+        return ControlSpec.zero(p.n, p.m), "zero"
     try:
         with open(choice, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -309,13 +307,13 @@ def _load_strategy_arg(args, p: ProblemData):
         ) from exc
     doc = docio.load_document(text)
     spec = docio.load_strategy(doc, p.n, p.m, p.horizon)
-    return spec, f"file:{choice}", None
+    return spec, f"file:{choice}"
 
 
 def cmd_simulate(args) -> int:
     p, doc_law = _read_problem(args.file)
     law = _resolve_law(args, doc_law, p.n, required=True)
-    spec, label, sol = _load_strategy_arg(args, p)
+    spec, label = _load_strategy_arg(args, p)
     n_steps = p.horizon.n_steps if args.steps is None else args.steps
     rep = sim.simulate(p, spec, law, args.paths, n_steps, args.seed)
     report = {
@@ -332,9 +330,13 @@ def cmd_simulate(args) -> int:
     }
     _print_report(report)
     if getattr(args, "csv", None):
-        if sol is None:
-            sol = synthesize(p, n_steps=args.solver_steps)
-        _maybe_csv(args, p, sol, law, spec)
+        nodes = p.horizon.with_steps(rep.n_steps).nodes
+        fb = sample_path(spec.feedback, nodes)
+        _write_timeseries(args.csv, nodes, {
+            "gain_dev": fb,
+            "gain_mean": fb + sample_path(spec.mean_feedback, nodes),
+            "EX": rep.mean_path,
+        })
     return EXIT_OK
 
 

@@ -5,8 +5,10 @@ one entry per coefficient (flat row-major list for a constant, {"grid":
 [...]} with one flat matrix per node for a sampled path, {"const": ...,
 "noise": ...} for noise-affine inhomogeneities) and the initial law.  A
 strategy's noise-affine offset may also carry "frozen_at_start": true; a
-problem coefficient may not, and any other key of a noise-affine object is
-refused.  Every matrix is written with explicit dimensions implied by the
+problem coefficient may not.  An unknown key of a document, of its
+coefficients or of a noise-affine object is refused; a left-out
+coefficient is zero.  The built problem checks the rest, such as
+symmetry.  Every matrix is written with explicit dimensions implied by the
 field, never broadcast.  Round-trips are lossless: floats serialize via
 repr, so load after emit reproduces the arrays bit for bit.
 """
@@ -28,11 +30,12 @@ from .problem import (
     TimeGrid,
     _coeff_table,
     make_problem,
-    validate,
 )
 
 PROBLEM_KIND = "mflq-problem"
 STRATEGY_KIND = "mflq-strategy"
+_PROBLEM_KEYS = {"kind", "dims", "horizon", "coefficients", "initial_law"}
+_STRATEGY_KEYS = {"kind", "dims", "horizon", "feedback", "mean_feedback", "offset"}
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +139,12 @@ class _Reader:
             return default
         return value
 
+    def refuse_unknown(self, doc: dict, known, prefix: str = "",
+                       what: str = "field"):
+        """One failure per key of ``doc`` outside ``known``, in sorted order."""
+        for key in sorted(set(doc) - set(known)):
+            self.fail(f"{prefix}{key}", f"unknown {what}")
+
     def floats(self, value, where: str, count: int) -> Optional[np.ndarray]:
         if not isinstance(value, list):
             self.fail(where, "expected a list of numbers")
@@ -188,8 +197,7 @@ def _decode_noise(r: _Reader, value, where: str, shape,
     if not isinstance(value, dict) or "const" not in value or "noise" not in value:
         r.fail(where, "expected an object with 'const' and 'noise'")
         return None
-    for key in sorted(set(value) - {"const", "noise", "frozen_at_start"}):
-        r.fail(f"{where}.{key}", "unknown field")
+    r.refuse_unknown(value, {"const", "noise", "frozen_at_start"}, f"{where}.")
     const = _decode_path(r, value["const"], f"{where}.const", shape, horizon)
     noise = _decode_path(r, value["noise"], f"{where}.noise", shape, horizon)
     frozen = value.get("frozen_at_start", False)
@@ -240,17 +248,16 @@ def load_problem(doc: dict):
         raise ValidationError(
             [f"document: expected kind {PROBLEM_KIND!r}"]
         )
+    r.refuse_unknown(doc, _PROBLEM_KEYS)
     n, m = _decode_dims(r, doc)
     horizon = _decode_horizon(r, doc)
+    raw = r.require(doc, "document", "coefficients", None, default={})
+    if not isinstance(raw, dict):
+        r.fail("coefficients", "expected an object")
     r.raise_if_failed()
 
     table = _coeff_table(n, m)
-    raw = doc.get("coefficients", {})
-    if not isinstance(raw, dict):
-        raise ValidationError(["coefficients: expected an object"])
-    unknown = set(raw) - set(table)
-    for name in sorted(unknown):
-        r.fail(f"coefficients.{name}", "unknown coefficient")
+    r.refuse_unknown(raw, table, "coefficients.", "coefficient")
     built = {}
     for name, (kind, shape, _sym) in table.items():
         if name not in raw:
@@ -284,15 +291,7 @@ def load_problem(doc: dict):
         if mean is not None and bl is not None and il is not None:
             law = InitialLaw(mean, bl, il.reshape(n, n))
     r.raise_if_failed()
-
-    try:
-        p = make_problem(n, m, horizon, **built)
-    except ValidationError as exc:
-        raise ValidationError([f"coefficients: {exc}"]) from exc
-    violations = validate(p)
-    if violations:
-        raise ValidationError(violations)
-    return p, law
+    return make_problem(n, m, horizon, **built), law
 
 
 def load_strategy(doc: dict, n: int, m: int,
@@ -303,6 +302,7 @@ def load_strategy(doc: dict, n: int, m: int,
         raise ValidationError(
             [f"document: expected kind {STRATEGY_KIND!r}"]
         )
+    r.refuse_unknown(doc, _STRATEGY_KEYS)
     doc_n, doc_m = _decode_dims(r, doc)
     if doc_n is not None and (doc_n, doc_m) != (n, m):
         r.fail("dims", f"strategy is for n={doc_n}, m={doc_m}; "

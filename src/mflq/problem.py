@@ -122,20 +122,20 @@ class MatrixPath:
 
     @classmethod
     def constant(cls, value) -> "MatrixPath":
-        return cls(values=_as_float_array(value, "MatrixPath"), grid=None)
+        return cls(values=value, grid=None)
 
     @classmethod
     def sampled(cls, grid: TimeGrid, values) -> "MatrixPath":
-        arr = _as_float_array(values, "MatrixPath")
-        if arr.shape[0] != grid.n_steps + 1:
-            raise ValidationError(
-                f"MatrixPath: expected {grid.n_steps + 1} samples, "
-                f"got {arr.shape[0]}"
-            )
-        return cls(values=arr, grid=grid)
+        return cls(values=values, grid=grid)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _private(self.values))
+        arr = _as_float_array(self.values, "MatrixPath")
+        if self.grid is not None and len(arr) != self.grid.n_steps + 1:
+            raise ValidationError(
+                f"MatrixPath: expected {self.grid.n_steps + 1} samples, "
+                f"got {len(arr)}"
+            )
+        object.__setattr__(self, "values", _private(arr))
 
     @property
     def is_constant(self) -> bool:
@@ -323,6 +323,9 @@ class ProblemData:
     are the drift/diffusion inhomogeneities; q, rho (and their bars) the
     linear cost terms; (g0, g1) the noise-affine terminal linear weight and
     g_bar its mean counterpart.
+
+    Construction checks the whole problem, so every instance is valid: one
+    ValidationError carries every violation ``_violations`` finds.
     """
 
     n: int
@@ -364,6 +367,9 @@ class ProblemData:
                     f"{name}: frozen_at_start is a flag of strategy offsets; "
                     "a problem coefficient rides the running Brownian value"
                 )
+        violations = _violations(self)
+        if violations:
+            raise ValidationError(violations)
 
     @property
     def is_homogeneous(self) -> bool:
@@ -437,12 +443,10 @@ def _normalize_noise(value, shape, horizon: TimeGrid) -> NoiseAffinePath:
     return NoiseAffinePath(const, MatrixPath.constant(np.zeros(shape)))
 
 
-def _normalize_terminal(name: str, value, shape) -> np.ndarray:
+def _normalize_terminal(value, shape) -> np.ndarray:
     arr = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
     if arr.ndim == 0 and all(d == 1 for d in shape):
         arr = arr.reshape(shape)
-    if arr.shape != shape:
-        raise ValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
     return arr
 
 
@@ -453,10 +457,9 @@ def make_problem(n: int, m: int, horizon: TimeGrid, **coeffs) -> ProblemData:
     arrays become constant paths, (K+1, ...)-shaped arrays sampled paths on
     the horizon, (const, noise) tuples noise-affine paths, and terminal
     weights must have their exact shape.  ``g`` may be given as a pair
-    (g0, g1) or the fields g0/g1 set individually.
+    (g0, g1) or the fields g0/g1 set individually.  The built problem
+    checks itself: a misshapen or asymmetric field raises ValidationError.
     """
-    if n < 1 or m < 1:
-        raise ValidationError("dimensions n and m must be positive")
     table = _coeff_table(n, m)
     if "g" in coeffs:
         g = coeffs.pop("g")
@@ -476,7 +479,7 @@ def make_problem(n: int, m: int, horizon: TimeGrid, **coeffs) -> ProblemData:
         elif kind == "noise":
             built[name] = _normalize_noise(value, shape, horizon)
         else:
-            built[name] = _normalize_terminal(name, value, shape)
+            built[name] = _normalize_terminal(value, shape)
     return ProblemData(n=n, m=m, horizon=horizon, **built)
 
 
@@ -500,9 +503,6 @@ def _check_path(name: str, path: MatrixPath, shape, horizon: TimeGrid,
             f"{name}: expected shape {shape}, got {path.shape}"
         )
         return
-    if not np.all(np.isfinite(path.values)):
-        violations.append(f"{name}: contains non-finite entries")
-        return
     if not path.is_constant:
         g = path.grid
         tol = 1e-12 * max(1.0, abs(horizon.tT))
@@ -515,9 +515,10 @@ def _check_path(name: str, path: MatrixPath, shape, horizon: TimeGrid,
         _check_symmetry(name, path.values, violations)
 
 
-def validate(p: ProblemData) -> list:
-    """Return a list of human-readable violations; empty means valid.  Each
-    coefficient is checked as a path, a terminal weight as a constant one."""
+def _violations(p: ProblemData) -> list:
+    """Every violation of the problem, one human-readable line each; empty
+    means valid.  Each coefficient is checked as a path, a terminal weight
+    as a constant one."""
     violations = []
     if p.n < 1 or p.m < 1:
         violations.append("dimensions n and m must be positive")

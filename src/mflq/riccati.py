@@ -63,8 +63,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg, problem
-from .errors import ValidationError
+from . import linalg
 from .linalg import _mT, _sym
 from .problem import CoefficientTable, ProblemData, TimeGrid, tabulate
 from .quadrature import _check_finite, _run_slices, _screen_passes, rk4_steps, trapezoid
@@ -362,12 +361,10 @@ def integrate_gre(p: ProblemData, n_steps: Optional[int] = None) -> GreSolution:
     Classical fixed-step fourth-order Runge-Kutta on a uniform grid, with
     the matrices re-symmetrized after every step.  Gains and feasibility
     data are evaluated at every node afterwards, and a regularity report at
-    the default tolerance is attached.  A problem ``validate`` faults raises
-    ValidationError: the stages read one triangle of each weight only.
+    the default tolerance is attached.  The stages read one triangle of
+    each weight only; ``ProblemData`` refuses an asymmetric one when it is
+    built.
     """
-    violations = problem.validate(p)
-    if violations:
-        raise ValidationError(violations)
     grid = p.horizon if n_steps is None else p.horizon.with_steps(n_steps)
     K = grid.n_steps
     nodes = grid.nodes

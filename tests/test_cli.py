@@ -389,28 +389,87 @@ def test_simulate_zero_strategy_is_exact(capsys, tmp_path):
     assert rep["n_paths"] == 200
 
 
-def test_simulate_zero_strategy_synthesizes_only_for_the_csv(capsys, tmp_path):
-    """--strategy zero needs no synthesis for its report; --csv still
-    writes the time series of a synthesis, with the zero strategy's mean."""
+def read_table(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_simulate_csv_writes_the_simulated_strategy(capsys, tmp_path, monkeypatch):
+    """--csv writes the simulated strategy's gains and the report's state
+    mean on the simulation grid; the zero strategy and a strategy file run
+    no synthesis for it.  The series used to be a synthesis's, not the
+    strategy's that was simulated."""
     path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
-    argv = ["simulate", path, "--strategy", "zero",
-            "--paths", "20", "--steps", "20", "--seed", "1"]
-    _, plain, _ = run(capsys, argv)
-    run(capsys, ["solve", path, "--csv", str(tmp_path / "solve")])
-    code, out, err = run(capsys, [*argv, "--csv", str(tmp_path / "sim")])
-    assert code == 0
-    assert out == plain
-    tables = []
-    for name in ("sim", "solve"):
-        with open(tmp_path / name / "timeseries.csv", newline="") as fh:
-            tables.append(list(csv.DictReader(fh)))
-    zero, optimal = tables
-    assert len(zero) == len(optimal) == 1001
-    for row, want in zip(zero, optimal):
+    p, law = docio.load_problem(json.loads((tmp_path / "classic.json").read_text()))
+    spec = ControlSpec(MatrixPath.constant([[-0.5]]),
+                       MatrixPath.constant([[0.25]]), NoiseAffinePath.zero((1,)))
+    spath = tmp_path / "strategy.json"
+    spath.write_text(docio.dumps(docio.emit_strategy(spec, 1, 1, p.horizon)))
+    argv = ["simulate", path, "--paths", "20", "--steps", "20", "--seed", "1"]
+    monkeypatch.setattr(cli, "synthesize", None)
+    for choice, used in (("zero", ControlSpec.zero(1, 1)), (str(spath), spec)):
+        _, plain, _ = run(capsys, [*argv, "--strategy", choice])
+        target = tmp_path / "csv"
+        code, out, err = run(capsys, [*argv, "--strategy", choice,
+                                      "--csv", str(target)])
+        assert (code, out) == (0, plain)
+        rows = read_table(target / "timeseries.csv")
+        assert list(rows[0]) == ["time", "gain_dev_0_0", "gain_mean_0_0", "EX_0"]
+        EX = sim.simulate(p, used, law, 20, 20, 1).mean_path
+        want_fb = used.feedback.values[0, 0]
+        want_gm = want_fb + used.mean_feedback.values[0, 0]
+        nodes = p.horizon.with_steps(20).nodes
+        assert len(rows) == len(nodes)
+        for k, row in enumerate(rows):
+            assert float(row["time"]) == nodes[k]
+            assert float(row["gain_dev_0_0"]) == want_fb
+            assert float(row["gain_mean_0_0"]) == want_gm
+            assert float(row["EX_0"]) == EX[k, 0]
         # dX = u ds with u = 0 keeps the mean at its start x = 1.
-        assert float(row.pop("EX_0")) == 1.0
-        want.pop("EX_0")
-        assert row == want
+        if choice == "zero":
+            assert {float(row["EX_0"]) for row in rows} == {1.0}
+
+
+def test_simulate_csv_of_the_optimum_matches_solve(capsys, tmp_path):
+    """On the synthesis grid the optimum's series are the solve CSV's gain
+    and state-mean columns."""
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    run(capsys, ["solve", path, "--csv", str(tmp_path / "solve")])
+    code, _, _ = run(capsys, ["simulate", path, "--paths", "4", "--seed", "1",
+                              "--csv", str(tmp_path / "sim")])
+    assert code == 0
+    sim_rows = read_table(tmp_path / "sim" / "timeseries.csv")
+    solve_rows = read_table(tmp_path / "solve" / "timeseries.csv")
+    assert len(sim_rows) == len(solve_rows) == 1001
+    for got, want in zip(sim_rows, solve_rows):
+        for key, text in got.items():
+            assert float(text) == pytest.approx(float(want[key]), rel=1e-12,
+                                                abs=1e-14)
+
+
+@pytest.mark.parametrize("kind, good, bad", [
+    ("problem", "coefficients", "coefficents"),
+    ("strategy", "offset", "ofset"),
+])
+def test_misspelt_top_level_key_exits_2(capsys, tmp_path, kind, good, bad):
+    """An unknown top-level key is refused: a misspelt coefficients object
+    used to load as the all-zero problem (value 0.0 where it is 0.5), and
+    a misspelt offset as the zero offset."""
+    path = write_preset(capsys, tmp_path, "scalar_classic", "classic.json")
+    if kind == "problem":
+        doc = json.loads((tmp_path / "classic.json").read_text())
+        target, argv = tmp_path / "classic.json", ["value", path]
+    else:
+        doc = docio.emit_strategy(ControlSpec.zero(1, 1), 1, 1,
+                                  TimeGrid(0.0, 1.0, 1000))
+        target = tmp_path / "strategy.json"
+        argv = ["simulate", path, "--strategy", str(target), "--paths", "4"]
+    doc[bad] = doc.pop(good)
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"invalid: {bad}: unknown field" in err.splitlines()
 
 
 def test_simulate_refuses_zero_steps(capsys, tmp_path):

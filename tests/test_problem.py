@@ -1,4 +1,6 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from mflq.problem import (
     sample_path,
     strip_inhomogeneous,
     tabulate,
-    validate,
     _closed_loop,
 )
 from test_nodewise_reference import time_varying_problem
@@ -111,7 +112,6 @@ def test_make_problem_accepts_scalars_and_tuples():
     assert p.A.at(0.3)[0, 0] == 0.5
     assert p.b.const_part.values[0] == 0.1
     assert p.b.noise_part.values[0] == 0.2
-    assert validate(p) == []
 
 
 @pytest.mark.parametrize("field", ["b", "sigma", "q", "rho"])
@@ -162,9 +162,10 @@ def test_make_problem_rejects_misshapen_terminal_weights(field, value):
 
 def test_validate_flags_asymmetric_weight():
     g = TimeGrid(0.0, 1.0, 10)
-    p = make_problem(2, 1, g, Q=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                     R=1.0, G=np.eye(2))
-    bad = validate(p)
+    with pytest.raises(ValidationError) as info:
+        make_problem(2, 1, g, Q=np.array([[1.0, 0.5], [0.0, 1.0]]),
+                         R=1.0, G=np.eye(2))
+    bad = info.value.violations
     assert any("Q" in v and "symmetric" in v for v in bad)
 
 
@@ -176,8 +177,11 @@ def test_validate_names_the_first_asymmetric_node_of_a_sampled_weight():
     R[3, 0, 1] += 1e-14
     R[7, 0, 1] += 1e-3
     R[12, 0, 1] = 1e-2
-    p = make_problem(2, 2, g, R=R, G=np.eye(2))
-    assert validate(p) == ["R: not symmetric at node 7 (|M - M^T| = 1.414e-03)"]
+    with pytest.raises(ValidationError) as info:
+        make_problem(2, 2, g, R=R, G=np.eye(2))
+    assert info.value.violations == [
+        "R: not symmetric at node 7 (|M - M^T| = 1.414e-03)"
+    ]
 
 
 def test_validate_flags_wrong_shape_path():
@@ -185,9 +189,64 @@ def test_validate_flags_wrong_shape_path():
 
     g = TimeGrid(0.0, 1.0, 10)
     p = make_problem(2, 1, g, R=1.0, G=np.eye(2))
-    p = dataclasses.replace(p, B=MatrixPath.constant(np.zeros((3, 1))))
-    bad = validate(p)
+    with pytest.raises(ValidationError) as info:
+        dataclasses.replace(p, B=MatrixPath.constant(np.zeros((3, 1))))
+    bad = info.value.violations
     assert any(v.startswith("B:") for v in bad)
+
+
+def _asymmetric_weight():
+    make_problem(2, 1, TimeGrid(0.0, 1.0, 100), B=np.ones((2, 1)),
+                 Q=[[1.0, 0.5], [0.0, 1.0]], R=1.0, G=np.eye(2))
+
+
+def _misshapen_path():
+    p = make_problem(2, 1, TimeGrid(0.0, 1.0, 10), R=1.0, G=np.eye(2))
+    replace(p, B=MatrixPath.constant(np.zeros((3, 1))))
+
+
+def _short_sample_grid():
+    short = MatrixPath.sampled(TimeGrid(0.0, 0.5, 10), np.zeros((11, 1, 1)))
+    make_problem(1, 1, TimeGrid(0.0, 1.0, 10), A=short, R=1.0, G=1.0)
+
+
+def _nan_path():
+    MatrixPath(np.array([[np.nan]]))
+
+
+@pytest.mark.parametrize("build, field", [
+    (_asymmetric_weight, "Q: not symmetric"),
+    (_misshapen_path, "B: expected shape"),
+    (_short_sample_grid, "A: sample grid [0.0, 0.5] does not span"),
+    (_nan_path, "MatrixPath: contains non-finite entries"),
+], ids=["asymmetric", "misshapen", "short-grid", "nan"])
+def test_problem_is_checked_when_built(build, field):
+    """No consumer prices an unchecked problem: an asymmetric Q used to
+    build, simulate to 2.0 and pass the QP oracle while only synthesize
+    refused it."""
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert any(v.startswith(field) for v in info.value.violations), info.value
+
+
+def test_only_problem_names_the_violation_collector():
+    """Construction is the one place a problem is checked, so no other
+    module names the collector or a public ``validate``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "mflq"
+    offenders = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        names = {"validate"} | ({"_violations"} if path.name != "problem.py"
+                                 else set())
+        offenders[path.name] = sorted(
+            node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, (ast.alias, ast.FunctionDef))
+                and node.name in names)
+            or (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.Constant) and node.value in names)
+        )
+    assert offenders and not any(offenders.values()), offenders
 
 
 def test_is_homogeneous_and_strip():

@@ -197,8 +197,7 @@ def test_asymmetric_weight_is_refused(R):
     asymmetric R would give a regular solution whose value from
     x0 = (1, 0.5), 1.3628 or 1.9194, hangs on the triangle holding the entry."""
     eye = np.eye(2)
-    p = make_problem(2, 2, TimeGrid(0.0, 1.0, 200), A=0.1 * eye, B=eye, Q=eye,
-                     R=R, G=eye)
     with pytest.raises(ValidationError) as info:
-        integrate_gre(p)
+        make_problem(2, 2, TimeGrid(0.0, 1.0, 200), A=0.1 * eye, B=eye,
+                     Q=eye, R=R, G=eye)
     assert [v.split(":")[0] for v in info.value.violations] == ["R"]
