@@ -6,17 +6,20 @@ rank travels with the factorization so callers can flag near-degenerate
 weighting matrices instead of silently inverting noise.  ``sym_factor``
 factors a whole stack of symmetric matrices with one batched
 eigendecomposition.  The rank rule, |lambda| > DEFAULT_RTOL * m *
-max|lambda|, is stated once, in ``_inverse_builder``, whose ``decide``
-fills the retained mask, the cutoff and 1/lambda in place on a workspace
-its caller owns.  It runs in two places only: once per ``SymFactor``, at
+max|lambda|, is stated in ``_inverse_builder``, whose ``decide`` fills the
+retained mask, the cutoff and 1/lambda in place on a workspace its caller
+owns, and, for a 1 x 1 weight in Python floats, in ``_scalar_inverse``,
+bitwise the same.  It runs in three places: once per ``SymFactor``, at
 construction, which keeps the three as fields for the rank, the verdicts,
-the gains and the offsets to read, and once per Riccati stage.  Each
-fills a workspace of its own, so no state is shared between calls or
-threads.
+the gains and the offsets to read; once per Riccati stage of a problem
+with n + m > 2, on the stage's workspace; and, through ``_scalar_inverse``,
+once per channel of each stage of a scalar problem.  Each keeps its state
+to itself, so none is shared between calls or threads.
 
 Every symmetric factorization in the package, the 4K per-stage calls of
-the Riccati sweep included, goes through one seam, ``_eigh``.  It calls
-LAPACK's symmetric eigensolver through numpy's gufunc directly, under
+a Riccati sweep with n + m > 2 included, goes through one seam, ``_eigh``;
+a scalar sweep's stages factor nothing, since a 1 x 1 weight is its own
+eigendecomposition.  The seam calls LAPACK's symmetric eigensolver through numpy's gufunc directly, under
 the floating-point error state of numpy's public ``eigh`` wrapper but
 without that wrapper's argument checks, which cost about 4 us a call, a
 sixth of the sweep's time.  That error state is built once, at import,
@@ -140,8 +143,9 @@ def _inverse_builder(shape):
     max|lambda| is reduced over the whole row, not read from the two ends of
     the ascending spectrum: ``_eigh`` can return a NaN between finite ends
     (diag(1, NaN, 1) gives [1, NaN, 1]), and such a row must still keep
-    nothing.  This is the package's one statement of the rule: ``SymFactor``
-    and the Riccati stages run it, each on a workspace of its own.
+    nothing.  ``SymFactor`` and the array Riccati stages run it, each on a
+    workspace of its own; ``_scalar_inverse`` states its m = 1 case in
+    floats for the scalar stages.
     """
     mod = np.empty(shape)
     cut = np.empty(shape[:-1] + (1,))
@@ -161,6 +165,17 @@ def _inverse_builder(shape):
         return keep, cut, inv
 
     return inv, decide
+
+
+def _scalar_inverse(w: float) -> float:
+    """The rule of ``_inverse_builder`` at m = 1, in floats: 1/w if
+    |w| > (DEFAULT_RTOL m) |w|, else 0.0, for a 1 x 1 weight w, which is its
+    own eigenvalue.  Rounding for rounding it is what ``decide`` leaves in
+    inv: the cutoff is one product, the division is correctly rounded, and
+    a NaN, an infinite or a zero w keeps nothing.  Python's float division
+    overflows to inf without a warning, where ``np.reciprocal`` warns."""
+    mod = abs(w)
+    return 1.0 / w if mod > DEFAULT_RTOL * mod else 0.0
 
 
 @dataclass(frozen=True)

@@ -361,12 +361,6 @@ class ProblemData:
         for name in ("G", "G_bar", "g0", "g1", "g_bar"):
             arr = _as_float_array(getattr(self, name), name)
             object.__setattr__(self, name, _private(arr))
-        for name in ("b", "sigma", "q", "rho"):
-            if getattr(self, name).frozen_at_start:
-                raise ValidationError(
-                    f"{name}: frozen_at_start is a flag of strategy offsets; "
-                    "a problem coefficient rides the running Brownian value"
-                )
         violations = _violations(self)
         if violations:
             raise ValidationError(violations)
@@ -406,12 +400,12 @@ def _nonzero_terms(p: ProblemData, names) -> list:
     return found
 
 
-def _normalize_path(value, shape, horizon: TimeGrid) -> MatrixPath:
+def _normalize_path(value, shape, horizon: TimeGrid, name: str) -> MatrixPath:
     if isinstance(value, MatrixPath):
         return value
     if value is None:
         return MatrixPath.constant(np.zeros(shape))
-    arr = np.asarray(value, dtype=float)
+    arr = _as_float_array(value, name)
     if arr.ndim == 0:
         if any(d != 1 for d in shape):
             raise ValidationError(
@@ -428,18 +422,18 @@ def _normalize_path(value, shape, horizon: TimeGrid) -> MatrixPath:
     )
 
 
-def _normalize_noise(value, shape, horizon: TimeGrid) -> NoiseAffinePath:
+def _normalize_noise(value, shape, horizon: TimeGrid, name: str) -> NoiseAffinePath:
     if isinstance(value, NoiseAffinePath):
         return value
     if value is None:
         return NoiseAffinePath.zero(shape)
     if isinstance(value, tuple) and len(value) in (2, 3):
-        const = _normalize_path(value[0], shape, horizon)
-        noise = _normalize_path(value[1], shape, horizon)
+        const = _normalize_path(value[0], shape, horizon, f"{name}.const")
+        noise = _normalize_path(value[1], shape, horizon, f"{name}.noise")
         frozen = bool(value[2]) if len(value) == 3 else False
         return NoiseAffinePath(const, noise, frozen)
     # A bare array is taken as a deterministic (constant-part only) path.
-    const = _normalize_path(value, shape, horizon)
+    const = _normalize_path(value, shape, horizon, f"{name}.const")
     return NoiseAffinePath(const, MatrixPath.constant(np.zeros(shape)))
 
 
@@ -457,8 +451,10 @@ def make_problem(n: int, m: int, horizon: TimeGrid, **coeffs) -> ProblemData:
     arrays become constant paths, (K+1, ...)-shaped arrays sampled paths on
     the horizon, (const, noise) tuples noise-affine paths, and terminal
     weights must have their exact shape.  ``g`` may be given as a pair
-    (g0, g1) or the fields g0/g1 set individually.  The built problem
-    checks itself: a misshapen or asymmetric field raises ValidationError.
+    (g0, g1) or the fields g0/g1 set individually.  A non-finite entry
+    raises ValidationError naming its field (``A``, ``b.const``,
+    ``sigma.noise``), and the built problem checks itself: a misshapen or
+    asymmetric field raises ValidationError.
     """
     table = _coeff_table(n, m)
     if "g" in coeffs:
@@ -475,9 +471,9 @@ def make_problem(n: int, m: int, horizon: TimeGrid, **coeffs) -> ProblemData:
     for name, (kind, shape, _sym) in table.items():
         value = coeffs.get(name)
         if kind == "path":
-            built[name] = _normalize_path(value, shape, horizon)
+            built[name] = _normalize_path(value, shape, horizon, name)
         elif kind == "noise":
-            built[name] = _normalize_noise(value, shape, horizon)
+            built[name] = _normalize_noise(value, shape, horizon, name)
         else:
             built[name] = _normalize_terminal(value, shape)
     return ProblemData(n=n, m=m, horizon=horizon, **built)
@@ -518,7 +514,8 @@ def _check_path(name: str, path: MatrixPath, shape, horizon: TimeGrid,
 def _violations(p: ProblemData) -> list:
     """Every violation of the problem, one human-readable line each; empty
     means valid.  Each coefficient is checked as a path, a terminal weight
-    as a constant one."""
+    as a constant one, and a noise-affine coefficient's flag as well: only
+    a strategy offset may freeze its Brownian factor."""
     violations = []
     if p.n < 1 or p.m < 1:
         violations.append("dimensions n and m must be positive")
@@ -526,6 +523,11 @@ def _violations(p: ProblemData) -> list:
     for name, (kind, shape, symmetric) in _coeff_table(p.n, p.m).items():
         value = getattr(p, name)
         if kind == "noise":
+            if value.frozen_at_start:
+                violations.append(
+                    f"{name}: frozen_at_start is a flag of strategy offsets; "
+                    "a problem coefficient rides the running Brownian value"
+                )
             paths = {f"{name}.const": value.const_part,
                      f"{name}.noise": value.noise_part}
         else:

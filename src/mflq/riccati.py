@@ -20,11 +20,13 @@ which the stages, the node pass and the midpoint pass all call.  The
 quadratic term cross^T W^+ cross is applied in its eigenbasis as
 U^T diag(1/lambda) U with U = V^T cross, over the retained eigenvalues; no
 pseudo-inverse matrix is formed; 1/lambda comes from the eigenvalues alone,
-through the one rank rule of ``linalg``, ``linalg._inverse_builder``.  The
-rule runs once per RK4 stage, on the stage's own workspace, and once per
-factorization of the node and midpoint passes, whose ``SymFactor`` keeps
-the decision: the node pass's rate, the gains, the regularity report and
-the affine offsets all read it there.  The rate is formed by one builder,
+through the rank rule of ``linalg``.  The rule runs in three places: once
+per RK4 stage, on the stage's own workspace (``linalg._inverse_builder``);
+once per channel of each stage of a scalar problem, in floats
+(``linalg._scalar_inverse``); and once per factorization of the node and
+midpoint passes, whose ``SymFactor`` keeps the decision: the node pass's
+rate, the gains, the regularity report and the affine offsets all read it
+there.  The rate is formed by one builder,
 ``_rate_builder``, which the stages and the node pass share; it scales by a
 1/lambda buffer its caller fills.  The sweep steps one node at a time
 through ``quadrature.rk4_steps`` and screens each step for finite escape
@@ -49,6 +51,20 @@ factorization reads a C-contiguous copy of the weights, see
 ``linalg.sym_factor``); a pass that needs a pair node by node takes it
 with ``_pair``, which is a view of such a buffer and stacks only channels
 that are not slabs of one.
+
+A scalar problem, n = m = 1, takes a stage in Python floats instead,
+``_float_stage_rate``: on (2, 1, 1) arrays the array stage's time goes to
+the overhead of about nineteen numpy calls, not to arithmetic.  The float
+stage does the array stage's arithmetic rounding for rounding (each
+one-term matrix product is 0.0 + a * b, as matmul's accumulator starts at
++0; the 1 x 1 weight is its own eigenvalue, with eigenvector 1.0, as
+``linalg._eigh`` returns; 1/lambda is the rule's), so its rate is bitwise
+the array stage's.  It takes about 1.9 us where the array stage takes 19,
+and a K = 1000 scalar sweep about 19 ms instead of 76.  It resolves the
+maps to floats once per sweep and keeps nothing past the call; the shape
+alone selects it, and the node pass and the dense output are the same for
+every shape.  Overflow inside it gives inf or NaN without a numpy
+RuntimeWarning.
 
 A consequence worth keeping: when every mean-coupling coefficient vanishes
 the two stacked channels still perform identical float operations, each
@@ -244,8 +260,11 @@ def _stage_rate(co, Z, fill):
     decided and its rate formed on a rank-rule and a rate workspace made
     here.  Constant maps are resolved here, once per sweep, sampled ones at
     every stage; the seam and the rule are read from ``linalg`` here too,
-    so a patched one sees every stage of the sweep."""
+    so a patched one sees every stage of the sweep.  A scalar problem,
+    n = m = 1, takes ``_float_stage_rate`` instead, which leaves Z unused."""
     n = co[0].shape[-2]
+    if co[2].shape[-2:] == (2, 2):
+        return _float_stage_rate(co)
     lin, cross, W = Z[:, :n, :n], Z[:, n:, :n], Z[:, n:, n:]
     inv, decide = linalg._inverse_builder(W.shape[:-1])
     form_rate = _rate_builder(inv, n)
@@ -268,6 +287,48 @@ def _stage_rate(co, Z, fill):
             lam, V = eigh(W)
             decide(lam)
             return form_rate(lin, cross, V)
+
+    return rate
+
+
+def _float_channel(P, M, A, B, C, D, Q, S, R):
+    """One channel's rate of a scalar problem, in Python floats, rounding
+    for rounding that of ``_block_builder`` and ``_rate_builder`` on 1 x 1
+    blocks: each one-term matrix product is 0.0 + a * b, since matmul's
+    accumulator starts at +0 (a -0 product becomes +0); the weight W is its
+    own eigenvalue, with eigenvector 1.0, as ``linalg._eigh`` returns for a
+    1 x 1 stack; and 1/W is the rank rule's, ``linalg._scalar_inverse``.
+    P is the deviation matrix and M the channel's own."""
+    pc = 0.0 + P * C
+    ma = 0.0 + M * A
+    lin = 0.0 + C * pc + Q + ma + ma
+    cross = 0.0 + D * pc + S + (0.0 + M * B)
+    W = 0.0 + D * (0.0 + P * D) + R
+    u = 0.0 + 1.0 * cross
+    return 0.0 + u * (linalg._scalar_inverse(W) * u) - lin
+
+
+def _float_stage_rate(co):
+    """The sweep's f(Y, k) for a scalar problem: ``_stage_rate``'s rate,
+    bitwise, formed by ``_float_channel`` for each channel and returned as
+    a fresh (2, 1, 1) array.  The maps are resolved to floats once per
+    sweep, as each channel's (A, B, C, D, Q, S, R): one such pair when all
+    three maps are constant, else one pair per grid point."""
+    F, G, H = co
+    entries = np.stack(np.broadcast_arrays(
+        F[..., 0, 0], F[..., 0, 1], G[..., 0, 0], G[..., 0, 1],
+        H[..., 0, 0], H[..., 1, 0], H[..., 1, 1],
+    ), axis=-1)
+    per_point = entries.ndim == 3
+    table = entries.tolist()
+
+    def rate(Y, k):
+        dev, mean = table[k] if per_point else table
+        P, M = Y.item(0), Y.item(1)
+        out = np.empty((2, 1, 1))
+        out[0, 0, 0] = _float_channel(P, P, *dev)
+        out[1, 0, 0] = _float_channel(P, M, *mean)
+        return out
 
     return rate
 

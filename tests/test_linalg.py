@@ -8,6 +8,7 @@ them from here.
 """
 
 from dataclasses import dataclass
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mflq.linalg import (
     _eigh,
     _inverse_builder,
     _mT,
+    _scalar_inverse,
     sym_factor,
 )
 
@@ -400,3 +402,35 @@ def test_one_workspace_refilled_in_any_order_is_the_reference():
         _assert_rule_is_the_reference(workspace, lam)
     batch = np.stack(stacks)
     _assert_rule_is_the_reference(_inverse_builder(batch.shape), batch)
+
+
+# 1 x 1 weights the scalar Riccati stage meets: signed zeros, the smallest
+# subnormal, whose reciprocal overflows, a negative weight and non-finite
+# ones.
+_SCALAR_WEIGHTS = [0.0, -0.0, 5e-324, -3.0, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("w", _SCALAR_WEIGHTS, ids=repr)
+def test_eigh_of_a_scalar_stack_is_its_entry_and_one(w):
+    """A (2, 1, 1) stack is its own eigendecomposition: ``_eigh`` returns
+    each entry as the eigenvalue and 1.0 as the eigenvector, bitwise and
+    without raising or warning; the scalar Riccati stage relies on it."""
+    M = np.array([[[w]], [[1.5]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, V = _eigh(M)
+    assert lam.tobytes() == M[..., 0].tobytes()
+    assert V.tobytes() == np.ones((2, 1, 1)).tobytes()
+
+
+@pytest.mark.parametrize("w", _SCALAR_WEIGHTS + [1e-300, -1e-300, 1.0, -1.0],
+                         ids=repr)
+def test_scalar_inverse_is_the_rule_at_one_bitwise(w):
+    """``_scalar_inverse``, the float statement of the rank rule, leaves
+    bitwise the 1/lambda that ``decide`` leaves for a 1 x 1 weight."""
+    _, decide = _inverse_builder((1,))
+    with np.errstate(over="ignore"):
+        want = decide(np.array([w]))[2][0]
+    got = _scalar_inverse(w)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()

@@ -130,6 +130,34 @@ def test_problem_refuses_a_frozen_coefficient(field):
         replace(p, **{field: frozen})
 
 
+def test_a_frozen_coefficient_is_reported_with_every_other_violation():
+    """The frozen flag is one violation among the rest: it used to be
+    raised on its own, before the check that finds the asymmetric Q and G."""
+    with pytest.raises(ValidationError) as info:
+        make_problem(2, 1, TimeGrid(0.0, 1.0, 10), B=np.ones((2, 1)), R=1.0,
+                     Q=[[1.0, 0.5], [0.0, 1.0]], G=[[1.0, 0.5], [0.0, 1.0]],
+                     b=(np.zeros(2), np.ones(2), True))
+    assert info.value.violations == [
+        "Q: not symmetric (|M - M^T| = 7.071e-01)",
+        "G: not symmetric (|M - M^T| = 7.071e-01)",
+        "b: frozen_at_start is a flag of strategy offsets; a problem "
+        "coefficient rides the running Brownian value",
+    ]
+
+
+@pytest.mark.parametrize("coeffs, field", [
+    ({"A": [[np.nan]]}, "A"),
+    ({"b": (np.nan, 0.0)}, "b.const"),
+    ({"sigma": (0.0, np.inf)}, "sigma.noise"),
+], ids=["A", "b.const", "sigma.noise"])
+def test_a_non_finite_coefficient_is_refused_by_name(coeffs, field):
+    """As a NaN G already said ``G: ...``, a non-finite path coefficient
+    names its field, not the ``MatrixPath`` it is built into."""
+    with pytest.raises(ValidationError) as info:
+        make_problem(1, 1, TimeGrid(0.0, 1.0, 10), B=1.0, R=1.0, G=1.0, **coeffs)
+    assert info.value.violations == [f"{field}: contains non-finite entries"]
+
+
 def test_make_problem_rejects_unknown_names():
     g = TimeGrid(0.0, 1.0, 10)
     with pytest.raises(ValidationError):

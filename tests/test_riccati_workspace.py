@@ -11,11 +11,13 @@ stage by ``riccati._at``.  It is driven by the same ``rk4_steps`` from the
 same ``integrate_gre``, with the node pass's rate and the factorization's
 rank decision (``keep``, ``cutoff`` and 1/lambda, which the gains and the
 report read) on the same allocating arithmetic, so every output must agree
-bit for bit.
+bit for bit.  A scalar problem's sweep forms its stages in Python floats
+instead, so the comparison pins those to the allocating stage as well.
 """
 
 import sys
 import threading
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -24,10 +26,26 @@ import pytest
 from mflq import linalg, riccati
 from mflq.linalg import _mT
 from mflq.presets import example31, random_spd, scalar_classic
-from mflq.problem import tabulate
+from mflq.problem import TimeGrid, make_problem, tabulate
 from mflq.quadrature import rk4_steps
 from mflq.riccati import integrate_gre
 from test_nodewise_reference import time_varying_problem
+
+
+def sampled_scalar_problem():
+    """Scalar mean-field instance whose A and R are sampled on a 37-step
+    grid, so the stages read per-point maps, interpolated on the solve
+    grid, beside constant ones."""
+    s = TimeGrid(0.0, 1.0, 37).nodes
+    return make_problem(
+        1, 1, TimeGrid(0.0, 1.0, 300),
+        A=(0.2 * np.sin(3.0 * s))[:, None, None], A_bar=0.1,
+        B=1.0, B_bar=-0.2, C=0.2, C_bar=0.1, D=0.3, D_bar=0.1,
+        Q=1.0, Q_bar=0.2, S=0.1,
+        R=(1.0 + 0.5 * np.sin(4.0 * s))[:, None, None], R_bar=0.3,
+        G=1.0, G_bar=0.5, b=(0.3, 0.1), sigma=(0.1, 0.05),
+    )
+
 
 CASES = {
     "random_spd_1_1": lambda: random_spd(0, n=1, m=1)[0],
@@ -38,6 +56,7 @@ CASES = {
     "scalar_classic": lambda: scalar_classic()[0],
     "no_bars_3_2": lambda: random_spd(0, n=3, m=2, with_bars=False)[0],
     "time_varying": time_varying_problem,
+    "sampled_scalar": sampled_scalar_problem,
 }
 
 
@@ -100,14 +119,22 @@ def allocating_rhs(Y, co):
 
 def reference_gre(p, monkeypatch):
     """``integrate_gre`` with every stage, the node pass's rate and the
-    factorization's rank rule on the allocating reference."""
+    factorization's rank rule on the allocating reference.  It checks that
+    the sweep stepped through the patched ``riccati.rk4_steps``, 4K
+    allocating stages, so a sweep that stopped doing so fails here instead
+    of being compared with itself."""
     tab = tabulate(p, p.horizon)
+    stages = []
+
+    def stage(y, maps):
+        stages.append(None)
+        return allocating_rhs(y, maps)
 
     def reference_steps(grid, f_node, f_mid, start, backward=False, post=None):
         return rk4_steps(
             grid,
-            lambda y, k: allocating_rhs(y, riccati._at(tab.node_maps, k)),
-            lambda y, i: allocating_rhs(y, riccati._at(tab.mid_maps, i)),
+            lambda y, k: stage(y, riccati._at(tab.node_maps, k)),
+            lambda y, i: stage(y, riccati._at(tab.mid_maps, i)),
             start, backward=backward, post=post,
         )
 
@@ -115,7 +142,9 @@ def reference_gre(p, monkeypatch):
         patch.setattr(riccati, "rk4_steps", reference_steps)
         patch.setattr(riccati, "_rate", allocating_rate)
         patch.setattr(linalg, "_inverse_builder", allocating_inverse_builder)
-        return integrate_gre(p)
+        sol = integrate_gre(p)
+    assert len(stages) == 4 * p.horizon.n_steps
+    return sol
 
 
 def assert_bitwise(a, b):
@@ -181,7 +210,59 @@ def test_time_varying_problem_takes_the_sampled_map_branch(monkeypatch):
     assert len(shapes) == 4 * K + 1
 
 
-@pytest.mark.parametrize("case", ["random_spd_2_2", "time_varying"])
+@pytest.mark.parametrize("case", ["scalar_classic", "sampled_scalar"])
+def test_scalar_sweep_factors_only_in_the_node_pass(case, monkeypatch):
+    """A scalar problem's stages take each 1 x 1 weight as its own
+    eigendecomposition, so the sweep calls the seam once, for the node
+    pass's (K+1, 2, 1, 1) stack, with constant maps and with sampled ones."""
+    p = CASES[case]()
+    tab = tabulate(p, p.horizon)
+    sampled = any(t.ndim == 4 for t in tab.node_maps + tab.mid_maps)
+    assert sampled == (case == "sampled_scalar")
+    shapes = []
+    seam = linalg._eigh
+
+    def counting(M):
+        shapes.append(M.shape)
+        return seam(M)
+
+    monkeypatch.setattr(linalg, "_eigh", counting)
+    integrate_gre(p)
+    assert shapes == [(p.horizon.n_steps + 1, 2, 1, 1)]
+
+
+# Entries for the scalar stage's maps and values: signed zeros, subnormals,
+# products that overflow or underflow, and non-finite entries.
+SPECIAL_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0,
+                            -1.0, -3.0, 1e200, -1e200, np.inf, -np.inf, np.nan])
+
+
+def test_scalar_stage_is_the_allocating_stage_on_special_entries():
+    """The scalar stage, formed in floats, against the allocating stage on
+    maps and values drawn from ``SPECIAL_ENTRIES`` and, for half the draws,
+    mixed with normal ones: bitwise, signs of zero and NaNs included, and
+    with no warning where the allocating stage's numpy warns."""
+    rng = np.random.default_rng(38)
+    for draw in range(2000):
+        x = rng.choice(SPECIAL_ENTRIES, size=16)
+        if draw % 2:
+            x = np.where(rng.random(16) < 0.5, x, rng.standard_normal(16))
+        (A, B, C, D, Q, S, R), bars = x[:7], x[7:14]
+        F = np.array([[[A, B]], [[bars[0], bars[1]]]])
+        G = np.array([[[C, D]], [[bars[2], bars[3]]]])
+        H = np.array([[[Q, S], [S, R]], [[bars[4], bars[5]], [bars[5], bars[6]]]])
+        Y = x[14:].reshape(2, 1, 1)
+        stage = riccati._stage_rate((F, G, H), *riccati._block_builder((2, 2, 2), 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stage(Y, 0)
+        with np.errstate(all="ignore"):
+            want = allocating_rhs(Y, (F, G, H))
+        assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("case", ["random_spd_1_1", "random_spd_2_2", "example31",
+                                  "time_varying"])
 def test_each_stage_call_returns_a_fresh_rate(case):
     """One sweep's stage called twice returns two arrays that share memory
     with neither each other nor the workspace, and the second call leaves
