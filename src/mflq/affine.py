@@ -17,10 +17,9 @@ coefficient L and their forcing g are ``quadrature.OnDemand`` tables:
 ``linear_rk4`` builds them one run of points at a time, so no (K+1, n, n)
 table of an adjoint is ever held; the vector loads they read are (K+1, n)
 stacks formed once.  The noise adjoint's nodal rate, which its Hermite
-midpoints need, is formed run by run after its sweep, from a second build
-of its node table's points: ``linear_rk4`` returns the solution only, and
-the stepwise reference the tests swap in for it cannot return more.  The
-offsets of both channels are written into one channel-major
+midpoints need, comes back from its sweep with the solution: ``linear_rk4``
+forms it on the node tables each run already built, so no table is built
+twice.  The offsets of both channels are written into one channel-major
 buffer, as the Riccati solution's pairs are, and their range constraints,
 the second half of the paper's solvability test, are recorded as
 ``ConditionVerdict``s, as the regularity report records the first half.
@@ -34,7 +33,7 @@ import numpy as np
 
 from .linalg import _mT
 from .problem import ProblemData, TimeGrid, _closed_loop
-from .quadrature import OnDemand, _run_slices, linear_rk4
+from .quadrature import OnDemand, linear_rk4
 from .riccati import (
     DEFAULT_REG_TOL,
     GreSolution,
@@ -135,18 +134,13 @@ def _noise_ode(c, maps, P, Th):
 
 def _noise_adjoint(p: ProblemData, sol: GreSolution, mids: MidpointData):
     """The noise adjoint and the Hermite midpoints of it that the mean
-    adjoint reads.  Its nodal rate L eta + g, which the midpoints need, is
-    formed one run of nodes at a time from the node table the sweep read,
-    which builds those points again."""
+    adjoint reads, from the nodal rate L eta + g that its sweep returns."""
     tab = sol.table
     L_n, g_n = _noise_ode(tab.node, tab.node_maps, sol.P, sol.gain_dev)
     L_m, g_m = _noise_ode(tab.mid, tab.mid_maps, mids.P, mids.gain_dev)
-    eta = linear_rk4(
+    eta, rate = linear_rk4(
         sol.grid, L_n, g_n, L_m, g_m, p.g1, "adjoint offset", backward=True
     )
-    rate = np.empty_like(eta)
-    for run in _run_slices(len(eta)):
-        rate[run] = _mv(L_n[run], eta[run]) + g_n[run]
     return eta, hermite_midpoints(eta, rate, sol.grid.h)
 
 
@@ -165,10 +159,11 @@ def _mean_adjoint(p, sol, adjoint_noise, noise_mid, mids: MidpointData):
     L_m, g_m = _mean_ode(
         tab.mid, tab.mid_maps, mids.P, mids.P_mean, mids.gain_mean, noise_mid
     )
-    return linear_rk4(
+    eta, _ = linear_rk4(
         sol.grid, L_n, g_n, L_m, g_m, p.g0 + p.g_bar, "mean adjoint offset",
         backward=True,
     )
+    return eta
 
 
 def compute_corrections(

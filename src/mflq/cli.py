@@ -92,13 +92,18 @@ def _print_report(report: dict):
     sys.stdout.write(docio.dumps(_jsonable(report)))
 
 
-def _read_problem(path: str):
+def _read_text(path: str, where: str) -> str:
+    """The text of the file at path; a file that cannot be read is refused
+    under ``where``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise ValidationError([f"{path}: {exc.strerror or exc}"]) from exc
-    return docio.load_problem(docio.load_document(text))
+        raise ValidationError([f"{where}: {exc.strerror or exc}"]) from exc
+
+
+def _read_problem(path: str):
+    return docio.load_problem(docio.load_document(_read_text(path, path)))
 
 
 def _parse_floats(text: str, where: str) -> list:
@@ -298,14 +303,7 @@ def _load_strategy_arg(args, p: ProblemData):
         return synthesize(p, n_steps=args.solver_steps).strategy, "optimal"
     if choice == "zero":
         return ControlSpec.zero(p.n, p.m), "zero"
-    try:
-        with open(choice, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(
-            [f"--strategy {choice}: {exc.strerror or exc}"]
-        ) from exc
-    doc = docio.load_document(text)
+    doc = docio.load_document(_read_text(choice, f"--strategy {choice}"))
     spec = docio.load_strategy(doc, p.n, p.m, p.horizon)
     return spec, f"file:{choice}"
 

@@ -35,6 +35,7 @@ from .problem import (
     MatrixPath,
     ProblemData,
     TimeGrid,
+    _as_float_array,
     _channel_pair,
     _closed_loop,
     _nonzero_terms,
@@ -46,6 +47,8 @@ from .quadrature import _check_finite, _screen_passes, rk4_steps, trapezoid_weig
 
 # Gain bump of the stationarity probe's central differences.
 FD_STEP = 1e-5
+# The single-gain functions' gain arguments, as a refusal names them.
+_GAIN_NAMES = ("feedback", "mean_feedback")
 
 
 @dataclass(frozen=True)
@@ -74,13 +77,14 @@ def _require_homogeneous(p: ProblemData):
         )
 
 
-def _gain_path(gain, grid: TimeGrid, m: int, n: int) -> MatrixPath:
+def _gain_path(gain, grid: TimeGrid, m: int, n: int, name="gain") -> MatrixPath:
     """One gain as a path: a MatrixPath as it is, a scalar (filled across
     all entries) or a constant (m, n) array as a constant path, a (K+1, m, n)
-    stack as a path sampled on ``grid``."""
+    stack as a path sampled on ``grid``.  A non-finite entry raises
+    ValidationError naming the argument, ``name``."""
     if isinstance(gain, MatrixPath):
         return gain
-    arr = np.asarray(gain, dtype=float)
+    arr = _as_float_array(gain, name)
     if arr.ndim == 0:
         arr = np.full((m, n), float(arr))
     if arr.shape == (m, n):
@@ -93,10 +97,11 @@ def _gain_path(gain, grid: TimeGrid, m: int, n: int) -> MatrixPath:
     )
 
 
-def _as_batch_stack(gains, grid: TimeGrid, m: int, n: int):
-    """Node and midpoint stacks of a batch of sampled gains, (B, K+1, m, n)."""
+def _as_batch_stack(gains, grid: TimeGrid, m: int, n: int, name="gains"):
+    """Node and midpoint stacks of a batch of sampled gains, (B, K+1, m, n).
+    A non-finite entry raises ValidationError naming the argument, ``name``."""
     K = grid.n_steps
-    arr = np.asarray(gains, dtype=float)
+    arr = _as_float_array(gains, name)
     if arr.ndim != 4 or arr.shape[1:] != (K + 1, m, n):
         raise ValueError(
             f"cannot interpret gain batch of shape {arr.shape}; expected "
@@ -192,8 +197,8 @@ def propagate_moments(
     """
     _require_centered_dynamics(p)
     grid = p.horizon if n_steps is None else p.horizon.with_steps(n_steps)
-    fb, mf = (nodes_and_midpoints(_gain_path(gain, grid, p.m, p.n), grid)
-              for gain in (feedback, mean_feedback))
+    fb, mf = (nodes_and_midpoints(_gain_path(gain, grid, p.m, p.n, name), grid)
+              for gain, name in zip((feedback, mean_feedback), _GAIN_NAMES))
     gains_n, gains_m = (_channel_pair(f, g)[None] for f, g in zip(fb, mf))
     second = np.empty((grid.n_steps + 1, p.n, p.n))
     mean_outer = np.empty_like(second)
@@ -213,8 +218,8 @@ def homogeneous_cost(p: ProblemData, feedback, mean_feedback, mp: MomentPath) ->
     """
     _require_homogeneous(p)
     grid = mp.grid
-    fb, mf = (sample_path(_gain_path(gain, grid, p.m, p.n), grid.nodes)
-              for gain in (feedback, mean_feedback))
+    fb, mf = (sample_path(_gain_path(gain, grid, p.m, p.n, name), grid.nodes)
+              for gain, name in zip((feedback, mean_feedback), _GAIN_NAMES))
     gains = _channel_pair(fb, mf)[None]
     tab = tabulate(p, grid)
     W = _cost_mats(tab.node_maps[2], gains)[:, 0]
@@ -238,8 +243,8 @@ def batch_cost(
     """
     _require_homogeneous(p)
     grid = p.horizon
-    fb_n, fb_m = _as_batch_stack(feedbacks, grid, p.m, p.n)
-    mf_n, mf_m = _as_batch_stack(mean_feedbacks, grid, p.m, p.n)
+    fb_n, fb_m = _as_batch_stack(feedbacks, grid, p.m, p.n, "feedbacks")
+    mf_n, mf_m = _as_batch_stack(mean_feedbacks, grid, p.m, p.n, "mean_feedbacks")
     if fb_n.shape[0] != mf_n.shape[0]:
         raise ValueError("feedback batches must have equal size")
     tab = tabulate(p, grid)
@@ -270,8 +275,8 @@ def stationarity_residual(
     _require_homogeneous(p)
     grid = p.horizon
     m, n = p.m, p.n
-    fb_n, mf_n = (sample_path(_gain_path(gain, grid, m, n), grid.nodes)[None]
-                  for gain in (feedback, mean_feedback))
+    fb_n, mf_n = (sample_path(_gain_path(gain, grid, m, n, name), grid.nodes)[None]
+                  for gain, name in zip((feedback, mean_feedback), _GAIN_NAMES))
 
     n_entries = m * n
     Bsz = 4 * n_entries

@@ -9,9 +9,10 @@ nodes off them with a work-efficient scan: fewer map products than steps,
 then one matrix-vector product per node, in a few batched products a
 level.  It reads each table one run at a time, so a table may be an
 ``OnDemand`` one that builds only the run's points and is never held
-whole.  The Riccati and moment sweeps screen each step for finite escape
-with one dot product; a linear sweep screens each run with one batched
-one."""
+whole.  It returns the rate L y + g at the nodes with y, formed on the
+node tables each run already built.  The Riccati and moment sweeps screen
+each step for finite escape with one dot product; a linear sweep screens
+each run with one batched one."""
 
 from __future__ import annotations
 
@@ -28,9 +29,9 @@ BLOWUP_NORM = 1e12
 _ESCAPE_SCREEN = 0.5 * BLOWUP_NORM
 
 # Grid points per run of a batched pass.  Every such pass (the Riccati node
-# pass and dense output, the noise adjoint's rate and ``linear_rk4``) cuts
-# the grid with ``_run_slices``: this bounds a pass's run workspace however
-# fine the grid, and a run's scan to 2 ceil(log2 _RUN) = 16 batched products.
+# pass and dense output and ``linear_rk4``) cuts the grid with
+# ``_run_slices``: this bounds a pass's run workspace however fine the
+# grid, and a run's scan to 2 ceil(log2 _RUN) = 16 batched products.
 _RUN = 256
 
 
@@ -255,7 +256,8 @@ def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
     tables that build them.  The sweep starts from ``start`` at the first
     node, or at the last one when ``backward``, and raises
     FiniteEscapeError (naming ``name``) at the first node whose solution is
-    not finite or exceeds BLOWUP_NORM.  Returns y at every node.
+    not finite or exceeds BLOWUP_NORM.  Returns (y, rate): y and the rate
+    L y + g at every node.
 
     Each RK4 step is the affine map y_j = Phi y_k + psi.  The sweep takes
     the K steps in the runs of ``_run_slices``, in sweep order.  Each run
@@ -266,7 +268,9 @@ def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
     increment gives [Phi - I | psi] of all the run's steps, and
     ``_carry_run`` reads y at all the run's nodes off them with the scan
     of ``_prefix_products``, in at most 2 ceil(log2 _RUN) batched
-    products; no step is walked.
+    products; no step is walked.  One batched matrix-vector product on the
+    run's node tables then gives the rate at the run's nodes (the node a
+    run shares with the one before it gets the same value twice).
     """
     K = grid.n_steps
     nodes = grid.nodes
@@ -277,12 +281,15 @@ def linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name, backward=False):
     dt = -grid.h if backward else grid.h
     d = np.shape(start)[-1]
     eye = np.eye(d, d + 1)
+    rate = np.empty_like(out)
     for run in _run_slices(K):
         n = run.stop - run.start
         at, mid, ends = _run_points(K, run.start, n, backward)
-        f_node = _affine_rate(L_node[at], g_node[at])
+        L, g = L_node[at], g_node[at]
+        f_node = _affine_rate(L, g)
         f_mid = _affine_rate(L_mid[mid], g_mid[mid])
         steps = range(n)
         maps = _rk4_step(eye, dt, steps, steps, range(1, n + 1), f_node, f_mid)
         y = _carry_run(maps, y, ends, out, name, nodes)
-    return out
+        rate[at] = (L @ out[at][..., None])[..., 0] + g
+    return out, rate

@@ -26,11 +26,11 @@ once per channel of each stage of a scalar problem, in floats
 (``linalg._scalar_inverse``); and once per factorization of the node and
 midpoint passes, whose ``SymFactor`` keeps the decision: the node pass's
 rate, the gains, the regularity report and the affine offsets all read it
-there.  The rate is formed by one builder,
-``_rate_builder``, which the stages and the node pass share; it scales by a
-1/lambda buffer its caller fills.  The sweep steps one node at a time
-through ``quadrature.rk4_steps`` and screens each step for finite escape
-with the quadrature's one screen.  The block is built in place by one
+there.  The stages form the rate with one builder, ``_rate_builder``, which
+scales by a 1/lambda buffer its caller fills; the node pass forms its own
+(below).  The sweep steps one node at a time through
+``quadrature.rk4_steps`` and screens each step for finite escape with the
+quadrature's one screen.  The block is built in place by one
 builder, ``_block_builder``, on a workspace it allocates: each sweep makes
 one workspace, with its views sliced and its constant maps resolved once,
 and every RK4 stage refills it.  Its node and midpoint stages each add a
@@ -41,16 +41,17 @@ sweeps in different threads do not share them.  The node pass and the
 dense output build the block in the runs of ``quadrature._run_slices``,
 each on one workspace made before its loop and sized to the first run,
 whose leading rows the short last run fills, and factor all of a grid's
-weights in one batch; the node pass forms its rate run by run from the
-factorization's 1/lambda, each run on a rate workspace of its own.  Each channel pair they produce, the Riccati
-matrices, weights, cross terms and gains and their midpoint samples, is
-written through a node-major view into one channel-major (2, K+1, ...)
-buffer that is then made read-only, so each channel is a contiguous slab
-of it and no pair is split or stacked by a copy (only the batched
-factorization reads a C-contiguous copy of the weights, see
-``linalg.sym_factor``); a pass that needs a pair node by node takes it
-with ``_pair``, which is a view of such a buffer and stacks only channels
-that are not slabs of one.
+weights in one batch; the node pass then forms, run by run, U = V^T cross
+and U scaled by the factorization's 1/lambda, and reads both the gains
+-V (scaled U) and the rate U^T (scaled U) - lin off that one pair.  Each
+channel pair they produce, the Riccati matrices, weights, cross terms and
+gains and their midpoint samples, is written through a node-major view
+into one channel-major (2, K+1, ...) buffer that is then made read-only,
+so each channel is a contiguous slab of it and no pair is split or
+stacked by a copy (only the batched factorization reads a C-contiguous
+copy of the weights, see ``linalg.sym_factor``); a pass that needs a pair
+node by node takes it with ``_pair``, which is a view of such a buffer
+and stacks only channels that are not slabs of one.
 
 A scalar problem, n = m = 1, takes a stage in Python floats instead,
 ``_float_stage_rate``: on (2, 1, 1) arrays the array stage's time goes to
@@ -226,6 +227,8 @@ def _rate_builder(inv, n):
     with W = V diag(lambda) V^T and U = V^T cross, the quadratic term is
     U^T diag(1/lambda) U over the retained eigenvalues.  The returned rate
     is a fresh array, since RK4 keeps its four stage rates alive at once.
+    The stages are its only callers: the node pass, ``_gains``, reads its
+    rate off the U and scaled U that its gains need as well.
     """
     U = np.empty(inv.shape + (n,))
     SU = np.empty_like(U)
@@ -239,11 +242,6 @@ def _rate_builder(inv, n):
         return np.subtract(dM, lin, out=dM)
 
     return rate
-
-
-def _rate(lin, cross, inv, V):
-    """The rate of ``_rate_builder`` on a workspace of its own."""
-    return _rate_builder(inv, lin.shape[-1])(lin, cross, V)
 
 
 def _gain(cross, factor: linalg.SymFactor, run=Ellipsis, out=None):
@@ -396,23 +394,24 @@ def _blocks(Y, co, rate=None):
     return weight, cross
 
 
-def _gains(Y, co, rate=None):
+def _gains(Y, co, rate):
     """Input weights, cross terms, gains and weight factorization at every
-    grid point of the node-major pair Y, (len, 2, n, n).  The weights,
-    cross terms and gains are node-major views of channel-major pair
-    buffers, filled one run of points at a time: the blocks by
-    ``_blocks``, then, after one batched factorization of all the weights,
-    the gains.  Given ``rate``, an array shaped like Y, it receives dY/ds
-    at every point, symmetrized, formed run by run from that
-    factorization's 1/lambda."""
+    grid point of the node-major pair Y, (len, 2, n, n), and dY/ds into
+    ``rate``, an array shaped like Y.  The weights, cross terms and gains
+    are node-major views of channel-major pair buffers, filled one run of
+    points at a time: the blocks by ``_blocks``, then, after one batched
+    factorization of all the weights, U = V^T cross and the scaled
+    U = diag(1/lambda) U once per run, off which both outputs are read: the
+    gains -V (scaled U) and the rate U^T (scaled U) - lin, symmetrized."""
     weight, cross = _blocks(Y, co, rate)
     factor = linalg.sym_factor(weight)
     inv, V = factor.inv, factor.eigvecs
     gain = _pair_buffer(cross.shape[:1] + cross.shape[2:])
     for run in _run_slices(len(Y)):
-        if rate is not None:
-            rate[run] = _sym(_rate(rate[run], cross[run], inv[run], V[run]))
-        _gain(cross, factor, run, out=gain[run])
+        U = _mT(V[run]) @ cross[run]
+        SU = inv[run][..., None] * U
+        rate[run] = _sym(_mT(U) @ SU - rate[run])
+        np.negative(V[run] @ SU, out=gain[run])
     return weight, cross, gain, factor
 
 

@@ -173,7 +173,7 @@ def _mean_path(tab: CoefficientTable, control, m0: np.ndarray):
     gain_n = fb_n + mf_n
     L_n, g_n = ode(tab.node, tab.node_maps, gain_n, v0_n)
     L_m, g_m = ode(tab.mid, tab.mid_maps, fb_m + mf_m, v0_m)
-    EX = linear_rk4(tab.grid, L_n, g_n, L_m, g_m, m0, "state mean")
+    EX, _ = linear_rk4(tab.grid, L_n, g_n, L_m, g_m, m0, "state mean")
     EU = np.einsum("kij,kj->ki", gain_n, EX) + v0_n
     return EX, EU
 

@@ -332,7 +332,11 @@ def completion_check(
     control from the feedback rule, weighted by the input weights (a
     deviation term along paths plus a mean term).  Both sides are evaluated
     on the same simulated paths, so the gap isolates systematic error.
+    Fewer than two paths raise ValueError: one path's standard error is 0,
+    so a band of standard errors around the gap would collapse to a point.
     """
+    if n_paths < 2:
+        raise ValueError(f"completion_check needs n_paths >= 2, got {n_paths}")
     if not p.is_homogeneous:
         raise ValueError(
             "completion_check requires a homogeneous problem; "
@@ -413,7 +417,8 @@ def lower_bound_battery(
     as valid as on paths of its own, and the optimum's estimate is exactly
     ``sim.simulate(p, sol.strategy, law, n_paths, steps, seed)``.  The
     seed rule below, seed + n_controls < 2**64, dates from the per-strategy
-    streams and is kept as is.
+    streams and is kept as is.  Fewer than two paths raise ValueError, as
+    in ``completion_check``: a 3-stderr band of one path is a point.
     """
     if not sol.solvable and value_override is None:
         raise ValueError(
@@ -424,6 +429,8 @@ def lower_bound_battery(
         raise ValueError(
             f"lower_bound_battery needs n_controls >= 1, got {n_controls}"
         )
+    if n_paths < 2:
+        raise ValueError(f"lower_bound_battery needs n_paths >= 2, got {n_paths}")
     if not (0 <= seed and seed + n_controls < 2**64):
         raise ValueError(
             f"lower_bound_battery needs 0 <= seed and seed + n_controls "

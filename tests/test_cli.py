@@ -723,6 +723,24 @@ def test_seeds_outside_the_generator_range_are_refused(capsys, tmp_path, argv):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("preset, suite", [
+    ("random_spd", "battery"),
+    ("random_spd", "completion"),
+    ("scalar_classic", "completion"),
+])
+def test_one_path_checks_are_refused(capsys, tmp_path, preset, suite):
+    """One path's standard error is 0: its 3-stderr band is a point, and a
+    sound problem would exit 4 with "passed": false.  It exits 2 instead."""
+    target = tmp_path / "problem.json"
+    code, _, _ = run(capsys, ["example", preset, "--seed", "1", "--out", str(target)])
+    assert code == 0
+    code, out, err = run(capsys, ["verify", str(target), "--suite", suite,
+                                  "--paths", "1", "--steps", "50"])
+    assert code == 2
+    assert out == ""
+    assert "n_paths >= 2" in err
+
+
 def _count_calls(monkeypatch, bindings):
     """Wrap each (module, name) binding; returns the list each call appends to."""
     calls = []

@@ -13,8 +13,8 @@ composition must survive: a growing mode that neither the start nor the
 forcing excites, whose composed maps can overflow, and escapes at run
 edges.
 
-Values must agree to 1e-13 (1 + |x|); escape reports must name the same
-quantity, node and time.
+Values and the nodal rates L y + g that both routes return must agree to
+1e-13 (1 + |x|); escape reports must name the same quantity, node and time.
 """
 
 import math
@@ -35,7 +35,8 @@ TOL = 1e-13
 
 def reference_linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name,
                          backward=False):
-    """dy/ds = L y + g stepped one node at a time, checked at every node."""
+    """dy/ds = L y + g stepped one node at a time, checked at every node;
+    returns y and the rate L_k y_k + g_k at every node k."""
     nodes = grid.nodes
     out = np.empty((grid.n_steps + 1,) + np.shape(start))
     first = grid.n_steps if backward else 0
@@ -50,13 +51,20 @@ def reference_linear_rk4(grid, L_node, g_node, L_mid, g_mid, start, name,
     for j, y in steps:
         _check_finite(name, y, j, nodes[j])
         out[j] = y
-    return out
+    rate = np.array([L_node[k] @ out[k] + g_node[k] for k in range(len(out))])
+    return out, rate
 
 
 def assert_close(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
     np.testing.assert_array_less(np.abs(got - want), TOL * (1.0 + np.abs(want)))
+
+
+def assert_sweeps_close(got, want):
+    """Two sweeps' (y, rate) agree, y and the rate each to TOL."""
+    for a, b in zip(got, want, strict=True):
+        assert_close(a, b)
 
 
 def linear_tables(grid, sampled, d=3, seed=0):
@@ -91,9 +99,9 @@ def test_linear_rk4_matches_stepwise_sweep(K, backward, sampled):
     start = np.array([0.5, -1.0, 2.0])
     got = linear_rk4(grid, *tables, start, "y", backward=backward)
     want = reference_linear_rk4(grid, *tables, start, "y", backward=backward)
-    assert_close(got, want)
+    assert_sweeps_close(got, want)
     first = K if backward else 0
-    assert np.array_equal(got[first], start)
+    assert np.array_equal(got[0][first], start)
 
 
 @pytest.mark.parametrize("K", [1, 255, 256, 257, 1000])
@@ -111,7 +119,7 @@ def test_linear_rk4_matches_stepwise_sweep_at_large_d(d, sampled, backward, K):
     start = np.resize([0.5, -1.0, 2.0], d) * scale
     got = linear_rk4(grid, *tables, start, "y", backward=backward)
     want = reference_linear_rk4(grid, *tables, start, "y", backward=backward)
-    assert_close(got, want)
+    assert_sweeps_close(got, want)
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -215,9 +223,9 @@ def test_unexcited_growing_mode_stays_finite(backward):
     start = np.array([0.0, 1.0])
     got = linear_rk4(grid, *tables, start, "y", backward=backward)
     want = reference_linear_rk4(grid, *tables, start, "y", backward=backward)
-    assert_close(got, want)
+    assert_sweeps_close(got, want)
     last = 0 if backward else K
-    np.testing.assert_allclose(got[last], [0.0, np.exp(-1.0)], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got[0][last], [0.0, np.exp(-1.0)], rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -253,7 +261,7 @@ def test_overflowing_block_restarts_the_scan_at_large_d(backward, monkeypatch):
     monkeypatch.setattr(quadrature, "_prefix_products", counting_scan)
     got = linear_rk4(grid, *tables, start, "y", backward=backward)
     want = reference_linear_rk4(grid, *tables, start, "y", backward=backward)
-    assert_close(got, want)
+    assert_sweeps_close(got, want)
     assert scans == [200, 73]
 
 

@@ -164,6 +164,35 @@ def test_non_finite_gain_is_refused():
         propagate_moments(p, gain, 0.0, [[1.0]], [[1.0]])
 
 
+@pytest.mark.parametrize("argument", ["feedbacks", "mean_feedbacks"])
+def test_batch_cost_names_a_non_finite_gain(argument):
+    """A NaN gain is a bad input, not a moment trajectory that escaped."""
+    p = classic(50)
+    gains = {"feedbacks": np.zeros((3, 51, 1, 1)),
+             "mean_feedbacks": np.zeros((3, 51, 1, 1))}
+    gains[argument][1, 7] = np.nan
+    with pytest.raises(ValidationError, match=f"^{argument}: contains non-finite"):
+        batch_cost(p, gains["feedbacks"], gains["mean_feedbacks"], [[1.0]], [[1.0]])
+
+
+@pytest.mark.parametrize("argument", ["feedback", "mean_feedback"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_single_gain_functions_name_a_non_finite_gain(argument, bad):
+    p = classic(50)
+    X0 = [[1.0]]
+    mp = propagate_moments(p, 0.0, 0.0, X0, X0)
+    for gain in (bad, np.full((1, 1), bad), np.full((51, 1, 1), bad)):
+        gains = {"feedback": 0.0, "mean_feedback": 0.0, argument: gain}
+        for run in (
+            lambda: propagate_moments(p, **gains, X0=X0, Y0=X0),
+            lambda: homogeneous_cost(p, **gains, mp=mp),
+            lambda: stationarity_residual(p, **gains, X0=X0, Y0=X0),
+        ):
+            with pytest.raises(ValidationError,
+                               match=f"^{argument}: contains non-finite"):
+                run()
+
+
 def test_batch_cost_refuses_unequal_batches():
     p = classic(50)
     X0 = [[1.0]]

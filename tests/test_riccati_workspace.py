@@ -8,10 +8,11 @@ Hamiltonian block allocated afresh at every stage, factored by the
 ``linalg._eigh`` seam and turned into a rate by an allocating rate, whose
 1/lambda comes from an allocating rank rule, with the maps resolved per
 stage by ``riccati._at``.  It is driven by the same ``rk4_steps`` from the
-same ``integrate_gre``, with the node pass's rate and the factorization's
-rank decision (``keep``, ``cutoff`` and 1/lambda, which the gains and the
-report read) on the same allocating arithmetic, so every output must agree
-bit for bit.  A scalar problem's sweep forms its stages in Python floats
+same ``integrate_gre``, with the factorization's rank decision (``keep``,
+``cutoff`` and 1/lambda, which the gains, the rate and the report read) on
+the same allocating arithmetic, and the node pass's rate is checked against
+the allocating rate of allocating blocks, so every output must agree bit
+for bit.  A scalar problem's sweep forms its stages in Python floats
 instead, so the comparison pins those to the allocating stage as well.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from mflq import linalg, riccati
-from mflq.linalg import _mT
+from mflq.linalg import _mT, _sym
 from mflq.presets import example31, random_spd, scalar_classic
 from mflq.problem import TimeGrid, make_problem, tabulate
 from mflq.quadrature import rk4_steps
@@ -118,11 +119,12 @@ def allocating_rhs(Y, co):
 
 
 def reference_gre(p, monkeypatch):
-    """``integrate_gre`` with every stage, the node pass's rate and the
-    factorization's rank rule on the allocating reference.  It checks that
-    the sweep stepped through the patched ``riccati.rk4_steps``, 4K
-    allocating stages, so a sweep that stopped doing so fails here instead
-    of being compared with itself."""
+    """``integrate_gre`` with every stage and the factorization's rank rule
+    on the allocating reference.  It checks that the sweep stepped through
+    the patched ``riccati.rk4_steps``, 4K allocating stages, so a sweep that
+    stopped doing so fails here instead of being compared with itself, and
+    that the node pass's rate is bitwise the allocating rate of the
+    allocating blocks at the nodes, on the factorization's 1/lambda."""
     tab = tabulate(p, p.horizon)
     stages = []
 
@@ -140,10 +142,14 @@ def reference_gre(p, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(riccati, "rk4_steps", reference_steps)
-        patch.setattr(riccati, "_rate", allocating_rate)
         patch.setattr(linalg, "_inverse_builder", allocating_inverse_builder)
         sol = integrate_gre(p)
     assert len(stages) == 4 * p.horizon.n_steps
+    n = p.n
+    Z = allocating_hamiltonian(np.stack((sol.P, sol.P_mean), axis=1), tab.node_maps)
+    rate = allocating_rate(Z[..., :n, :n], Z[..., n:, :n], sol.factor.inv,
+                           sol.factor.eigvecs)
+    assert_bitwise(sol.rate, _sym(rate))
     return sol
 
 

@@ -1,15 +1,17 @@
 """One run partition for every batched pass, and one block workspace per pass.
 
 The batched passes walk the grid in runs of at most ``quadrature._RUN``
-points: the Riccati node pass and dense output, the noise adjoint's nodal
-rate and the propagator runs of ``linear_rk4``.  All of them take their
-runs from ``quadrature._run_slices``, so no other module names ``_RUN``; a
-lint below holds that.  The node pass and the dense output each build
-their Hamiltonian blocks on one workspace sized to the first run, whose
-leading rows the short last run fills.  These tests count the workspaces,
-bound what a synthesis at (n, m) = (20, 10) holds at its peak, and compare
-the batched blocks at the run edges with a build over the whole grid at
-once on the allocating reference of ``test_riccati_workspace``.
+points: the Riccati node pass and dense output and the propagator runs of
+``linear_rk4``, which also give the nodal rate that the noise adjoint's
+Hermite midpoints read.  All of them take their runs from
+``quadrature._run_slices``, so no other module names ``_RUN``; a lint
+below holds that.  The node pass and the dense output each build their
+Hamiltonian blocks on one workspace sized to the first run, whose leading
+rows the short last run fills.  These tests count the workspaces and the
+adjoints' table builds, bound what a synthesis at (n, m) = (20, 10) holds
+at its peak, and compare the batched blocks at the run edges with a build
+over the whole grid at once on the allocating reference of
+``test_riccati_workspace``.
 """
 
 import ast
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mflq import linalg, riccati
+from mflq import affine, linalg, riccati
 from mflq.linalg import _mT, _sym
 from mflq.presets import random_spd
 from mflq.quadrature import _RUN, _run_slices
@@ -97,6 +99,24 @@ def test_synthesis_makes_three_block_workspaces(monkeypatch):
     synthesize(p)
     N = p.n + p.m
     assert shapes == [(2, N, N), (_RUN, 2, N, N), (_RUN, 2, N, N)]
+
+
+def test_adjoints_build_each_table_run_once(monkeypatch):
+    """At K = 1000 each adjoint's sweep has 4 runs, and each run builds the
+    closed-loop maps of its L and g at the nodes and at the midpoints once:
+    32 builds a synthesis.  The noise adjoint's nodal rate comes with its
+    sweep; building its node table again for it made 40."""
+    p, _ = random_spd(0, n=2, m=2, n_steps=1000)
+    builds = []
+    closed_loop = affine._closed_loop
+
+    def counting(*args):
+        builds.append(None)
+        return closed_loop(*args)
+
+    monkeypatch.setattr(affine, "_closed_loop", counting)
+    synthesize(p)
+    assert len(builds) == 32
 
 
 def test_synthesis_peak_at_twenty_states_stays_within_four_fifths_again():

@@ -26,7 +26,7 @@ from mflq.sim import simulate
 from mflq.synthesis import synthesize, value
 from mflq.verify import qp_oracle
 from test_nodewise_reference import time_varying_problem
-from test_riccati_workspace import allocating_hamiltonian
+from test_riccati_workspace import allocating_hamiltonian, allocating_rate
 
 
 def test_scalar_classic_value():
@@ -217,18 +217,20 @@ def test_rank_rule_runs_once_per_factorization_and_stage(K, monkeypatch):
 
 def rebuilt_dense_midpoints(sol):
     """The dense output with nodal derivatives from a fresh build of the
-    nodal Hamiltonian blocks, each run's allocated afresh, factored by the
-    node pass's eigenpairs."""
+    nodal Hamiltonian blocks, each run's allocated afresh, turned into a
+    rate by the allocating rate on the node pass's eigenpairs; the
+    midpoint gains come from the node pass's ``_gains``, whose midpoint
+    rate is dropped."""
     n = sol.P.shape[-1]
     inv, V = sol.factor.inv, sol.factor.eigvecs
     Y = np.stack((sol.P, sol.P_mean), axis=1)
     deriv = np.empty_like(Y)
     for run in _run_slices(len(Y)):
         Z = allocating_hamiltonian(Y[run], riccati._at(sol.table.node_maps, run))
-        deriv[run] = _sym(riccati._rate(Z[..., :n, :n], Z[..., n:, :n],
-                                        inv[run], V[run]))
+        deriv[run] = _sym(allocating_rate(Z[..., :n, :n], Z[..., n:, :n],
+                                          inv[run], V[run]))
     Y_mid = riccati.hermite_midpoints(Y, deriv, sol.grid.h)
-    _, _, gain, _ = riccati._gains(Y_mid, sol.table.mid_maps)
+    _, _, gain, _ = riccati._gains(Y_mid, sol.table.mid_maps, np.empty_like(Y_mid))
     return riccati.MidpointData(P=Y_mid[:, 0], P_mean=Y_mid[:, 1],
                                 gain_dev=gain[:, 0], gain_mean=gain[:, 1])
 

@@ -235,6 +235,21 @@ def test_battery_requires_a_control(n_controls):
                             seed=0)
 
 
+@pytest.mark.parametrize("n_paths", [1, 0])
+def test_one_path_checks_are_refused(n_paths):
+    """One path's sample standard error is 0, so the 3-stderr bands of the
+    battery and of the completion suite would collapse to a point and fail
+    a sound strategy; both checks refuse fewer than two paths."""
+    p, law = random_spd(1, n_steps=50)
+    sol = synthesize(p)
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        lower_bound_battery(p, sol, law, n_controls=2, n_paths=n_paths, seed=0)
+    core, _ = scalar_classic(n_steps=50)
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        completion_check(core, integrate_gre(core), ControlSpec.zero(1, 1),
+                         n_paths=n_paths, n_steps=50, seed=0)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64 - 3])
 def test_battery_refuses_seeds_outside_the_key_range(seed):
     """The battery keys strategy i with seed + 1 + i, so seed + n_controls
