@@ -309,6 +309,10 @@ def _load_strategy_arg(args, p: ProblemData):
 
 
 def cmd_simulate(args) -> int:
+    # One path's standard error is 0, the value a deterministic problem
+    # reports, so a one-path estimate would read as exact.
+    if args.paths < 2:
+        raise ValueError(f"simulate needs n_paths >= 2, got {args.paths}")
     p, doc_law = _read_problem(args.file)
     law = _resolve_law(args, doc_law, p.n, required=True)
     spec, label = _load_strategy_arg(args, p)

@@ -4,7 +4,7 @@ Four families, deliberately built on different machinery than the solver:
 
 * a brute-force quadratic program on the Euler-discretised noiseless
   problem in the stacked controls, its Hessian held as lower row blocks,
-  assembled interval by interval and minimised through one in-place
+  filled row block by row block and minimised through one in-place
   left-looking block Cholesky factorization;
 * a completion-of-squares residual identity that re-expresses a simulated
   cost through the Riccati data, evaluated with common random numbers;
@@ -121,11 +121,45 @@ def _require_noiseless(p: ProblemData):
 # most (Km x m when m > _BLOCK).
 _BLOCK = 256
 
+# Diagonal blocks up to this order are factored by np.linalg.cholesky and
+# inverted by np.linalg.inv; larger ones are split in halves first (LAPACK
+# inverts a whole 256 triangle through an LU, at about four times the cost).
+_LEAF = 32
+
 
 def _row_bounds(dim: int, m: int) -> list:
     """Row ranges [s, e) of the Hessian's row blocks, whole intervals each."""
     rows = max(1, _BLOCK // m) * m
     return [(s, min(s + rows, dim)) for s in range(0, dim, rows)]
+
+
+def _chol_tril(d: np.ndarray) -> np.ndarray:
+    """Overwrite d with its Cholesky factor L; return inv(L).
+
+    Recursive 2 x 2 blocking: the leading half gives L11 and X11 = inv(L11),
+    then L21 = A21 X11^T, L22 comes from A22 - L21 L21^T, and
+    inv(L) = [[X11, 0], [-X22 L21 X11, X22]], which is about as stable as
+    LAPACK's trtri (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992).
+    Leaves are factored by ``np.linalg.cholesky``, whose refusal is the "not
+    positive definite" verdict, and inverted by ``np.linalg.inv``.  Only
+    d's lower triangle is read; d and inv(L) end exactly zero above their
+    diagonals.
+    """
+    k = len(d)
+    if k <= _LEAF:
+        d[...] = np.linalg.cholesky(d)
+        return np.tril(np.linalg.inv(d))
+    h = k // 2
+    X = np.zeros_like(d)
+    X[:h, :h] = _chol_tril(d[:h, :h])
+    L21 = d[h:, :h]
+    L21[...] = L21 @ X[:h, :h].T
+    d[:h, h:] = 0.0
+    d[h:, h:] -= L21 @ L21.T
+    X[h:, h:] = _chol_tril(d[h:, h:])
+    np.matmul(X[h:, h:], L21 @ X[:h, :h], out=X[h:, :h])
+    np.negative(X[h:, :h], out=X[h:, :h])
+    return X
 
 
 def _chol_inplace(rows: list) -> list:
@@ -134,12 +168,14 @@ def _chol_inplace(rows: list) -> list:
     ``rows`` are the row blocks of ``_row_bounds``, block i of shape
     (e_i - s_i, e_i).  Left-looking: block row i takes, for each earlier
     block j, the panel L_ij = (A_ij - L_i[:, :s_j] L_j[:, :s_j]^T) inv(L_jj)^T,
-    then factors A_ii - L_i[:, :s_i] L_i[:, :s_i]^T by
-    ``np.linalg.cholesky``.  Returns the inverses inv(L_ii), formed once
-    each, for the panels and both substitutions.  Only the lower triangle
-    is read; the diagonal blocks end with zeros above the diagonal.  Raises
-    ``np.linalg.LinAlgError`` when the matrix is not positive definite,
-    with the blocks partly overwritten.
+    then ``_chol_tril`` factors A_ii - L_i[:, :s_i] L_i[:, :s_i]^T and
+    forms inv(L_ii) as a triangle.  Returns those inverses, each formed
+    once, for the panels and both substitutions.  A panel's product skips
+    the zero upper-right quarter of inv(L_jj); the diagonal update is
+    A @ A.T, which numpy forms by a symmetric rank-k update.  Only the lower
+    triangle is read; the diagonal blocks end with zeros above the
+    diagonal.  Raises ``np.linalg.LinAlgError`` when the matrix is not
+    positive definite, with the blocks partly overwritten.
     """
     inv = []
     for a in rows:
@@ -148,11 +184,15 @@ def _chol_inplace(rows: list) -> list:
             sj, ej = lj.shape[1] - lj.shape[0], lj.shape[1]
             panel = a[:, sj:ej]
             panel -= a[:, :sj] @ lj[:, :sj].T
-            panel[...] = panel @ inv_j.T
+            h = len(inv_j) // 2
+            left, right = panel[:, :h], panel[:, h:]
+            t = right @ inv_j[h:, h:].T
+            t += left @ inv_j[h:, :h].T
+            right[...] = t
+            left[...] = left @ inv_j[:h, :h].T
         d = a[:, s:]
         d -= a[:, :s] @ a[:, :s].T
-        d[...] = np.linalg.cholesky(d)
-        inv.append(np.tril(np.linalg.inv(d)))
+        inv.append(_chol_tril(d))
     return inv
 
 
@@ -179,30 +219,76 @@ def _solve_lower_t(rows: list, inv: list, y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _hessian_lower(rows, T, hB, WB, Sh, Rh, h) -> None:
-    """Fill the QP Hessian's lower row blocks, one interval at a time.
+def _weights(T: np.ndarray, hQ: np.ndarray, W_K: np.ndarray) -> np.ndarray:
+    """W_K, then W_j = h Q_j + T_j^T W_{j+1} T_j back to j = 0: (K+1, ., .)."""
+    W = np.empty((len(T) + 1,) + W_K.shape)
+    W[:-1] = hQ
+    W[-1] = W_K
+    TtW = np.empty(W_K.shape)
+    steps = zip(T.transpose(0, 2, 1)[::-1], T[::-1], W[-2::-1], W[::-1])
+    for Tt_j, T_j, W_j, W_next in steps:
+        np.matmul(Tt_j, W_next, out=TtW)
+        W_j += TtW @ T_j
+    return W
 
-    ``rows`` are zeroed blocks laid out by ``_row_bounds``.  Keeps only the
-    current control sensitivity Psi_j of the state (X_j = Phi_j + Psi_j u).
-    The m rows of interval j, columns up to its diagonal block, are the
-    state cost (W_{j+1} h B_j)^T Psi_{j+1}, the cross term h S_j Psi_j, and
-    h R_j on the diagonal.  A diagonal block right of each interval's own m
-    columns stays zero.
+
+def _hessian_lower(rows, T, hB, M, D, x0) -> np.ndarray:
+    """Fill the QP Hessian's lower row blocks; return the linear term c.
+
+    ``rows`` are zeroed blocks laid out by ``_row_bounds``.  The state is
+    augmented by a constant 1: T_j (K, n+1, n+1) carries the drift h b_j,
+    and the uncontrolled state Phi_j = T_{j-1}...T_0 x0, from x0 = (x, 1),
+    is one more sensitivity column.  Interval j's m rows are its row map
+    M_j (K, m, n+1), h (S_j, rho_j) + (W_{j+1} h B_j)^T T_j, times the
+    state's sensitivity before step j, and D_j = (W_{j+1} h B_j)^T h B_j
+    + h R_j on its own m x m block; a diagonal block right of it stays zero.
+
+    Within a row block, from its first interval a, a walk over the block's
+    intervals carries the transition products T_{j-1}...T_a and the
+    sensitivities to the block's own controls: one product per interval,
+    with M_j stacked over T_j, stores M_j T_{j-1}...T_a beside the row and
+    takes the walk a step.  The columns left of the block are then one
+    product, those maps times the sensitivity at node a, written in place,
+    and the block's share of c is the maps times Phi_a.
     """
     K, n, m = hB.shape
-    psi = np.zeros((n, K * m))
+    n1 = n + 1
+    U = np.concatenate([M, T], axis=1)  # (K, m + n1, n1): M_j over T_j
+    psi = np.zeros((n, K * m))  # sensitivities at the block's first node
+    phi = x0
+    c = np.empty(K * m)
     j = 0
     for a in rows:
-        s = a.shape[1] - a.shape[0]
-        for r0 in range(s, a.shape[1], m):
-            r1 = r0 + m
-            row = a[r0 - s : r1 - s, :r1]
-            row[:, :r0] = h * (Sh[j] @ psi[:, :r0])
-            psi[:, :r0] = T[j] @ psi[:, :r0]
-            psi[:, r0:r1] = hB[j]
-            row += WB[j].T @ psi[:, :r1]
-            row[:, r0:r1] += h * Rh[j]
-            j += 1
+        w, e = a.shape
+        s = e - w
+        nb = w // m
+        # A buffer's last n1 rows hold the transition product, then the
+        # block's controls, each entered as h B_k before its interval is
+        # walked.  One product per interval gives its m rows above the next
+        # node's columns; two buffers take turns, so a product is never
+        # written over its own operand.
+        z = np.zeros((m + n1, n1 + w))
+        z[m:, :n1] = np.eye(n1)
+        z[m:n + m, n1:] = hB[j : j + nb].transpose(1, 0, 2).reshape(n, w)
+        z2 = z.copy()
+        blk = np.zeros((w, n1 + w))
+        for r0, U_j in zip(range(0, w, m), U[j : j + nb]):
+            c0 = n1 + r0
+            np.matmul(U_j, z[m:, :c0], out=z2[:, :c0])
+            blk[r0 : r0 + m, :c0] = z2[:m, :c0]
+            z, z2 = z2, z
+        j += nb
+        z = z[m:]
+        idx = np.arange(w).reshape(nb, m)
+        own = blk[:, n1:]
+        own[idx[:, :, None], idx[:, None, :]] = D[j - nb : j]
+        a[:, s:] = own
+        np.matmul(blk[:, :n], psi[:, :s], out=a[:, :s])
+        c[s:e] = blk[:, :n1] @ phi
+        psi[:, :s] = z[:n, :n] @ psi[:, :s]
+        psi[:, s:e] = z[:n, n1:]
+        phi = z[:, :n1] @ phi
+    return c
 
 
 def qp_oracle(p: ProblemData, x, K: int) -> QpOracleResult:
@@ -212,18 +298,21 @@ def qp_oracle(p: ProblemData, x, K: int) -> QpOracleResult:
     intervals; since the problem is noiseless and the initial state is a
     point, state and mean coincide and the coefficient pairs collapse to
     their sums.  The cost is assembled as an explicit quadratic
-    u^T H u + 2 c^T u + const in the stacked control vector.  A backward
-    weight recursion, W_K = G and W_j = h Q_j + T_j^T W_{j+1} T_j with
-    T_j = I + h A_j, carries each later state cost back to step j; it is
-    linear (no weight is inverted, no feedback is formed).  H is held as
-    its lower row blocks alone (``_row_bounds``), about half of (Km)^2
-    numbers, and a forward pass over the intervals fills them.  They are
-    factored once, in place, by a left-looking block Cholesky, and the
-    minimiser follows from two row-block substitutions, products with the
-    kept inverses of the diagonal blocks.  A singular or indefinite Hessian
-    is reported, never regularised away (indefinite: smallest eigenvalue
-    below -1e-9 * max(||H||_F, 1)); that check assembles the full H again,
-    the only (Km)^2 array the oracle then holds.
+    u^T H u + 2 c^T u + const in the stacked control vector.  The state is
+    augmented by a constant 1, which folds the drift b, the linear weights
+    q, rho, g and the uncontrolled state into the same products.  One
+    backward weight recursion, W_K = G and W_j = h Q_j + T_j^T W_{j+1} T_j
+    with T_j = I + h A_j, carries each later state cost back to step j; it
+    is linear (no weight is inverted, no feedback is formed), and
+    x^T W_0 x is the uncontrolled cost, const.  H is held as its lower row
+    blocks alone (``_row_bounds``), about half of (Km)^2 numbers, and
+    ``_hessian_lower`` fills them and gives c.  They are factored once, in
+    place, by a left-looking block Cholesky, and the minimiser follows from
+    two row-block substitutions, products with the kept inverses of the
+    diagonal blocks.  A singular or indefinite Hessian is reported, never
+    regularised away (indefinite: smallest eigenvalue below
+    -1e-9 * max(||H||_F, 1)); that check assembles the full H again, the
+    only (Km)^2 array the oracle then holds.
 
     First-order accurate in 1/K by construction (left-endpoint rectangle
     rule), which is exactly what makes it an independent check.
@@ -240,48 +329,36 @@ def qp_oracle(p: ProblemData, x, K: int) -> QpOracleResult:
 
     # Only a weight's symmetric part enters the quadratic; the factorization
     # reads H's lower triangle alone, so the weights are symmetrized here.
-    T = np.eye(n) + h * (node["A"] + node["A_bar"])
+    # The augmented transitions (T_j, h b_j; 0, 1) and weights
+    # (h Q_j, h q_j; h q_j^T, 0), (G, g; g^T, 0) and (h S_j, h rho_j).
+    n1 = n + 1
+    T = np.zeros((K, n1, n1))
+    T[:, :n, :n] = np.eye(n) + h * (node["A"] + node["A_bar"])
+    T[:, :n, n] = h * node["b0"]
+    T[:, n, n] = 1.0
+    hQ = np.zeros((K, n1, n1))
+    hQ[:, :n, :n] = h * _sym(node["Q"] + node["Q_bar"])
+    hQ[:, :n, n] = hQ[:, n, :n] = h * (node["q0"] + node["q_bar"])
+    W_K = np.zeros((n1, n1))
+    W_K[:n, :n] = _sym(p.G + p.G_bar)
+    W_K[:n, n] = W_K[n, :n] = p.g0 + p.g_bar
+    hS = np.empty((K, m, n1))
+    hS[:, :, :n] = h * (node["S"] + node["S_bar"])
+    hS[:, :, n] = h * (node["rho0"] + node["rho_bar"])
     hB = h * (node["B"] + node["B_bar"])
-    Qh = _sym(node["Q"] + node["Q_bar"])
-    Sh = node["S"] + node["S_bar"]
-    Rh = _sym(node["R"] + node["R_bar"])
-    qh = node["q0"] + node["q_bar"]
-    rh = node["rho0"] + node["rho_bar"]
-    bh = node["b0"]
-    Gh = _sym(p.G + p.G_bar)
-    gh = p.g0 + p.g_bar
+    hR = h * _sym(node["R"] + node["R_bar"])
 
-    # Uncontrolled states Phi_j, then the weights W_j and the linear
-    # weights v_j (v_K = G Phi_K + g, v_j = h (Q_j Phi_j + q_j) + T_j^T
-    # v_{j+1}) of the costs after step j, for j = 1..K.
-    Phi = np.empty((K + 1, n))
-    Phi[0] = x
-    for j in range(K):
-        Phi[j + 1] = T[j] @ Phi[j] + h * bh[j]
-    W = np.empty((K + 1, n, n))
-    v = np.empty((K + 1, n))
-    W[K] = Gh
-    v[K] = Gh @ Phi[K] + gh
-    for j in range(K - 1, 0, -1):
-        W[j] = h * Qh[j] + T[j].T @ W[j + 1] @ T[j]
-        v[j] = h * (Qh[j] @ Phi[j] + qh[j]) + T[j].T @ v[j + 1]
-    WB = W[1:] @ hB
-
-    c = (
-        np.einsum("jam,ja->jm", hB, v[1:])
-        + h * np.einsum("jma,ja->jm", Sh, Phi[:K])
-        + h * rh
-    ).reshape(K * m)
-    const = h * float(
-        np.einsum("ja,jab,jb->", Phi[:K], Qh, Phi[:K])
-        + 2.0 * np.einsum("ja,ja->", qh, Phi[:K])
-    )
-    const += float(Phi[K] @ (Gh @ Phi[K]) + 2.0 * gh @ Phi[K])
+    W = _weights(T, hQ, W_K)
+    WB = W[1:, :, :n] @ hB  # W_{j+1} h B_j, the linear weight's row below
+    M = hS + WB.transpose(0, 2, 1) @ T
+    D = WB[:, :n].transpose(0, 2, 1) @ hB + hR
+    xa = np.append(x, 1.0)
+    const = float(xa @ W[0] @ xa)
 
     dim = K * m
     bounds = _row_bounds(dim, m)
     rows = [np.zeros((e - s, e)) for s, e in bounds]
-    _hessian_lower(rows, T, hB, WB, Sh, Rh, h)
+    c = _hessian_lower(rows, T, hB, M, D, xa)
     try:
         inv = _chol_inplace(rows)
     except np.linalg.LinAlgError:
@@ -299,7 +376,7 @@ def qp_oracle(p: ProblemData, x, K: int) -> QpOracleResult:
     # interval's own m x m block is filled on both sides of its diagonal.
     del rows
     H = np.zeros((dim, dim))
-    _hessian_lower([H[s:e, :e] for s, e in bounds], T, hB, WB, Sh, Rh, h)
+    _hessian_lower([H[s:e, :e] for s, e in bounds], T, hB, M, D, xa)
     for s, e in bounds:
         H[:s, s:e] = H[s:e, :s].T
         d = H[s:e, s:e]

@@ -741,6 +741,20 @@ def test_one_path_checks_are_refused(capsys, tmp_path, preset, suite):
     assert "n_paths >= 2" in err
 
 
+@pytest.mark.parametrize("paths", ["1", "0"])
+def test_simulate_refuses_fewer_than_two_paths(capsys, tmp_path, paths):
+    """One path's cost_stderr would be 0.0, the value reserved for a
+    deterministic problem; on a noisy one it would read as exact."""
+    target = tmp_path / "problem.json"
+    code, _, _ = run(capsys, ["example", "random_spd", "--seed", "1", "--out", str(target)])
+    assert code == 0
+    code, out, err = run(capsys, ["simulate", str(target), "--paths", paths,
+                                  "--steps", "50", "--seed", "0"])
+    assert code == 2
+    assert out == ""
+    assert "n_paths >= 2" in err
+
+
 def _count_calls(monkeypatch, bindings):
     """Wrap each (module, name) binding; returns the list each call appends to."""
     calls = []

@@ -1,32 +1,39 @@
 """The QP oracle against the dense assembly it replaced.
 
 ``qp_oracle`` holds its Hessian as lower row blocks, whole intervals each
-and nothing above the diagonal blocks, fills them one interval at a time
-from a backward weight recursion, factors them in place with a
-left-looking block Cholesky and solves by two row-block substitutions.  The reference
-below keeps the earlier formulation as test-only code: the full
-state-sensitivity stack Psi, the Hessian Psi^T Q Psi of the normal
-equations, ``np.linalg.cholesky`` as the definiteness test, then
-``np.linalg.solve``, or ``eigvalsh`` / ``lstsq`` for a Hessian that is not
-positive definite.
+and nothing above the diagonal blocks, fills each block from its row maps,
+the transition products across it and the sensitivity at its first node,
+factors them in place with a left-looking block Cholesky and solves by two
+row-block substitutions.  The reference below keeps the earlier
+formulation as test-only code: the full state-sensitivity stack Psi, the
+Hessian Psi^T Q Psi of the normal equations, ``np.linalg.cholesky`` as the
+definiteness test, then ``np.linalg.solve``, or ``eigvalsh`` / ``lstsq``
+for a Hessian that is not positive definite.
 
 Status must agree exactly, cost and control to 1e-12 (1 + |x|), on
 noiseless problems with every deterministic coefficient set and with
 time-varying ones, at K m below, on and just past the factorization's block
-edges, including a control dimension that does not divide the block width.
-The factorization and the substitutions are also compared with numpy's on
-random SPD matrices, must refuse what is not positive definite, and the
-positive-definite path calls no ``np.linalg.solve``.  The oracle's traced
-memory must stay below four fifths of one dense (Km)^2 array, and below
-one and a quarter when the factorization refuses and H is assembled in
-full.
+edges, including a control dimension that does not divide the block width,
+and with a drift that grows or decays the state strongly across the blocks.
+The factorization, the inverses of its diagonal factors and the
+substitutions are also compared with numpy's on random SPD matrices, must
+refuse what is not positive definite, and the positive-definite path calls
+no ``np.linalg.solve``.  The oracle's traced memory must stay below four
+fifths of one dense (Km)^2 array, and below one and a quarter when the
+factorization refuses and H is assembled in full.  No name the oracle
+reads may come from the Riccati integrator's modules.
 """
 
+import builtins
+import dis
+import inspect
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from mflq import verify
 from mflq.presets import scalar_classic
 from mflq.problem import MatrixPath, TimeGrid, make_problem, tabulate
 from mflq.verify import (
@@ -152,6 +159,27 @@ def noiseless_problem(n, m, seed=0):
     )
 
 
+def drift_problem(a, r):
+    """Drift a I plus a small time-varying part, and a sampled B, n = m = 2.
+
+    a = +6 grows the state about e^6 over the horizon and a = -40 decays it
+    about e^-40, so the transition products that carry a row block's first
+    node to its later intervals span large factors.  R = r I is scaled to
+    the drift so that the optimal controls are of order one and H stays well
+    conditioned, as 1e-12 agreement between two factorizations needs.
+    """
+    rng = np.random.default_rng(0)
+    s = TimeGrid(0.0, 1.0, 37)
+    wave = np.sin(3.0 * s.nodes)[:, None, None]
+    A1, B0, B1 = (rng.standard_normal(shape) for shape in [(2, 2), (2, 2), (2, 2)])
+    return make_problem(
+        2, 2, TimeGrid(0.0, 1.0, 100),
+        A=MatrixPath.sampled(s, a * np.eye(2) + 0.5 * wave * A1),
+        B=MatrixPath.sampled(s, B0 + wave * B1),
+        Q=np.eye(2), R=r * np.eye(2), G=np.eye(2),
+    )
+
+
 def late_singular_problem():
     """R vanishes from t = 1/2 on and there is no running state cost.
 
@@ -231,6 +259,15 @@ def test_row_blocks_hold_whole_intervals_when_m_does_not_divide_the_block(K):
     assert assert_matches_reference(p, np.array([1.0, -0.5]), K).status == "ok"
 
 
+@pytest.mark.parametrize("a, r", [(6.0, 300.0), (-40.0, 0.01)],
+                         ids=["growing", "decaying"])
+@pytest.mark.parametrize("K", [_BLOCK, _BLOCK + 1])
+def test_strong_drift_across_row_blocks_matches_dense_reference(a, r, K):
+    # K m = 2 _BLOCK: two full row blocks, then one interval past them.
+    p = drift_problem(a, r)
+    assert assert_matches_reference(p, np.array([1.0, -0.5]), K).status == "ok"
+
+
 def test_positive_definite_path_makes_no_general_solve(monkeypatch):
     p, law = scalar_classic()
     K = 600
@@ -288,6 +325,12 @@ def test_blocked_cholesky_and_substitutions_match_numpy(N):
     inv = _chol_inplace(row_blocks(L))
     L = np.tril(L)
     assert np.max(np.abs(L - L_ref)) <= TOL * np.max(np.abs(L_ref))
+    bounds = _row_bounds(N, 1)
+    assert len(inv) == len(bounds)
+    for (s, e), inv_i in zip(bounds, inv):
+        want = np.linalg.inv(L_ref[s:e, s:e])
+        assert np.max(np.abs(inv_i - want)) <= TOL * np.max(np.abs(want))
+        assert not np.triu(inv_i, 1).any()
     y = _solve_lower(row_blocks(L), inv, b)
     y_ref = np.linalg.solve(L_ref, b)
     assert np.max(np.abs(y - y_ref)) <= TOL * np.max(np.abs(y_ref))
@@ -389,3 +432,60 @@ def test_refused_factorization_holds_one_hessian(make, status):
     res, peak = traced_peak(make(), [1.0], K)
     assert res.status == status
     assert peak <= 1.25 * 8 * K**2
+
+
+# The solver modules the oracle must not read from, and the names of shared
+# modules that it may: the coefficient table, the symmetric part and the
+# noiseless precondition's list of nonzero noise terms.
+SOLVER_MODULES = {"mflq.riccati", "mflq.affine", "mflq.quadrature", "mflq.synthesis"}
+SHARED_NAMES = {
+    ("mflq.problem", "tabulate"),
+    ("mflq.problem", "_nonzero_terms"),
+    ("mflq.linalg", "_sym"),
+}
+
+
+def global_reads(func):
+    """(name, object) for each global that ``func`` and the ``verify``
+    functions it reads load, nested code (comprehensions, lambdas) included."""
+    seen, found, todo = set(), [], [func]
+    while todo:
+        f = todo.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        codes = [f.__code__]
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            for ins in dis.get_instructions(code):
+                if ins.opname not in ("LOAD_GLOBAL", "LOAD_NAME"):
+                    continue
+                name = ins.argval
+                if name in f.__globals__:
+                    obj = f.__globals__[name]
+                elif hasattr(builtins, name):
+                    continue
+                else:
+                    raise AssertionError(f"{f.__name__} reads unbound {name}")
+                found.append((name, obj))
+                if inspect.isfunction(obj) and obj.__module__ == verify.__name__:
+                    todo.append(obj)
+    return found
+
+
+def test_qp_oracle_reads_nothing_of_the_solver():
+    """The oracle is the Riccati-free route: no name it or its verify
+    helpers read resolves into the Riccati, adjoint, quadrature or synthesis
+    modules, and of the other mflq modules only the allowed names."""
+    reads = global_reads(qp_oracle)
+    assert ("_chol_inplace", _chol_inplace) in reads  # helpers are walked
+    for name, obj in reads:
+        module = obj.__name__ if inspect.ismodule(obj) else getattr(
+            obj, "__module__", None
+        )
+        if module is None or not module.startswith("mflq"):
+            continue
+        assert module not in SOLVER_MODULES, f"{name} comes from {module}"
+        if module != verify.__name__:
+            assert (module, name) in SHARED_NAMES, f"{name} comes from {module}"
