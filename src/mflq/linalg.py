@@ -215,17 +215,24 @@ class SymFactor:
         return self.eigvals[..., 0]
 
     def range_residual(self, N: np.ndarray) -> np.ndarray:
-        """Normalised obstruction to range(N[i]) lying in range(M[i]).
+        """Normalised obstruction to range(N[i]) lying in range(M[i]); see
+        ``_range_residual``."""
+        return _range_residual(self.eigvecs, self.keep, N)
 
-        N has shape (..., m, r); the obstruction (I - V diag(keep) V^T) N is
-        measured in the Frobenius norm and normalised by 1 + ||N||, so exact
-        containment gives 0 and the residual stays below 1 at any scale.
-        """
-        V = self.eigvecs
-        out = N - V @ ((_mT(V) @ N) * self.keep[..., None])
-        return np.linalg.norm(out, axis=(-2, -1)) / (
-            1.0 + np.linalg.norm(N, axis=(-2, -1))
-        )
+
+def _range_residual(V, keep, N):
+    """Normalised obstruction to range(N[i]) lying in the retained range of
+    a factored stack, given its eigenvectors V (..., m, m) and retained mask
+    ``keep`` (..., m), or any slice of them along the stack's axes.
+
+    N has shape (..., m, r); the obstruction (I - V diag(keep) V^T) N is
+    measured in the Frobenius norm and normalised by 1 + ||N||, so exact
+    containment gives 0 and the residual stays below 1 at any scale.
+    """
+    out = N - V @ ((_mT(V) @ N) * keep[..., None])
+    return np.linalg.norm(out, axis=(-2, -1)) / (
+        1.0 + np.linalg.norm(N, axis=(-2, -1))
+    )
 
 
 def sym_factor(M) -> SymFactor:

@@ -194,12 +194,8 @@ class NoiseAffinePath:
         return cls(MatrixPath.constant(z), MatrixPath.constant(z))
 
     @classmethod
-    def of(cls, const, noise, frozen_at_start: bool = False) -> "NoiseAffinePath":
-        return cls(
-            MatrixPath.constant(const),
-            MatrixPath.constant(noise),
-            frozen_at_start,
-        )
+    def of(cls, const, noise) -> "NoiseAffinePath":
+        return cls(MatrixPath.constant(const), MatrixPath.constant(noise))
 
 
 @dataclass(frozen=True)

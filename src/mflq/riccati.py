@@ -49,9 +49,9 @@ gains and their midpoint samples, is written through a node-major view
 into one channel-major (2, K+1, ...) buffer that is then made read-only,
 so each channel is a contiguous slab of it and no pair is split or
 stacked by a copy (only the batched factorization reads a C-contiguous
-copy of the weights, see ``linalg.sym_factor``); a pass that needs a pair
-node by node takes it with ``_pair``, which is a view of such a buffer
-and stacks only channels that are not slabs of one.
+copy of the weights, see ``linalg.sym_factor``).  A pass that reads a
+solution's pair takes each channel from its own field, one channel at a
+time, so it reads any layout of the two alike.
 
 A scalar problem, n = m = 1, takes a stage in Python floats instead,
 ``_float_stage_rate``: on (2, 1, 1) arrays the array stage's time goes to
@@ -105,7 +105,6 @@ class ConditionVerdict:
 
 @dataclass(frozen=True)
 class RegularityReport:
-    regular: bool
     conditions: tuple
     n_steps: int
     tol: float
@@ -113,6 +112,11 @@ class RegularityReport:
     mean_rank: np.ndarray
     near_cutoff_dev: tuple
     near_cutoff_mean: tuple
+
+    @property
+    def regular(self) -> bool:
+        """Whether every condition passed: the Riccati pair is regular."""
+        return all(c.passed for c in self.conditions)
 
     def condition(self, name: str) -> ConditionVerdict:
         for c in self.conditions:
@@ -146,10 +150,9 @@ class GreSolution:
 
     ``integrate_gre`` writes each channel pair into one read-only
     channel-major buffer, (2, K+1, ...), so each field above is a
-    contiguous slab of it and the passes that read a pair node by node
-    (the regularity report, the dense output) see it through ``_pair`` as
-    a view, never a copy.  Any other layout works too: a pair whose two
-    channels are not slabs of one buffer is stacked by ``_pair``.
+    contiguous slab of it.  The passes that read a pair (the regularity
+    report, the dense output) read each channel from its own field, so any
+    other layout of the two gives the same outputs and is never copied.
     """
 
     grid: TimeGrid
@@ -347,33 +350,6 @@ def _channels(pair):
     return pair[:, 0], pair[:, 1]
 
 
-def _pair(first, second):
-    """The node-major pair (len, 2, ...) of two channel arrays of one shape.
-
-    When the two are slabs of one buffer at a fixed distance, as the
-    channels of a channel-major buffer are and so are the strided channels
-    of a node-major (len, 2, ...) array, the pair is a read-only view of
-    that buffer; any other two arrays are stacked into a new one.  Nothing
-    is assumed about where the arrays came from.
-    """
-    base = first.base
-    if (
-        base is not None
-        and base is second.base
-        and first.shape == second.shape
-        and first.strides == second.strides
-        and first.dtype == second.dtype
-    ):
-        gap = second.ctypes.data - first.ctypes.data
-        return np.lib.stride_tricks.as_strided(
-            first,
-            shape=first.shape[:1] + (2,) + first.shape[1:],
-            strides=first.strides[:1] + (gap,) + first.strides[1:],
-            writeable=False,
-        )
-    return np.stack((first, second), axis=1)
-
-
 def _blocks(Y, co, rate=None):
     """Input weights and cross terms at every grid point of the node-major
     pair Y, (len, 2, n, n), as node-major views of channel-major pair
@@ -506,20 +482,22 @@ def dense_midpoints(sol: GreSolution) -> MidpointData:
     """Fourth-order midpoint samples of P, P_mean and the gains.
 
     The nodal derivatives are the rate that ``integrate_gre``'s node pass
-    kept.  The Hermite midpoints are formed one run of intervals at a time
-    into a channel-major buffer, ``_blocks`` builds the midpoint weights
-    and cross terms run by run, all the weights are factored in one batch
-    and dropped, and each run's gains then overwrite its cross terms, which
-    nothing else reads.  A solution without that rate raises ValueError.
+    kept.  The Hermite midpoints are formed one channel and one run of
+    intervals at a time into a channel-major buffer, ``_blocks`` builds the
+    midpoint weights and cross terms run by run, all the weights are
+    factored in one batch and dropped, and each run's gains then overwrite
+    its cross terms, which nothing else reads.  A solution without that
+    rate raises ValueError.
     """
     if sol.rate is None:
         raise ValueError("dense_midpoints needs the nodal rate integrate_gre keeps")
-    Y, h = _pair(sol.P, sol.P_mean), sol.grid.h
-    K = len(Y) - 1
-    Y_mid = _pair_buffer((K,) + Y.shape[2:])
-    for run in _run_slices(K):
-        nodes = slice(run.start, run.stop + 1)
-        Y_mid[run] = hermite_midpoints(Y[nodes], sol.rate[nodes], h)
+    h, K = sol.grid.h, sol.grid.n_steps
+    Y_mid = _pair_buffer((K,) + sol.P.shape[1:])
+    for channel, Y in enumerate((sol.P, sol.P_mean)):
+        rate, mid = sol.rate[:, channel], Y_mid[:, channel]
+        for run in _run_slices(K):
+            nodes = slice(run.start, run.stop + 1)
+            mid[run] = hermite_midpoints(Y[nodes], rate[nodes], h)
     weight, gain = _blocks(Y_mid, sol.table.mid_maps)
     factor = linalg.sym_factor(weight)
     del weight
@@ -574,17 +552,18 @@ def assess_regularity(
     factor = sol.factor
     min_eig = factor.min_eig
     rank, smin, cut = factor.rank, factor.smallest_retained, factor.cutoff
-    residual = factor.range_residual(_pair(sol.cross_term, sol.cross_term_mean))
+    V, keep = factor.eigvecs, factor.keep
     conditions = (
         _psd_verdict("psd_dev", min_eig[:, 0], tol),
         _psd_verdict("psd_mean", min_eig[:, 1], tol),
-        _range_verdict("range_dev", residual[:, 0], tol),
-        _range_verdict("range_mean", residual[:, 1], tol),
+        _range_verdict("range_dev", linalg._range_residual(
+            V[:, 0], keep[:, 0], sol.cross_term), tol),
+        _range_verdict("range_mean", linalg._range_residual(
+            V[:, 1], keep[:, 1], sol.cross_term_mean), tol),
         _l2_verdict("l2_gain_dev", sol.gain_dev, h, tol),
         _l2_verdict("l2_gain_mean", sol.gain_mean, h, tol),
     )
     return RegularityReport(
-        regular=all(c.passed for c in conditions),
         conditions=conditions,
         n_steps=sol.grid.n_steps,
         tol=tol,

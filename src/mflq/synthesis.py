@@ -32,16 +32,36 @@ from .riccati import GreSolution, integrate_gre
 
 @dataclass(frozen=True)
 class ClosedLoopSolution:
-    """Bundle of everything the synthesis produced for one problem."""
+    """Bundle of everything the synthesis produced for one problem.
+
+    The grid and the three flags are read off ``gre`` and ``affine``, so a
+    solution rebuilt with other parts (``dataclasses.replace``) reports
+    the flags of those parts.
+    """
 
     problem: ProblemData
-    grid: TimeGrid
     gre: GreSolution
     affine: AffineSolution
     strategy: ControlSpec
-    regular: bool
-    feasible: bool
-    solvable: bool
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.gre.grid
+
+    @property
+    def regular(self) -> bool:
+        """The Riccati pair's regularity, from its report."""
+        return self.gre.report.regular
+
+    @property
+    def feasible(self) -> bool:
+        """Whether the affine offsets meet their constraints."""
+        return self.affine.feasible
+
+    @property
+    def solvable(self) -> bool:
+        """Closed-loop solvability: a regular pair and feasible offsets."""
+        return self.regular and self.feasible
 
 
 def synthesize(p: ProblemData, n_steps: Optional[int] = None) -> ClosedLoopSolution:
@@ -71,18 +91,7 @@ def closed_loop(p: ProblemData, gre: GreSolution) -> ClosedLoopSolution:
             noise_part=MatrixPath.sampled(grid, aff.corrections.corr_noise),
         ),
     )
-    regular = gre.report.regular
-    feasible = aff.feasible
-    return ClosedLoopSolution(
-        problem=p,
-        grid=grid,
-        gre=gre,
-        affine=aff,
-        strategy=strategy,
-        regular=regular,
-        feasible=feasible,
-        solvable=regular and feasible,
-    )
+    return ClosedLoopSolution(problem=p, gre=gre, affine=aff, strategy=strategy)
 
 
 def value(sol: ClosedLoopSolution, law: InitialLaw) -> float:

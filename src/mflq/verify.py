@@ -477,7 +477,6 @@ def lower_bound_battery(
     n_paths: int,
     seed: int,
     n_steps: Optional[int] = None,
-    value_override: Optional[float] = None,
 ) -> VerificationReport:
     """No sampled strategy may undercut the reported optimal value.
 
@@ -486,8 +485,6 @@ def lower_bound_battery(
     optimum) from the Philox stream keyed (seed, 0x5EED), simulates each,
     and checks every estimated cost stays above value - 3 stderr.  The
     synthesized strategy itself must land within 3 stderr of the value.
-    ``value_override`` substitutes a deliberately wrong value to confirm
-    the battery can fail.
 
     The perturbations and the optimum are swept in one batch on the paths
     of ``seed``, drawn once: common random numbers.  Each marginal test is
@@ -497,7 +494,7 @@ def lower_bound_battery(
     streams and is kept as is.  Fewer than two paths raise ValueError, as
     in ``completion_check``: a 3-stderr band of one path is a point.
     """
-    if not sol.solvable and value_override is None:
+    if not sol.solvable:
         raise ValueError(
             "lower_bound_battery needs a solvable problem: the reported "
             "value is only a lower bound in that case"
@@ -513,7 +510,7 @@ def lower_bound_battery(
             f"lower_bound_battery needs 0 <= seed and seed + n_controls "
             f"< 2**64, got seed {seed} with {n_controls} controls"
         )
-    v = value(sol, law) if value_override is None else float(value_override)
+    v = value(sol, law)
     steps = sol.grid.n_steps if n_steps is None else n_steps
     rng = np.random.Generator(
         np.random.Philox(key=np.array([np.uint64(seed), np.uint64(0x5EED)]))

@@ -3,12 +3,12 @@
 ``integrate_gre`` and ``dense_midpoints`` write the deviation and mean
 channels of each pair (the Riccati matrices, input weights, cross terms and
 gains) into one read-only (2, K+1, ...) buffer, so each field is a
-contiguous slab of it and the passes that read a pair node by node see a
-view of it.  These tests bound what a synthesis holds at its peak against
-what it returns, check that the strategy shares the solver's gains, and
-check that no pass relies on that layout: a solution whose channels are
-strided node-major views, or two separate arrays, gives bitwise the same
-outputs.
+contiguous slab of it, and the passes that read a pair take each channel
+from its own field.  These tests bound what a synthesis holds at its peak
+against what it returns, check that the strategy shares the solver's
+gains, and check that no pass relies on that layout: a solution whose
+channels are strided node-major views, or two separate arrays, gives
+bitwise the same outputs.
 """
 
 import tracemalloc

@@ -63,7 +63,8 @@ def test_strategy_roundtrip_keeps_frozen_flag():
     spec = ControlSpec(
         feedback=sol.strategy.feedback,
         mean_feedback=sol.strategy.mean_feedback,
-        offset=NoiseAffinePath.of([0.3], [0.7], frozen_at_start=True),
+        offset=NoiseAffinePath(MatrixPath.constant([0.3]), MatrixPath.constant([0.7]),
+                               frozen_at_start=True),
     )
     doc = load_document(dumps(emit_strategy(spec, 1, 1, p.horizon)))
     spec2 = load_strategy(doc, 1, 1, p.horizon)

@@ -5,15 +5,19 @@ one runs: it doubles what a reader must reason about and hides the
 constant the code really uses.  This lint scans the source tree with
 ``ast``: for every function and method under ``src/mflq`` whose name has
 no leading underscore, each parameter with a default must be passed, by
-keyword or by position, by at least one call under ``src/``, ``tests/``
-or ``bench/``.  Calls are matched by the called name alone, so a call
-``obj.f(...)`` counts for every function or method named ``f``.
+keyword or by position, by at least one call under ``src/`` or
+``bench/``, or be named in ``OPTIONS_KEPT`` with its reason.  A call in
+``tests/`` does not count: an option that only a test sets is a seam for
+the test, not a configuration the program runs, and the test can reach
+the same code through the public API or a monkeypatch.  Calls are matched
+by the called name alone, so a call ``obj.f(...)`` counts for every
+function or method named ``f``.
 
 A parameter that every call passes its own default is the same dead knob
-in disguise, so a second lint flags a parameter when some call sets it
-and every call that does passes a literal equal to the default (compared
-with ``ast.literal_eval``).  A non-literal argument, or a call through
-``*`` or ``**``, counts as a different value.
+in disguise, so a second lint flags a parameter when some call, in
+``tests/`` too, sets it and every call that does passes a literal equal
+to the default (compared with ``ast.literal_eval``).  A non-literal
+argument, or a call through ``*`` or ``**``, counts as a different value.
 
 The command line gets the same lint: every ``--flag`` that ``mflq.cli``
 adds to its parser must appear in some test or bench as a string of its
@@ -38,6 +42,19 @@ from mflq import cli
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mflq"
 CALLER_DIRS = ("src", "tests", "bench")
+# The trees whose calls keep an optional parameter alive.
+PROGRAM_DIRS = ("src", "bench")
+
+# Optional parameters that no call under PROGRAM_DIRS sets, each with the
+# reason it stays.
+OPTIONS_KEPT = {
+    "presets.example31(t)": "the paper's Example 3.1 from other start "
+    "times, which the acceptance criteria solve",
+    "presets.example31_null_control(t)": "the null control of Example 3.1 "
+    "from the same other start times",
+    "moments.propagate_moments(n_steps)": "criterion 10 propagates the "
+    "moments on its own 600-step grid",
+}
 
 # Public functions that nothing under src/mflq references and mflq.__all__
 # does not export, each with the reason it stays.
@@ -129,16 +146,16 @@ def _record_calls(tree, passed):
     return passed
 
 
-def unset_options():
-    """Sorted "module.function(parameter)" entries that no call sets."""
+def unset_options(callers, package):
+    """Sorted "module.function(parameter)" entries of the {module: tree}
+    ``package`` that no call in the trees ``callers`` sets."""
     passed = {}
-    for top in CALLER_DIRS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            _record_calls(_parse(path), passed)
+    for tree in callers:
+        _record_calls(tree, passed)
 
     unset = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for func, params in _optional_params(_parse(path)):
+    for stem, tree in package.items():
+        for func, params in _optional_params(tree):
             seen = passed.get(func)
             for param, index in params.items():
                 if seen is not None and (
@@ -147,12 +164,28 @@ def unset_options():
                     or (index is not None and index < seen["n_positional"])
                 ):
                     continue
-                unset.append(f"{path.stem}.{func}({param})")
+                unset.append(f"{stem}.{func}({param})")
     return sorted(unset)
 
 
+def _package():
+    return {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _trees(dirs):
+    return [_parse(path) for top in dirs
+            for path in sorted((ROOT / top).rglob("*.py"))]
+
+
 def test_every_optional_parameter_has_a_caller():
-    assert unset_options() == []
+    assert unset_options(_trees(PROGRAM_DIRS), _package()) == sorted(OPTIONS_KEPT)
+
+
+def test_option_lint_counts_no_test_as_a_caller():
+    package = {"a": ast.parse("def f(x, y=1, z=2):\n    pass\n")}
+    program, tests = ast.parse("f(0, z=3)\n"), ast.parse("f(0, y=4)\n")
+    assert unset_options([program], package) == ["a.f(y)"]
+    assert unset_options([program, tests], package) == []
 
 
 def _literal(node):
@@ -206,10 +239,7 @@ def default_only_options(trees, package):
 
 
 def test_no_optional_parameter_is_only_passed_its_default():
-    trees = [_parse(path) for top in CALLER_DIRS
-             for path in sorted((ROOT / top).rglob("*.py"))]
-    package = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    assert default_only_options(trees, package) == []
+    assert default_only_options(_trees(CALLER_DIRS), _package()) == []
 
 
 def test_default_lint_sees_literals_names_and_star_calls():
@@ -390,8 +420,7 @@ def unreferenced_functions(trees):
 
 
 def test_every_public_function_is_referenced_or_exported():
-    trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_functions(trees) == sorted(UNREFERENCED_KEPT)
+    assert unreferenced_functions(_package()) == sorted(UNREFERENCED_KEPT)
 
 
 def test_function_lint_sees_references_and_exports():

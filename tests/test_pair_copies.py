@@ -3,11 +3,11 @@
 ``integrate_gre`` and ``dense_midpoints`` keep each channel pair (the
 Riccati matrices ``P`` / ``P_mean``, the input weights ``input_weight*``,
 the cross terms ``cross_term*`` and the gains ``gain_*``) as two slabs of
-one channel-major buffer, and a pass that reads a pair node by node takes
-it through ``riccati._pair``, a view of that buffer.  Stacking the two
-channels again, or copying one into a contiguous array, would hold a
-second copy of a (K+1, ...) array at the synthesis's peak.  This lint scans
-the Riccati, affine and synthesis modules with ``ast`` and reports every
+one channel-major buffer, and a pass that reads a pair takes each channel
+from its own field.  Stacking the two channels again, or copying one into
+a contiguous array, would hold a second copy of a (K+1, ...) array at the
+synthesis's peak.  This lint scans the Riccati, affine and synthesis
+modules with ``ast`` and reports every
 ``np.stack``, ``np.ascontiguousarray`` or ``copy`` (method or function)
 whose operands name one of those fields, as an attribute such as
 ``sol.cross_term`` or as a bare name.

@@ -225,7 +225,8 @@ def test_frozen_offset_uses_entry_time_brownian_value():
     spec = ControlSpec(
         feedback=MatrixPath.constant(np.zeros((1, 1))),
         mean_feedback=MatrixPath.constant(np.zeros((1, 1))),
-        offset=NoiseAffinePath.of([0.0], [1.0], frozen_at_start=True),
+        offset=NoiseAffinePath(MatrixPath.constant([0.0]), MatrixPath.constant([1.0]),
+                               frozen_at_start=True),
     )
     rep = simulate(p, spec, law, n_paths=200000, n_steps=100, seed=21)
     assert rep.cost_mean == pytest.approx(t0, rel=0.05)

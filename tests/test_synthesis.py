@@ -431,3 +431,58 @@ def test_small_input_weight_gain_matches_the_exact_gain():
     exact = -1.0 / (eps + 1.0 - p.horizon.nodes)
     err = np.abs(sol.gre.gain_dev[:, 0, 0] - exact) / np.abs(exact)
     assert np.max(err) <= 1e-3
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 20: the range residual is divided by 1 + ||N||, absolute "
+    "for a small cost; scaled by 1e-8, range_dev reads 9.9999999e-9 against "
+    "the tolerance 1e-8 (0.5 unscaled) and value gives 2e-8 at K=1000"))
+def test_example31_with_a_scaled_cost_is_not_solvable():
+    """example31 with G and G_bar scaled by 1e-8: scaling the cost changes
+    no verdict, and example31 is not closed-loop solvable."""
+    p, _ = example31(n_steps=1000)
+    p = dataclasses.replace(p, G=1e-8 * p.G, G_bar=1e-8 * p.G_bar)
+    assert not synthesize(p).solvable
+
+
+def _unbounded_cost_problem(c):
+    """B = 0, R = -c, Q = G = c on [0, 1], K = 1000: the control enters the
+    cost alone, through -c u^2, so the cost has no lower bound."""
+    return make_problem(1, 1, TimeGrid(0.0, 1.0, 1000), R=-c, Q=c, G=c)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 20: the PSD margin is the absolute tolerance 1e-8; at "
+    "c = 1e-9 psd_dev reads -1e-9 and passes, so the synthesis reports "
+    "solvable with value 2.0e-9 from x0 = 1 at K=1000"))
+def test_cost_unbounded_below_at_a_small_scale_is_not_solvable():
+    assert not synthesize(_unbounded_cost_problem(1e-9)).solvable
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 20: the oracle calls a Hessian indefinite below "
+    "-1e-9 max(||H||_F, 1), absolute for a small cost; every eigenvalue is "
+    "-c h, and it returns 'singular' with cost 2.0e-9 at c = 1e-9 and "
+    "2.0e-7 at c = 1e-7"))
+@pytest.mark.parametrize("c", [1e-9, 1e-7])
+def test_qp_oracle_names_a_cost_unbounded_below(c):
+    assert qp_oracle(_unbounded_cost_problem(c), [1.0], 2000).status == "unbounded"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 21: R = diag(1, 1.98e-10) sits 0.99x below the rank "
+    "cutoff 2e-10; the synthesis reports regular=False with range_dev 0.618 "
+    "and both near-cutoff lists empty, and the candidate's value from "
+    "x0 = (1, 1) is 3.0 where the QP optimum is 1.0007 at K=1000"))
+def test_weight_just_below_the_rank_cutoff_is_not_silently_unsolvable():
+    """B = Q = G = I and R = diag(1, 1.98e-10) on [0, 1]: R is positive
+    definite, so the problem is uniquely solvable.  The synthesis must say
+    so, refuse by name, or flag the rank decision in near_cutoff_dev."""
+    I2 = np.eye(2)
+    p = make_problem(2, 2, TimeGrid(0.0, 1.0, 1000), B=I2, Q=I2, G=I2,
+                     R=np.diag([1.0, 1.98e-10]))
+    try:
+        sol = synthesize(p)
+    except (FiniteEscapeError, ValidationError):
+        return
+    assert sol.solvable or sol.gre.report.near_cutoff_dev
